@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 scenario parse error, 3 scenario validation error,
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
@@ -15,8 +14,6 @@ from .aggregation import AggregationSemantics
 from .model import ProtocolError
 from .runner import TRUTH_MODES, run_once, run_sweep
 from .scenario import ScenarioParseError, ScenarioValidationError, load_scenario
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -41,6 +38,17 @@ def _parse_semantics_list(text: str) -> list[AggregationSemantics]:
     return [_parse_semantics(part.strip()) for part in text.split(",") if part.strip()]
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}; expected an integer") from None
+    # Random-stream keys pack the seed as an unsigned 64-bit integer.
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossguard",
@@ -61,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--seed",
-        type=int,
+        type=_parse_seed,
         default=None,
         help="run seed (default: the scenario's network.seed)",
     )
@@ -100,15 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        load_scenario(args.scenario)
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ScenarioValidationError as exc:
-        for error in exc.errors:
-            print(f"validation error: {error}", file=sys.stderr)
-        return EXIT_VALIDATION
+    load_scenario(args.scenario)
     print(f"{args.scenario}: OK")
     return EXIT_OK
 
@@ -130,36 +130,24 @@ def _print_metrics(metrics) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ScenarioValidationError as exc:
-        for error in exc.errors:
-            print(f"validation error: {error}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scenario = load_scenario(args.scenario)
 
     seed = args.seed if args.seed is not None else scenario.network.seed
     trace_stream = None
+    if args.trace is not None:
+        trace_stream = open(args.trace, "w", encoding="utf-8")
     try:
-        if args.trace is not None:
-            trace_stream = open(args.trace, "w", encoding="utf-8")
-        try:
-            _, metrics = run_once(
-                scenario,
-                args.semantics,
-                seed=seed,
-                truth_mode=args.truth,
-                collect_trace=False,
-                trace_stream=trace_stream,
-            )
-        finally:
-            if trace_stream is not None:
-                trace_stream.close()
-    except ProtocolError as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
+        _, metrics = run_once(
+            scenario,
+            args.semantics,
+            seed=seed,
+            truth_mode=args.truth,
+            collect_trace=False,
+            trace_stream=trace_stream,
+        )
+    finally:
+        if trace_stream is not None:
+            trace_stream.close()
 
     print(f"scenario: {args.scenario}")
     print(f"semantics: {args.semantics.value}  seed: {seed}  truth: {args.truth}")
@@ -170,32 +158,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ScenarioValidationError as exc:
-        for error in exc.errors:
-            print(f"validation error: {error}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scenario = load_scenario(args.scenario)
 
     if args.seeds < 1:
         print("sweep needs --seeds >= 1", file=sys.stderr)
         return EXIT_VALIDATION
 
-    try:
-        result = run_sweep(
-            scenario,
-            args.semantics,
-            seeds=args.seeds,
-            truth_mode=args.truth,
-            out_dir=args.out,
-            scenario_name=Path(args.scenario).stem,
-        )
-    except ProtocolError as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
+    result = run_sweep(
+        scenario,
+        args.semantics,
+        seeds=args.seeds,
+        truth_mode=args.truth,
+        out_dir=args.out,
+        scenario_name=Path(args.scenario).stem,
+    )
 
     print(f"scenario: {args.scenario}  seeds: {args.seeds}  truth: {args.truth}")
     header = f"{'semantics':<26} {'decisions':>9} {'stops':>7} {'gos':>7} {'false_go':>8} {'false_stop':>10} {'error_rate':>10}"
@@ -212,15 +188,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"validate": _cmd_validate, "run": _cmd_run, "sweep": _cmd_sweep}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    raise AssertionError(f"unreachable command {args.command!r}")
+    try:
+        return _COMMANDS[args.command](args)
+    except ScenarioParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ScenarioValidationError as exc:
+        for error in exc.errors:
+            print(f"validation error: {error}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ProtocolError as exc:
+        print(f"protocol error: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
 
 
 if __name__ == "__main__":

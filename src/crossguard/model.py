@@ -208,8 +208,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     seen: set[NodeId] = set()
     for index, node in enumerate(scenario.nodes):
         path = f"nodes[{index}]"
-        if not isinstance(node.id, int) or isinstance(node.id, bool) or node.id < 0:
-            errors.append(f"{path}.id: must be an integer >= 0, got {node.id!r}")
+        # Random-stream keys pack node ids as signed 64-bit integers.
+        if not isinstance(node.id, int) or isinstance(node.id, bool) or not 0 <= node.id < 2**63:
+            errors.append(f"{path}.id: must be an integer >= 0 and < 2^63, got {node.id!r}")
             continue
         if node.id in seen:
             errors.append(f"duplicate node id: {node.id}")

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
 
 from .determinism import transport_stream
 from .model import NetworkConfig, NodeId, ProtocolError, SessionId, SimTime
-
-logger = logging.getLogger(__name__)
 
 
 class MessageKind(Enum):
@@ -134,9 +131,7 @@ class Network:
         self.queue = queue
         self._emit = emit
         self._next_seq: dict[NodeId, int] = {node: 0 for node in self.node_ids}
-        self.sent = 0
         self.dropped = 0
-        self.delivered = 0
 
     def send(
         self,
@@ -166,7 +161,6 @@ class Network:
         if describe is not None:
             describe(record)
         self._emit(record)
-        self.sent += 1
 
         recipients = self.node_ids if dst is None else [dst]
         config = self.config
@@ -188,9 +182,6 @@ class Network:
             latency = stream.randint(config.latency_min, config.latency_max)
             self.queue.schedule(now + latency, Delivery(message=message, recipient=recipient))
         return message
-
-    def note_delivered(self) -> None:
-        self.delivered += 1
 
 
 def run(queue: EventQueue, handlers: Mapping[type, Callable[[SimTime, Event], None]]) -> None:

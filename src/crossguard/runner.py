@@ -2,19 +2,21 @@
 
 One run wires a scenario into node agents over the deterministic network,
 executes its sessions to quiescence, and meters the trace stream as it is
-emitted. Sweeps repeat runs across seeds and semantics; arms with the same
-seed share every perception draw, so semantics are compared like for like.
+emitted. No draw, sequence number or claim set depends on a verdict, so one
+run can also decide further semantics on each session's frozen claim set.
+A sweep simulates each seed once and decides every arm on the same claim
+sets (common random numbers), so semantics are compared like for like.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Sequence
 
 from .actuation import NodeMotion, apply_command, sequence_actuation
-from .aggregation import AggregationSemantics
+from .aggregation import AggregationSemantics, Verdict
 from .determinism import sense_stream
 from .model import (
     Claim,
@@ -40,12 +42,20 @@ from .netsim import (
 )
 from .perception import sense
 from .scenario import ScenarioValidationError
-from .session import SessionPhase, SessionState, accept_claim, close_and_decide, mark_closed, open_session
+from .session import (
+    SessionPhase,
+    SessionState,
+    accept_claim,
+    close_and_decide,
+    mark_closed,
+    open_session,
+    verdict_on,
+)
 from .trace import claim_payload, dumps_record
 
-logger = logging.getLogger(__name__)
-
 TRUTH_MODES = ("fixed", "alternating")
+# The RunMetrics counts that depend on the verdict, hence differ between arms.
+VERDICT_COUNTS = ("decisions", "stops", "gos", "false_go_count", "false_stop_count")
 
 
 @dataclass(frozen=True)
@@ -68,8 +78,11 @@ class SoloStats:
         return self.errors / self.claims if self.claims else 0.0
 
 
+_EXCLUSION_REASONS = tuple(reason.value for reason in ExclusionReason)
+
+
 def _zero_exclusions() -> dict[str, int]:
-    return {reason.value: 0 for reason in ExclusionReason}
+    return dict.fromkeys(_EXCLUSION_REASONS, 0)
 
 
 @dataclass
@@ -91,6 +104,18 @@ class RunMetrics:
 
     def solo_error_rate(self, node: NodeId) -> float:
         return self.solo[node].error_rate
+
+    def count_verdict(self, stop: bool, present: bool) -> None:
+        """Book one session's verdict against that session's ground truth."""
+        self.decisions += 1
+        if stop:
+            self.stops += 1
+            if not present:
+                self.false_stop_count += 1
+        else:
+            self.gos += 1
+            if present:
+                self.false_go_count += 1
 
 
 class MetricsCollector:
@@ -119,17 +144,7 @@ class MetricsCollector:
         elif ev == "session_open":
             self._truth[record["session"]] = record["pedestrian_present"]
         elif ev == "decision":
-            metrics = self.metrics
-            metrics.decisions += 1
-            present = self._truth[record["session"]]
-            if record["verdict"] == "stop":
-                metrics.stops += 1
-                if not present:
-                    metrics.false_stop_count += 1
-            else:
-                metrics.gos += 1
-                if present:
-                    metrics.false_go_count += 1
+            self.metrics.count_verdict(record["verdict"] == "stop", self._truth[record["session"]])
         elif ev == "claim_excluded":
             self.metrics.exclusions[record["reason"]] += 1
         elif ev == "claim_orphan":
@@ -192,7 +207,12 @@ class _NodeAgent:
 
 
 class Simulation:
-    """One scenario, one semantics, one seed, driven to quiescence."""
+    """One scenario, one seed, driven to quiescence.
+
+    `semantics` drives the run: its verdicts are actuated and traced. Each
+    of `extra_semantics` is decided on the same frozen claim sets and only
+    counted, in the matching entry of `extra_metrics`.
+    """
 
     def __init__(
         self,
@@ -201,11 +221,14 @@ class Simulation:
         seed: int,
         truth_mode: str = "fixed",
         sinks: list | None = None,
+        extra_semantics: tuple[AggregationSemantics, ...] = (),
     ) -> None:
         if truth_mode not in TRUTH_MODES:
             raise ValueError(f"truth_mode must be one of {TRUTH_MODES}, got {truth_mode!r}")
         self.scenario = scenario
         self.semantics = semantics
+        self.extra_semantics = extra_semantics
+        self.extra_metrics = [RunMetrics() for _ in extra_semantics]
         self.seed = seed
         self.truth_mode = truth_mode
         self._sinks = sinks or []
@@ -307,6 +330,11 @@ class Simulation:
             raise ProtocolError(f"deadline for session {event.session} fired out of order")
         decision = close_and_decide(state, now, self.semantics)
         self.decisions += 1
+        if self.extra_semantics:
+            present = self.truth_for(state.id).pedestrian_present
+            for semantics, metrics in zip(self.extra_semantics, self.extra_metrics):
+                verdict = verdict_on(decision.used_claims, decision.ranking, semantics)
+                metrics.count_verdict(verdict is Verdict.STOP, present)
         self.emit(
             {
                 "t": now,
@@ -357,7 +385,6 @@ class Simulation:
                 "sent_at": message.sent_at,
             }
         )
-        self.network.note_delivered()
         if message.kind is MessageKind.SESSION_START:
             self.agents[delivery.recipient].on_session_start(now, message.payload)
         elif message.kind is MessageKind.CLAIM:
@@ -377,12 +404,20 @@ def run_once(
     truth_mode: str = "fixed",
     collect_trace: bool = True,
     trace_stream=None,
-) -> tuple[list[dict] | None, RunMetrics]:
+    *,
+    extra_semantics: Sequence[AggregationSemantics] | None = None,
+) -> tuple[list[dict] | None, RunMetrics] | tuple[list[dict] | None, RunMetrics, list[RunMetrics]]:
     """Run one scenario to quiescence; returns (trace records, metrics).
 
     With collect_trace=False the records are metered and discarded as they
     stream, keeping memory flat for large Monte Carlo runs. If trace_stream
     is given, records are additionally serialized to it line by line.
+
+    Given extra_semantics, every session's frozen claim set is also decided
+    under each of them, without simulating again; actuation and the trace
+    follow `semantics` alone. The return value is then (records, metrics,
+    extra), with one RunMetrics in `extra` per entry of extra_semantics,
+    equal to what a run_once call with that semantics returns.
     """
     errors = validate_scenario(scenario)
     if errors:
@@ -399,13 +434,20 @@ def run_once(
     if trace_stream is not None:
         sinks.append(lambda record: trace_stream.write(dumps_record(record) + "\n"))
 
-    sim = Simulation(scenario, semantics, seed, truth_mode, sinks)
+    sim = Simulation(scenario, semantics, seed, truth_mode, sinks, tuple(extra_semantics or ()))
     sim.run()
 
     metrics = collector.metrics
-    if metrics.stops + metrics.gos != metrics.decisions:
-        raise ProtocolError("metrics do not conserve: stops + gos != decisions")
-    return records, metrics
+    for extra in sim.extra_metrics:
+        # Exclusions and solo claims never depend on the verdict.
+        extra.exclusions = dict(metrics.exclusions)
+        extra.solo = {node: SoloStats(stats.claims, stats.errors) for node, stats in metrics.solo.items()}
+    for arm in (metrics, *sim.extra_metrics):
+        if arm.stops + arm.gos != arm.decisions:
+            raise ProtocolError("metrics do not conserve: stops + gos != decisions")
+    if extra_semantics is None:
+        return records, metrics
+    return records, metrics, sim.extra_metrics
 
 
 @dataclass
@@ -434,7 +476,7 @@ class SweepResult:
 def _metrics_records(scenario_name: str, semantics: str, seed: int, metrics: RunMetrics) -> list[dict]:
     head = {"scenario": scenario_name, "semantics": semantics, "seed": seed}
     records = []
-    for name in ("decisions", "stops", "gos", "false_go_count", "false_stop_count"):
+    for name in VERDICT_COUNTS:
         records.append({**head, "metric": name, "value": getattr(metrics, name)})
     records.append({**head, "metric": "error_rate", "value": metrics.error_rate})
     for reason, count in sorted(metrics.exclusions.items()):
@@ -464,10 +506,13 @@ def run_sweep(
 ) -> SweepResult:
     """Monte Carlo comparison of semantics over seed values 0..seeds-1.
 
-    Per-run metrics go to newline-delimited record files and the comparison
-    table to summary.csv when out_dir is given. Sense substreams are keyed
-    by (seed, node, session), never by semantics, so all arms of one seed
-    score the same perception draws.
+    Each seed is simulated once. The first semantics by name drives that
+    run, and every semantics is decided on the same frozen claim sets, so
+    the arms differ only in verdicts and each node's solo error rate is
+    metered once per seed. Rows and per-run files follow semantics_list
+    sorted by name, one per entry, repeats included. Per-run metrics go to
+    newline-delimited record files and the comparison table to summary.csv
+    when out_dir is given.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
@@ -475,84 +520,61 @@ def run_sweep(
         raise ValueError("at least one semantics is required")
 
     out_path: Path | None = None
-    files: list[Path] = []
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
 
-    rows: list[SweepRow] = []
+    arms = sorted(semantics_list, key=lambda s: s.value)
+    totals = [RunMetrics() for _ in arms]
+    arm_files: list[list[Path]] = [[] for _ in arms]
     solo_claims: dict[NodeId, int] = {}
     solo_errors: dict[NodeId, int] = {}
-    first_semantics = True
-    for semantics in sorted(semantics_list, key=lambda s: s.value):
-        totals = {"decisions": 0, "stops": 0, "gos": 0, "false_go_count": 0, "false_stop_count": 0}
-        for seed in range(seeds):
-            _, metrics = run_once(
-                scenario, semantics, seed=seed, truth_mode=truth_mode, collect_trace=False
-            )
-            for name in totals:
-                totals[name] += getattr(metrics, name)
-            if first_semantics:
-                # Identical across arms by construction; meter one arm only.
-                for node, stats in metrics.solo.items():
-                    solo_claims[node] = solo_claims.get(node, 0) + stats.claims
-                    solo_errors[node] = solo_errors.get(node, 0) + stats.errors
+    for seed in range(seeds):
+        _, first, extra = run_once(
+            scenario,
+            arms[0],
+            seed=seed,
+            truth_mode=truth_mode,
+            collect_trace=False,
+            extra_semantics=arms[1:],
+        )
+        for node, stats in first.solo.items():
+            solo_claims[node] = solo_claims.get(node, 0) + stats.claims
+            solo_errors[node] = solo_errors.get(node, 0) + stats.errors
+        for semantics, metrics, total, written in zip(arms, (first, *extra), totals, arm_files):
+            for name in VERDICT_COUNTS:
+                setattr(total, name, getattr(total, name) + getattr(metrics, name))
             if out_path is not None:
-                name = f"{scenario_name}__{semantics.value}__seed{seed}.metrics.ndjson"
-                target = out_path / name
+                target = out_path / f"{scenario_name}__{semantics.value}__seed{seed}.metrics.ndjson"
                 with target.open("w", encoding="utf-8") as handle:
                     for record in _metrics_records(scenario_name, semantics.value, seed, metrics):
                         handle.write(dumps_record(record) + "\n")
-                files.append(target)
-        first_semantics = False
-        wrong = totals["false_go_count"] + totals["false_stop_count"]
-        rows.append(
-            SweepRow(
-                semantics=semantics.value,
-                seeds=seeds,
-                decisions=totals["decisions"],
-                stops=totals["stops"],
-                gos=totals["gos"],
-                false_go_count=totals["false_go_count"],
-                false_stop_count=totals["false_stop_count"],
-                error_rate=wrong / totals["decisions"] if totals["decisions"] else 0.0,
-            )
-        )
+                written.append(target)
 
+    rows = [
+        SweepRow(
+            semantics=semantics.value,
+            seeds=seeds,
+            **{name: getattr(total, name) for name in VERDICT_COUNTS},
+            error_rate=total.error_rate,
+        )
+        for semantics, total in zip(arms, totals)
+    ]
     solo_rates = {
         node: (solo_errors[node] / solo_claims[node] if solo_claims[node] else 0.0)
         for node in sorted(solo_claims)
     }
+    files = [path for written in arm_files for path in written]
 
     if out_path is not None:
         summary = out_path / "summary.csv"
+        columns = [column.name for column in fields(SweepRow)]
         with summary.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(
-                [
-                    "semantics",
-                    "seeds",
-                    "decisions",
-                    "stops",
-                    "gos",
-                    "false_go_count",
-                    "false_stop_count",
-                    "error_rate",
-                ]
-            )
+            writer.writerow(columns)
             for row in rows:
-                writer.writerow(
-                    [
-                        row.semantics,
-                        row.seeds,
-                        row.decisions,
-                        row.stops,
-                        row.gos,
-                        row.false_go_count,
-                        row.false_stop_count,
-                        f"{row.error_rate:.6f}",
-                    ]
-                )
+                cells = [getattr(row, name) for name in columns]
+                writer.writerow([f"{cell:.6f}" if isinstance(cell, float) else cell for cell in cells])
         files.append(summary)
 
     return SweepResult(rows=rows, solo_error_rates=solo_rates, files=files)

@@ -9,7 +9,6 @@ exit codes.
 
 from __future__ import annotations
 
-import logging
 from pathlib import Path
 
 import yaml
@@ -25,8 +24,6 @@ from .model import (
     SensorProfile,
     validate_scenario,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class ScenarioParseError(Exception):

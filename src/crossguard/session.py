@@ -8,7 +8,6 @@ exclusion reason, so nothing delivered goes unaccounted.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,8 +22,6 @@ from .model import (
     claim_evidence_errors,
 )
 from .trust import rank
-
-logger = logging.getLogger(__name__)
 
 
 class SessionPhase(Enum):
@@ -106,13 +103,25 @@ def accept_claim(
     return reason
 
 
+def verdict_on(
+    used: tuple[Claim, ...], ranking: tuple[NodeId, ...], semantics: AggregationSemantics
+) -> Verdict:
+    """One semantics' verdict on a session's frozen, ranked claim set.
+
+    An empty claim set short-circuits to Stop before any semantics runs:
+    silence is never evidence of a clear crossing.
+    """
+    if not used:
+        return Verdict.STOP
+    return decide(list(used), list(ranking), semantics)
+
+
 def close_and_decide(
     state: SessionState, now: SimTime, semantics: AggregationSemantics
 ) -> Decision:
     """Freeze the claim set at the deadline and produce the verdict.
 
-    An empty claim set short-circuits to Stop before any semantics runs:
-    silence is never evidence of a clear crossing.
+    The verdict comes from verdict_on, so an empty claim set means Stop.
     """
     if state.phase is not SessionPhase.COLLECTING:
         raise ProtocolError(f"session {state.id} already {state.phase.value}")
@@ -121,15 +130,10 @@ def close_and_decide(
             f"session {state.id} closing at {now} before its deadline {state.deadline}"
         )
     used = tuple(sorted(state.received.values(), key=lambda claim: claim.node))
-    if used:
-        ranking = tuple(rank(list(used)))
-        verdict = decide(list(used), list(ranking), semantics)
-    else:
-        ranking = ()
-        verdict = Verdict.STOP
+    ranking = tuple(rank(list(used))) if used else ()
     decision = Decision(
         session=state.id,
-        verdict=verdict,
+        verdict=verdict_on(used, ranking, semantics),
         semantics=semantics,
         ranking=ranking,
         used_claims=used,

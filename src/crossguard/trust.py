@@ -8,12 +8,9 @@ says, so flipping a detection can never change the ranking.
 
 from __future__ import annotations
 
-import logging
 from typing import NamedTuple
 
 from .model import Claim, NodeId, ProtocolError
-
-logger = logging.getLogger(__name__)
 
 
 class TrustKey(NamedTuple):

@@ -38,6 +38,16 @@ sessions: 1
 
 
 @pytest.fixture
+def huge_node_id_file(tmp_path):
+    """Valid except node 2's id, which does not fit a signed 64-bit key."""
+    text = INTERSECTION.read_text(encoding="utf-8")
+    assert text.count("- id: 2 ") == 1
+    path = tmp_path / "huge_id.scenario"
+    path.write_text(text.replace("- id: 2 ", f"- id: {2**63} "), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
 def invalid_file(tmp_path):
     path = tmp_path / "invalid.scenario"
     path.write_text(BROKEN_VALIDATION, encoding="utf-8")
@@ -118,6 +128,22 @@ class TestRunCommand:
         assert code == cli.EXIT_PROTOCOL
         assert "protocol error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "seven"])
+    def test_seed_outside_64_bits_is_an_argument_error(self, seed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", str(INTERSECTION), "--seed", seed])
+        assert excinfo.value.code == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, capsys):
+        assert cli.main(["run", str(INTERSECTION), "--seed", str(2**64 - 1)]) == cli.EXIT_OK
+        assert f"seed: {2**64 - 1}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_node_id_beyond_63_bits_exits_three(self, command, huge_node_id_file, capsys):
+        assert cli.main([command, str(huge_node_id_file)]) == cli.EXIT_VALIDATION
+        assert "< 2^63" in capsys.readouterr().err
+
     def test_unknown_semantics_is_an_argument_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", str(INTERSECTION), "--semantics", "vibes"])
@@ -160,6 +186,12 @@ class TestSweepCommand:
         assert "intersection__majority__seed0.metrics.ndjson" in named
         assert "intersection__expert_override__seed1.metrics.ndjson" in named
         assert "wrote 5 file(s)" in capsys.readouterr().out
+
+    def test_repeated_semantics_print_one_row_per_entry(self, capsys):
+        code = cli.main(["sweep", str(INTERSECTION), "--semantics", "majority,majority", "--seeds", "2"])
+        assert code == cli.EXIT_OK
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("majority ")]
+        assert len(rows) == 2 and rows[0] == rows[1]
 
     def test_sweep_seed_count_must_be_positive(self, capsys):
         code = cli.main(["sweep", str(INTERSECTION), "--seeds", "0"])

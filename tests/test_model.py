@@ -99,6 +99,14 @@ class TestValidateScenario:
         broken = dataclasses.replace(scenario, nodes=(scenario.nodes[0], bad))
         assert any("integer >= 0" in e for e in validate_scenario(broken))
 
+    def test_node_id_must_fit_a_signed_64_bit_key(self):
+        scenario = make_scenario()
+        widest = dataclasses.replace(scenario.nodes[1], id=2**63 - 1)
+        assert validate_scenario(dataclasses.replace(scenario, nodes=(scenario.nodes[0], widest))) == []
+        bad = dataclasses.replace(scenario.nodes[1], id=2**63)
+        broken = dataclasses.replace(scenario, nodes=(scenario.nodes[0], bad))
+        assert any("nodes[1].id" in e and "< 2^63" in e for e in validate_scenario(broken))
+
     def test_exactly_one_master_required(self):
         scenario = make_scenario()
         demoted = tuple(dataclasses.replace(n, master=False) for n in scenario.nodes)

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import random
+from pathlib import Path
 
 import pytest
 
 from crossguard.aggregation import AggregationSemantics
-from crossguard.runner import MetricsCollector, run_once, run_sweep
+from crossguard.runner import TRUTH_MODES, MetricsCollector, SweepResult, SweepRow, run_once, run_sweep
 from crossguard.scenario import ScenarioValidationError, load_scenario
-from crossguard.trace import dumps_records, loads_records
+from crossguard.trace import dumps_record, dumps_records, loads_records
 
-from helpers import INTERSECTION, make_scenario
+from helpers import INTERSECTION, make_scenario, random_scenario
 
 ALL_SEMANTICS = sorted(AggregationSemantics, key=lambda s: s.value)
 
@@ -335,6 +338,140 @@ class TestSweep:
             run_sweep(scenario, [AggregationSemantics.MAJORITY], seeds=0)
         with pytest.raises(ValueError):
             run_sweep(scenario, [], seeds=1)
+
+
+def reference_sweep(scenario, semantics_list, seeds, truth_mode, out_dir, scenario_name):
+    """The sweep as one run_once call per (semantics, seed), arm by arm.
+
+    Written out field by field, without the library's sweep helpers, so the
+    one-simulation-per-seed sweep is checked against an independent result.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    counts = ("decisions", "stops", "gos", "false_go_count", "false_stop_count")
+    rows, files = [], []
+    solo_claims: dict[int, int] = {}
+    solo_errors: dict[int, int] = {}
+    arms = sorted(semantics_list, key=lambda s: s.value)
+    for index, semantics in enumerate(arms):
+        totals = dict.fromkeys(counts, 0)
+        for seed in range(seeds):
+            _, metrics = run_once(scenario, semantics, seed=seed, truth_mode=truth_mode, collect_trace=False)
+            for name in counts:
+                totals[name] += getattr(metrics, name)
+            if index == 0:
+                for node, stats in metrics.solo.items():
+                    solo_claims[node] = solo_claims.get(node, 0) + stats.claims
+                    solo_errors[node] = solo_errors.get(node, 0) + stats.errors
+            head = {"scenario": scenario_name, "semantics": semantics.value, "seed": seed}
+            lines = [{**head, "metric": name, "value": getattr(metrics, name)} for name in counts]
+            lines.append({**head, "metric": "error_rate", "value": metrics.error_rate})
+            for reason in sorted(metrics.exclusions):
+                lines.append({**head, "metric": "exclusions", "reason": reason, "value": metrics.exclusions[reason]})
+            for node in sorted(metrics.solo):
+                stats = metrics.solo[node]
+                lines.append(
+                    {**head, "metric": "solo_error_rate", "node": node, "claims": stats.claims,
+                     "errors": stats.errors, "value": stats.error_rate}
+                )
+            target = out_dir / f"{scenario_name}__{semantics.value}__seed{seed}.metrics.ndjson"
+            target.write_text("".join(dumps_record(line) + "\n" for line in lines), encoding="utf-8")
+            files.append(target)
+        wrong = totals["false_go_count"] + totals["false_stop_count"]
+        rate = wrong / totals["decisions"] if totals["decisions"] else 0.0
+        rows.append(SweepRow(semantics=semantics.value, seeds=seeds, **totals, error_rate=rate))
+    summary = out_dir / "summary.csv"
+    with summary.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(
+            ["semantics", "seeds", "decisions", "stops", "gos", "false_go_count", "false_stop_count", "error_rate"]
+        )
+        for row in rows:
+            writer.writerow(
+                [row.semantics, row.seeds, row.decisions, row.stops, row.gos,
+                 row.false_go_count, row.false_stop_count, f"{row.error_rate:.6f}"]
+            )
+    files.append(summary)
+    solo = {node: solo_errors[node] / solo_claims[node] if solo_claims[node] else 0.0 for node in sorted(solo_claims)}
+    return SweepResult(rows=rows, solo_error_rates=solo, files=files)
+
+
+def lossy_scenario(rng: random.Random):
+    """A random multi-session scenario with drops, where two network hops
+    can outlast the collection window, so some claims land late or orphaned."""
+    base = random_scenario(rng)
+    latency_min = rng.randint(0, 5000)
+    latency_max = latency_min + rng.randint(5000, 30000)
+    network = dataclasses.replace(
+        base.network,
+        latency_min=latency_min,
+        latency_max=latency_max,
+        drop_probability=rng.choice([0.05, 0.1, 0.3]),
+    )
+    return dataclasses.replace(
+        base,
+        network=network,
+        session_window=rng.randint(latency_max // 4 + 1, 2 * latency_max),
+        settle_interval=latency_max + rng.randint(0, 2000),
+        sessions=rng.randint(2, 6),
+    )
+
+
+class TestSweepMatchesOneRunPerSemantics:
+    """A sweep simulates each seed once; every arm must read exactly as if
+    run_once had simulated it on its own."""
+
+    CASES = 30
+
+    @pytest.mark.parametrize("truth_mode", TRUTH_MODES)
+    def test_random_lossy_sweeps(self, tmp_path, truth_mode):
+        rng = random.Random(f"one-simulation-per-seed/{truth_mode}")
+        fixed_lists = [ALL_SEMANTICS, [AggregationSemantics.MAJORITY, AggregationSemantics.MAJORITY]]
+        late = orphans = drops = diverged = 0
+        for case in range(self.CASES):
+            scenario = lossy_scenario(rng)
+            if case < len(fixed_lists):
+                semantics_list = list(fixed_lists[case])
+            else:
+                semantics_list = [rng.choice(ALL_SEMANTICS) for _ in range(rng.randint(1, 6))]
+            seeds = rng.randint(2, 6)
+
+            arms = sorted(semantics_list, key=lambda s: s.value)
+            for seed in range(seeds):
+                records, first, extra = run_once(
+                    scenario, arms[0], seed=seed, truth_mode=truth_mode, extra_semantics=arms[1:]
+                )
+                alone_records, alone = run_once(scenario, arms[0], seed=seed, truth_mode=truth_mode)
+                assert dumps_records(records) == dumps_records(alone_records)
+                assert first == alone
+                assert len(extra) == len(arms) - 1
+                for semantics, metrics in zip(arms[1:], extra):
+                    _, reference = run_once(
+                        scenario, semantics, seed=seed, truth_mode=truth_mode, collect_trace=False
+                    )
+                    assert metrics == reference, (case, seed, semantics)
+                late += first.exclusions["late"]
+                orphans += sum(1 for r in records if r["ev"] == "claim_orphan")
+                drops += sum(1 for r in records if r["ev"] == "drop")
+
+            ours = run_sweep(scenario, semantics_list, seeds, truth_mode, tmp_path / f"{case}-sweep", "case")
+            expected = reference_sweep(
+                scenario, semantics_list, seeds, truth_mode, tmp_path / f"{case}-reference", "case"
+            )
+            assert ours.rows == expected.rows
+            assert ours.solo_error_rates == expected.solo_error_rates
+            assert [path.name for path in ours.files] == [path.name for path in expected.files]
+            for mine, theirs in zip(ours.files, expected.files):
+                assert mine.read_bytes() == theirs.read_bytes(), mine.name
+            diverged += len({(row.stops, row.gos) for row in ours.rows}) > 1
+        # The cases must exercise what could break the equivalence.
+        assert late > 0 and orphans > 0 and drops > 0 and diverged > 0
+
+    def test_default_call_returns_records_and_metrics_only(self):
+        scenario = make_scenario(sessions=3, drop=0.2)
+        assert len(run_once(scenario, AggregationSemantics.MAJORITY, seed=1)) == 2
+        records, metrics, extra = run_once(scenario, AggregationSemantics.MAJORITY, seed=1, extra_semantics=[])
+        assert extra == []
 
 
 class TestMonteCarloExamples:

@@ -1,7 +1,8 @@
 """Command line harness: validate scenarios, run them, sweep semantics.
 
-Exit codes: 0 success, 2 scenario parse error, 3 scenario validation error,
-4 protocol error inside the simulator.
+Exit codes: 0 success, 2 bad argument, scenario parse error or an output
+path that cannot be written, 3 scenario validation error, 4 protocol error
+inside the simulator.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .aggregation import AggregationSemantics
+from .determinism import SEED_BOUND
 from .model import ProtocolError
 from .runner import TRUTH_MODES, run_once, run_sweep
 from .scenario import ScenarioParseError, ScenarioValidationError, load_scenario
@@ -43,8 +45,7 @@ def _parse_seed(text: str) -> int:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid seed {text!r}; expected an integer") from None
-    # Random-stream keys pack the seed as an unsigned 64-bit integer.
-    if not 0 <= seed < 2**64:
+    if not 0 <= seed < SEED_BOUND:
         raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {seed}")
     return seed
 
@@ -205,6 +206,10 @@ def main(argv: list[str] | None = None) -> int:
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
+    except OSError as exc:
+        # Reading the scenario is a parse error already; this is an output path.
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

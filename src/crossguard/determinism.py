@@ -71,6 +71,12 @@ class KeyedStream:
                 return low + (word % span)
 
 
+# Substream keys pack the seed as an unsigned 64-bit integer and every other
+# part, node ids included, as a signed one; these bounds follow from that.
+SEED_BOUND = 1 << 64
+NODE_ID_BOUND = 1 << 63
+
+
 def substream(seed: int, domain: bytes, *parts: int) -> KeyedStream:
     """The substream for one draw site, keyed by (seed, domain, *parts)."""
     return KeyedStream(domain + struct.pack(f"<Q{len(parts)}q", seed, *parts))

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .determinism import NODE_ID_BOUND, SEED_BOUND
+
 # Type aliases; plain ints keep the event loop cheap.
 NodeId = int
 SessionId = int
@@ -208,8 +210,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     seen: set[NodeId] = set()
     for index, node in enumerate(scenario.nodes):
         path = f"nodes[{index}]"
-        # Random-stream keys pack node ids as signed 64-bit integers.
-        if not isinstance(node.id, int) or isinstance(node.id, bool) or not 0 <= node.id < 2**63:
+        if not isinstance(node.id, int) or isinstance(node.id, bool) or not 0 <= node.id < NODE_ID_BOUND:
             errors.append(f"{path}.id: must be an integer >= 0 and < 2^63, got {node.id!r}")
             continue
         if node.id in seen:
@@ -252,7 +253,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         )
     if not _finite(net.drop_probability) or not 0.0 <= net.drop_probability <= 1.0:
         errors.append(f"network.drop_probability: must be in [0.0, 1.0], got {net.drop_probability!r}")
-    if not isinstance(net.seed, int) or isinstance(net.seed, bool) or not 0 <= net.seed < 2**64:
+    if not isinstance(net.seed, int) or isinstance(net.seed, bool) or not 0 <= net.seed < SEED_BOUND:
         errors.append(f"network.seed: must be an integer in [0, 2^64), got {net.seed!r}")
 
     if not isinstance(scenario.session_window, int) or scenario.session_window <= 0:

@@ -1,4 +1,8 @@
-"""Deterministic lossy-network and event-queue layer.
+"""Deterministic lossy-network and event-queue layer: transport only.
+
+The network draws each copy's drop and latency, schedules the deliveries
+and tells its caller which copies it dropped. It knows nothing of the
+protocol carried in the payloads or of the trace format.
 
 The queue pops in (due, tie_order) lexicographic order where tie_order is
 (event class rank, src, seq, recipient). Deliveries rank before session
@@ -123,13 +127,11 @@ class Network:
         config: NetworkConfig,
         seed: int,
         queue: EventQueue,
-        emit: Callable[[dict], None],
     ) -> None:
         self.node_ids = sorted(node_ids)
         self.config = config
         self.seed = seed
         self.queue = queue
-        self._emit = emit
         self._next_seq: dict[NodeId, int] = {node: 0 for node in self.node_ids}
         self.dropped = 0
 
@@ -140,48 +142,25 @@ class Network:
         dst: NodeId | None,
         payload: object,
         now: SimTime,
-        describe: Callable[[dict], None] | None = None,
-    ) -> Message:
-        """Transmit; returns the message after scheduling its deliveries.
-
-        `describe` may add payload fields to the send record before emission.
-        """
+    ) -> tuple[Message, list[NodeId]]:
+        """Transmit; returns the message and the recipients whose copy was
+        dropped, in ascending id order, after scheduling every other copy."""
         seq = self._next_seq[src]
         self._next_seq[src] = seq + 1
         message = Message(kind=kind, src=src, dst=dst, seq=seq, sent_at=now, payload=payload)
 
-        record = {
-            "t": now,
-            "ev": "send",
-            "kind": kind.value,
-            "src": src,
-            "dst": "*" if dst is None else dst,
-            "seq": seq,
-        }
-        if describe is not None:
-            describe(record)
-        self._emit(record)
-
+        dropped = []
         recipients = self.node_ids if dst is None else [dst]
         config = self.config
         for recipient in recipients:
             stream = transport_stream(self.seed, src, seq, recipient)
             if stream.random() < config.drop_probability:
-                self.dropped += 1
-                self._emit(
-                    {
-                        "t": now,
-                        "ev": "drop",
-                        "kind": kind.value,
-                        "src": src,
-                        "dst": recipient,
-                        "seq": seq,
-                    }
-                )
+                dropped.append(recipient)
                 continue
             latency = stream.randint(config.latency_min, config.latency_max)
             self.queue.schedule(now + latency, Delivery(message=message, recipient=recipient))
-        return message
+        self.dropped += len(dropped)
+        return message, dropped
 
 
 def run(queue: EventQueue, handlers: Mapping[type, Callable[[SimTime, Event], None]]) -> None:

@@ -1,8 +1,12 @@
 """End-to-end simulation runs and the Monte Carlo sweep harness.
 
-One run wires a scenario into node agents over the deterministic network,
-executes its sessions to quiescence, and meters the trace stream as it is
-emitted. No draw, sequence number or claim set depends on a verdict, so one
+This module holds the protocol, the trace and the metrics. A Simulation
+plays both sides of the protocol, the master's sessions and every node's
+sensing and actuation, over the deterministic network, which is only a
+transport. It builds every trace record (claim payloads via
+trace.claim_payload) and meters the trace stream as it is emitted.
+
+No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set.
 A sweep simulates each seed once and decides every arm on the same claim
 sets (common random numbers), so semantics are compared like for like.
@@ -15,15 +19,14 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
-from .actuation import NodeMotion, apply_command, sequence_actuation
+from .actuation import ActuationCommand, NodeMotion, apply_command, sequence_actuation
 from .aggregation import AggregationSemantics, Verdict
-from .determinism import sense_stream
+from .determinism import SEED_BOUND, sense_stream
 from .model import (
     Claim,
     ExclusionReason,
     GroundTruth,
     NodeId,
-    NodeSpec,
     ProtocolError,
     Scenario,
     SessionId,
@@ -56,14 +59,6 @@ from .trace import claim_payload, dumps_record
 TRUTH_MODES = ("fixed", "alternating")
 # The RunMetrics counts that depend on the verdict, hence differ between arms.
 VERDICT_COUNTS = ("decisions", "stops", "gos", "false_go_count", "false_stop_count")
-
-
-@dataclass(frozen=True)
-class StartQuery:
-    """SessionStart payload: which session, answer by when."""
-
-    session: SessionId
-    deadline: SimTime
 
 
 @dataclass
@@ -152,66 +147,14 @@ class MetricsCollector:
             self.metrics.exclusions[ExclusionReason.LATE.value] += 1
 
 
-class _NodeAgent:
-    """Per-node behavior shared by master and slaves: sense and obey."""
-
-    def __init__(self, sim: "Simulation", spec: NodeSpec) -> None:
-        self.sim = sim
-        self.spec = spec
-        self.motion = NodeMotion()
-        # Evidence distance is always measured to the query-region center.
-        self.distance_to_center = spec.pose.distance_to(sim.scenario.perception.query_center)
-
-    def on_session_start(self, now: SimTime, query: StartQuery) -> None:
-        sim = self.sim
-        truth = sim.truth_for(query.session)
-        stream = sense_stream(sim.seed, self.spec.id, query.session)
-        detection = sense(truth, self.spec.pose, self.spec.sensor, sim.scenario.perception, stream)
-        claim = Claim(
-            node=self.spec.id,
-            session=query.session,
-            detection=detection,
-            profile=self.spec.sensor,
-            distance_to_target=self.distance_to_center,
-            emitted_at=now,
-        )
-
-        def describe(record: dict) -> None:
-            record["claim"] = claim_payload(claim)
-
-        sim.network.send(MessageKind.CLAIM, self.spec.id, sim.master_id, claim, now, describe)
-
-    def on_actuation(self, now: SimTime, command) -> None:
-        applied = apply_command(self.motion, command)
-        if applied:
-            self.sim.emit(
-                {
-                    "t": now,
-                    "ev": "actuated",
-                    "node": self.spec.id,
-                    "session": command.session,
-                    "action": command.action.value,
-                    "state": self.motion.state.value,
-                }
-            )
-        else:
-            self.sim.emit(
-                {
-                    "t": now,
-                    "ev": "stale_command",
-                    "node": self.spec.id,
-                    "session": command.session,
-                    "latest_session": self.motion.latest_session,
-                }
-            )
-
-
 class Simulation:
     """One scenario, one seed, driven to quiescence.
 
-    `semantics` drives the run: its verdicts are actuated and traced. Each
-    of `extra_semantics` is decided on the same frozen claim sets and only
-    counted, in the matching entry of `extra_metrics`.
+    It plays the master's sessions and every node's sensing and actuation,
+    with per-node state in dicts keyed by node id, and builds every trace
+    record. `semantics` drives the run: its verdicts are actuated and
+    traced. Each of `extra_semantics` is decided on the same frozen claim
+    sets and only counted, in the matching entry of `extra_metrics`.
     """
 
     def __init__(
@@ -237,10 +180,12 @@ class Simulation:
         self.known_nodes = frozenset(scenario.node_ids())
         self.actuated = list(scenario.actuated_ids())
         self.queue = EventQueue()
-        self.network = Network(
-            list(scenario.node_ids()), scenario.network, seed, self.queue, self.emit
-        )
-        self.agents = {spec.id: _NodeAgent(self, spec) for spec in scenario.nodes}
+        self.network = Network(list(scenario.node_ids()), scenario.network, seed, self.queue)
+        # Per-node state; evidence distance is always measured to the query-region center.
+        self.specs = {spec.id: spec for spec in scenario.nodes}
+        self.motions = {spec.id: NodeMotion() for spec in scenario.nodes}
+        center = scenario.perception.query_center
+        self.distances = {spec.id: spec.pose.distance_to(center) for spec in scenario.nodes}
         self.state: SessionState | None = None
         self.decisions = 0
 
@@ -254,6 +199,27 @@ class Simulation:
     def emit(self, record: dict) -> None:
         for sink in self._sinks:
             sink(record)
+
+    def _send(
+        self, kind: MessageKind, src: NodeId, dst: NodeId | None, payload: object, now: SimTime, **fields
+    ) -> None:
+        """Transmit, then trace the send, with `fields` appended, and each dropped copy."""
+        message, dropped = self.network.send(kind, src, dst, payload, now)
+        self.emit(
+            {
+                "t": now,
+                "ev": "send",
+                "kind": kind.value,
+                "src": src,
+                "dst": "*" if dst is None else dst,
+                "seq": message.seq,
+                **fields,
+            }
+        )
+        for recipient in dropped:
+            self.emit(
+                {"t": now, "ev": "drop", "kind": kind.value, "src": src, "dst": recipient, "seq": message.seq}
+            )
 
     def truth_for(self, session: SessionId) -> GroundTruth:
         present = self.scenario.ground_truth.pedestrian_present
@@ -290,8 +256,7 @@ class Simulation:
                 "pedestrian_present": truth.pedestrian_present,
             }
         )
-        query = StartQuery(session=self.state.id, deadline=self.state.deadline)
-        self.network.send(MessageKind.SESSION_START, self.master_id, None, query, now)
+        self._send(MessageKind.SESSION_START, self.master_id, None, self.state.id, now)
         self.queue.schedule(self.state.deadline, SessionDeadline(self.master_id, self.state.id))
 
     def _on_claim(self, now: SimTime, claim: Claim) -> None:
@@ -351,13 +316,15 @@ class Simulation:
             }
         )
         for command in sequence_actuation(decision, self.actuated):
-            def describe(record: dict, _cmd=command) -> None:
-                record["session"] = _cmd.session
-                record["action"] = _cmd.action.value
-                record["issue_order"] = _cmd.issue_order
-
-            self.network.send(
-                MessageKind.ACTUATION, self.master_id, command.target, command, now, describe
+            self._send(
+                MessageKind.ACTUATION,
+                self.master_id,
+                command.target,
+                command,
+                now,
+                session=command.session,
+                action=command.action.value,
+                issue_order=command.issue_order,
             )
         self.queue.schedule(now + self.scenario.settle_interval, ActuationTick(self.master_id, state.id))
 
@@ -369,6 +336,46 @@ class Simulation:
         self.emit({"t": now, "ev": "session_close", "session": state.id})
         if state.id < self.scenario.sessions:
             self._open_next(now)
+
+    # -- node-side protocol steps: every node senses and obeys -------------
+
+    def _on_session_start(self, now: SimTime, node: NodeId, session: SessionId) -> None:
+        spec = self.specs[node]
+        truth = self.truth_for(session)
+        stream = sense_stream(self.seed, node, session)
+        claim = Claim(
+            node=node,
+            session=session,
+            detection=sense(truth, spec.pose, spec.sensor, self.scenario.perception, stream),
+            profile=spec.sensor,
+            distance_to_target=self.distances[node],
+            emitted_at=now,
+        )
+        self._send(MessageKind.CLAIM, node, self.master_id, claim, now, claim=claim_payload(claim))
+
+    def _on_actuation(self, now: SimTime, node: NodeId, command: ActuationCommand) -> None:
+        motion = self.motions[node]
+        if apply_command(motion, command):
+            self.emit(
+                {
+                    "t": now,
+                    "ev": "actuated",
+                    "node": node,
+                    "session": command.session,
+                    "action": command.action.value,
+                    "state": motion.state.value,
+                }
+            )
+        else:
+            self.emit(
+                {
+                    "t": now,
+                    "ev": "stale_command",
+                    "node": node,
+                    "session": command.session,
+                    "latest_session": motion.latest_session,
+                }
+            )
 
     # -- event dispatch ---------------------------------------------------
 
@@ -386,13 +393,13 @@ class Simulation:
             }
         )
         if message.kind is MessageKind.SESSION_START:
-            self.agents[delivery.recipient].on_session_start(now, message.payload)
+            self._on_session_start(now, delivery.recipient, message.payload)
         elif message.kind is MessageKind.CLAIM:
             if delivery.recipient != self.master_id:
                 raise ProtocolError("claim delivered to a non-master node")
             self._on_claim(now, message.payload)
         elif message.kind is MessageKind.ACTUATION:
-            self.agents[delivery.recipient].on_actuation(now, message.payload)
+            self._on_actuation(now, delivery.recipient, message.payload)
         else:
             raise ProtocolError(f"unhandled message kind {message.kind!r}")
 
@@ -418,12 +425,16 @@ def run_once(
     follow `semantics` alone. The return value is then (records, metrics,
     extra), with one RunMetrics in `extra` per entry of extra_semantics,
     equal to what a run_once call with that semantics returns.
+
+    A seed that is not an int in [0, 2^64) raises ValueError before the run.
     """
     errors = validate_scenario(scenario)
     if errors:
         raise ScenarioValidationError(errors)
     if seed is None:
         seed = scenario.network.seed
+    elif not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
     collector = MetricsCollector()
     sinks: list = [collector.feed]
@@ -527,8 +538,7 @@ def run_sweep(
     arms = sorted(semantics_list, key=lambda s: s.value)
     totals = [RunMetrics() for _ in arms]
     arm_files: list[list[Path]] = [[] for _ in arms]
-    solo_claims: dict[NodeId, int] = {}
-    solo_errors: dict[NodeId, int] = {}
+    solo: dict[NodeId, SoloStats] = {}
     for seed in range(seeds):
         _, first, extra = run_once(
             scenario,
@@ -539,8 +549,9 @@ def run_sweep(
             extra_semantics=arms[1:],
         )
         for node, stats in first.solo.items():
-            solo_claims[node] = solo_claims.get(node, 0) + stats.claims
-            solo_errors[node] = solo_errors.get(node, 0) + stats.errors
+            sums = solo.setdefault(node, SoloStats())
+            sums.claims += stats.claims
+            sums.errors += stats.errors
         for semantics, metrics, total, written in zip(arms, (first, *extra), totals, arm_files):
             for name in VERDICT_COUNTS:
                 setattr(total, name, getattr(total, name) + getattr(metrics, name))
@@ -560,10 +571,7 @@ def run_sweep(
         )
         for semantics, total in zip(arms, totals)
     ]
-    solo_rates = {
-        node: (solo_errors[node] / solo_claims[node] if solo_claims[node] else 0.0)
-        for node in sorted(solo_claims)
-    }
+    solo_rates = {node: solo[node].error_rate for node in sorted(solo)}
     files = [path for written in arm_files for path in written]
 
     if out_path is not None:

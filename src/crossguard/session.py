@@ -40,7 +40,6 @@ class SessionState:
     phase: SessionPhase = SessionPhase.COLLECTING
     received: dict[NodeId, Claim] = field(default_factory=dict)
     exclusions: list[tuple[Claim, ExclusionReason]] = field(default_factory=list)
-    decision: Decision | None = None
     closed_at: SimTime | None = None
 
 
@@ -140,7 +139,6 @@ def close_and_decide(
         excluded_claims=tuple(state.exclusions),
     )
     state.phase = SessionPhase.DECIDED
-    state.decision = decision
     return decision
 
 

@@ -139,6 +139,13 @@ class TestRunCommand:
         assert cli.main(["run", str(INTERSECTION), "--seed", str(2**64 - 1)]) == cli.EXIT_OK
         assert f"seed: {2**64 - 1}" in capsys.readouterr().out
 
+    def test_trace_in_a_missing_directory_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "t.ndjson"
+        assert cli.main(["run", str(INTERSECTION), "--trace", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert str(target) in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_node_id_beyond_63_bits_exits_three(self, command, huge_node_id_file, capsys):
         assert cli.main([command, str(huge_node_id_file)]) == cli.EXIT_VALIDATION
@@ -192,6 +199,15 @@ class TestSweepCommand:
         assert code == cli.EXIT_OK
         rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("majority ")]
         assert len(rows) == 2 and rows[0] == rows[1]
+
+    def test_out_naming_an_existing_file_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "taken.txt"
+        target.write_text("keep me", encoding="utf-8")
+        assert cli.main(["sweep", str(INTERSECTION), "--seeds", "1", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert str(target) in err
+        assert len(err.strip().splitlines()) == 1
+        assert target.read_text(encoding="utf-8") == "keep me"
 
     def test_sweep_seed_count_must_be_positive(self, capsys):
         code = cli.main(["sweep", str(INTERSECTION), "--seeds", "0"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from crossguard.determinism import (
     DOMAIN_NET,
     DOMAIN_SENSE,
+    NODE_ID_BOUND,
+    SEED_BOUND,
     sense_stream,
     substream,
     transport_stream,
@@ -103,3 +107,11 @@ def test_keyed_stream_distinguishes_part_boundaries():
     a = substream(0, DOMAIN_SENSE, 1, 23)
     b = substream(0, DOMAIN_SENSE, 12, 3)
     assert [a.random() for _ in range(4)] != [b.random() for _ in range(4)]
+
+
+def test_key_bounds_are_the_ones_the_key_packing_imposes():
+    sense_stream(SEED_BOUND - 1, NODE_ID_BOUND - 1, 1)
+    with pytest.raises(struct.error):
+        sense_stream(SEED_BOUND, 1, 1)
+    with pytest.raises(struct.error):
+        sense_stream(0, NODE_ID_BOUND, 1)

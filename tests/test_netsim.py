@@ -23,15 +23,13 @@ def lossless(latency_min=1000, latency_max=5000, drop=0.0, seed=7):
     )
 
 
-def build_net(node_ids, config, records=None, seed=None):
+def build_net(node_ids, config, seed=None):
     queue = EventQueue()
-    sink = records.append if records is not None else (lambda record: None)
     network = Network(
         node_ids=node_ids,
         config=config,
         seed=config.seed if seed is None else seed,
         queue=queue,
-        emit=sink,
     )
     return queue, network
 
@@ -111,21 +109,34 @@ class TestNetworkTransport:
         assert [event.recipient for _, event in drain(queue)] == [1]
 
     def test_drop_probability_zero_delivers_everything(self):
-        records = []
-        queue, network = build_net([1, 2, 3], lossless(drop=0.0), records)
+        queue, network = build_net([1, 2, 3], lossless(drop=0.0))
+        dropped = []
         for now in range(0, 500, 10):
-            network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)
+            _, lost = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)
+            dropped.extend(lost)
         assert network.dropped == 0
+        assert dropped == []
         assert len(drain(queue)) == 50
-        assert sum(1 for r in records if r["ev"] == "drop") == 0
 
     def test_drop_probability_one_drops_everything(self):
-        records = []
-        queue, network = build_net([1, 2, 3], lossless(drop=1.0), records)
-        network.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=0)
+        queue, network = build_net([1, 2, 3], lossless(drop=1.0))
+        _, dropped = network.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=0)
         assert drain(queue) == []
         assert network.dropped == 3
-        assert sum(1 for r in records if r["ev"] == "drop") == 3
+        assert dropped == [1, 2, 3]
+
+    def test_send_reports_exactly_the_copies_it_dropped(self):
+        """Every copy is either scheduled or returned as dropped, never both."""
+        queue, network = build_net([1, 2, 3, 4, 5], lossless(drop=0.5))
+        dropped = set()
+        for now in range(40):
+            message, lost = network.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=now)
+            assert lost == sorted(lost)
+            dropped.update((message.seq, recipient) for recipient in lost)
+        delivered = {(event.message.seq, event.recipient) for _, event in drain(queue)}
+        assert 0 < len(dropped) == network.dropped < 200
+        assert dropped.isdisjoint(delivered)
+        assert dropped | delivered == {(seq, node) for seq in range(40) for node in range(1, 6)}
 
     def test_degenerate_latency_is_exact(self):
         """latency_min == latency_max == 10 000 puts every arrival at send+10 000."""
@@ -160,32 +171,11 @@ class TestNetworkTransport:
         assert 0.2952 <= fraction <= 0.3048
         assert 0.293 <= fraction <= 0.307
 
-    def test_send_emits_a_structured_record(self):
-        records = []
-        _, network = build_net([1, 2, 3], lossless(), records)
-        network.send(
-            MessageKind.SESSION_START,
-            src=1,
-            dst=None,
-            payload=None,
-            now=77,
-            describe=lambda record: record.update(session=4),
-        )
-        assert records[0] == {
-            "t": 77,
-            "ev": "send",
-            "kind": "session_start",
-            "src": 1,
-            "dst": "*",
-            "seq": 0,
-            "session": 4,
-        }
-
     def test_sequence_numbers_count_per_sender(self):
         queue, network = build_net([1, 2], lossless())
-        a = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
-        b = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=1)
-        c = network.send(MessageKind.CLAIM, src=2, dst=1, payload=None, now=2)
+        a, _ = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
+        b, _ = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=1)
+        c, _ = network.send(MessageKind.CLAIM, src=2, dst=1, payload=None, now=2)
         assert (a.seq, b.seq, c.seq) == (0, 1, 0)
 
 

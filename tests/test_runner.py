@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import random
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from crossguard.aggregation import AggregationSemantics
 from crossguard.runner import TRUTH_MODES, MetricsCollector, SweepResult, SweepRow, run_once, run_sweep
 from crossguard.scenario import ScenarioValidationError, load_scenario
-from crossguard.trace import dumps_record, dumps_records, loads_records
+from crossguard.trace import claim_from_payload, claim_payload, dumps_record, dumps_records, loads_records
 
 from helpers import INTERSECTION, make_scenario, random_scenario
 
@@ -135,6 +136,91 @@ class TestDeterminism:
             env = [r for r in records if r["ev"] in {"send", "deliver", "drop"} and r["kind"] != "actuation"]
             shared[semantics] = dumps_records(env)
         assert len(set(shared.values())) == 1
+
+
+def pinned_run():
+    """Five nodes, six alternating-truth sessions over a lossy network whose
+    two hops can outlast the window: drops, late claims and orphans."""
+    scenario = make_scenario(
+        node_count=5,
+        fn=0.2,
+        fp=0.2,
+        drop=0.2,
+        latency=(2000, 30000),
+        window=20000,
+        settle=30000,
+        sessions=6,
+        actuate_all=True,
+    )
+    records, _ = run_once(
+        scenario, AggregationSemantics.TRUST_WEIGHTED_MAJORITY, seed=26, truth_mode="alternating"
+    )
+    return records
+
+
+class TestPinnedLossyRun:
+    SEND_FIELDS = ["t", "ev", "kind", "src", "dst", "seq"]
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return pinned_run()
+
+    def test_the_run_covers_every_loss_path(self, records):
+        assert by_ev(records, "drop")
+        assert by_ev(records, "claim_excluded", reason="late")
+        assert by_ev(records, "claim_orphan")
+        assert {r["verdict"] for r in by_ev(records, "decision")} == {"stop", "go"}
+
+    def test_trace_bytes_are_pinned(self, records):
+        """Hash recorded before the network stopped building trace records."""
+        digest = hashlib.sha256(dumps_records(records).encode("utf-8")).hexdigest()
+        assert digest == "d1ce6c9ec73db14ed4c77782aa4b212371fe02fa85cc0635994b10ea3f955728"
+
+    def test_send_emits_a_structured_record(self, records):
+        sends = by_ev(records, "send")
+        starts = by_ev(sends, "send", kind="session_start")
+        assert len(starts) == 6
+        for start in starts:
+            assert start == {**start, "ev": "send", "src": 1, "dst": "*"}
+            assert list(start) == self.SEND_FIELDS
+        for send in by_ev(sends, "send", kind="claim"):
+            assert list(send) == [*self.SEND_FIELDS, "claim"]
+            assert send["dst"] == 1
+            claim = claim_from_payload(send["claim"])
+            assert claim_payload(claim) == send["claim"]
+            assert (claim.node, claim.emitted_at) == (send["src"], send["t"])
+        decisions = {r["session"]: r for r in by_ev(records, "decision")}
+        actuations = by_ev(sends, "send", kind="actuation")
+        assert len(actuations) == 5 * 6
+        for send in actuations:
+            assert list(send) == [*self.SEND_FIELDS, "session", "action", "issue_order"]
+            decision = decisions[send["session"]]
+            assert send["t"] == decision["t"]
+            assert send["action"] == ("halt" if decision["verdict"] == "stop" else "proceed")
+            assert send["issue_order"] == send["dst"] - 1
+
+    def test_each_dropped_copy_follows_its_send(self, records):
+        last_send = None
+        for record in records:
+            if record["ev"] == "send":
+                last_send = record
+            elif record["ev"] == "drop":
+                assert list(record) == self.SEND_FIELDS
+                assert {key: record[key] for key in ("t", "kind", "src", "seq")} == {
+                    key: last_send[key] for key in ("t", "kind", "src", "seq")
+                }
+                assert last_send["dst"] in ("*", record["dst"])
+
+
+class TestSeedCheck:
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5])
+    def test_seed_that_is_not_an_unsigned_64_bit_int_is_refused(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            run_once(make_scenario(), AggregationSemantics.MAJORITY, seed=seed)
+
+    def test_largest_seed_runs(self):
+        _, metrics = run_once(make_scenario(), AggregationSemantics.MAJORITY, seed=2**64 - 1)
+        assert metrics.decisions == 1
 
 
 class TestTruthModes:

@@ -18,6 +18,8 @@ DOMAIN_NET = b"net"
 
 _TWO_53 = float(1 << 53)
 _WORD_SPAN = 1 << 64
+_BLOCK_WORDS = struct.Struct("<4Q")  # one SHA-256 block as four little-endian words
+_BLOCK_INDEX = struct.Struct("<Q")
 
 
 class UniformSource(Protocol):
@@ -31,38 +33,43 @@ class KeyedStream:
 
     Blocks are SHA-256(key || block index), consumed eight bytes per draw,
     so the i-th draw of a stream is a pure function of (key, i) that is
-    stable across platforms and Python versions. Streams are cheap: nothing
-    is hashed until the first draw.
+    stable across platforms and Python versions. Each block is unpacked
+    into its four words once. Streams are cheap: nothing is hashed until
+    the first draw.
     """
 
-    __slots__ = ("_key", "_block", "_offset", "_counter")
+    __slots__ = ("_key", "_words", "_index", "_counter")
 
     def __init__(self, key: bytes) -> None:
         self._key = key
-        self._block = b""
-        self._offset = 32
+        self._words: tuple[int, ...] = ()
+        self._index = 4
         self._counter = 0
 
     def _word(self) -> int:
-        offset = self._offset
-        if offset >= 32:
-            self._block = hashlib.sha256(
-                self._key + self._counter.to_bytes(8, "little")
-            ).digest()
+        index = self._index
+        if index == 4:
+            block = hashlib.sha256(self._key + _BLOCK_INDEX.pack(self._counter)).digest()
+            self._words = _BLOCK_WORDS.unpack(block)
             self._counter += 1
-            offset = 0
-        self._offset = offset + 8
-        return int.from_bytes(self._block[offset : offset + 8], "little")
+            index = 0
+        self._index = index + 1
+        return self._words[index]
 
     def random(self) -> float:
         """Uniform float in [0, 1), from the top 53 bits of one word."""
         return (self._word() >> 11) / _TWO_53
 
     def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high], both ends inclusive."""
+        """Uniform integer in [low, high], both ends inclusive.
+
+        The span high - low + 1 may be at most 2^64, the range of one word.
+        """
         if high < low:
             raise ValueError(f"empty range [{low}, {high}]")
         span = high - low + 1
+        if span > _WORD_SPAN:
+            raise ValueError(f"range [{low}, {high}] spans more than 2^64 values")
         # Rejection sampling removes the (tiny) modulo bias exactly.
         limit = _WORD_SPAN - (_WORD_SPAN % span)
         while True:
@@ -75,6 +82,9 @@ class KeyedStream:
 # part, node ids included, as a signed one; these bounds follow from that.
 SEED_BOUND = 1 << 64
 NODE_ID_BOUND = 1 << 63
+# A latency is drawn by randint over [latency_min, latency_max], which one
+# 64-bit word must span.
+LATENCY_BOUND = 1 << 64
 
 
 def substream(seed: int, domain: bytes, *parts: int) -> KeyedStream:
@@ -82,11 +92,20 @@ def substream(seed: int, domain: bytes, *parts: int) -> KeyedStream:
     return KeyedStream(domain + struct.pack(f"<Q{len(parts)}q", seed, *parts))
 
 
+def _key_packer(domain: bytes, parts: int):
+    """Packs (domain, seed, *parts) into the key substream(seed, domain, *parts) uses."""
+    return struct.Struct(f"<{len(domain)}sQ{parts}q").pack
+
+
+_pack_sense_key = _key_packer(DOMAIN_SENSE, 2)
+_pack_net_key = _key_packer(DOMAIN_NET, 3)
+
+
 def sense_stream(seed: int, node: int, session: int) -> KeyedStream:
     """Substream for one node's perception draw in one session."""
-    return substream(seed, DOMAIN_SENSE, node, session)
+    return KeyedStream(_pack_sense_key(DOMAIN_SENSE, seed, node, session))
 
 
 def transport_stream(seed: int, src: int, seq: int, dst: int) -> KeyedStream:
     """Substream for one message's delivery draws toward one recipient."""
-    return substream(seed, DOMAIN_NET, src, seq, dst)
+    return KeyedStream(_pack_net_key(DOMAIN_NET, seed, src, seq, dst))

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .determinism import NODE_ID_BOUND, SEED_BOUND
+from .determinism import LATENCY_BOUND, NODE_ID_BOUND, SEED_BOUND
 
 # Type aliases; plain ints keep the event loop cheap.
 NodeId = int
@@ -160,8 +160,11 @@ class Scenario:
         return tuple(sorted(n.id for n in self.nodes if n.actuated))
 
 
+_REAL = (int, float)
+
+
 def _finite(value: float) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    return isinstance(value, _REAL) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def sensor_errors(profile: SensorProfile, path: str = "sensor") -> list[str]:
@@ -185,6 +188,34 @@ def _pose_errors(pose: Pose, path: str) -> list[str]:
         if not _finite(value):
             errors.append(f"{path}.{axis}: must be a finite number, got {value!r}")
     return errors
+
+
+def claim_evidence_valid(claim: Claim) -> bool:
+    """True exactly when claim_evidence_errors(claim) is empty.
+
+    The same checks, inlined and without building any message, for the
+    master's per-claim path. Inside these bounds a number is finite.
+    """
+    profile = claim.profile
+    fn = profile.base_false_negative
+    fp = profile.base_false_positive
+    reach = profile.effective_range
+    distance = claim.distance_to_target
+    return (
+        isinstance(profile.kind, SensorKind)
+        and isinstance(fn, _REAL)
+        and type(fn) is not bool
+        and 0.0 <= fn < 0.5
+        and isinstance(fp, _REAL)
+        and type(fp) is not bool
+        and 0.0 <= fp < 0.5
+        and isinstance(reach, _REAL)
+        and type(reach) is not bool
+        and 0.0 < reach < math.inf
+        and isinstance(distance, _REAL)
+        and type(distance) is not bool
+        and 0.0 <= distance < math.inf
+    )
 
 
 def claim_evidence_errors(claim: Claim) -> list[str]:
@@ -246,6 +277,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         errors.append(f"network.latency_min: must be an integer >= 0, got {net.latency_min!r}")
     if not isinstance(net.latency_max, int) or isinstance(net.latency_max, bool) or net.latency_max < 0:
         errors.append(f"network.latency_max: must be an integer >= 0, got {net.latency_max!r}")
+    elif net.latency_max >= LATENCY_BOUND:
+        # One keyed draw is a 64-bit word; a wider latency band cannot be sampled.
+        errors.append(f"network.latency_max: must be < 2^64, got {net.latency_max!r}")
     elif isinstance(net.latency_min, int) and net.latency_max < net.latency_min:
         errors.append(
             f"network.latency_max: must be >= latency_min, got {net.latency_max!r}"

@@ -28,7 +28,10 @@ class MessageKind(Enum):
     ACTUATION = "actuation"
 
 
-@dataclass(frozen=True)
+# Message and Delivery are built once per transmission and per copy, so they
+# are slotted rather than frozen: a frozen dataclass's __init__ costs several
+# times as much. Nothing mutates them after construction.
+@dataclass(slots=True)
 class Message:
     """One transmission; dst None means broadcast to every node, sender included."""
 
@@ -40,7 +43,7 @@ class Message:
     payload: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delivery:
     """A message arriving at one recipient."""
 
@@ -147,18 +150,20 @@ class Network:
         dropped, in ascending id order, after scheduling every other copy."""
         seq = self._next_seq[src]
         self._next_seq[src] = seq + 1
-        message = Message(kind=kind, src=src, dst=dst, seq=seq, sent_at=now, payload=payload)
+        message = Message(kind, src, dst, seq, now, payload)
 
         dropped = []
-        recipients = self.node_ids if dst is None else [dst]
         config = self.config
-        for recipient in recipients:
-            stream = transport_stream(self.seed, src, seq, recipient)
-            if stream.random() < config.drop_probability:
+        drop_probability = config.drop_probability
+        seed = self.seed
+        schedule = self.queue.schedule
+        for recipient in self.node_ids if dst is None else (dst,):
+            stream = transport_stream(seed, src, seq, recipient)
+            if stream.random() < drop_probability:
                 dropped.append(recipient)
                 continue
             latency = stream.randint(config.latency_min, config.latency_max)
-            self.queue.schedule(now + latency, Delivery(message=message, recipient=recipient))
+            schedule(now + latency, Delivery(message, recipient))
         self.dropped += len(dropped)
         return message, dropped
 

@@ -3,8 +3,9 @@
 This module holds the protocol, the trace and the metrics. A Simulation
 plays both sides of the protocol, the master's sessions and every node's
 sensing and actuation, over the deterministic network, which is only a
-transport. It builds every trace record (claim payloads via
-trace.claim_payload) and meters the trace stream as it is emitted.
+transport. It books each event in a MetricsCollector through typed calls
+and builds trace records (claim payloads via trace.claim_payload) only
+when a trace sink is attached.
 
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set.
@@ -24,6 +25,7 @@ from .aggregation import AggregationSemantics, Verdict
 from .determinism import SEED_BOUND, sense_stream
 from .model import (
     Claim,
+    Detection,
     ExclusionReason,
     GroundTruth,
     NodeId,
@@ -113,48 +115,73 @@ class RunMetrics:
                 self.false_go_count += 1
 
 
-class MetricsCollector:
-    """Builds RunMetrics from the trace stream, one record at a time.
+# Enum members looked up once: the Simulation's handlers run for every event.
+_SESSION_START = MessageKind.SESSION_START
+_CLAIM = MessageKind.CLAIM
+_ACTUATION = MessageKind.ACTUATION
+_DETECTED = Detection.PEDESTRIAN_DETECTED
+_STOP = Verdict.STOP
+_CLOSED = SessionPhase.CLOSED
+_LATE = ExclusionReason.LATE.value
 
-    Needs no second pass and no stored trace: truth comes from session_open
-    records, node counterfactuals from claim send records, outcomes from
-    decision records.
+
+class MetricsCollector:
+    """Books RunMetrics from typed protocol events as a run produces them.
+
+    Needs no second pass and no stored trace: truth comes from opened
+    sessions, node counterfactuals from sent claims, outcomes from
+    decisions. feed replays a stored trace onto the same methods.
     """
 
     def __init__(self) -> None:
         self.metrics = RunMetrics()
         self._truth: dict[SessionId, bool] = {}
 
+    def opened(self, session: SessionId, present: bool) -> None:
+        self._truth[session] = present
+
+    def claim_sent(self, node: NodeId, session: SessionId, detected: bool) -> None:
+        """Score a node's own claim against its session's truth."""
+        stats = self.metrics.solo.get(node)
+        if stats is None:
+            stats = self.metrics.solo[node] = SoloStats()
+        stats.claims += 1
+        if detected != self._truth[session]:
+            stats.errors += 1
+
+    def decided(self, session: SessionId, stop: bool) -> None:
+        self.metrics.count_verdict(stop, self._truth[session])
+
+    def excluded(self, reason: str) -> None:
+        self.metrics.exclusions[reason] += 1
+
     def feed(self, record: dict) -> None:
+        """Book one stored trace record, as the run that wrote it did."""
         ev = record["ev"]
         if ev == "send":
             if record["kind"] == "claim":
                 claim = record["claim"]
-                present = self._truth[claim["session"]]
-                stats = self.metrics.solo.setdefault(claim["node"], SoloStats())
-                stats.claims += 1
-                detected = claim["detection"] == "pedestrian_detected"
-                if detected != present:
-                    stats.errors += 1
+                self.claim_sent(claim["node"], claim["session"], claim["detection"] == "pedestrian_detected")
         elif ev == "session_open":
-            self._truth[record["session"]] = record["pedestrian_present"]
+            self.opened(record["session"], record["pedestrian_present"])
         elif ev == "decision":
-            self.metrics.count_verdict(record["verdict"] == "stop", self._truth[record["session"]])
+            self.decided(record["session"], record["verdict"] == "stop")
         elif ev == "claim_excluded":
-            self.metrics.exclusions[record["reason"]] += 1
+            self.excluded(record["reason"])
         elif ev == "claim_orphan":
-            # Landed after the final session closed; booked run-wide as late.
-            self.metrics.exclusions[ExclusionReason.LATE.value] += 1
+            self.excluded(_LATE)  # landed after the final session closed
 
 
 class Simulation:
     """One scenario, one seed, driven to quiescence.
 
     It plays the master's sessions and every node's sensing and actuation,
-    with per-node state in dicts keyed by node id, and builds every trace
-    record. `semantics` drives the run: its verdicts are actuated and
-    traced. Each of `extra_semantics` is decided on the same frozen claim
-    sets and only counted, in the matching entry of `extra_metrics`.
+    with per-node state in dicts keyed by node id. Each event is booked in
+    `collector`; a trace record is built only when there are sinks, once,
+    and handed to each. `semantics` drives the run: its verdicts are
+    actuated and traced. Each of `extra_semantics` is decided on the same
+    frozen claim sets and only counted, in the matching entry of
+    `extra_metrics`.
     """
 
     def __init__(
@@ -172,6 +199,7 @@ class Simulation:
         self.semantics = semantics
         self.extra_semantics = extra_semantics
         self.extra_metrics = [RunMetrics() for _ in extra_semantics]
+        self.collector = MetricsCollector()
         self.seed = seed
         self.truth_mode = truth_mode
         self._sinks = sinks or []
@@ -200,25 +228,40 @@ class Simulation:
         for sink in self._sinks:
             sink(record)
 
-    def _send(
-        self, kind: MessageKind, src: NodeId, dst: NodeId | None, payload: object, now: SimTime, **fields
-    ) -> None:
-        """Transmit, then trace the send, with `fields` appended, and each dropped copy."""
+    def _send(self, kind: MessageKind, src: NodeId, dst: NodeId | None, payload: object, now: SimTime) -> None:
         message, dropped = self.network.send(kind, src, dst, payload, now)
-        self.emit(
-            {
-                "t": now,
-                "ev": "send",
-                "kind": kind.value,
-                "src": src,
-                "dst": "*" if dst is None else dst,
-                "seq": message.seq,
-                **fields,
-            }
-        )
+        if self._sinks:
+            self._trace_send(message, dropped)
+
+    def _trace_send(self, message: Message, dropped: list[NodeId]) -> None:
+        """Trace one send, with its payload's fields, then each dropped copy."""
+        kind = message.kind
+        record = {
+            "t": message.sent_at,
+            "ev": "send",
+            "kind": kind.value,
+            "src": message.src,
+            "dst": "*" if message.dst is None else message.dst,
+            "seq": message.seq,
+        }
+        if kind is _CLAIM:
+            record["claim"] = claim_payload(message.payload)
+        elif kind is _ACTUATION:
+            command = message.payload
+            record["session"] = command.session
+            record["action"] = command.action.value
+            record["issue_order"] = command.issue_order
+        self.emit(record)
         for recipient in dropped:
             self.emit(
-                {"t": now, "ev": "drop", "kind": kind.value, "src": src, "dst": recipient, "seq": message.seq}
+                {
+                    "t": message.sent_at,
+                    "ev": "drop",
+                    "kind": kind.value,
+                    "src": message.src,
+                    "dst": recipient,
+                    "seq": message.seq,
+                }
             )
 
     def truth_for(self, session: SessionId) -> GroundTruth:
@@ -245,28 +288,35 @@ class Simulation:
     # -- master-side protocol steps -------------------------------------
 
     def _open_next(self, now: SimTime) -> None:
-        self.state = open_session(self.state, now, self.scenario.session_window)
-        truth = self.truth_for(self.state.id)
-        self.emit(
-            {
-                "t": now,
-                "ev": "session_open",
-                "session": self.state.id,
-                "deadline": self.state.deadline,
-                "pedestrian_present": truth.pedestrian_present,
-            }
-        )
-        self._send(MessageKind.SESSION_START, self.master_id, None, self.state.id, now)
-        self.queue.schedule(self.state.deadline, SessionDeadline(self.master_id, self.state.id))
+        self.state = state = open_session(self.state, now, self.scenario.session_window)
+        present = self.truth_for(state.id).pedestrian_present
+        self.collector.opened(state.id, present)
+        if self._sinks:
+            self.emit(
+                {
+                    "t": now,
+                    "ev": "session_open",
+                    "session": state.id,
+                    "deadline": state.deadline,
+                    "pedestrian_present": present,
+                }
+            )
+        self._send(_SESSION_START, self.master_id, None, state.id, now)
+        self.queue.schedule(state.deadline, SessionDeadline(self.master_id, state.id))
 
     def _on_claim(self, now: SimTime, claim: Claim) -> None:
         state = self.state
-        if state is None or state.phase is SessionPhase.CLOSED:
-            self.emit(
-                {"t": now, "ev": "claim_orphan", "node": claim.node, "claim_session": claim.session}
-            )
+        if state is None or state.phase is _CLOSED:
+            # Landed after the final session closed; booked run-wide as late.
+            self.collector.excluded(_LATE)
+            if self._sinks:
+                self.emit({"t": now, "ev": "claim_orphan", "node": claim.node, "claim_session": claim.session})
             return
         reason = accept_claim(state, claim, now, self.known_nodes)
+        if reason is not None:
+            self.collector.excluded(reason.value)
+        if not self._sinks:
+            return
         if reason is None:
             self.emit(
                 {
@@ -295,37 +345,30 @@ class Simulation:
             raise ProtocolError(f"deadline for session {event.session} fired out of order")
         decision = close_and_decide(state, now, self.semantics)
         self.decisions += 1
+        self.collector.decided(decision.session, decision.verdict is _STOP)
         if self.extra_semantics:
             present = self.truth_for(state.id).pedestrian_present
             for semantics, metrics in zip(self.extra_semantics, self.extra_metrics):
                 verdict = verdict_on(decision.used_claims, decision.ranking, semantics)
-                metrics.count_verdict(verdict is Verdict.STOP, present)
-        self.emit(
-            {
-                "t": now,
-                "ev": "decision",
-                "session": decision.session,
-                "verdict": decision.verdict.value,
-                "semantics": decision.semantics.value,
-                "ranking": list(decision.ranking),
-                "used": [claim.node for claim in decision.used_claims],
-                "excluded": [
-                    {"node": claim.node, "claim_session": claim.session, "reason": reason.value}
-                    for claim, reason in decision.excluded_claims
-                ],
-            }
-        )
-        for command in sequence_actuation(decision, self.actuated):
-            self._send(
-                MessageKind.ACTUATION,
-                self.master_id,
-                command.target,
-                command,
-                now,
-                session=command.session,
-                action=command.action.value,
-                issue_order=command.issue_order,
+                metrics.count_verdict(verdict is _STOP, present)
+        if self._sinks:
+            self.emit(
+                {
+                    "t": now,
+                    "ev": "decision",
+                    "session": decision.session,
+                    "verdict": decision.verdict.value,
+                    "semantics": decision.semantics.value,
+                    "ranking": list(decision.ranking),
+                    "used": [claim.node for claim in decision.used_claims],
+                    "excluded": [
+                        {"node": claim.node, "claim_session": claim.session, "reason": reason.value}
+                        for claim, reason in decision.excluded_claims
+                    ],
+                }
             )
+        for command in sequence_actuation(decision, self.actuated):
+            self._send(_ACTUATION, self.master_id, command.target, command, now)
         self.queue.schedule(now + self.scenario.settle_interval, ActuationTick(self.master_id, state.id))
 
     def _on_tick(self, now: SimTime, event: ActuationTick) -> None:
@@ -333,7 +376,8 @@ class Simulation:
         if state is None or event.session != state.id:
             raise ProtocolError(f"settle tick for session {event.session} fired out of order")
         mark_closed(state, now)
-        self.emit({"t": now, "ev": "session_close", "session": state.id})
+        if self._sinks:
+            self.emit({"t": now, "ev": "session_close", "session": state.id})
         if state.id < self.scenario.sessions:
             self._open_next(now)
 
@@ -341,21 +385,19 @@ class Simulation:
 
     def _on_session_start(self, now: SimTime, node: NodeId, session: SessionId) -> None:
         spec = self.specs[node]
-        truth = self.truth_for(session)
         stream = sense_stream(self.seed, node, session)
-        claim = Claim(
-            node=node,
-            session=session,
-            detection=sense(truth, spec.pose, spec.sensor, self.scenario.perception, stream),
-            profile=spec.sensor,
-            distance_to_target=self.distances[node],
-            emitted_at=now,
-        )
-        self._send(MessageKind.CLAIM, node, self.master_id, claim, now, claim=claim_payload(claim))
+        detection = sense(self.truth_for(session), spec.pose, spec.sensor, self.scenario.perception, stream)
+        # Positional: keywords make this frozen dataclass's __init__ markedly slower.
+        claim = Claim(node, session, detection, spec.sensor, self.distances[node], now)
+        self.collector.claim_sent(node, session, detection is _DETECTED)
+        self._send(_CLAIM, node, self.master_id, claim, now)
 
     def _on_actuation(self, now: SimTime, node: NodeId, command: ActuationCommand) -> None:
         motion = self.motions[node]
-        if apply_command(motion, command):
+        applied = apply_command(motion, command)
+        if not self._sinks:
+            return
+        if applied:
             self.emit(
                 {
                     "t": now,
@@ -380,28 +422,31 @@ class Simulation:
     # -- event dispatch ---------------------------------------------------
 
     def _on_delivery(self, now: SimTime, delivery: Delivery) -> None:
-        message: Message = delivery.message
-        self.emit(
-            {
-                "t": now,
-                "ev": "deliver",
-                "kind": message.kind.value,
-                "src": message.src,
-                "dst": delivery.recipient,
-                "seq": message.seq,
-                "sent_at": message.sent_at,
-            }
-        )
-        if message.kind is MessageKind.SESSION_START:
-            self._on_session_start(now, delivery.recipient, message.payload)
-        elif message.kind is MessageKind.CLAIM:
-            if delivery.recipient != self.master_id:
+        message = delivery.message
+        recipient = delivery.recipient
+        kind = message.kind
+        if self._sinks:
+            self.emit(
+                {
+                    "t": now,
+                    "ev": "deliver",
+                    "kind": kind.value,
+                    "src": message.src,
+                    "dst": recipient,
+                    "seq": message.seq,
+                    "sent_at": message.sent_at,
+                }
+            )
+        if kind is _SESSION_START:
+            self._on_session_start(now, recipient, message.payload)
+        elif kind is _CLAIM:
+            if recipient != self.master_id:
                 raise ProtocolError("claim delivered to a non-master node")
             self._on_claim(now, message.payload)
-        elif message.kind is MessageKind.ACTUATION:
-            self._on_actuation(now, delivery.recipient, message.payload)
+        elif kind is _ACTUATION:
+            self._on_actuation(now, recipient, message.payload)
         else:
-            raise ProtocolError(f"unhandled message kind {message.kind!r}")
+            raise ProtocolError(f"unhandled message kind {kind!r}")
 
 
 def run_once(
@@ -416,9 +461,11 @@ def run_once(
 ) -> tuple[list[dict] | None, RunMetrics] | tuple[list[dict] | None, RunMetrics, list[RunMetrics]]:
     """Run one scenario to quiescence; returns (trace records, metrics).
 
-    With collect_trace=False the records are metered and discarded as they
-    stream, keeping memory flat for large Monte Carlo runs. If trace_stream
-    is given, records are additionally serialized to it line by line.
+    Metrics are booked from the run's events directly. Trace records are
+    built only for a sink: the returned list when collect_trace is true,
+    trace_stream (serialized line by line) when given. With
+    collect_trace=False and no trace_stream no record is built, keeping
+    time and memory low for large Monte Carlo runs.
 
     Given extra_semantics, every session's frozen claim set is also decided
     under each of them, without simulating again; actuation and the trace
@@ -436,8 +483,7 @@ def run_once(
     elif not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_BOUND:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
-    collector = MetricsCollector()
-    sinks: list = [collector.feed]
+    sinks: list = []
     records: list[dict] | None = None
     if collect_trace:
         records = []
@@ -448,7 +494,7 @@ def run_once(
     sim = Simulation(scenario, semantics, seed, truth_mode, sinks, tuple(extra_semantics or ()))
     sim.run()
 
-    metrics = collector.metrics
+    metrics = sim.collector.metrics
     for extra in sim.extra_metrics:
         # Exclusions and solo claims never depend on the verdict.
         extra.exclusions = dict(metrics.exclusions)

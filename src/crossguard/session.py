@@ -19,7 +19,7 @@ from .model import (
     ProtocolError,
     SessionId,
     SimTime,
-    claim_evidence_errors,
+    claim_evidence_valid,
 )
 from .trust import rank
 
@@ -69,7 +69,7 @@ def classify_claim(
     """
     if claim.node not in known_nodes:
         return ExclusionReason.UNKNOWN_NODE
-    if claim_evidence_errors(claim):
+    if not claim_evidence_valid(claim):
         return ExclusionReason.MALFORMED_EVIDENCE
     if claim.node in state.received:
         return ExclusionReason.DUPLICATE

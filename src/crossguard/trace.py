@@ -45,9 +45,13 @@ def claim_from_payload(payload: dict) -> Claim:
     )
 
 
+# json.dumps with these separators would build a new encoder for every record.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def dumps_record(record: dict) -> str:
     """One record as its canonical single-line form (no trailing newline)."""
-    return json.dumps(record, separators=(",", ":"))
+    return _encode(record)
 
 
 def dumps_records(records: Iterable[dict]) -> str:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from crossguard import cli
-from crossguard.model import ProtocolError
+from crossguard.model import ProtocolError, validate_scenario
+from crossguard.scenario import parse_scenario
 from crossguard.trace import loads_records
 
 from helpers import INTERSECTION, REFERENCE
@@ -44,6 +45,18 @@ def huge_node_id_file(tmp_path):
     assert text.count("- id: 2 ") == 1
     path = tmp_path / "huge_id.scenario"
     path.write_text(text.replace("- id: 2 ", f"- id: {2**63} "), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def huge_latency_file(tmp_path):
+    """The bundled crossing with a latency band wider than one 64-bit draw."""
+    text = INTERSECTION.read_text(encoding="utf-8")
+    assert text.count("latency_max: 8000\n") == 1 and text.count("settle_interval: 10000\n") == 1
+    text = text.replace("latency_max: 8000\n", f"latency_max: {2**65}\n")
+    text = text.replace("settle_interval: 10000\n", f"settle_interval: {2**65}\n")
+    path = tmp_path / "huge_latency.scenario"
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -150,6 +163,14 @@ class TestRunCommand:
     def test_node_id_beyond_63_bits_exits_three(self, command, huge_node_id_file, capsys):
         assert cli.main([command, str(huge_node_id_file)]) == cli.EXIT_VALIDATION
         assert "< 2^63" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_latency_beyond_64_bits_exits_three(self, command, huge_latency_file, capsys):
+        # Checked first: a run that got past validation would never return.
+        errors = validate_scenario(parse_scenario(huge_latency_file.read_text(encoding="utf-8")))
+        assert any("network.latency_max" in error for error in errors)
+        assert cli.main([command, str(huge_latency_file)]) == cli.EXIT_VALIDATION
+        assert "< 2^64" in capsys.readouterr().err
 
     def test_unknown_semantics_is_an_argument_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from crossguard.aggregation import AggregationSemantics
 from crossguard.model import (
     Detection,
     GroundTruth,
@@ -17,6 +18,7 @@ from crossguard.model import (
     sensor_errors,
     validate_scenario,
 )
+from crossguard.runner import run_once
 
 from helpers import make_claim, make_profile, make_scenario
 
@@ -141,6 +143,26 @@ class TestValidateScenario:
             network=NetworkConfig(latency_min=5000, latency_max=1000, drop_probability=0.0, seed=1),
         )
         assert any("latency" in e for e in validate_scenario(swapped))
+
+    def test_latency_max_must_fit_one_draw(self):
+        """A wider latency band cannot be drawn from one 64-bit word: its run
+        would never return, so validation refuses it."""
+        scenario = make_scenario()
+        for latency_max in (2**64, 2**65):
+            broken = dataclasses.replace(
+                scenario,
+                network=NetworkConfig(latency_min=0, latency_max=latency_max, drop_probability=0.0, seed=1),
+                settle_interval=latency_max,
+            )
+            assert [e for e in validate_scenario(broken) if "latency_max" in e and "< 2^64" in e]
+        widest = dataclasses.replace(
+            scenario,
+            network=NetworkConfig(latency_min=0, latency_max=2**64 - 1, drop_probability=0.0, seed=1),
+            settle_interval=2**64 - 1,
+        )
+        assert validate_scenario(widest) == []
+        _, metrics = run_once(widest, AggregationSemantics.MAJORITY, seed=3, collect_trace=False)
+        assert metrics.decisions == 1
 
     def test_drop_probability_range_checked(self):
         scenario = make_scenario()

@@ -5,11 +5,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import random
 from pathlib import Path
 
 import pytest
 
+from crossguard import runner
 from crossguard.aggregation import AggregationSemantics
 from crossguard.runner import TRUTH_MODES, MetricsCollector, SweepResult, SweepRow, run_once, run_sweep
 from crossguard.scenario import ScenarioValidationError, load_scenario
@@ -646,3 +648,48 @@ def test_metrics_collector_can_replay_a_stored_trace():
     assert replay.metrics.false_go_count == live.false_go_count
     assert replay.metrics.false_stop_count == live.false_stop_count
     assert replay.metrics.exclusions == live.exclusions
+
+
+class TestLazyTrace:
+    """Metrics are booked from typed events; records exist only for a sink."""
+
+    def test_a_run_without_a_trace_sink_builds_no_record(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trace record was built for no sink")
+
+        scenario = make_scenario(
+            node_count=4, fn=0.2, drop=0.2, latency=(2000, 30000), window=20000, settle=30000, sessions=5
+        )
+        monkeypatch.setattr(runner, "claim_payload", refuse)
+        monkeypatch.setattr(runner, "dumps_record", refuse)
+        monkeypatch.setattr(runner.Simulation, "emit", refuse)
+        records, metrics = run_once(scenario, AggregationSemantics.MAJORITY, seed=3, collect_trace=False)
+        assert records is None
+        assert metrics.decisions == 5 and sum(stats.claims for stats in metrics.solo.values()) > 0
+        # The same stubs do fire once a sink asks for records.
+        with pytest.raises(AssertionError, match="no sink"):
+            run_once(scenario, AggregationSemantics.MAJORITY, seed=3)
+        with pytest.raises(AssertionError, match="no sink"):
+            run_once(scenario, AggregationSemantics.MAJORITY, seed=3, collect_trace=False, trace_stream=io.StringIO())
+
+    CASES = 12
+
+    @pytest.mark.parametrize("truth_mode", TRUTH_MODES)
+    def test_collector_only_traced_and_replayed_metrics_agree(self, truth_mode):
+        rng = random.Random(f"lazy-trace/{truth_mode}")
+        late = orphans = 0
+        for _ in range(self.CASES):
+            scenario = lossy_scenario(rng)
+            seed = rng.randrange(2**64)
+            for semantics in ALL_SEMANTICS:
+                _, lean = run_once(scenario, semantics, seed, truth_mode, collect_trace=False)
+                stream = io.StringIO()
+                records, traced = run_once(scenario, semantics, seed, truth_mode, trace_stream=stream)
+                assert stream.getvalue() == dumps_records(records)
+                replay = MetricsCollector()
+                for record in loads_records(stream.getvalue()):
+                    replay.feed(record)
+                assert lean == traced == replay.metrics, (scenario, semantics, seed)
+                late += lean.exclusions["late"]
+                orphans += sum(1 for record in records if record["ev"] == "claim_orphan")
+        assert late > 0 and orphans > 0

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossguard.aggregation import AggregationSemantics, Verdict
-from crossguard.model import ExclusionReason, ProtocolError
+from crossguard.model import (
+    Detection,
+    ExclusionReason,
+    ProtocolError,
+    SensorKind,
+    claim_evidence_errors,
+    claim_evidence_valid,
+)
 from crossguard.session import (
     SessionPhase,
     accept_claim,
@@ -99,6 +110,57 @@ class TestClassifyClaim:
         accept_claim(state, make_claim(node=2, session=state.id), 130000, KNOWN)
         again = make_claim(node=2, session=state.id, distance=3.0)
         assert classify_claim(state, again, 999999, KNOWN) is ExclusionReason.DUPLICATE
+
+
+# Evidence values a master cannot take on faith: bools pass as ints in Python,
+# ints are fine, NaN and infinities are not finite, and the rate bound is open.
+ODD_VALUES = [True, False, 0, 1, -1, 3, float("nan"), float("inf"), float("-inf"), -0.25, -0.0, 0.0, 0.5, 0.25, 40.0]
+ODD_KINDS = ["lidar", None, 3, Detection.CLEAR]
+EVIDENCE_FIELDS = ["base_false_negative", "base_false_positive", "effective_range", "distance_to_target"]
+
+
+def with_evidence(claim, **changes):
+    """The claim with some profile or distance fields replaced, unchecked."""
+    distance = changes.pop("distance_to_target", claim.distance_to_target)
+    profile = dataclasses.replace(claim.profile, **changes)
+    return dataclasses.replace(claim, profile=profile, distance_to_target=distance)
+
+
+class TestEvidenceCheck:
+    """classify_claim books MALFORMED_EVIDENCE exactly when
+    claim_evidence_errors finds a problem, without building its messages."""
+
+    @staticmethod
+    def assert_agrees(claim):
+        errors = claim_evidence_errors(claim)
+        assert claim_evidence_valid(claim) is (not errors)
+        reason = classify_claim(fresh(), claim, 130000, KNOWN)
+        assert reason is (ExclusionReason.MALFORMED_EVIDENCE if errors else None), errors
+
+    @pytest.mark.parametrize("field", EVIDENCE_FIELDS)
+    @pytest.mark.parametrize("value", ODD_VALUES, ids=repr)
+    def test_each_field_against_each_odd_value(self, field, value):
+        self.assert_agrees(with_evidence(make_claim(node=2), **{field: value}))
+
+    @pytest.mark.parametrize("kind", [*SensorKind, *ODD_KINDS], ids=repr)
+    def test_sensor_kinds(self, kind):
+        self.assert_agrees(with_evidence(make_claim(node=2), kind=kind))
+
+    @given(
+        kind=st.sampled_from([*SensorKind, *ODD_KINDS]),
+        values=st.lists(
+            st.one_of(
+                st.sampled_from(ODD_VALUES),
+                st.integers(min_value=-(10**6), max_value=10**6),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=4,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_evidence(self, kind, values):
+        self.assert_agrees(with_evidence(make_claim(node=2), kind=kind, **dict(zip(EVIDENCE_FIELDS, values))))
 
 
 class TestAcceptClaim:

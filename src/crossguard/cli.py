@@ -37,7 +37,10 @@ def _parse_semantics(name: str) -> AggregationSemantics:
 def _parse_semantics_list(text: str) -> list[AggregationSemantics]:
     if text == "all":
         return list(AggregationSemantics)
-    return [_parse_semantics(part.strip()) for part in text.split(",") if part.strip()]
+    chosen = [_parse_semantics(part.strip()) for part in text.split(",") if part.strip()]
+    if not chosen:
+        raise argparse.ArgumentTypeError("at least one semantics is required")
+    return chosen
 
 
 def _parse_seed(text: str) -> int:

@@ -6,6 +6,7 @@ Times are integer microseconds, distances are meters in a flat 2D plane.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -161,10 +162,19 @@ class Scenario:
 
 
 _REAL = (int, float)
+# Exact int/float comparison against this bound rejects NaN, the infinities
+# and any int too large for a float, where math.isfinite would raise.
+_FLOAT_MAX = sys.float_info.max
 
 
 def _finite(value: float) -> bool:
-    return isinstance(value, _REAL) and not isinstance(value, bool) and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, _REAL):
+        return False
+    return -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _integer(value: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def sensor_errors(profile: SensorProfile, path: str = "sensor") -> list[str]:
@@ -211,10 +221,10 @@ def claim_evidence_valid(claim: Claim) -> bool:
         and 0.0 <= fp < 0.5
         and isinstance(reach, _REAL)
         and type(reach) is not bool
-        and 0.0 < reach < math.inf
+        and 0.0 < reach <= _FLOAT_MAX
         and isinstance(distance, _REAL)
         and type(distance) is not bool
-        and 0.0 <= distance < math.inf
+        and 0.0 <= distance <= _FLOAT_MAX
     )
 
 
@@ -241,7 +251,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     seen: set[NodeId] = set()
     for index, node in enumerate(scenario.nodes):
         path = f"nodes[{index}]"
-        if not isinstance(node.id, int) or isinstance(node.id, bool) or not 0 <= node.id < NODE_ID_BOUND:
+        if not _integer(node.id) or not 0 <= node.id < NODE_ID_BOUND:
             errors.append(f"{path}.id: must be an integer >= 0 and < 2^63, got {node.id!r}")
             continue
         if node.id in seen:
@@ -273,34 +283,34 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     errors.extend(_pose_errors(scenario.perception.query_center, "query_region_center"))
 
     net = scenario.network
-    if not isinstance(net.latency_min, int) or isinstance(net.latency_min, bool) or net.latency_min < 0:
+    if not _integer(net.latency_min) or net.latency_min < 0:
         errors.append(f"network.latency_min: must be an integer >= 0, got {net.latency_min!r}")
-    if not isinstance(net.latency_max, int) or isinstance(net.latency_max, bool) or net.latency_max < 0:
+    if not _integer(net.latency_max) or net.latency_max < 0:
         errors.append(f"network.latency_max: must be an integer >= 0, got {net.latency_max!r}")
     elif net.latency_max >= LATENCY_BOUND:
         # One keyed draw is a 64-bit word; a wider latency band cannot be sampled.
         errors.append(f"network.latency_max: must be < 2^64, got {net.latency_max!r}")
-    elif isinstance(net.latency_min, int) and net.latency_max < net.latency_min:
+    elif _integer(net.latency_min) and net.latency_max < net.latency_min:
         errors.append(
             f"network.latency_max: must be >= latency_min, got {net.latency_max!r}"
             f" < {net.latency_min!r}"
         )
     if not _finite(net.drop_probability) or not 0.0 <= net.drop_probability <= 1.0:
         errors.append(f"network.drop_probability: must be in [0.0, 1.0], got {net.drop_probability!r}")
-    if not isinstance(net.seed, int) or isinstance(net.seed, bool) or not 0 <= net.seed < SEED_BOUND:
+    if not _integer(net.seed) or not 0 <= net.seed < SEED_BOUND:
         errors.append(f"network.seed: must be an integer in [0, 2^64), got {net.seed!r}")
 
-    if not isinstance(scenario.session_window, int) or scenario.session_window <= 0:
+    if not _integer(scenario.session_window) or scenario.session_window <= 0:
         errors.append(f"session_window: must be an integer > 0, got {scenario.session_window!r}")
-    if not isinstance(scenario.settle_interval, int) or scenario.settle_interval < 0:
+    if not _integer(scenario.settle_interval) or scenario.settle_interval < 0:
         errors.append(f"settle_interval: must be an integer >= 0, got {scenario.settle_interval!r}")
-    elif isinstance(net.latency_max, int) and scenario.settle_interval < net.latency_max:
+    elif _integer(net.latency_max) and scenario.settle_interval < net.latency_max:
         # Actuation must land before the next session opens in a lossless run.
         errors.append(
             f"settle_interval: must be >= network.latency_max, got {scenario.settle_interval!r}"
             f" < {net.latency_max!r}"
         )
-    if not isinstance(scenario.sessions, int) or scenario.sessions < 1:
+    if not _integer(scenario.sessions) or scenario.sessions < 1:
         errors.append(f"sessions: must be an integer >= 1, got {scenario.sessions!r}")
 
     return errors

@@ -1,10 +1,11 @@
 """Scenario file loading.
 
 Scenario files are YAML with sections mirroring the Scenario fields one to
-one; scenarios/reference.scenario in the repo documents every field. Shape
-and type problems raise ScenarioParseError, value-range and consistency
-problems raise ScenarioValidationError, and the CLI maps the two to distinct
-exit codes.
+one (query_region_center joins PerceptionModel); scenarios/reference.scenario
+documents every field. Each section is one table of field converters, read
+in order. Shape and type problems raise ScenarioParseError, value-range and
+consistency problems raise ScenarioValidationError, and the CLI maps the two
+to distinct exit codes.
 """
 
 from __future__ import annotations
@@ -38,22 +39,34 @@ class ScenarioValidationError(Exception):
         self.errors = errors
 
 
-def _require(mapping: dict, key: str, path: str) -> object:
-    if key not in mapping:
-        raise ScenarioParseError(f"{path}.{key}: missing required field")
-    return mapping[key]
+_ROOT = "scenario"
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ScenarioParseError(f"{path}: unknown field(s) {', '.join(unknown)}")
+def _fields(value: object, path: str, converters: dict, defaults: dict) -> dict:
+    """One section's fields, converted in table order, as keyword arguments.
 
-
-def _as_mapping(value: object, path: str) -> dict:
+    An absent field takes its default if it has one; an explicit null does not.
+    """
     if not isinstance(value, dict):
         raise ScenarioParseError(f"{path}: expected a mapping, got {type(value).__name__}")
-    return value
+    unknown = sorted(str(key) for key in value if key not in converters)
+    if unknown:
+        raise ScenarioParseError(f"{path}: unknown field(s) {', '.join(unknown)}")
+    prefix = "" if path == _ROOT else f"{path}."
+    fields = {}
+    for name, convert in converters.items():
+        if name in value:
+            fields[name] = convert(value[name], prefix + name)
+        elif name in defaults:
+            fields[name] = defaults[name]
+        else:
+            raise ScenarioParseError(f"{path}.{name}: missing required field")
+    return fields
+
+
+def _section(cls: type, converters: dict, **defaults: object):
+    """A converter that builds cls from a section laid out as the table says."""
+    return lambda value, path: cls(**_fields(value, path, converters, defaults))
 
 
 def _as_int(value: object, path: str) -> int:
@@ -65,7 +78,10 @@ def _as_int(value: object, path: str) -> int:
 def _as_float(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioParseError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioParseError(f"{path}: number too large for a float") from None
 
 
 def _as_bool(value: object, path: str) -> bool:
@@ -74,128 +90,75 @@ def _as_bool(value: object, path: str) -> bool:
     return value
 
 
-def _parse_pose(value: object, path: str) -> Pose:
-    mapping = _as_mapping(value, path)
-    _reject_unknown(mapping, {"x", "y"}, path)
-    return Pose(
-        x=_as_float(_require(mapping, "x", path), f"{path}.x"),
-        y=_as_float(_require(mapping, "y", path), f"{path}.y"),
-    )
-
-
-def _parse_sensor(value: object, path: str) -> SensorProfile:
-    mapping = _as_mapping(value, path)
-    _reject_unknown(
-        mapping,
-        {"kind", "base_false_negative", "base_false_positive", "effective_range"},
-        path,
-    )
-    kind_raw = _require(mapping, "kind", path)
+def _as_kind(value: object, path: str) -> SensorKind:
     try:
-        kind = SensorKind(kind_raw)
+        return SensorKind(value)
     except ValueError:
         names = ", ".join(k.value for k in SensorKind)
-        raise ScenarioParseError(f"{path}.kind: expected one of {names}, got {kind_raw!r}") from None
-    return SensorProfile(
-        kind=kind,
-        base_false_negative=_as_float(
-            _require(mapping, "base_false_negative", path), f"{path}.base_false_negative"
-        ),
-        base_false_positive=_as_float(
-            _require(mapping, "base_false_positive", path), f"{path}.base_false_positive"
-        ),
-        effective_range=_as_float(
-            _require(mapping, "effective_range", path), f"{path}.effective_range"
-        ),
-    )
+        raise ScenarioParseError(f"{path}: expected one of {names}, got {value!r}") from None
 
 
-def _parse_node(value: object, path: str) -> NodeSpec:
-    mapping = _as_mapping(value, path)
-    _reject_unknown(mapping, {"id", "pose", "sensor", "master", "actuated"}, path)
-    return NodeSpec(
-        id=_as_int(_require(mapping, "id", path), f"{path}.id"),
-        pose=_parse_pose(_require(mapping, "pose", path), f"{path}.pose"),
-        sensor=_parse_sensor(_require(mapping, "sensor", path), f"{path}.sensor"),
-        master=_as_bool(mapping.get("master", False), f"{path}.master"),
-        actuated=_as_bool(mapping.get("actuated", False), f"{path}.actuated"),
-    )
+_as_pose = _section(Pose, {"x": _as_float, "y": _as_float})
+_as_sensor = _section(
+    SensorProfile,
+    {
+        "kind": _as_kind,
+        "base_false_negative": _as_float,
+        "base_false_positive": _as_float,
+        "effective_range": _as_float,
+    },
+)
+_as_node = _section(
+    NodeSpec,
+    {"id": _as_int, "pose": _as_pose, "sensor": _as_sensor, "master": _as_bool, "actuated": _as_bool},
+    master=False,
+    actuated=False,
+)
+
+
+def _as_nodes(value: object, path: str) -> tuple[NodeSpec, ...]:
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{path}: expected a list")
+    return tuple(_as_node(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
+_SCENARIO = {
+    "nodes": _as_nodes,
+    "ground_truth": _section(
+        GroundTruth,
+        {
+            "pedestrian_present": _as_bool,
+            "pedestrian_pose": lambda value, path: None if value is None else _as_pose(value, path),
+        },
+        pedestrian_pose=None,
+    ),
+    "query_region_center": _as_pose,
+    # Built as a plain dict: PerceptionModel also takes the query center.
+    "perception": _section(dict, {"distance_reference": _as_float}),
+    "network": _section(
+        NetworkConfig,
+        {"latency_min": _as_int, "latency_max": _as_int, "drop_probability": _as_float, "seed": _as_int},
+    ),
+    "session_window": _as_int,
+    "settle_interval": _as_int,
+    "sessions": _as_int,
+}
 
 
 def parse_scenario(text: str) -> Scenario:
     """Build a Scenario from YAML text; shape errors only, no range checks."""
     try:
         document = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: YAML that Python cannot build, such as an integer
+        # literal beyond the interpreter's digit limit.
         raise ScenarioParseError(f"not valid YAML: {exc}") from exc
     if document is None:
         raise ScenarioParseError("empty scenario file")
-    root = _as_mapping(document, "scenario")
-    _reject_unknown(
-        root,
-        {
-            "nodes",
-            "ground_truth",
-            "query_region_center",
-            "perception",
-            "network",
-            "session_window",
-            "settle_interval",
-            "sessions",
-        },
-        "scenario",
-    )
-
-    nodes_raw = _require(root, "nodes", "scenario")
-    if not isinstance(nodes_raw, list):
-        raise ScenarioParseError("nodes: expected a list")
-    nodes = tuple(_parse_node(item, f"nodes[{i}]") for i, item in enumerate(nodes_raw))
-
-    truth_map = _as_mapping(_require(root, "ground_truth", "scenario"), "ground_truth")
-    _reject_unknown(truth_map, {"pedestrian_present", "pedestrian_pose"}, "ground_truth")
-    pose_raw = truth_map.get("pedestrian_pose")
-    ground_truth = GroundTruth(
-        pedestrian_present=_as_bool(
-            _require(truth_map, "pedestrian_present", "ground_truth"),
-            "ground_truth.pedestrian_present",
-        ),
-        pedestrian_pose=None if pose_raw is None else _parse_pose(pose_raw, "ground_truth.pedestrian_pose"),
-    )
-
-    query_center = _parse_pose(_require(root, "query_region_center", "scenario"), "query_region_center")
-
-    perception_map = _as_mapping(_require(root, "perception", "scenario"), "perception")
-    _reject_unknown(perception_map, {"distance_reference"}, "perception")
-    perception = PerceptionModel(
-        distance_reference=_as_float(
-            _require(perception_map, "distance_reference", "perception"),
-            "perception.distance_reference",
-        ),
-        query_center=query_center,
-    )
-
-    network_map = _as_mapping(_require(root, "network", "scenario"), "network")
-    _reject_unknown(
-        network_map, {"latency_min", "latency_max", "drop_probability", "seed"}, "network"
-    )
-    network = NetworkConfig(
-        latency_min=_as_int(_require(network_map, "latency_min", "network"), "network.latency_min"),
-        latency_max=_as_int(_require(network_map, "latency_max", "network"), "network.latency_max"),
-        drop_probability=_as_float(
-            _require(network_map, "drop_probability", "network"), "network.drop_probability"
-        ),
-        seed=_as_int(_require(network_map, "seed", "network"), "network.seed"),
-    )
-
-    return Scenario(
-        nodes=nodes,
-        ground_truth=ground_truth,
-        perception=perception,
-        network=network,
-        session_window=_as_int(_require(root, "session_window", "scenario"), "session_window"),
-        settle_interval=_as_int(_require(root, "settle_interval", "scenario"), "settle_interval"),
-        sessions=_as_int(_require(root, "sessions", "scenario"), "sessions"),
-    )
+    fields = _fields(document, _ROOT, _SCENARIO, {})
+    center = fields.pop("query_region_center")
+    fields["perception"] = PerceptionModel(query_center=center, **fields["perception"])
+    return Scenario(**fields)
 
 
 def load_scenario(path: str | Path) -> Scenario:

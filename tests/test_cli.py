@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from crossguard import cli
@@ -92,6 +94,36 @@ class TestValidateCommand:
         code = cli.main(["validate", str(tmp_path / "ghost.scenario")])
         assert code == cli.EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("sessions: 1\n", "sessions: 1\n1: 2\n", "scenario: unknown field(s) 1"),
+            ("sessions: 1\n", "sessions: 1\nnull: 1\n", "scenario: unknown field(s) None"),
+            ("pose: {x: 0.0, y: 0.0}", "pose: {x: 0, y: 0, 7: 1}", "nodes[0].pose: unknown field(s) 7"),
+            (
+                "effective_range: 50.0",
+                "effective_range: 1" + "0" * 400,
+                "nodes[2].sensor.effective_range: number too large for a float",
+            ),
+            pytest.param(
+                "sessions: 1\n",
+                "sessions: " + "1" * 5000 + "\n",
+                "not valid YAML: ",
+                marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"),
+            ),
+        ],
+        ids=["int-key", "null-key", "nested-int-key", "401-digit-float", "5000-digit-int"],
+    )
+    def test_malformed_input_exits_two_on_one_line(self, tmp_path, capsys, old, new, message):
+        text = INTERSECTION.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        path = tmp_path / "malformed.scenario"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"parse error: {message}")
 
     def test_validation_error_exits_three_listing_problems(self, invalid_file, capsys):
         code = cli.main(["validate", str(invalid_file)])
@@ -244,6 +276,13 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("text", ["", ",", " , "])
+    def test_empty_semantics_list_is_an_argument_error(self, text, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", str(INTERSECTION), "--semantics", text])
+        assert excinfo.value.code == 2
+        assert "at least one semantics is required" in capsys.readouterr().err
 
     def test_semantics_list_parser_accepts_all(self):
         from crossguard.aggregation import AggregationSemantics

@@ -11,6 +11,7 @@ from crossguard.model import (
     Detection,
     GroundTruth,
     NetworkConfig,
+    PerceptionModel,
     Pose,
     Scenario,
     SensorKind,
@@ -191,6 +192,56 @@ class TestValidateScenario:
     def test_sessions_must_be_at_least_one(self):
         broken = dataclasses.replace(make_scenario(), sessions=0)
         assert any("sessions" in e for e in validate_scenario(broken))
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "nodes[1].id",
+            "network.latency_min",
+            "network.latency_max",
+            "network.seed",
+            "session_window",
+            "settle_interval",
+            "sessions",
+        ],
+    )
+    def test_bools_are_not_integers(self, path, flag):
+        scenario = make_scenario()
+        section, _, name = path.rpartition(".")
+        if section == "nodes[1]":
+            node = dataclasses.replace(scenario.nodes[1], id=flag)
+            broken = dataclasses.replace(scenario, nodes=(scenario.nodes[0], node, *scenario.nodes[2:]))
+        elif section == "network":
+            broken = dataclasses.replace(scenario, network=dataclasses.replace(scenario.network, **{name: flag}))
+        else:
+            broken = dataclasses.replace(scenario, **{name: flag})
+        assert any(e.startswith(f"{path}: must be an integer") for e in validate_scenario(broken))
+
+    @pytest.mark.parametrize("huge", [2**1024, -(2**1024), 10**400], ids=["2^1024", "-2^1024", "10^400"])
+    def test_numbers_no_float_can_hold_are_listed(self, huge):
+        scenario = make_scenario()
+        node = dataclasses.replace(
+            scenario.nodes[1], pose=Pose(huge, 0.0), sensor=make_profile(fn=huge, reach=huge)
+        )
+        broken = dataclasses.replace(
+            scenario,
+            nodes=(scenario.nodes[0], node, *scenario.nodes[2:]),
+            ground_truth=GroundTruth(pedestrian_present=True, pedestrian_pose=Pose(0.0, huge)),
+            perception=PerceptionModel(distance_reference=huge, query_center=Pose(huge, 0.0)),
+            network=dataclasses.replace(scenario.network, drop_probability=huge),
+        )
+        errors = validate_scenario(broken)
+        for path in (
+            "nodes[1].pose.x",
+            "nodes[1].sensor.base_false_negative",
+            "nodes[1].sensor.effective_range",
+            "ground_truth.pedestrian_pose.y",
+            "perception.distance_reference",
+            "query_region_center.x",
+            "network.drop_probability",
+        ):
+            assert any(e.startswith(f"{path}: ") for e in errors), path
 
 
 def test_scenario_is_frozen():

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
+import yaml
 
 from crossguard.model import SensorKind, validate_scenario
 from crossguard.scenario import (
@@ -50,7 +52,365 @@ sessions: 2
 """
 
 
+DELETE = object()
+
+
+def mutated(changes) -> str:
+    """GOOD with each (path, value) change applied; DELETE drops the key and
+    an empty path replaces the whole document."""
+    document = yaml.safe_load(GOOD)
+    for path, value in changes:
+        if not path:
+            document = value
+            continue
+        *parents, last = path
+        target = document
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    return yaml.safe_dump(document, sort_keys=False)
+
+
+N0, N1 = ("nodes", 0), ("nodes", 1)
+TRUTH_POSE = ("ground_truth", "pedestrian_pose")
+
+# For each section: a missing field, an unknown field, a wrong-typed value,
+# an explicit null and a non-mapping, plus files with several problems, whose
+# message shows which check wins. None means the text parses.
+PINNED = [
+    ("root-missing", [(("sessions",), DELETE)], "scenario.sessions: missing required field"),
+    ("root-unknown", [(("surprise",), 1)], "scenario: unknown field(s) surprise"),
+    ("root-wrong-type", [(("sessions",), "two")], "sessions: expected an integer, got 'two'"),
+    ("root-null", [(("sessions",), None)], "sessions: expected an integer, got None"),
+    ("root-not-a-mapping", [((), [1, 2])], "scenario: expected a mapping, got list"),
+    ("root-scalar", [((), 5)], "scenario: expected a mapping, got int"),
+    ("nodes-missing", [(("nodes",), DELETE)], "scenario.nodes: missing required field"),
+    ("nodes-not-a-list", [(("nodes",), {"id": 1})], "nodes: expected a list"),
+    ("nodes-null", [(("nodes",), None)], "nodes: expected a list"),
+    ("nodes-empty", [(("nodes",), [])], None),
+    ("node-missing", [(N1 + ("id",), DELETE)], "nodes[1].id: missing required field"),
+    ("node-unknown", [(N1 + ("colour",), "red")], "nodes[1]: unknown field(s) colour"),
+    ("node-wrong-type", [(N1 + ("id",), "two")], "nodes[1].id: expected an integer, got 'two'"),
+    ("node-float-id", [(N1 + ("id",), 2.0)], "nodes[1].id: expected an integer, got 2.0"),
+    ("node-null", [(N0 + ("master",), None)], "nodes[0].master: expected true or false, got None"),
+    (
+        "node-null-actuated",
+        [(N0 + ("actuated",), None)],
+        "nodes[0].actuated: expected true or false, got None",
+    ),
+    (
+        "node-wrong-type-master",
+        [(N1 + ("master",), "yes")],
+        "nodes[1].master: expected true or false, got 'yes'",
+    ),
+    ("node-not-a-mapping", [(N1, "robot")], "nodes[1]: expected a mapping, got str"),
+    ("pose-missing", [(N0 + ("pose", "y"), DELETE)], "nodes[0].pose.y: missing required field"),
+    ("pose-unknown", [(N0 + ("pose", "z"), 1.0)], "nodes[0].pose: unknown field(s) z"),
+    (
+        "pose-wrong-type",
+        [(N0 + ("pose", "x"), "left")],
+        "nodes[0].pose.x: expected a number, got 'left'",
+    ),
+    ("pose-null", [(N0 + ("pose", "y"), None)], "nodes[0].pose.y: expected a number, got None"),
+    (
+        "pose-not-a-mapping",
+        [(N0 + ("pose",), [0.0, 0.0])],
+        "nodes[0].pose: expected a mapping, got list",
+    ),
+    ("pose-bool", [(N0 + ("pose", "x"), True)], "nodes[0].pose.x: expected a number, got True"),
+    (
+        "sensor-missing",
+        [(N1 + ("sensor", "effective_range"), DELETE)],
+        "nodes[1].sensor.effective_range: missing required field",
+    ),
+    (
+        "sensor-unknown",
+        [(N1 + ("sensor", "colour"), "red")],
+        "nodes[1].sensor: unknown field(s) colour",
+    ),
+    (
+        "sensor-wrong-kind",
+        [(N1 + ("sensor", "kind"), "radar")],
+        "nodes[1].sensor.kind: expected one of lidar, optical_camera, rgb_camera, got 'radar'",
+    ),
+    (
+        "sensor-wrong-type",
+        [(N1 + ("sensor", "base_false_negative"), "low")],
+        "nodes[1].sensor.base_false_negative: expected a number, got 'low'",
+    ),
+    (
+        "sensor-null-kind",
+        [(N1 + ("sensor", "kind"), None)],
+        "nodes[1].sensor.kind: expected one of lidar, optical_camera, rgb_camera, got None",
+    ),
+    (
+        "sensor-list-kind",
+        [(N1 + ("sensor", "kind"), ["lidar"])],
+        "nodes[1].sensor.kind: expected one of lidar, optical_camera, rgb_camera, got ['lidar']",
+    ),
+    (
+        "sensor-null",
+        [(N1 + ("sensor", "effective_range"), None)],
+        "nodes[1].sensor.effective_range: expected a number, got None",
+    ),
+    (
+        "sensor-not-a-mapping",
+        [(N1 + ("sensor",), "lidar")],
+        "nodes[1].sensor: expected a mapping, got str",
+    ),
+    (
+        "truth-missing",
+        [(("ground_truth", "pedestrian_present"), DELETE)],
+        "ground_truth.pedestrian_present: missing required field",
+    ),
+    (
+        "truth-unknown",
+        [(("ground_truth", "weather"), "rain")],
+        "ground_truth: unknown field(s) weather",
+    ),
+    (
+        "truth-wrong-type",
+        [(("ground_truth", "pedestrian_present"), "yes")],
+        "ground_truth.pedestrian_present: expected true or false, got 'yes'",
+    ),
+    (
+        "truth-null",
+        [(("ground_truth", "pedestrian_present"), None)],
+        "ground_truth.pedestrian_present: expected true or false, got None",
+    ),
+    (
+        "truth-not-a-mapping",
+        [(("ground_truth",), True)],
+        "ground_truth: expected a mapping, got bool",
+    ),
+    (
+        "truth-section-missing",
+        [(("ground_truth",), DELETE)],
+        "scenario.ground_truth: missing required field",
+    ),
+    (
+        "truth-pose-missing",
+        [(TRUTH_POSE, {"x": 1.0})],
+        "ground_truth.pedestrian_pose.y: missing required field",
+    ),
+    (
+        "truth-pose-unknown",
+        [(TRUTH_POSE, {"x": 1.0, "y": 2.0, "z": 3.0})],
+        "ground_truth.pedestrian_pose: unknown field(s) z",
+    ),
+    (
+        "truth-pose-wrong-type",
+        [(TRUTH_POSE, {"x": "a", "y": 2.0})],
+        "ground_truth.pedestrian_pose.x: expected a number, got 'a'",
+    ),
+    ("truth-pose-null", [(TRUTH_POSE, None)], None),
+    (
+        "truth-pose-not-a-mapping",
+        [(TRUTH_POSE, 5)],
+        "ground_truth.pedestrian_pose: expected a mapping, got int",
+    ),
+    (
+        "center-section-missing",
+        [(("query_region_center",), DELETE)],
+        "scenario.query_region_center: missing required field",
+    ),
+    (
+        "center-missing",
+        [(("query_region_center", "x"), DELETE)],
+        "query_region_center.x: missing required field",
+    ),
+    (
+        "center-unknown",
+        [(("query_region_center", "z"), 0.0)],
+        "query_region_center: unknown field(s) z",
+    ),
+    (
+        "center-wrong-type",
+        [(("query_region_center", "x"), "a")],
+        "query_region_center.x: expected a number, got 'a'",
+    ),
+    (
+        "center-null",
+        [(("query_region_center", "y"), None)],
+        "query_region_center.y: expected a number, got None",
+    ),
+    (
+        "center-not-a-mapping",
+        [(("query_region_center",), "centre")],
+        "query_region_center: expected a mapping, got str",
+    ),
+    (
+        "perception-section-missing",
+        [(("perception",), DELETE)],
+        "scenario.perception: missing required field",
+    ),
+    (
+        "perception-missing",
+        [(("perception", "distance_reference"), DELETE)],
+        "perception.distance_reference: missing required field",
+    ),
+    ("perception-unknown", [(("perception", "fog"), 0.5)], "perception: unknown field(s) fog"),
+    (
+        "perception-wrong-type",
+        [(("perception", "distance_reference"), "far")],
+        "perception.distance_reference: expected a number, got 'far'",
+    ),
+    (
+        "perception-null",
+        [(("perception", "distance_reference"), None)],
+        "perception.distance_reference: expected a number, got None",
+    ),
+    (
+        "perception-not-a-mapping",
+        [(("perception",), 10.0)],
+        "perception: expected a mapping, got float",
+    ),
+    (
+        "network-section-missing",
+        [(("network",), DELETE)],
+        "scenario.network: missing required field",
+    ),
+    ("network-missing", [(("network", "seed"), DELETE)], "network.seed: missing required field"),
+    ("network-unknown", [(("network", "jitter"), 5)], "network: unknown field(s) jitter"),
+    (
+        "network-wrong-type",
+        [(("network", "latency_min"), 1.5)],
+        "network.latency_min: expected an integer, got 1.5",
+    ),
+    (
+        "network-bool-seed",
+        [(("network", "seed"), True)],
+        "network.seed: expected an integer, got True",
+    ),
+    (
+        "network-null",
+        [(("network", "drop_probability"), None)],
+        "network.drop_probability: expected a number, got None",
+    ),
+    ("network-not-a-mapping", [(("network",), [])], "network: expected a mapping, got list"),
+    (
+        "first-missing-root-field-wins",
+        [(("nodes",), DELETE), (("sessions",), DELETE)],
+        "scenario.nodes: missing required field",
+    ),
+    (
+        "unknown-beats-missing",
+        [(("surprise",), 1), (("nodes",), DELETE)],
+        "scenario: unknown field(s) surprise",
+    ),
+    (
+        "unknown-fields-are-sorted",
+        [(("zebra",), 1), (("apple",), 2)],
+        "scenario: unknown field(s) apple, zebra",
+    ),
+    (
+        "nodes-before-network",
+        [(N0 + ("id",), DELETE), (("network",), DELETE)],
+        "nodes[0].id: missing required field",
+    ),
+    (
+        "node-0-before-node-1",
+        [(N1 + ("id",), "a"), (N0 + ("pose",), DELETE)],
+        "nodes[0].pose: missing required field",
+    ),
+    (
+        "pose-before-sensor",
+        [(N0 + ("sensor",), DELETE), (N0 + ("pose", "x"), "a")],
+        "nodes[0].pose.x: expected a number, got 'a'",
+    ),
+    (
+        "sensor-before-master",
+        [(N0 + ("master",), 1), (N0 + ("sensor", "kind"), 1)],
+        "nodes[0].sensor.kind: expected one of lidar, optical_camera, rgb_camera, got 1",
+    ),
+    (
+        "kind-before-rates",
+        [(N0 + ("sensor", "kind"), DELETE), (N0 + ("sensor", "base_false_negative"), "a")],
+        "nodes[0].sensor.kind: missing required field",
+    ),
+    (
+        "x-before-missing-y",
+        [(N0 + ("pose", "x"), "a"), (N0 + ("pose", "y"), DELETE)],
+        "nodes[0].pose.x: expected a number, got 'a'",
+    ),
+    (
+        "sensor-unknown-beats-missing-kind",
+        [(N0 + ("sensor", "kind"), DELETE), (N0 + ("sensor", "hue"), 1)],
+        "nodes[0].sensor: unknown field(s) hue",
+    ),
+    (
+        "present-before-pose",
+        [(("ground_truth", "pedestrian_present"), 1), (TRUTH_POSE, 5)],
+        "ground_truth.pedestrian_present: expected true or false, got 1",
+    ),
+    (
+        "truth-before-center",
+        [(("ground_truth",), DELETE), (("query_region_center",), DELETE)],
+        "scenario.ground_truth: missing required field",
+    ),
+    (
+        "center-before-perception",
+        [(("perception",), 1), (("query_region_center", "x"), DELETE)],
+        "query_region_center.x: missing required field",
+    ),
+    (
+        "latencies-in-order",
+        [(("network", "latency_max"), "b"), (("network", "latency_min"), "a")],
+        "network.latency_min: expected an integer, got 'a'",
+    ),
+    (
+        "window-before-settle",
+        [(("settle_interval",), "a"), (("session_window",), "b")],
+        "session_window: expected an integer, got 'b'",
+    ),
+    (
+        "defaults-apply-when-absent",
+        [(N0 + ("master",), DELETE), (N0 + ("actuated",), DELETE)],
+        None,
+    ),
+]
+
+
 class TestParseScenario:
+    @pytest.mark.parametrize("changes, message", [pytest.param(c, m, id=i) for i, c, m in PINNED])
+    def test_pinned_outcome(self, changes, message):
+        text = mutated(changes)
+        if message is None:
+            parse_scenario(text)
+            return
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario(text)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ([((1,), 2)], "scenario: unknown field(s) 1"),
+            ([((None,), 1)], "scenario: unknown field(s) None"),
+            ([(("surprise",), 1), ((7,), 1)], "scenario: unknown field(s) 7, surprise"),
+            ([(N0 + ("pose", 7), 1)], "nodes[0].pose: unknown field(s) 7"),
+        ],
+    )
+    def test_non_string_keys_are_unknown_fields(self, changes, message):
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario(mutated(changes))
+        assert str(excinfo.value) == message
+
+    def test_integer_too_large_for_a_float_field(self):
+        text = GOOD.replace("effective_range: 50.0", "effective_range: 1" + "0" * 400)
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario(text)
+        assert str(excinfo.value) == "nodes[1].sensor.effective_range: number too large for a float"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+    def test_integer_literal_beyond_the_digit_limit(self):
+        digits = sys.get_int_max_str_digits() + 700
+        with pytest.raises(ScenarioParseError, match="^not valid YAML: .*digits"):
+            parse_scenario(GOOD.replace("sessions: 2", "sessions: " + "1" * digits))
+
     def test_well_formed_text_parses(self):
         scenario = parse_scenario(GOOD)
         assert scenario.node_ids() == (1, 2)

@@ -113,8 +113,12 @@ class TestClassifyClaim:
 
 
 # Evidence values a master cannot take on faith: bools pass as ints in Python,
-# ints are fine, NaN and infinities are not finite, and the rate bound is open.
-ODD_VALUES = [True, False, 0, 1, -1, 3, float("nan"), float("inf"), float("-inf"), -0.25, -0.0, 0.0, 0.5, 0.25, 40.0]
+# ints are fine, NaN and infinities are not finite, the rate bound is open, and
+# no float can hold an int of 2^1024 or more.
+ODD_VALUES = [
+    True, False, 0, 1, -1, 3, float("nan"), float("inf"), float("-inf"), -0.25, -0.0, 0.0, 0.5, 0.25, 40.0,
+    2**1024, -(2**1024),
+]
 ODD_KINDS = ["lidar", None, 3, Detection.CLEAR]
 EVIDENCE_FIELDS = ["base_false_negative", "base_false_positive", "effective_range", "distance_to_target"]
 

@@ -165,6 +165,7 @@ _REAL = (int, float)
 # Exact int/float comparison against this bound rejects NaN, the infinities
 # and any int too large for a float, where math.isfinite would raise.
 _FLOAT_MAX = sys.float_info.max
+_SHOWN_BITS = 256  # a longer integer shows its size, not its digits, in messages
 
 
 def _finite(value: float) -> bool:
@@ -177,17 +178,29 @@ def _integer(value: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def shown_value(value: object) -> str:
+    """repr(value) for an error message. An integer too long to print shows
+    its size instead, and so does a container holding one: repr of an int
+    past the interpreter's digit limit raises."""
+    if isinstance(value, int) and value.bit_length() > _SHOWN_BITS:
+        return f"an integer of {value.bit_length()} bits"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 def sensor_errors(profile: SensorProfile, path: str = "sensor") -> list[str]:
     """Value-range problems in a sensor profile, as human-readable strings."""
     errors = []
     if not isinstance(profile.kind, SensorKind):
-        errors.append(f"{path}.kind: unknown sensor kind {profile.kind!r}")
+        errors.append(f"{path}.kind: unknown sensor kind {shown_value(profile.kind)}")
     for name in ("base_false_negative", "base_false_positive"):
         rate = getattr(profile, name)
         if not _finite(rate) or not 0.0 <= rate < 0.5:
-            errors.append(f"{path}.{name}: must be in [0.0, 0.5), got {rate!r}")
+            errors.append(f"{path}.{name}: must be in [0.0, 0.5), got {shown_value(rate)}")
     if not _finite(profile.effective_range) or profile.effective_range <= 0.0:
-        errors.append(f"{path}.effective_range: must be > 0, got {profile.effective_range!r}")
+        errors.append(f"{path}.effective_range: must be > 0, got {shown_value(profile.effective_range)}")
     return errors
 
 
@@ -196,7 +209,7 @@ def _pose_errors(pose: Pose, path: str) -> list[str]:
     for axis in ("x", "y"):
         value = getattr(pose, axis)
         if not _finite(value):
-            errors.append(f"{path}.{axis}: must be a finite number, got {value!r}")
+            errors.append(f"{path}.{axis}: must be a finite number, got {shown_value(value)}")
     return errors
 
 
@@ -234,7 +247,7 @@ def claim_evidence_errors(claim: Claim) -> list[str]:
     if not _finite(claim.distance_to_target) or claim.distance_to_target < 0.0:
         errors.append(
             f"claim from node {claim.node}: distance_to_target must be >= 0,"
-            f" got {claim.distance_to_target!r}"
+            f" got {shown_value(claim.distance_to_target)}"
         )
     return errors
 
@@ -252,7 +265,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     for index, node in enumerate(scenario.nodes):
         path = f"nodes[{index}]"
         if not _integer(node.id) or not 0 <= node.id < NODE_ID_BOUND:
-            errors.append(f"{path}.id: must be an integer >= 0 and < 2^63, got {node.id!r}")
+            errors.append(f"{path}.id: must be an integer >= 0 and < 2^63, got {shown_value(node.id)}")
             continue
         if node.id in seen:
             errors.append(f"duplicate node id: {node.id}")
@@ -278,39 +291,39 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if not _finite(scenario.perception.distance_reference) or scenario.perception.distance_reference <= 0.0:
         errors.append(
             "perception.distance_reference: must be > 0,"
-            f" got {scenario.perception.distance_reference!r}"
+            f" got {shown_value(scenario.perception.distance_reference)}"
         )
     errors.extend(_pose_errors(scenario.perception.query_center, "query_region_center"))
 
     net = scenario.network
     if not _integer(net.latency_min) or net.latency_min < 0:
-        errors.append(f"network.latency_min: must be an integer >= 0, got {net.latency_min!r}")
+        errors.append(f"network.latency_min: must be an integer >= 0, got {shown_value(net.latency_min)}")
     if not _integer(net.latency_max) or net.latency_max < 0:
-        errors.append(f"network.latency_max: must be an integer >= 0, got {net.latency_max!r}")
+        errors.append(f"network.latency_max: must be an integer >= 0, got {shown_value(net.latency_max)}")
     elif net.latency_max >= LATENCY_BOUND:
         # One keyed draw is a 64-bit word; a wider latency band cannot be sampled.
-        errors.append(f"network.latency_max: must be < 2^64, got {net.latency_max!r}")
+        errors.append(f"network.latency_max: must be < 2^64, got {shown_value(net.latency_max)}")
     elif _integer(net.latency_min) and net.latency_max < net.latency_min:
         errors.append(
-            f"network.latency_max: must be >= latency_min, got {net.latency_max!r}"
-            f" < {net.latency_min!r}"
+            f"network.latency_max: must be >= latency_min, got {shown_value(net.latency_max)}"
+            f" < {shown_value(net.latency_min)}"
         )
     if not _finite(net.drop_probability) or not 0.0 <= net.drop_probability <= 1.0:
-        errors.append(f"network.drop_probability: must be in [0.0, 1.0], got {net.drop_probability!r}")
+        errors.append(f"network.drop_probability: must be in [0.0, 1.0], got {shown_value(net.drop_probability)}")
     if not _integer(net.seed) or not 0 <= net.seed < SEED_BOUND:
-        errors.append(f"network.seed: must be an integer in [0, 2^64), got {net.seed!r}")
+        errors.append(f"network.seed: must be an integer in [0, 2^64), got {shown_value(net.seed)}")
 
     if not _integer(scenario.session_window) or scenario.session_window <= 0:
-        errors.append(f"session_window: must be an integer > 0, got {scenario.session_window!r}")
+        errors.append(f"session_window: must be an integer > 0, got {shown_value(scenario.session_window)}")
     if not _integer(scenario.settle_interval) or scenario.settle_interval < 0:
-        errors.append(f"settle_interval: must be an integer >= 0, got {scenario.settle_interval!r}")
+        errors.append(f"settle_interval: must be an integer >= 0, got {shown_value(scenario.settle_interval)}")
     elif _integer(net.latency_max) and scenario.settle_interval < net.latency_max:
         # Actuation must land before the next session opens in a lossless run.
         errors.append(
-            f"settle_interval: must be >= network.latency_max, got {scenario.settle_interval!r}"
-            f" < {net.latency_max!r}"
+            f"settle_interval: must be >= network.latency_max, got {shown_value(scenario.settle_interval)}"
+            f" < {shown_value(net.latency_max)}"
         )
     if not _integer(scenario.sessions) or scenario.sessions < 1:
-        errors.append(f"sessions: must be an integer >= 1, got {scenario.sessions!r}")
+        errors.append(f"sessions: must be an integer >= 1, got {shown_value(scenario.sessions)}")
 
     return errors

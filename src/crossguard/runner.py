@@ -5,7 +5,8 @@ plays both sides of the protocol, the master's sessions and every node's
 sensing and actuation, over the deterministic network, which is only a
 transport. It books each event in a MetricsCollector through typed calls
 and builds trace records (claim payloads via trace.claim_payload) only
-when a trace sink is attached.
+when a trace sink is attached, each with the fields trace.RECORD_KINDS
+declares for its kind, in that order.
 
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set.
@@ -56,7 +57,7 @@ from .session import (
     open_session,
     verdict_on,
 )
-from .trace import claim_payload, dumps_record
+from .trace import BROADCAST, claim_payload, dumps_record
 
 TRUTH_MODES = ("fixed", "alternating")
 # The RunMetrics counts that depend on the verdict, hence differ between arms.
@@ -116,6 +117,8 @@ class RunMetrics:
 
 
 # Enum members looked up once: the Simulation's handlers run for every event.
+# Trace records read a member's value as _value_, which skips the descriptor
+# call behind Enum.value.
 _SESSION_START = MessageKind.SESSION_START
 _CLAIM = MessageKind.CLAIM
 _ACTUATION = MessageKind.ACTUATION
@@ -239,9 +242,9 @@ class Simulation:
         record = {
             "t": message.sent_at,
             "ev": "send",
-            "kind": kind.value,
+            "kind": kind._value_,
             "src": message.src,
-            "dst": "*" if message.dst is None else message.dst,
+            "dst": BROADCAST if message.dst is None else message.dst,
             "seq": message.seq,
         }
         if kind is _CLAIM:
@@ -249,7 +252,7 @@ class Simulation:
         elif kind is _ACTUATION:
             command = message.payload
             record["session"] = command.session
-            record["action"] = command.action.value
+            record["action"] = command.action._value_
             record["issue_order"] = command.issue_order
         self.emit(record)
         for recipient in dropped:
@@ -257,7 +260,7 @@ class Simulation:
                 {
                     "t": message.sent_at,
                     "ev": "drop",
-                    "kind": kind.value,
+                    "kind": kind._value_,
                     "src": message.src,
                     "dst": recipient,
                     "seq": message.seq,
@@ -314,7 +317,7 @@ class Simulation:
             return
         reason = accept_claim(state, claim, now, self.known_nodes)
         if reason is not None:
-            self.collector.excluded(reason.value)
+            self.collector.excluded(reason._value_)
         if not self._sinks:
             return
         if reason is None:
@@ -335,7 +338,7 @@ class Simulation:
                     "session": state.id,
                     "node": claim.node,
                     "claim_session": claim.session,
-                    "reason": reason.value,
+                    "reason": reason._value_,
                 }
             )
 
@@ -357,12 +360,12 @@ class Simulation:
                     "t": now,
                     "ev": "decision",
                     "session": decision.session,
-                    "verdict": decision.verdict.value,
-                    "semantics": decision.semantics.value,
+                    "verdict": decision.verdict._value_,
+                    "semantics": decision.semantics._value_,
                     "ranking": list(decision.ranking),
                     "used": [claim.node for claim in decision.used_claims],
                     "excluded": [
-                        {"node": claim.node, "claim_session": claim.session, "reason": reason.value}
+                        {"node": claim.node, "claim_session": claim.session, "reason": reason._value_}
                         for claim, reason in decision.excluded_claims
                     ],
                 }
@@ -375,7 +378,7 @@ class Simulation:
         state = self.state
         if state is None or event.session != state.id:
             raise ProtocolError(f"settle tick for session {event.session} fired out of order")
-        mark_closed(state, now)
+        mark_closed(state)
         if self._sinks:
             self.emit({"t": now, "ev": "session_close", "session": state.id})
         if state.id < self.scenario.sessions:
@@ -404,8 +407,8 @@ class Simulation:
                     "ev": "actuated",
                     "node": node,
                     "session": command.session,
-                    "action": command.action.value,
-                    "state": motion.state.value,
+                    "action": command.action._value_,
+                    "state": motion.state._value_,
                 }
             )
         else:
@@ -430,7 +433,7 @@ class Simulation:
                 {
                     "t": now,
                     "ev": "deliver",
-                    "kind": kind.value,
+                    "kind": kind._value_,
                     "src": message.src,
                     "dst": recipient,
                     "seq": message.seq,

@@ -23,6 +23,7 @@ from .model import (
     Scenario,
     SensorKind,
     SensorProfile,
+    shown_value,
     validate_scenario,
 )
 
@@ -49,7 +50,9 @@ def _fields(value: object, path: str, converters: dict, defaults: dict) -> dict:
     """
     if not isinstance(value, dict):
         raise ScenarioParseError(f"{path}: expected a mapping, got {type(value).__name__}")
-    unknown = sorted(str(key) for key in value if key not in converters)
+    unknown = sorted(
+        shown_value(key) if isinstance(key, int) else str(key) for key in value if key not in converters
+    )
     if unknown:
         raise ScenarioParseError(f"{path}: unknown field(s) {', '.join(unknown)}")
     prefix = "" if path == _ROOT else f"{path}."
@@ -71,13 +74,13 @@ def _section(cls: type, converters: dict, **defaults: object):
 
 def _as_int(value: object, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioParseError(f"{path}: expected an integer, got {value!r}")
+        raise ScenarioParseError(f"{path}: expected an integer, got {shown_value(value)}")
     return value
 
 
 def _as_float(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioParseError(f"{path}: expected a number, got {value!r}")
+        raise ScenarioParseError(f"{path}: expected a number, got {shown_value(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -86,7 +89,7 @@ def _as_float(value: object, path: str) -> float:
 
 def _as_bool(value: object, path: str) -> bool:
     if not isinstance(value, bool):
-        raise ScenarioParseError(f"{path}: expected true or false, got {value!r}")
+        raise ScenarioParseError(f"{path}: expected true or false, got {shown_value(value)}")
     return value
 
 
@@ -95,7 +98,7 @@ def _as_kind(value: object, path: str) -> SensorKind:
         return SensorKind(value)
     except ValueError:
         names = ", ".join(k.value for k in SensorKind)
-        raise ScenarioParseError(f"{path}: expected one of {names}, got {value!r}") from None
+        raise ScenarioParseError(f"{path}: expected one of {names}, got {shown_value(value)}") from None
 
 
 _as_pose = _section(Pose, {"x": _as_float, "y": _as_float})
@@ -153,6 +156,8 @@ def parse_scenario(text: str) -> Scenario:
         # ValueError: YAML that Python cannot build, such as an integer
         # literal beyond the interpreter's digit limit.
         raise ScenarioParseError(f"not valid YAML: {exc}") from exc
+    except RecursionError:
+        raise ScenarioParseError("not valid YAML: nested too deeply") from None
     if document is None:
         raise ScenarioParseError("empty scenario file")
     fields = _fields(document, _ROOT, _SCENARIO, {})

@@ -40,7 +40,6 @@ class SessionState:
     phase: SessionPhase = SessionPhase.COLLECTING
     received: dict[NodeId, Claim] = field(default_factory=dict)
     exclusions: list[tuple[Claim, ExclusionReason]] = field(default_factory=list)
-    closed_at: SimTime | None = None
 
 
 def open_session(
@@ -142,9 +141,8 @@ def close_and_decide(
     return decision
 
 
-def mark_closed(state: SessionState, now: SimTime) -> None:
+def mark_closed(state: SessionState) -> None:
     """Retire a decided session; only then may a successor open."""
     if state.phase is not SessionPhase.DECIDED:
         raise ProtocolError(f"cannot close session {state.id} while {state.phase.value}")
     state.phase = SessionPhase.CLOSED
-    state.closed_at = now

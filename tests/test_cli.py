@@ -13,6 +13,10 @@ from crossguard.trace import loads_records
 
 from helpers import INTERSECTION, REFERENCE
 
+# A hex literal YAML builds into an int too long for repr, and how messages show it.
+LONG_HEX = "0x" + "f" * 4000
+HEX_SHOWN = "an integer of 16000 bits"
+
 BROKEN_VALIDATION = """
 nodes:
   - id: 1
@@ -59,6 +63,16 @@ def huge_latency_file(tmp_path):
     text = text.replace("settle_interval: 10000\n", f"settle_interval: {2**65}\n")
     path = tmp_path / "huge_latency.scenario"
     path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def long_hex_id_file(tmp_path):
+    """The bundled crossing with node 2's id a hex literal too long for repr."""
+    text = INTERSECTION.read_text(encoding="utf-8")
+    assert text.count("- id: 2 ") == 1
+    path = tmp_path / "long_hex_id.scenario"
+    path.write_text(text.replace("- id: 2 ", f"- id: {LONG_HEX} "), encoding="utf-8")
     return path
 
 
@@ -112,8 +126,24 @@ class TestValidateCommand:
                 "not valid YAML: ",
                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"),
             ),
+            ("master: true", f"master: {LONG_HEX}", "nodes[0].master: expected true or false, got " + HEX_SHOWN),
+            (
+                "kind: lidar",
+                f"kind: {LONG_HEX}",
+                "nodes[2].sensor.kind: expected one of lidar, optical_camera, rgb_camera, got " + HEX_SHOWN,
+            ),
+            pytest.param(
+                "sessions: 1\n",
+                f"sessions: [{LONG_HEX}]\n",
+                "sessions: expected an integer, got a list holding an integer too long to print",
+                marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"),
+            ),
+            ("sessions: 1\n", f"sessions: 1\n? {LONG_HEX}\n: 1\n", "scenario: unknown field(s) " + HEX_SHOWN),
         ],
-        ids=["int-key", "null-key", "nested-int-key", "401-digit-float", "5000-digit-int"],
+        ids=[
+            "int-key", "null-key", "nested-int-key", "401-digit-float", "5000-digit-int",
+            "long-hex-bool", "long-hex-kind", "long-hex-in-a-list", "long-hex-key",
+        ],
     )
     def test_malformed_input_exits_two_on_one_line(self, tmp_path, capsys, old, new, message):
         text = INTERSECTION.read_text(encoding="utf-8")
@@ -124,6 +154,14 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"parse error: {message}")
+
+    def test_deep_nesting_exits_two_on_one_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.scenario"
+        path.write_text("nodes: " + "[" * 1000 + "]" * 1000 + "\n", encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("parse error: not valid YAML: nested too deeply")
 
     def test_validation_error_exits_three_listing_problems(self, invalid_file, capsys):
         code = cli.main(["validate", str(invalid_file)])
@@ -195,6 +233,12 @@ class TestRunCommand:
     def test_node_id_beyond_63_bits_exits_three(self, command, huge_node_id_file, capsys):
         assert cli.main([command, str(huge_node_id_file)]) == cli.EXIT_VALIDATION
         assert "< 2^63" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_long_hex_node_id_exits_three(self, command, long_hex_id_file, capsys):
+        assert cli.main([command, str(long_hex_id_file)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"nodes[1].id: must be an integer >= 0 and < 2^63, got {HEX_SHOWN}" in err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_latency_beyond_64_bits_exits_three(self, command, huge_latency_file, capsys):

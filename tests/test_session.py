@@ -48,7 +48,7 @@ class TestOpenSession:
     def test_ids_are_consecutive(self):
         first = open_session(None, 0, 50000)
         close_and_decide(first, first.deadline, SEMANTICS)
-        mark_closed(first, first.deadline + 1)
+        mark_closed(first)
         second = open_session(first, first.deadline + 1, 50000)
         assert second.id == 2
 
@@ -187,7 +187,7 @@ class TestAcceptClaim:
     def test_delivery_to_closed_session_is_a_protocol_error(self):
         state = fresh()
         close_and_decide(state, state.deadline, SEMANTICS)
-        mark_closed(state, state.deadline + 10)
+        mark_closed(state)
         with pytest.raises(ProtocolError):
             accept_claim(state, make_claim(node=2, session=state.id), state.deadline + 11, KNOWN)
 
@@ -243,11 +243,10 @@ class TestMarkClosed:
     def test_requires_a_decision_first(self):
         state = fresh()
         with pytest.raises(ProtocolError):
-            mark_closed(state, state.deadline)
+            mark_closed(state)
 
-    def test_records_the_close_time(self):
+    def test_closes_a_decided_session(self):
         state = fresh()
         close_and_decide(state, state.deadline, SEMANTICS)
-        mark_closed(state, state.deadline + 10000)
+        mark_closed(state)
         assert state.phase is SessionPhase.CLOSED
-        assert state.closed_at == state.deadline + 10000

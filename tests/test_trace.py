@@ -1,21 +1,77 @@
-"""Trace serialization: canonical bytes and claim payload round-trips."""
+"""Trace serialization: canonical bytes, the declared schema and claim payload round-trips."""
 
 from __future__ import annotations
 
+import copy
 import io
+import json
+import math
+import re
+from collections import Counter
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crossguard.aggregation import AggregationSemantics
 from crossguard.model import Detection, SensorKind
+from crossguard.runner import Simulation, run_once
 from crossguard.trace import (
+    CLAIM_FIELDS,
+    RECORD_KINDS,
     claim_from_payload,
     claim_payload,
     dump_records,
     dumps_record,
     dumps_records,
+    format_line,
     iter_records,
     loads_records,
 )
 
-from helpers import make_claim
+from helpers import make_claim, make_scenario
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+TRUTH_MODES = ("fixed", "alternating")
+
+
+def lossy_runs(truth_mode: str) -> list[list[dict]]:
+    """Records of lossy multi-session runs: drops, late claims and orphans in
+    each, and stale commands in the ones whose settle interval is shorter
+    than the latency band (which only a Simulation built by hand accepts)."""
+    runs = []
+    for seed in (26, 27):
+        scenario = make_scenario(
+            node_count=5, fn=0.2, fp=0.2, drop=0.2, latency=(2000, 30000), window=20000,
+            settle=30000, sessions=6, actuate_all=True,
+        )
+        semantics = AggregationSemantics.TRUST_WEIGHTED_MAJORITY
+        runs.append(run_once(scenario, semantics, seed=seed, truth_mode=truth_mode)[0])
+    for seed in (0, 1):
+        scenario = make_scenario(
+            node_count=6, fn=0.25, fp=0.25, drop=0.2, latency=(1000, 40000), window=20000,
+            settle=5000, sessions=8, actuate_all=True,
+        )
+        records = []
+        Simulation(scenario, AggregationSemantics.MAJORITY, seed, truth_mode, [records.append]).run()
+        runs.append(records)
+    return runs
+
+
+def record_kind(record: dict):
+    """The declared kind with exactly this record's ev and keys, in order, or None."""
+    keys = tuple(record)
+    return next((kind for kind in RECORD_KINDS if kind.ev == record["ev"] and kind.keys == keys), None)
+
+
+RUNS = {mode: lossy_runs(mode) for mode in TRUTH_MODES}
+REAL_RECORDS = [record for runs in RUNS.values() for run in runs for record in run]
+# The real records by kind, so that rare kinds are drawn as often as common ones.
+BY_KIND = {}
+for _record in REAL_RECORDS:
+    BY_KIND.setdefault(record_kind(_record), []).append(_record)
 
 
 def test_claim_payload_round_trip():
@@ -75,3 +131,167 @@ def test_float_values_round_trip_exactly():
     restored = claim_from_payload(loads_records(text + "\n")[0])
     assert restored.distance_to_target == claim.distance_to_target
     assert restored.profile.base_false_negative == claim.profile.base_false_negative
+
+
+class TestSchema:
+    @pytest.mark.parametrize("truth_mode", TRUTH_MODES)
+    def test_every_record_of_a_lossy_run_takes_its_kind_s_formatter(self, truth_mode):
+        """Only a kind with an array field keeps the JSON path."""
+        seen = Counter()
+        for records in RUNS[truth_mode]:
+            for record in records:
+                kind = record_kind(record)
+                assert kind is not None, f"no declared kind matches {record}"
+                if any(field_type is list for _, field_type in kind.fields):
+                    assert format_line(record) is None
+                else:
+                    assert format_line(record) == ENCODE(record), f"{record} took the JSON path"
+                seen[record["ev"], record.get("reason", record.get("verdict", kind.shape))] += 1
+        for ev, detail in [
+            ("drop", ""),
+            ("claim_excluded", "late"),
+            ("claim_orphan", ""),
+            ("stale_command", ""),
+            ("decision", "stop"),
+            ("decision", "go"),
+            ("send", "session start"),
+            ("send", "claim"),
+            ("send", "actuation"),
+        ]:
+            assert seen[ev, detail], f"the runs never emit {ev} {detail}"
+
+    def test_readme_lists_every_kind_s_fields_in_order(self):
+        text = README.read_text(encoding="utf-8")
+        listed = re.findall(r"^- (`\w+`(?: \([^)]*\))?|the claim payload[^:]*): (.*)$", text, re.MULTILINE)
+        documented = [(name, re.findall(r"`(\w+)`", fields)) for name, fields in listed]
+        declared = [
+            (f"`{kind.ev}`" + (f" ({kind.shape})" if kind.shape else ""), list(kind.keys))
+            for kind in RECORD_KINDS
+        ]
+        declared.append(("the claim payload (`claim` above)", [name for name, _ in CLAIM_FIELDS]))
+        assert documented == declared
+
+
+# JSON-encodable values that no field declares, or that sit at a declared type's edge.
+ODD_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from(
+        ['quote"', "back\\slash", "tab\t", "line\nbreak", "caf\u00e9", "\u65e5\u672c", "\u2028", "\x01"]
+    ),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, 5e-324]),
+    st.integers(min_value=2**63, max_value=2**200),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+)
+FIELD_NAMES = sorted(
+    {name for kind in RECORD_KINDS for name in kind.keys} | {name for name, _ in CLAIM_FIELDS}
+)
+KEYS = st.one_of(st.sampled_from(FIELD_NAMES), st.text(max_size=4), st.integers(), st.none(), st.booleans())
+EV_VALUES = st.one_of(
+    st.sampled_from(sorted({kind.ev for kind in RECORD_KINDS})),
+    st.text(max_size=4),
+    st.integers(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+def _mutate(draw, target: dict) -> None:
+    """One edit of a dict in place: a value replaced, or a key dropped, added, renamed or moved."""
+    keys = list(target)
+    edit = draw(st.sampled_from(["value", "value", "value", "drop", "add", "rename", "move"]))
+    if edit == "add" or not keys:
+        target[draw(KEYS)] = draw(ODD_VALUES)
+    elif edit == "value":
+        target[draw(st.sampled_from(keys))] = draw(ODD_VALUES)
+    elif edit == "drop":
+        del target[draw(st.sampled_from(keys))]
+    elif edit == "rename":
+        old, new = draw(st.sampled_from(keys)), draw(KEYS)
+        items = [(new if key == old else key, value) for key, value in target.items()]
+        target.clear()
+        target.update(items)
+    else:
+        order = draw(st.permutations(keys))
+        items = [(key, target[key]) for key in order]
+        target.clear()
+        target.update(items)
+
+
+@st.composite
+def mutated_records(draw):
+    """A record of a real lossy run, edited once or twice: its own fields,
+    its ev, or its nested claim payload."""
+    record = copy.deepcopy(draw(st.sampled_from(list(BY_KIND.values())).flatmap(st.sampled_from)))
+    for _ in range(draw(st.integers(1, 2))):
+        where = draw(st.sampled_from(["record", "ev", "claim"]))
+        if where == "ev":
+            record["ev"] = draw(EV_VALUES)
+        elif where == "claim" and isinstance(record.get("claim"), dict):
+            _mutate(draw, record["claim"])
+        else:
+            _mutate(draw, record)
+    return record
+
+
+@st.composite
+def kind_shaped_dicts(draw):
+    """A declared kind's keys in order, ev kept, each other value arbitrary JSON."""
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+        max_leaves=4,
+    )
+    kind = draw(st.sampled_from(RECORD_KINDS))
+    return {key: kind.ev if key == "ev" else draw(json_values) for key in kind.keys}
+
+
+class TestExactness:
+    """dumps_record writes exactly the JSON encoder's bytes for every dict."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_records())
+    def test_mutated_records_of_real_runs(self, record):
+        assert dumps_record(record) == ENCODE(record)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind_shaped_dicts())
+    def test_declared_keys_with_arbitrary_values(self, record):
+        assert dumps_record(record) == ENCODE(record)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(KEYS, st.one_of(ODD_VALUES, EV_VALUES), max_size=6))
+    def test_arbitrary_dicts(self, record):
+        assert dumps_record(record) == ENCODE(record)
+
+    @pytest.mark.parametrize(
+        "odd",
+        [True, False, None, 7, 2**63, -(2**64), 1.5, -0.0, math.nan, math.inf, -math.inf,
+         "stopp", 'quote"', "caf\u00e9", "*", "", [1], {"node": 1}],
+        ids=repr,
+    )
+    def test_each_field_of_each_kind_replaced(self, odd):
+        """One real record per kind with one value, nested ones included, replaced."""
+        for records in BY_KIND.values():
+            for path in _paths(records[0]):
+                record = copy.deepcopy(records[0])
+                *parents, key = path
+                target = record
+                for parent in parents:
+                    target = target[parent]
+                target[key] = odd
+                assert dumps_record(record) == ENCODE(record), path
+
+
+def _paths(record: dict) -> list[tuple[str, ...]]:
+    """The key path of every value in a record, into nested objects too."""
+    paths = []
+    for key, value in record.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths.extend((key, *path) for path in _paths(value))
+    return paths

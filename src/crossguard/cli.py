@@ -53,6 +53,16 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _parse_seed_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed count {text!r}; expected an integer") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"seed count must be >= 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossguard",
@@ -95,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--seeds",
-        type=int,
+        type=_parse_seed_count,
         default=10,
         help="number of runs per semantics, using seed values 0..N-1 (default 10)",
     )
@@ -163,11 +173,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-
-    if args.seeds < 1:
-        print("sweep needs --seeds >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
-
     result = run_sweep(
         scenario,
         args.semantics,

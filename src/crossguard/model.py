@@ -259,6 +259,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     """
     errors: list[str] = []
 
+    center = scenario.perception.query_center
+    center_errors = _pose_errors(center, "query_region_center")
     if not scenario.nodes:
         errors.append("nodes: at least one node is required")
     seen: set[NodeId] = set()
@@ -270,7 +272,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if node.id in seen:
             errors.append(f"duplicate node id: {node.id}")
         seen.add(node.id)
-        errors.extend(_pose_errors(node.pose, f"{path}.pose"))
+        pose_errors = _pose_errors(node.pose, f"{path}.pose")
+        errors.extend(pose_errors)
+        if not pose_errors and not center_errors:
+            # Claims carry this distance as evidence; finite poses can still overflow it.
+            distance = node.pose.distance_to(center)
+            if not _finite(distance):
+                errors.append(f"{path}.pose: distance to query_region_center must be finite, got {distance!r}")
         errors.extend(sensor_errors(node.sensor, f"{path}.sensor"))
 
     masters = [n for n in scenario.nodes if n.master]
@@ -293,7 +301,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             "perception.distance_reference: must be > 0,"
             f" got {shown_value(scenario.perception.distance_reference)}"
         )
-    errors.extend(_pose_errors(scenario.perception.query_center, "query_region_center"))
+    errors.extend(center_errors)
 
     net = scenario.network
     if not _integer(net.latency_min) or net.latency_min < 0:

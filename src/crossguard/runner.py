@@ -4,9 +4,9 @@ This module holds the protocol, the trace and the metrics. A Simulation
 plays both sides of the protocol, the master's sessions and every node's
 sensing and actuation, over the deterministic network, which is only a
 transport. It books each event in a MetricsCollector through typed calls
-and builds trace records (claim payloads via trace.claim_payload) only
-when a trace sink is attached, each with the fields trace.RECORD_KINDS
-declares for its kind, in that order.
+and builds trace records only when a trace sink is attached, each through
+its kind's builder in trace.build (claim payloads via trace.claim_payload),
+so every record has the fields trace.RECORD_KINDS declares, in that order.
 
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set.
@@ -40,7 +40,6 @@ from .netsim import (
     ActuationTick,
     Delivery,
     EventQueue,
-    Message,
     MessageKind,
     Network,
     SessionDeadline,
@@ -57,7 +56,7 @@ from .session import (
     open_session,
     verdict_on,
 )
-from .trace import BROADCAST, claim_payload, dumps_record
+from .trace import BROADCAST, build, claim_payload, dumps_record
 
 TRUTH_MODES = ("fixed", "alternating")
 # The RunMetrics counts that depend on the verdict, hence differ between arms.
@@ -232,40 +231,24 @@ class Simulation:
             sink(record)
 
     def _send(self, kind: MessageKind, src: NodeId, dst: NodeId | None, payload: object, now: SimTime) -> None:
+        """Send one message; traced with its payload's fields, then each dropped copy."""
         message, dropped = self.network.send(kind, src, dst, payload, now)
-        if self._sinks:
-            self._trace_send(message, dropped)
-
-    def _trace_send(self, message: Message, dropped: list[NodeId]) -> None:
-        """Trace one send, with its payload's fields, then each dropped copy."""
-        kind = message.kind
-        record = {
-            "t": message.sent_at,
-            "ev": "send",
-            "kind": kind._value_,
-            "src": message.src,
-            "dst": BROADCAST if message.dst is None else message.dst,
-            "seq": message.seq,
-        }
+        if not self._sinks:
+            return
+        name = kind._value_
+        seq = message.seq
         if kind is _CLAIM:
-            record["claim"] = claim_payload(message.payload)
+            self.emit(build.send_claim(now, name, src, dst, seq, claim_payload(payload)))
         elif kind is _ACTUATION:
-            command = message.payload
-            record["session"] = command.session
-            record["action"] = command.action._value_
-            record["issue_order"] = command.issue_order
-        self.emit(record)
-        for recipient in dropped:
             self.emit(
-                {
-                    "t": message.sent_at,
-                    "ev": "drop",
-                    "kind": kind._value_,
-                    "src": message.src,
-                    "dst": recipient,
-                    "seq": message.seq,
-                }
+                build.send_actuation(
+                    now, name, src, dst, seq, payload.session, payload.action._value_, payload.issue_order
+                )
             )
+        else:
+            self.emit(build.send_session_start(now, name, src, BROADCAST, seq))
+        for recipient in dropped:
+            self.emit(build.drop(now, name, src, recipient, seq))
 
     def truth_for(self, session: SessionId) -> GroundTruth:
         present = self.scenario.ground_truth.pedestrian_present
@@ -295,15 +278,7 @@ class Simulation:
         present = self.truth_for(state.id).pedestrian_present
         self.collector.opened(state.id, present)
         if self._sinks:
-            self.emit(
-                {
-                    "t": now,
-                    "ev": "session_open",
-                    "session": state.id,
-                    "deadline": state.deadline,
-                    "pedestrian_present": present,
-                }
-            )
+            self.emit(build.session_open(now, state.id, state.deadline, present))
         self._send(_SESSION_START, self.master_id, None, state.id, now)
         self.queue.schedule(state.deadline, SessionDeadline(self.master_id, state.id))
 
@@ -313,7 +288,7 @@ class Simulation:
             # Landed after the final session closed; booked run-wide as late.
             self.collector.excluded(_LATE)
             if self._sinks:
-                self.emit({"t": now, "ev": "claim_orphan", "node": claim.node, "claim_session": claim.session})
+                self.emit(build.claim_orphan(now, claim.node, claim.session))
             return
         reason = accept_claim(state, claim, now, self.known_nodes)
         if reason is not None:
@@ -321,26 +296,9 @@ class Simulation:
         if not self._sinks:
             return
         if reason is None:
-            self.emit(
-                {
-                    "t": now,
-                    "ev": "claim_accepted",
-                    "session": state.id,
-                    "node": claim.node,
-                    "claim_session": claim.session,
-                }
-            )
+            self.emit(build.claim_accepted(now, state.id, claim.node, claim.session))
         else:
-            self.emit(
-                {
-                    "t": now,
-                    "ev": "claim_excluded",
-                    "session": state.id,
-                    "node": claim.node,
-                    "claim_session": claim.session,
-                    "reason": reason._value_,
-                }
-            )
+            self.emit(build.claim_excluded(now, state.id, claim.node, claim.session, reason._value_))
 
     def _on_deadline(self, now: SimTime, event: SessionDeadline) -> None:
         state = self.state
@@ -356,19 +314,18 @@ class Simulation:
                 metrics.count_verdict(verdict is _STOP, present)
         if self._sinks:
             self.emit(
-                {
-                    "t": now,
-                    "ev": "decision",
-                    "session": decision.session,
-                    "verdict": decision.verdict._value_,
-                    "semantics": decision.semantics._value_,
-                    "ranking": list(decision.ranking),
-                    "used": [claim.node for claim in decision.used_claims],
-                    "excluded": [
+                build.decision(
+                    now,
+                    decision.session,
+                    decision.verdict._value_,
+                    decision.semantics._value_,
+                    list(decision.ranking),
+                    [claim.node for claim in decision.used_claims],
+                    [
                         {"node": claim.node, "claim_session": claim.session, "reason": reason._value_}
                         for claim, reason in decision.excluded_claims
                     ],
-                }
+                )
             )
         for command in sequence_actuation(decision, self.actuated):
             self._send(_ACTUATION, self.master_id, command.target, command, now)
@@ -380,7 +337,7 @@ class Simulation:
             raise ProtocolError(f"settle tick for session {event.session} fired out of order")
         mark_closed(state)
         if self._sinks:
-            self.emit({"t": now, "ev": "session_close", "session": state.id})
+            self.emit(build.session_close(now, state.id))
         if state.id < self.scenario.sessions:
             self._open_next(now)
 
@@ -401,26 +358,9 @@ class Simulation:
         if not self._sinks:
             return
         if applied:
-            self.emit(
-                {
-                    "t": now,
-                    "ev": "actuated",
-                    "node": node,
-                    "session": command.session,
-                    "action": command.action._value_,
-                    "state": motion.state._value_,
-                }
-            )
+            self.emit(build.actuated(now, node, command.session, command.action._value_, motion.state._value_))
         else:
-            self.emit(
-                {
-                    "t": now,
-                    "ev": "stale_command",
-                    "node": node,
-                    "session": command.session,
-                    "latest_session": motion.latest_session,
-                }
-            )
+            self.emit(build.stale_command(now, node, command.session, motion.latest_session))
 
     # -- event dispatch ---------------------------------------------------
 
@@ -429,17 +369,7 @@ class Simulation:
         recipient = delivery.recipient
         kind = message.kind
         if self._sinks:
-            self.emit(
-                {
-                    "t": now,
-                    "ev": "deliver",
-                    "kind": kind._value_,
-                    "src": message.src,
-                    "dst": recipient,
-                    "seq": message.seq,
-                    "sent_at": message.sent_at,
-                }
-            )
+            self.emit(build.deliver(now, kind._value_, message.src, recipient, message.seq, message.sent_at))
         if kind is _SESSION_START:
             self._on_session_start(now, recipient, message.payload)
         elif kind is _CLAIM:

@@ -35,7 +35,6 @@ class SessionState:
     """Mutable bookkeeping for one session; owned by the master's event loop."""
 
     id: SessionId
-    opened_at: SimTime
     deadline: SimTime
     phase: SessionPhase = SessionPhase.COLLECTING
     received: dict[NodeId, Claim] = field(default_factory=dict)
@@ -51,7 +50,7 @@ def open_session(
             f"session {previous.id} is still {previous.phase.value}; sessions may not overlap"
         )
     next_id = 1 if previous is None else previous.id + 1
-    return SessionState(id=next_id, opened_at=now, deadline=now + window)
+    return SessionState(id=next_id, deadline=now + window)
 
 
 def classify_claim(

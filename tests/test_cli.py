@@ -77,6 +77,17 @@ def long_hex_id_file(tmp_path):
 
 
 @pytest.fixture
+def far_center_file(tmp_path):
+    """The bundled crossing with its query-region center near the float limits."""
+    text = INTERSECTION.read_text(encoding="utf-8")
+    center = "query_region_center: {x: 10.0, y: 10.0}\n"
+    assert text.count(center) == 1
+    path = tmp_path / "far_center.scenario"
+    path.write_text(text.replace(center, "query_region_center: {x: -1.0e+308, y: 1.7e+308}\n"), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
 def invalid_file(tmp_path):
     path = tmp_path / "invalid.scenario"
     path.write_text(BROKEN_VALIDATION, encoding="utf-8")
@@ -241,6 +252,15 @@ class TestRunCommand:
         assert f"nodes[1].id: must be an integer >= 0 and < 2^63, got {HEX_SHOWN}" in err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_distance_no_float_can_hold_exits_three(self, command, far_center_file, capsys):
+        # Both poses are finite, but each node's distance to the center overflows:
+        # a run would book every claim malformed and write Infinity into its trace.
+        assert cli.main([command, str(far_center_file)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        for index in range(3):
+            assert f"nodes[{index}].pose: distance to query_region_center must be finite" in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     def test_latency_beyond_64_bits_exits_three(self, command, huge_latency_file, capsys):
         # Checked first: a run that got past validation would never return.
         errors = validate_scenario(parse_scenario(huge_latency_file.read_text(encoding="utf-8")))
@@ -307,8 +327,9 @@ class TestSweepCommand:
         assert target.read_text(encoding="utf-8") == "keep me"
 
     def test_sweep_seed_count_must_be_positive(self, capsys):
-        code = cli.main(["sweep", str(INTERSECTION), "--seeds", "0"])
-        assert code == cli.EXIT_VALIDATION
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", str(INTERSECTION), "--seeds", "0"])
+        assert excinfo.value.code == cli.EXIT_PARSE
         assert "--seeds" in capsys.readouterr().err
 
     def test_sweep_parse_error_exits_two(self, garbled_file):

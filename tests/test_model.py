@@ -189,6 +189,21 @@ class TestValidateScenario:
         broken = dataclasses.replace(make_scenario(latency=(1000, 5000)), settle_interval=4999)
         assert any("settle_interval" in e for e in validate_scenario(broken))
 
+    def test_node_distance_to_the_center_must_be_finite(self):
+        # Claims carry this distance as evidence: each coordinate fits a float, their difference does not.
+        scenario = make_scenario()
+        perception = dataclasses.replace(scenario.perception, query_center=Pose(-1.0e308, 0.0))
+        far = dataclasses.replace(scenario.nodes[1], pose=Pose(1.7e308, 0.0))
+        broken = dataclasses.replace(
+            scenario, perception=perception, nodes=(scenario.nodes[0], far, *scenario.nodes[2:])
+        )
+        assert validate_scenario(broken) == [
+            "nodes[1].pose: distance to query_region_center must be finite, got inf"
+        ]
+        near = dataclasses.replace(far, pose=Pose(7.0e307, 0.0))
+        fixed = dataclasses.replace(broken, nodes=(scenario.nodes[0], near, *scenario.nodes[2:]))
+        assert validate_scenario(fixed) == []
+
     def test_sessions_must_be_at_least_one(self):
         broken = dataclasses.replace(make_scenario(), sessions=0)
         assert any("sessions" in e for e in validate_scenario(broken))

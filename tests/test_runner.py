@@ -15,7 +15,14 @@ from crossguard import runner
 from crossguard.aggregation import AggregationSemantics
 from crossguard.runner import TRUTH_MODES, MetricsCollector, SweepResult, SweepRow, run_once, run_sweep
 from crossguard.scenario import ScenarioValidationError, load_scenario
-from crossguard.trace import claim_from_payload, claim_payload, dumps_record, dumps_records, loads_records
+from crossguard.trace import (
+    RECORD_KINDS,
+    claim_from_payload,
+    claim_payload,
+    dumps_record,
+    dumps_records,
+    loads_records,
+)
 
 from helpers import INTERSECTION, make_scenario, random_scenario
 
@@ -663,6 +670,8 @@ class TestLazyTrace:
         monkeypatch.setattr(runner, "claim_payload", refuse)
         monkeypatch.setattr(runner, "dumps_record", refuse)
         monkeypatch.setattr(runner.Simulation, "emit", refuse)
+        for kind in RECORD_KINDS:
+            monkeypatch.setattr(runner.build, kind.name, refuse)
         records, metrics = run_once(scenario, AggregationSemantics.MAJORITY, seed=3, collect_trace=False)
         assert records is None
         assert metrics.decisions == 5 and sum(stats.claims for stats in metrics.solo.values()) > 0

@@ -20,6 +20,7 @@ from crossguard.runner import Simulation, run_once
 from crossguard.trace import (
     CLAIM_FIELDS,
     RECORD_KINDS,
+    build,
     claim_from_payload,
     claim_payload,
     dump_records,
@@ -131,6 +132,26 @@ def test_float_values_round_trip_exactly():
     restored = claim_from_payload(loads_records(text + "\n")[0])
     assert restored.distance_to_target == claim.distance_to_target
     assert restored.profile.base_false_negative == claim.profile.base_false_negative
+
+
+class TestBuilders:
+    def test_there_is_one_builder_per_kind(self):
+        names = [kind.name for kind in RECORD_KINDS]
+        assert len(set(names)) == len(names)
+        assert sorted(name for name in vars(build) if not name.startswith("_")) == sorted(names)
+
+    @pytest.mark.parametrize("kind", RECORD_KINDS, ids=lambda kind: kind.name)
+    def test_a_builder_returns_exactly_its_kind_s_keys(self, kind):
+        values = [f"value {i}" for i in range(len(kind.fields))]
+        record = getattr(build, kind.name)(12, *values)
+        assert tuple(record) == kind.keys
+        assert list(record.values()) == [12, kind.ev, *values]
+
+    def test_a_builder_needs_every_field_and_no_more(self):
+        with pytest.raises(TypeError):
+            build.claim_orphan(5, 7)
+        with pytest.raises(TypeError):
+            build.claim_orphan(5, 7, 2, "extra")
 
 
 class TestSchema:

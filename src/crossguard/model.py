@@ -321,10 +321,15 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if not _integer(net.seed) or not 0 <= net.seed < SEED_BOUND:
         errors.append(f"network.seed: must be an integer in [0, 2^64), got {shown_value(net.seed)}")
 
+    # Times are bounded as latency is, so that a trace can print every one.
     if not _integer(scenario.session_window) or scenario.session_window <= 0:
         errors.append(f"session_window: must be an integer > 0, got {shown_value(scenario.session_window)}")
+    elif scenario.session_window >= LATENCY_BOUND:
+        errors.append(f"session_window: must be < 2^64, got {shown_value(scenario.session_window)}")
     if not _integer(scenario.settle_interval) or scenario.settle_interval < 0:
         errors.append(f"settle_interval: must be an integer >= 0, got {shown_value(scenario.settle_interval)}")
+    elif scenario.settle_interval >= LATENCY_BOUND:
+        errors.append(f"settle_interval: must be < 2^64, got {shown_value(scenario.settle_interval)}")
     elif _integer(net.latency_max) and scenario.settle_interval < net.latency_max:
         # Actuation must land before the next session opens in a lossless run.
         errors.append(

@@ -4,10 +4,9 @@ The network draws each copy's drop and latency, schedules the deliveries
 and tells its caller which copies it dropped. It knows nothing of the
 protocol carried in the payloads or of the trace format.
 
-The queue pops in (due, tie_order) lexicographic order where tie_order is
-(event class rank, src, seq, recipient). Deliveries rank before session
-deadlines, which rank before actuation ticks, so a claim landing exactly on
-the deadline is still collected and the inclusive boundary is well defined.
+The queue holds only deliveries. It pops them in (due, src, seq, recipient)
+order, and only up to a bound its caller gives, so the caller can run its
+own steps at an instant after every delivery due at or before it.
 """
 
 from __future__ import annotations
@@ -16,10 +15,9 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping
 
 from .determinism import transport_stream
-from .model import NetworkConfig, NodeId, ProtocolError, SessionId, SimTime
+from .model import NetworkConfig, NodeId, ProtocolError, SimTime
 
 
 class MessageKind(Enum):
@@ -50,43 +48,9 @@ class Delivery:
     message: Message
     recipient: NodeId
 
-    RANK = 0
-
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.RANK, self.message.src, self.message.seq, self.recipient)
-
-
-@dataclass(frozen=True)
-class SessionDeadline:
-    """The master's collection window for one session has ended."""
-
-    master: NodeId
-    session: SessionId
-
-    RANK = 1
-
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.RANK, self.master, self.session, self.master)
-
-
-@dataclass(frozen=True)
-class ActuationTick:
-    """Settle interval elapsed; the session may close and the next may open."""
-
-    master: NodeId
-    session: SessionId
-
-    RANK = 2
-
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.RANK, self.master, self.session, self.master)
-
-
-Event = Delivery | SessionDeadline | ActuationTick
-
 
 class EventQueue:
-    """Priority queue with a total, deterministic pop order."""
+    """Delivery queue with a total, deterministic pop order."""
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
@@ -97,20 +61,24 @@ class EventQueue:
     def now(self) -> SimTime:
         return self._now
 
-    def schedule(self, due: SimTime, event: Event) -> None:
+    def schedule(self, due: SimTime, delivery: Delivery) -> None:
         if due < self._now:
             raise ProtocolError(
-                f"event {event!r} scheduled at {due}, before current time {self._now}"
+                f"delivery {delivery!r} scheduled at {due}, before current time {self._now}"
             )
-        heapq.heappush(self._heap, (due, *event.sort_key(), next(self._pushes), event))
+        message = delivery.message
+        heapq.heappush(
+            self._heap, (due, message.src, message.seq, delivery.recipient, next(self._pushes), delivery)
+        )
 
-    def pop(self) -> tuple[SimTime, Event] | None:
-        if not self._heap:
+    def pop(self, bound: SimTime) -> tuple[SimTime, Delivery] | None:
+        """The next delivery due at or before bound, or None; later ones stay queued."""
+        heap = self._heap
+        if not heap or heap[0][0] > bound:
             return None
-        entry = heapq.heappop(self._heap)
-        due, event = entry[0], entry[-1]
-        self._now = due
-        return due, event
+        entry = heapq.heappop(heap)
+        self._now = due = entry[0]
+        return due, entry[-1]
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -166,16 +134,3 @@ class Network:
             schedule(now + latency, Delivery(message, recipient))
         self.dropped += len(dropped)
         return message, dropped
-
-
-def run(queue: EventQueue, handlers: Mapping[type, Callable[[SimTime, Event], None]]) -> None:
-    """Drain the queue, dispatching each event by type; stops at quiescence."""
-    while True:
-        popped = queue.pop()
-        if popped is None:
-            return
-        due, event = popped
-        handler = handlers.get(type(event))
-        if handler is None:
-            raise ProtocolError(f"no handler registered for {type(event).__name__}")
-        handler(due, event)

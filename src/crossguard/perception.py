@@ -22,10 +22,10 @@ def effective_error_rates(
     if distance > profile.effective_range:
         return 0.5, 0.5
     factor = 1.0 + distance / model.distance_reference
-    return (
-        min(0.5, profile.base_false_negative * factor),
-        min(0.5, profile.base_false_positive * factor),
-    )
+    fn, fp = profile.base_false_negative, profile.base_false_positive
+    # A zero base rate stays zero: a tiny distance_reference can make the
+    # factor inf, and 0 * inf is nan, which min(0.5, nan) reads as 0.5.
+    return (min(0.5, fn * factor) if fn else fn, min(0.5, fp * factor) if fp else fp)
 
 
 def sense(

@@ -3,10 +3,12 @@
 This module holds the protocol, the trace and the metrics. A Simulation
 plays both sides of the protocol, the master's sessions and every node's
 sensing and actuation, over the deterministic network, which is only a
-transport. It books each event in a MetricsCollector through typed calls
-and builds trace records only when a trace sink is attached, each through
-its kind's builder in trace.build (claim payloads via trace.claim_payload),
-so every record has the fields trace.RECORD_KINDS declares, in that order.
+transport: its queue holds only the deliveries in flight, and the sessions
+are a loop in Simulation.run. It books each event in a MetricsCollector
+through typed calls and builds trace records only when a trace sink is
+attached, each through its kind's builder in trace.build (claim payloads
+via trace.claim_payload), so every record has the fields
+trace.RECORD_KINDS declares, in that order.
 
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set.
@@ -17,6 +19,7 @@ sets (common random numbers), so semantics are compared like for like.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -36,15 +39,7 @@ from .model import (
     SimTime,
     validate_scenario,
 )
-from .netsim import (
-    ActuationTick,
-    Delivery,
-    EventQueue,
-    MessageKind,
-    Network,
-    SessionDeadline,
-    run as run_events,
-)
+from .netsim import Delivery, EventQueue, MessageKind, Network
 from .perception import sense
 from .scenario import ScenarioValidationError
 from .session import (
@@ -177,11 +172,11 @@ class MetricsCollector:
 class Simulation:
     """One scenario, one seed, driven to quiescence.
 
-    It plays the master's sessions and every node's sensing and actuation,
-    with per-node state in dicts keyed by node id. Each event is booked in
-    `collector`; a trace record is built only when there are sinks, once,
-    and handed to each. `semantics` drives the run: its verdicts are
-    actuated and traced. Each of `extra_semantics` is decided on the same
+    It plays the master's sessions, one after another in run(), and every
+    node's sensing and actuation, with per-node state in dicts keyed by
+    node id. Each event is booked in `collector`; a trace record is built
+    only when there are sinks, once, and handed to each. `semantics`
+    drives the run: its verdicts are actuated and traced. Each of `extra_semantics` is decided on the same
     frozen claim sets and only counted, in the matching entry of
     `extra_metrics`.
     """
@@ -217,7 +212,6 @@ class Simulation:
         center = scenario.perception.query_center
         self.distances = {spec.id: spec.pose.distance_to(center) for spec in scenario.nodes}
         self.state: SessionState | None = None
-        self.decisions = 0
 
         base = scenario.ground_truth
         pose = base.pedestrian_pose if base.pedestrian_pose is not None else scenario.perception.query_center
@@ -257,34 +251,46 @@ class Simulation:
         return self._truths[present]
 
     def run(self) -> None:
-        self._open_next(now=0)
-        run_events(
-            self.queue,
-            {
-                Delivery: self._on_delivery,
-                SessionDeadline: self._on_deadline,
-                ActuationTick: self._on_tick,
-            },
-        )
-        if self.decisions != self.scenario.sessions:
-            raise ProtocolError(
-                f"run ended with {self.decisions} decisions for {self.scenario.sessions} sessions"
-            )
+        """Play the sessions in turn, then deliver what is still in flight.
+
+        Each session opens, takes every delivery due at or before its
+        deadline, decides, takes every delivery due at or before the end of
+        its settle interval and closes; the next opens at that instant.
+        Deliveries due at a boundary are handled before it; what the
+        boundary itself sends is handled after it.
+        """
+        settle = self.scenario.settle_interval
+        now = 0
+        for _ in range(self.scenario.sessions):
+            state = self._open_next(now)
+            self._deliver_until(state.deadline)
+            self._decide(state)
+            now = state.deadline + settle
+            self._deliver_until(now)
+            mark_closed(state)
+            if self._sinks:
+                self.emit(build.session_close(now, state.id))
+        self._deliver_until(math.inf)
+
+    def _deliver_until(self, bound: SimTime | float) -> None:
+        pop = self.queue.pop
+        while (popped := pop(bound)) is not None:
+            self._on_delivery(*popped)
 
     # -- master-side protocol steps -------------------------------------
 
-    def _open_next(self, now: SimTime) -> None:
+    def _open_next(self, now: SimTime) -> SessionState:
         self.state = state = open_session(self.state, now, self.scenario.session_window)
         present = self.truth_for(state.id).pedestrian_present
         self.collector.opened(state.id, present)
         if self._sinks:
             self.emit(build.session_open(now, state.id, state.deadline, present))
         self._send(_SESSION_START, self.master_id, None, state.id, now)
-        self.queue.schedule(state.deadline, SessionDeadline(self.master_id, state.id))
+        return state
 
     def _on_claim(self, now: SimTime, claim: Claim) -> None:
         state = self.state
-        if state is None or state.phase is _CLOSED:
+        if state.phase is _CLOSED:
             # Landed after the final session closed; booked run-wide as late.
             self.collector.excluded(_LATE)
             if self._sinks:
@@ -300,12 +306,9 @@ class Simulation:
         else:
             self.emit(build.claim_excluded(now, state.id, claim.node, claim.session, reason._value_))
 
-    def _on_deadline(self, now: SimTime, event: SessionDeadline) -> None:
-        state = self.state
-        if state is None or event.session != state.id:
-            raise ProtocolError(f"deadline for session {event.session} fired out of order")
+    def _decide(self, state: SessionState) -> None:
+        now = state.deadline
         decision = close_and_decide(state, now, self.semantics)
-        self.decisions += 1
         self.collector.decided(decision.session, decision.verdict is _STOP)
         if self.extra_semantics:
             present = self.truth_for(state.id).pedestrian_present
@@ -329,17 +332,6 @@ class Simulation:
             )
         for command in sequence_actuation(decision, self.actuated):
             self._send(_ACTUATION, self.master_id, command.target, command, now)
-        self.queue.schedule(now + self.scenario.settle_interval, ActuationTick(self.master_id, state.id))
-
-    def _on_tick(self, now: SimTime, event: ActuationTick) -> None:
-        state = self.state
-        if state is None or event.session != state.id:
-            raise ProtocolError(f"settle tick for session {event.session} fired out of order")
-        mark_closed(state)
-        if self._sinks:
-            self.emit(build.session_close(now, state.id))
-        if state.id < self.scenario.sessions:
-            self._open_next(now)
 
     # -- node-side protocol steps: every node senses and obeys -------------
 

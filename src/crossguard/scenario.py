@@ -170,7 +170,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file, raising on any problem."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     scenario = parse_scenario(text)
     errors = validate_scenario(scenario)

@@ -32,7 +32,7 @@ class SessionPhase(Enum):
 
 @dataclass
 class SessionState:
-    """Mutable bookkeeping for one session; owned by the master's event loop."""
+    """Mutable bookkeeping for one session; owned by the master's session loop."""
 
     id: SessionId
     deadline: SimTime

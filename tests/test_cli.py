@@ -260,6 +260,19 @@ class TestRunCommand:
         for index in range(3):
             assert f"nodes[{index}].pose: distance to query_region_center must be finite" in err
 
+    @pytest.mark.parametrize("field", ["session_window: 50000", "settle_interval: 10000"])
+    def test_time_too_long_to_print_exits_three(self, field, tmp_path, capsys):
+        # A traced run would have to print this time, and str() refuses it.
+        text = INTERSECTION.read_text(encoding="utf-8")
+        assert text.count(field + "\n") == 1
+        path = tmp_path / "long_time.scenario"
+        path.write_text(text.replace(field, field.split(":")[0] + f": {LONG_HEX}"), encoding="utf-8")
+        trace = tmp_path / "trace.ndjson"
+        assert cli.main(["run", str(path), "--trace", str(trace)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"validation error: {field.split(':')[0]}: must be < 2^64, got {HEX_SHOWN}\n"
+        assert not trace.exists()
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_latency_beyond_64_bits_exits_three(self, command, huge_latency_file, capsys):
         # Checked first: a run that got past validation would never return.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 
 import pytest
 
@@ -17,6 +18,7 @@ from crossguard.model import (
     SensorKind,
     claim_evidence_errors,
     sensor_errors,
+    shown_value,
     validate_scenario,
 )
 from crossguard.runner import run_once
@@ -184,6 +186,23 @@ class TestValidateScenario:
     def test_session_window_must_be_positive(self):
         broken = dataclasses.replace(make_scenario(), session_window=0)
         assert any("session_window" in e for e in validate_scenario(broken))
+
+    def test_times_must_be_below_two_to_the_64(self):
+        """A longer window or settle interval could not be printed in a trace:
+        str() refuses an int of more than 4300 digits."""
+        scenario = make_scenario()
+        for value in (2**64, int("f" * 4000, 16)):
+            assert validate_scenario(dataclasses.replace(scenario, session_window=value)) == [
+                f"session_window: must be < 2^64, got {shown_value(value)}"
+            ]
+            assert validate_scenario(dataclasses.replace(scenario, settle_interval=value)) == [
+                f"settle_interval: must be < 2^64, got {shown_value(value)}"
+            ]
+        longest = dataclasses.replace(scenario, session_window=2**64 - 1, settle_interval=2**64 - 1, sessions=2)
+        assert validate_scenario(longest) == []
+        stream = io.StringIO()
+        run_once(longest, AggregationSemantics.MAJORITY, seed=3, collect_trace=False, trace_stream=stream)
+        assert f'"t":{4 * (2**64 - 1)},"ev":"session_close","session":2}}' in stream.getvalue()
 
     def test_settle_interval_must_cover_latency(self):
         broken = dataclasses.replace(make_scenario(latency=(1000, 5000)), settle_interval=4999)

@@ -1,20 +1,13 @@
-"""Event ordering, lossy transport, and per-message random keying."""
+"""Delivery ordering, lossy transport, and per-message random keying."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from crossguard.model import NetworkConfig, ProtocolError
-from crossguard.netsim import (
-    ActuationTick,
-    Delivery,
-    EventQueue,
-    Message,
-    MessageKind,
-    Network,
-    SessionDeadline,
-    run,
-)
+from crossguard.netsim import Delivery, EventQueue, Message, MessageKind, Network
 
 
 def lossless(latency_min=1000, latency_max=5000, drop=0.0, seed=7):
@@ -35,10 +28,10 @@ def build_net(node_ids, config, seed=None):
 
 
 def drain(queue):
-    """Pop everything, returning (due, event) pairs in pop order."""
+    """Pop everything, returning (due, delivery) pairs in pop order."""
     out = []
     while True:
-        popped = queue.pop()
+        popped = queue.pop(math.inf)
         if popped is None:
             return out
         out.append(popped)
@@ -57,14 +50,16 @@ class TestEventQueue:
         queue.schedule(*delivery_at(200, seq=2))
         assert [due for due, _ in drain(queue)] == [100, 200, 300]
 
-    def test_delivery_beats_deadline_beats_tick_at_the_same_instant(self):
-        """A claim landing exactly on the deadline is still collected."""
+    def test_pop_bound_is_inclusive_and_later_deliveries_stay_queued(self):
         queue = EventQueue()
-        queue.schedule(500, ActuationTick(master=1, session=1))
-        queue.schedule(500, SessionDeadline(master=1, session=1))
         queue.schedule(*delivery_at(500))
-        kinds = [type(event) for _, event in drain(queue)]
-        assert kinds == [Delivery, SessionDeadline, ActuationTick]
+        queue.schedule(*delivery_at(501, seq=1))
+        assert queue.pop(499) is None
+        due, delivery = queue.pop(500)
+        assert (due, delivery.message.seq) == (500, 0)
+        assert queue.pop(500) is None
+        assert len(queue) == 1 and queue.now == 500
+        assert [due for due, _ in drain(queue)] == [501]
 
     def test_simultaneous_deliveries_order_by_src_seq_recipient(self):
         queue = EventQueue()
@@ -81,7 +76,7 @@ class TestEventQueue:
     def test_scheduling_in_the_past_is_a_protocol_error(self):
         queue = EventQueue()
         queue.schedule(*delivery_at(100))
-        queue.pop()
+        queue.pop(100)
         with pytest.raises(ProtocolError):
             queue.schedule(*delivery_at(99, seq=1))
 
@@ -89,11 +84,11 @@ class TestEventQueue:
         queue = EventQueue()
         queue.schedule(*delivery_at(250))
         assert queue.now == 0
-        queue.pop()
+        queue.pop(250)
         assert queue.now == 250
 
     def test_empty_queue_pops_none(self):
-        assert EventQueue().pop() is None
+        assert EventQueue().pop(math.inf) is None
 
 
 class TestNetworkTransport:
@@ -210,24 +205,3 @@ class TestKeyedTransportDraws:
         times_b = [due for due, _ in drain(queue_b)]
         assert times_a != times_b
 
-
-class TestRunLoop:
-    def test_dispatches_by_event_type_until_quiescent(self):
-        queue = EventQueue()
-        queue.schedule(*delivery_at(100))
-        queue.schedule(300, SessionDeadline(master=1, session=1))
-        seen = []
-        run(
-            queue,
-            {
-                Delivery: lambda due, event: seen.append(("delivery", due)),
-                SessionDeadline: lambda due, event: seen.append(("deadline", due)),
-            },
-        )
-        assert seen == [("delivery", 100), ("deadline", 300)]
-
-    def test_missing_handler_is_a_protocol_error(self):
-        queue = EventQueue()
-        queue.schedule(10, ActuationTick(master=1, session=1))
-        with pytest.raises(ProtocolError):
-            run(queue, {})

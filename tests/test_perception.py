@@ -44,6 +44,25 @@ class TestEffectiveErrorRates:
         assert fn == pytest.approx(0.2)
         assert fp == pytest.approx(0.2)
 
+    def test_a_zero_base_rate_stays_zero_when_the_factor_overflows(self):
+        """1 / 5e-324 overflows to inf; 0 * inf must not turn into a coin flip."""
+        tiny = PerceptionModel(distance_reference=5e-324, query_center=CENTER)
+        assert effective_error_rates(make_profile(fn=0.0, fp=0.0), 1.0, tiny) == (0.0, 0.0)
+        assert effective_error_rates(make_profile(fn=0.0, fp=0.1), 1.0, tiny) == (0.0, 0.5)
+        assert effective_error_rates(make_profile(fn=0.1, fp=0.0), 1.0, tiny) == (0.5, 0.0)
+
+    @given(
+        rate=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5, exclude_max=True)),
+        distance=st.floats(min_value=0.0, max_value=50.0),
+        reference=st.floats(min_value=1e-300, max_value=1e6),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_a_finite_factor_gives_the_scaled_rate_bit_for_bit(self, rate, distance, reference):
+        model = PerceptionModel(distance_reference=reference, query_center=CENTER)
+        expected = min(0.5, rate * (1.0 + distance / reference))
+        fn, fp = effective_error_rates(make_profile(fn=rate, fp=rate), distance, model)
+        assert fn.hex() == fp.hex() == expected.hex()
+
     @given(
         d1=st.floats(min_value=0.0, max_value=100.0),
         d2=st.floats(min_value=0.0, max_value=100.0),

@@ -13,6 +13,7 @@ import pytest
 
 from crossguard import runner
 from crossguard.aggregation import AggregationSemantics
+from crossguard.model import GroundTruth, PerceptionModel, Pose
 from crossguard.runner import TRUTH_MODES, MetricsCollector, SweepResult, SweepRow, run_once, run_sweep
 from crossguard.scenario import ScenarioValidationError, load_scenario
 from crossguard.trace import (
@@ -277,6 +278,54 @@ class TestSessionSequencing:
         assert by_ev(records, "stale_command") == []
 
 
+class TestSessionBoundaries:
+    """Fixed latency L with a 2L window and an L settle interval: every claim
+    lands exactly on its deadline and every actuation command exactly on the
+    settle boundary. A delivery due at a boundary is handled before it."""
+
+    L = 1000
+
+    def run(self, sessions=1, latency=L, window=2 * L, settle=L):
+        scenario = make_scenario(
+            sessions=sessions, latency=(latency, latency), window=window, settle=settle, actuate_all=True
+        )
+        return run_once(scenario, AggregationSemantics.MAJORITY, seed=5)
+
+    def test_a_claim_landing_on_its_deadline_is_accepted_and_used(self):
+        records, metrics = self.run()
+        accepted = by_ev(records, "claim_accepted")
+        assert [r["t"] for r in accepted] == [2 * self.L] * 3
+        decision = by_ev(records, "decision")[0]
+        assert decision["t"] == 2 * self.L
+        assert decision["used"] == [1, 2, 3]
+        assert records.index(accepted[-1]) < records.index(decision)
+        assert sum(metrics.exclusions.values()) == 0
+
+    def test_an_actuation_landing_on_the_settle_boundary_is_applied_before_close(self):
+        records, _ = self.run(sessions=3)
+        for session in (1, 2, 3):
+            actuated = by_ev(records, "actuated", session=session)
+            close = by_ev(records, "session_close", session=session)[0]
+            assert close["t"] == session * 3 * self.L
+            assert [r["t"] for r in actuated] == [close["t"]] * 3
+            assert records.index(actuated[-1]) < records.index(close)
+        assert by_ev(records, "stale_command") == []
+
+    def test_zero_latency_and_zero_settle_decide_every_session(self):
+        records, metrics = self.run(sessions=4, latency=0, window=1, settle=0)
+        assert metrics.decisions == 4
+        decisions = by_ev(records, "decision")
+        assert [r["session"] for r in decisions] == [1, 2, 3, 4]
+        assert all(r["used"] == [1, 2, 3] for r in decisions)
+        for decision in decisions:
+            # Sent at the decision, delivered at once: after it, before close.
+            actuated = by_ev(records, "actuated", session=decision["session"])
+            close = by_ev(records, "session_close", session=decision["session"])[0]
+            assert [r["t"] for r in actuated] == [decision["t"]] * 3 == [close["t"]] * 3
+            assert records.index(decision) < records.index(actuated[0])
+            assert records.index(actuated[-1]) < records.index(close)
+
+
 class TestFailSafe:
     def test_total_loss_means_every_session_stops(self):
         scenario = make_scenario(sessions=20, drop=1.0)
@@ -323,6 +372,20 @@ class TestMetrics:
         assert metrics.stops == 50
         assert metrics.error_rate == 0.0
         assert all(metrics.solo_error_rate(node) == 0.0 for node in (1, 2, 3))
+
+    def test_a_perfect_sensor_never_errs_at_a_tiny_distance_reference(self):
+        """Nodes 1 m from the target with distance_reference 5e-324: the
+        distance factor overflows to inf, yet zero base rates stay zero."""
+        target = Pose(1.0, 0.0)
+        scenario = dataclasses.replace(
+            make_scenario(sessions=40, fn=0.0, fp=0.0),
+            ground_truth=GroundTruth(pedestrian_present=True, pedestrian_pose=target),
+            perception=PerceptionModel(distance_reference=5e-324, query_center=target),
+        )
+        _, metrics = run_once(scenario, AggregationSemantics.MAJORITY, seed=1, truth_mode="alternating")
+        assert metrics.decisions == 40
+        assert metrics.false_go_count == metrics.false_stop_count == 0
+        assert all(stats.claims == 40 and stats.errors == 0 for stats in metrics.solo.values())
 
     def test_solo_rates_score_emitted_claims_against_truth(self):
         scenario = make_scenario(sessions=2000, fn=0.45, fp=0.45, present=True)

@@ -25,7 +25,7 @@ from .model import (
     SimTime,
     validate_scenario,
 )
-from .perception import effective_error_rates, sense
+from .perception import detection_rates, effective_error_rates, sense
 from .runner import RunMetrics, SweepResult, SweepRow, run_once, run_sweep
 from .scenario import ScenarioParseError, ScenarioValidationError, load_scenario, parse_scenario
 from .session import SessionPhase, SessionState, accept_claim, close_and_decide, open_session
@@ -67,6 +67,7 @@ __all__ = [
     "accept_claim",
     "close_and_decide",
     "decide",
+    "detection_rates",
     "effective_error_rates",
     "load_scenario",
     "open_session",

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds",
         type=_parse_seed_count,
         default=10,
-        help="number of runs per semantics, using seed values 0..N-1 (default 10)",
+        help="seed values 0..N-1, each simulated once and decided under every semantics (default 10)",
     )
     p_sweep.add_argument(
         "--truth",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Protocol
 
 # Domain tags keep sense draws and transport draws in disjoint key spaces.
 DOMAIN_SENSE = b"sense"
@@ -20,12 +19,6 @@ _TWO_53 = float(1 << 53)
 _WORD_SPAN = 1 << 64
 _BLOCK_WORDS = struct.Struct("<4Q")  # one SHA-256 block as four little-endian words
 _BLOCK_INDEX = struct.Struct("<Q")
-
-
-class UniformSource(Protocol):
-    """Anything that yields uniform floats in [0, 1); random.Random qualifies."""
-
-    def random(self) -> float: ...
 
 
 class KeyedStream:

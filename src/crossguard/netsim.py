@@ -12,7 +12,6 @@ own steps at an instant after every delivery due at or before it.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,12 +49,13 @@ class Delivery:
 
 
 class EventQueue:
-    """Delivery queue with a total, deterministic pop order."""
+    """Delivery queue with a total, deterministic pop order: (due, src, seq,
+    recipient). No two copies share (src, seq, recipient), as a sender numbers
+    each message once and sends one copy per recipient, so no tie is left."""
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
         self._now: SimTime = 0
-        self._pushes = itertools.count()
 
     @property
     def now(self) -> SimTime:
@@ -67,9 +67,7 @@ class EventQueue:
                 f"delivery {delivery!r} scheduled at {due}, before current time {self._now}"
             )
         message = delivery.message
-        heapq.heappush(
-            self._heap, (due, message.src, message.seq, delivery.recipient, next(self._pushes), delivery)
-        )
+        heapq.heappush(self._heap, (due, message.src, message.seq, delivery.recipient, delivery))
 
     def pop(self, bound: SimTime) -> tuple[SimTime, Delivery] | None:
         """The next delivery due at or before bound, or None; later ones stay queued."""

@@ -6,7 +6,6 @@ collapse to coin-flip quality beyond its sensor's effective range.
 
 from __future__ import annotations
 
-from .determinism import UniformSource
 from .model import Detection, GroundTruth, PerceptionModel, Pose, SensorProfile
 
 
@@ -28,28 +27,28 @@ def effective_error_rates(
     return (min(0.5, fn * factor) if fn else fn, min(0.5, fp * factor) if fp else fp)
 
 
-def sense(
-    truth: GroundTruth,
-    node_pose: Pose,
-    profile: SensorProfile,
-    model: PerceptionModel,
-    rng: UniformSource,
-) -> Detection:
-    """One noisy observation of the queried region.
+def detection_rates(
+    pose: Pose, profile: SensorProfile, truth: GroundTruth, model: PerceptionModel
+) -> tuple[float, float]:
+    """(miss, ghost) for a node at `pose`: the chance it reports clear when a
+    pedestrian is present, and the chance it reports one when none is.
 
-    Distance is measured to the true pedestrian pose when one exists, else to
-    the query-region center. Exactly one uniform draw is consumed, so a
-    replayed stream reproduces the same detection.
+    A pedestrian is sensed at truth.pedestrian_pose, or at the query center
+    when that pose is None; an empty road is sensed at the query center.
     """
-    if truth.pedestrian_present and truth.pedestrian_pose is not None:
-        distance = node_pose.distance_to(truth.pedestrian_pose)
-    else:
-        distance = node_pose.distance_to(model.query_center)
-    false_negative, false_positive = effective_error_rates(profile, distance, model)
+    center = model.query_center
+    target = center if truth.pedestrian_pose is None else truth.pedestrian_pose
+    miss = effective_error_rates(profile, pose.distance_to(target), model)[0]
+    ghost = effective_error_rates(profile, pose.distance_to(center), model)[1]
+    return miss, ghost
 
-    draw = rng.random()
-    if truth.pedestrian_present:
-        missed = draw < false_negative
-        return Detection.CLEAR if missed else Detection.PEDESTRIAN_DETECTED
-    ghost = draw < false_positive
-    return Detection.PEDESTRIAN_DETECTED if ghost else Detection.CLEAR
+
+def sense(present: bool, miss: float, ghost: float, draw: float) -> Detection:
+    """One noisy observation of the queried region from one uniform draw in [0, 1).
+
+    A present pedestrian is missed iff draw < miss; an empty road shows a
+    ghost iff draw < ghost.
+    """
+    if present:
+        return Detection.CLEAR if draw < miss else Detection.PEDESTRIAN_DETECTED
+    return Detection.PEDESTRIAN_DETECTED if draw < ghost else Detection.CLEAR

@@ -31,7 +31,6 @@ from .model import (
     Claim,
     Detection,
     ExclusionReason,
-    GroundTruth,
     NodeId,
     ProtocolError,
     Scenario,
@@ -40,7 +39,7 @@ from .model import (
     validate_scenario,
 )
 from .netsim import Delivery, EventQueue, MessageKind, Network
-from .perception import sense
+from .perception import detection_rates, sense
 from .scenario import ScenarioValidationError
 from .session import (
     SessionPhase,
@@ -206,19 +205,16 @@ class Simulation:
         self.actuated = list(scenario.actuated_ids())
         self.queue = EventQueue()
         self.network = Network(list(scenario.node_ids()), scenario.network, seed, self.queue)
-        # Per-node state; evidence distance is always measured to the query-region center.
-        self.specs = {spec.id: spec for spec in scenario.nodes}
-        self.motions = {spec.id: NodeMotion() for spec in scenario.nodes}
-        center = scenario.perception.query_center
-        self.distances = {spec.id: spec.pose.distance_to(center) for spec in scenario.nodes}
-        self.state: SessionState | None = None
-
-        base = scenario.ground_truth
-        pose = base.pedestrian_pose if base.pedestrian_pose is not None else scenario.perception.query_center
-        self._truths = {
-            True: GroundTruth(pedestrian_present=True, pedestrian_pose=pose),
-            False: GroundTruth(pedestrian_present=False, pedestrian_pose=pose),
+        # Per-node state. (profile, evidence distance, miss, ghost) is fixed for the
+        # run; evidence distance is always measured to the query-region center.
+        perception = scenario.perception
+        self.sensors = {
+            spec.id: (spec.sensor, spec.pose.distance_to(perception.query_center))
+            + detection_rates(spec.pose, spec.sensor, scenario.ground_truth, perception)
+            for spec in scenario.nodes
         }
+        self.motions = {spec.id: NodeMotion() for spec in scenario.nodes}
+        self.state: SessionState | None = None
 
     def emit(self, record: dict) -> None:
         for sink in self._sinks:
@@ -244,11 +240,12 @@ class Simulation:
         for recipient in dropped:
             self.emit(build.drop(now, name, src, recipient, seq))
 
-    def truth_for(self, session: SessionId) -> GroundTruth:
+    def truth_for(self, session: SessionId) -> bool:
+        """Whether a pedestrian is present in this session."""
         present = self.scenario.ground_truth.pedestrian_present
         if self.truth_mode == "alternating" and session % 2 == 0:
             present = not present
-        return self._truths[present]
+        return present
 
     def run(self) -> None:
         """Play the sessions in turn, then deliver what is still in flight.
@@ -281,7 +278,7 @@ class Simulation:
 
     def _open_next(self, now: SimTime) -> SessionState:
         self.state = state = open_session(self.state, now, self.scenario.session_window)
-        present = self.truth_for(state.id).pedestrian_present
+        present = self.truth_for(state.id)
         self.collector.opened(state.id, present)
         if self._sinks:
             self.emit(build.session_open(now, state.id, state.deadline, present))
@@ -311,7 +308,7 @@ class Simulation:
         decision = close_and_decide(state, now, self.semantics)
         self.collector.decided(decision.session, decision.verdict is _STOP)
         if self.extra_semantics:
-            present = self.truth_for(state.id).pedestrian_present
+            present = self.truth_for(state.id)
             for semantics, metrics in zip(self.extra_semantics, self.extra_metrics):
                 verdict = verdict_on(decision.used_claims, decision.ranking, semantics)
                 metrics.count_verdict(verdict is _STOP, present)
@@ -336,11 +333,11 @@ class Simulation:
     # -- node-side protocol steps: every node senses and obeys -------------
 
     def _on_session_start(self, now: SimTime, node: NodeId, session: SessionId) -> None:
-        spec = self.specs[node]
-        stream = sense_stream(self.seed, node, session)
-        detection = sense(self.truth_for(session), spec.pose, spec.sensor, self.scenario.perception, stream)
+        profile, distance, miss, ghost = self.sensors[node]
+        draw = sense_stream(self.seed, node, session).random()
+        detection = sense(self.truth_for(session), miss, ghost, draw)
         # Positional: keywords make this frozen dataclass's __init__ markedly slower.
-        claim = Claim(node, session, detection, spec.sensor, self.distances[node], now)
+        claim = Claim(node, session, detection, profile, distance, now)
         self.collector.claim_sent(node, session, detection is _DETECTED)
         self._send(_CLAIM, node, self.master_id, claim, now)
 
@@ -491,10 +488,11 @@ def run_sweep(
     Each seed is simulated once. The first semantics by name drives that
     run, and every semantics is decided on the same frozen claim sets, so
     the arms differ only in verdicts and each node's solo error rate is
-    metered once per seed. Rows and per-run files follow semantics_list
-    sorted by name, one per entry, repeats included. Per-run metrics go to
-    newline-delimited record files and the comparison table to summary.csv
-    when out_dir is given.
+    metered once per seed. Rows follow semantics_list sorted by name, one
+    per entry, repeats included; a repeated semantics is decided once and
+    its rows are equal. When out_dir is given, each distinct semantics'
+    per-run metrics go to one newline-delimited record file per seed and
+    the comparison table to summary.csv; `files` lists each file once.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
@@ -506,7 +504,7 @@ def run_sweep(
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
 
-    arms = sorted(semantics_list, key=lambda s: s.value)
+    arms = sorted(set(semantics_list), key=lambda s: s.value)
     totals = [RunMetrics() for _ in arms]
     arm_files: list[list[Path]] = [[] for _ in arms]
     solo: dict[NodeId, SoloStats] = {}
@@ -533,14 +531,15 @@ def run_sweep(
                         handle.write(dumps_record(record) + "\n")
                 written.append(target)
 
+    total_for = dict(zip(arms, totals))
     rows = [
         SweepRow(
             semantics=semantics.value,
             seeds=seeds,
-            **{name: getattr(total, name) for name in VERDICT_COUNTS},
-            error_rate=total.error_rate,
+            **{name: getattr(total_for[semantics], name) for name in VERDICT_COUNTS},
+            error_rate=total_for[semantics].error_rate,
         )
-        for semantics, total in zip(arms, totals)
+        for semantics in sorted(semantics_list, key=lambda s: s.value)
     ]
     solo_rates = {node: solo[node].error_rate for node in sorted(solo)}
     files = [path for written in arm_files for path in written]

@@ -50,8 +50,11 @@ def _fields(value: object, path: str, converters: dict, defaults: dict) -> dict:
     """
     if not isinstance(value, dict):
         raise ScenarioParseError(f"{path}: expected a mapping, got {type(value).__name__}")
+    # A key shows as str only if that is one printable line and it is no int
+    # (one may be too long to print); otherwise as shown_value, its repr.
     unknown = sorted(
-        shown_value(key) if isinstance(key, int) else str(key) for key in value if key not in converters
+        str(key) if not isinstance(key, int) and str(key).isprintable() else shown_value(key)
+        for key in value if key not in converters
     )
     if unknown:
         raise ScenarioParseError(f"{path}: unknown field(s) {', '.join(unknown)}")

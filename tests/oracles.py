@@ -11,7 +11,8 @@ import random
 from itertools import product
 
 from crossguard.aggregation import AggregationSemantics, Verdict
-from crossguard.model import Claim, Detection, SensorKind
+from crossguard.model import Claim, Detection, GroundTruth, PerceptionModel, Pose, SensorKind, SensorProfile
+from crossguard.perception import effective_error_rates
 
 from helpers import make_claim
 
@@ -119,3 +120,27 @@ def with_detections(claims: list[Claim], pattern: tuple[Detection, ...]) -> list
 
 def all_detection_patterns(size: int):
     return product((Detection.CLEAR, Detection.PEDESTRIAN_DETECTED), repeat=size)
+
+
+def reference_sense(
+    truth: GroundTruth,
+    node_pose: Pose,
+    profile: SensorProfile,
+    model: PerceptionModel,
+    rng,
+) -> Detection:
+    """Sensing as it was before the rates were fixed per node: the distance
+    and both rates recomputed from the truth on every call, then one draw
+    from rng, anything with a random() method."""
+    if truth.pedestrian_present and truth.pedestrian_pose is not None:
+        distance = node_pose.distance_to(truth.pedestrian_pose)
+    else:
+        distance = node_pose.distance_to(model.query_center)
+    false_negative, false_positive = effective_error_rates(profile, distance, model)
+
+    draw = rng.random()
+    if truth.pedestrian_present:
+        missed = draw < false_negative
+        return Detection.CLEAR if missed else Detection.PEDESTRIAN_DETECTED
+    ghost = draw < false_positive
+    return Detection.PEDESTRIAN_DETECTED if ghost else Detection.CLEAR

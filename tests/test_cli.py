@@ -150,10 +150,11 @@ class TestValidateCommand:
                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"),
             ),
             ("sessions: 1\n", f"sessions: 1\n? {LONG_HEX}\n: 1\n", "scenario: unknown field(s) " + HEX_SHOWN),
+            ("sessions: 1\n", 'sessions: 1\n"a\\nb": 1\n', "scenario: unknown field(s) 'a\\nb'"),
         ],
         ids=[
             "int-key", "null-key", "nested-int-key", "401-digit-float", "5000-digit-int",
-            "long-hex-bool", "long-hex-kind", "long-hex-in-a-list", "long-hex-key",
+            "long-hex-bool", "long-hex-kind", "long-hex-in-a-list", "long-hex-key", "newline-key",
         ],
     )
     def test_malformed_input_exits_two_on_one_line(self, tmp_path, capsys, old, new, message):
@@ -324,11 +325,18 @@ class TestSweepCommand:
         assert "intersection__expert_override__seed1.metrics.ndjson" in named
         assert "wrote 5 file(s)" in capsys.readouterr().out
 
-    def test_repeated_semantics_print_one_row_per_entry(self, capsys):
-        code = cli.main(["sweep", str(INTERSECTION), "--semantics", "majority,majority", "--seeds", "2"])
-        assert code == cli.EXIT_OK
-        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("majority ")]
+    def test_repeated_semantics_print_one_row_per_entry(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", str(INTERSECTION), "--semantics", "majority,majority", "--seeds", "2", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        rows = [line for line in printed if line.startswith("majority ")]
         assert len(rows) == 2 and rows[0] == rows[1]
+        files = sorted(out.iterdir())
+        assert len(files) == 3  # one metrics file per seed, then summary.csv
+        assert f"wrote {len(files)} file(s) under {out}" in printed
+        summary = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert len(summary) == 3 and summary[1] == summary[2]
 
     def test_out_naming_an_existing_file_exits_two(self, tmp_path, capsys):
         target = tmp_path / "taken.txt"

@@ -1,4 +1,4 @@
-"""Distance-degraded sensing and the blind-sensor coin flip."""
+"""Distance-degraded sensing, per-node detection rates and the blind-sensor coin flip."""
 
 from __future__ import annotations
 
@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossguard.determinism import sense_stream
-from crossguard.model import Detection, GroundTruth, PerceptionModel, Pose
-from crossguard.perception import effective_error_rates, sense
+from crossguard.model import Detection, GroundTruth, PerceptionModel, Pose, SensorKind, SensorProfile
+from crossguard.perception import detection_rates, effective_error_rates, sense
 
 from helpers import make_profile
+from oracles import reference_sense
 
 CENTER = Pose(0.0, 0.0)
 MODEL = PerceptionModel(distance_reference=10.0, query_center=CENTER)
@@ -78,37 +79,67 @@ class TestEffectiveErrorRates:
         assert 0.0 <= far[0] <= 0.5 and 0.0 <= far[1] <= 0.5
 
 
+class TestDetectionRates:
+    def test_miss_is_measured_to_the_pedestrian(self):
+        """A pedestrian outside the sensor's range blinds the node to it even
+        though the query center, where a ghost would be seen, is nearby."""
+        profile = make_profile(fn=0.0, fp=0.0, reach=10.0)
+        truth = GroundTruth(pedestrian_present=True, pedestrian_pose=Pose(50.0, 0.0))
+        assert detection_rates(CENTER, profile, truth, MODEL) == (0.5, 0.0)
+
+    def test_miss_is_measured_to_the_query_center_without_a_pedestrian_pose(self):
+        profile = make_profile(fn=0.2, fp=0.05, reach=10.0)
+        far = PerceptionModel(distance_reference=10.0, query_center=Pose(50.0, 0.0))
+        assert detection_rates(CENTER, profile, GroundTruth(pedestrian_present=True), far) == (0.5, 0.5)
+        assert detection_rates(CENTER, profile, GroundTruth(pedestrian_present=True), MODEL) == (0.2, 0.05)
+
+    def test_ghost_is_measured_to_the_query_center(self):
+        profile = make_profile(fn=0.1, fp=0.05, reach=30.0)
+        truth = GroundTruth(pedestrian_present=False, pedestrian_pose=CENTER)
+        miss, ghost = detection_rates(Pose(10.0, 0.0), profile, truth, MODEL)
+        assert miss == pytest.approx(0.2)
+        assert ghost == pytest.approx(0.1)
+        far = PerceptionModel(distance_reference=10.0, query_center=Pose(50.0, 0.0))
+        assert detection_rates(Pose(10.0, 0.0), profile, truth, far) == pytest.approx((0.2, 0.5))
+
+
 class TestSense:
     def test_perfect_sensor_reports_truth(self):
-        profile = make_profile(fn=0.0, fp=0.0)
-        present = GroundTruth(pedestrian_present=True, pedestrian_pose=CENTER)
-        absent = GroundTruth(pedestrian_present=False)
-        rng = sense_stream(0, 1, 1)
-        assert sense(present, CENTER, profile, MODEL, rng) is Detection.PEDESTRIAN_DETECTED
-        assert sense(absent, CENTER, profile, MODEL, rng) is Detection.CLEAR
+        miss, ghost = detection_rates(
+            CENTER, make_profile(fn=0.0, fp=0.0), GroundTruth(pedestrian_present=True, pedestrian_pose=CENTER), MODEL
+        )
+        draw = sense_stream(0, 1, 1).random()
+        assert sense(True, miss, ghost, draw) is Detection.PEDESTRIAN_DETECTED
+        assert sense(False, miss, ghost, draw) is Detection.CLEAR
 
     def test_measures_distance_to_pedestrian_when_present(self):
         """A pedestrian outside the sensor's range blinds the node even if
         the query center is nearby."""
         profile = make_profile(fn=0.0, fp=0.0, reach=10.0)
         far_truth = GroundTruth(pedestrian_present=True, pedestrian_pose=Pose(50.0, 0.0))
+        miss, ghost = detection_rates(CENTER, profile, far_truth, MODEL)
         outcomes = set()
         for session in range(1, 400):
-            rng = sense_stream(1, 1, session)
-            outcomes.add(sense(far_truth, CENTER, profile, MODEL, rng))
+            outcomes.add(sense(True, miss, ghost, sense_stream(1, 1, session).random()))
         assert outcomes == {Detection.PEDESTRIAN_DETECTED, Detection.CLEAR}
 
     def test_measures_distance_to_query_center_when_absent(self):
         profile = make_profile(fn=0.0, fp=0.0, reach=10.0)
         absent = GroundTruth(pedestrian_present=False)
-        rng = sense_stream(0, 2, 1)
-        assert sense(absent, Pose(5.0, 0.0), profile, MODEL, rng) is Detection.CLEAR
+        miss, ghost = detection_rates(Pose(5.0, 0.0), profile, absent, MODEL)
+        assert sense(False, miss, ghost, sense_stream(0, 2, 1).random()) is Detection.CLEAR
+
+    def test_each_rate_is_a_strict_threshold_on_the_draw(self):
+        assert sense(True, 0.3, 0.0, 0.2999) is Detection.CLEAR
+        assert sense(True, 0.3, 0.0, 0.3) is Detection.PEDESTRIAN_DETECTED
+        assert sense(False, 0.0, 0.3, 0.2999) is Detection.PEDESTRIAN_DETECTED
+        assert sense(False, 0.0, 0.3, 0.3) is Detection.CLEAR
+        assert sense(True, 0.0, 1.0, 0.0) is Detection.PEDESTRIAN_DETECTED
+        assert sense(False, 1.0, 0.0, 0.0) is Detection.CLEAR
 
     def test_single_draw_is_deterministic(self):
-        profile = make_profile(fn=0.3, fp=0.3)
-        truth = GroundTruth(pedestrian_present=True, pedestrian_pose=CENTER)
-        first = sense(truth, CENTER, profile, MODEL, sense_stream(9, 9, 9))
-        again = sense(truth, CENTER, profile, MODEL, sense_stream(9, 9, 9))
+        first = sense(True, 0.3, 0.3, sense_stream(9, 9, 9).random())
+        again = sense(True, 0.3, 0.3, sense_stream(9, 9, 9).random())
         assert first is again
 
     def test_blind_sensor_detection_rate_near_half(self):
@@ -117,12 +148,49 @@ class TestSense:
         profile = make_profile(fn=0.1, fp=0.1, reach=10.0)
         model = PerceptionModel(distance_reference=10.0, query_center=Pose(50.0, 0.0))
         truth = GroundTruth(pedestrian_present=True, pedestrian_pose=Pose(50.0, 0.0))
+        miss, ghost = detection_rates(CENTER, profile, truth, model)
         detected = 0
         for session in range(1, 100001):
-            rng = sense_stream(1, 9, session)
-            if sense(truth, CENTER, profile, model, rng) is Detection.PEDESTRIAN_DETECTED:
+            if sense(True, miss, ghost, sense_stream(1, 9, session).random()) is Detection.PEDESTRIAN_DETECTED:
                 detected += 1
         fraction = detected / 100000
         assert fraction == pytest.approx(0.50253)
         assert 0.4948 <= fraction <= 0.5052
         assert 0.494 <= fraction <= 0.506
+
+
+_coordinates = st.floats(min_value=-100.0, max_value=100.0)
+_poses = st.builds(Pose, _coordinates, _coordinates)
+_rates = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5, exclude_max=True))
+_profiles = st.builds(
+    SensorProfile,
+    st.sampled_from(SensorKind),
+    _rates,
+    _rates,
+    st.floats(min_value=0.5, max_value=200.0),  # often shorter than the distances drawn
+)
+
+
+class TestSenseMatchesReference:
+    @given(
+        node_pose=_poses,
+        profile=_profiles,
+        pedestrian=st.one_of(st.none(), _poses),
+        center=_poses,
+        reference=st.one_of(st.just(5e-324), st.floats(min_value=0.1, max_value=100.0)),
+        present=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        node=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        session=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_rates_fixed_once_give_the_reference_detection(
+        self, node_pose, profile, pedestrian, center, reference, present, seed, node, session
+    ):
+        """Rates from detection_rates, fixed before the truth of a session is
+        known, give the detection sensing from that truth used to give."""
+        model = PerceptionModel(distance_reference=reference, query_center=center)
+        truth = GroundTruth(pedestrian_present=present, pedestrian_pose=pedestrian)
+        expected = reference_sense(truth, node_pose, profile, model, sense_stream(seed, node, session))
+        miss, ghost = detection_rates(node_pose, profile, truth, model)
+        assert sense(present, miss, ghost, sense_stream(seed, node, session).random()) is expected

@@ -534,7 +534,8 @@ def reference_sweep(scenario, semantics_list, seeds, truth_mode, out_dir, scenar
                 )
             target = out_dir / f"{scenario_name}__{semantics.value}__seed{seed}.metrics.ndjson"
             target.write_text("".join(dumps_record(line) + "\n" for line in lines), encoding="utf-8")
-            files.append(target)
+            if target not in files:  # a repeated semantics rewrites its files; each is listed once
+                files.append(target)
         wrong = totals["false_go_count"] + totals["false_stop_count"]
         rate = wrong / totals["decisions"] if totals["decisions"] else 0.0
         rows.append(SweepRow(semantics=semantics.value, seeds=seeds, **totals, error_rate=rate))

@@ -4,11 +4,11 @@ This module holds the protocol, the trace and the metrics. A Simulation
 plays both sides of the protocol, the master's sessions and every node's
 sensing and actuation, over the deterministic network, which is only a
 transport: its queue holds only the deliveries in flight, and the sessions
-are a loop in Simulation.run. It books each event in a MetricsCollector
-through typed calls and builds trace records only when a trace sink is
-attached, each through its kind's builder in trace.build (claim payloads
-via trace.claim_payload), so every record has the fields
-trace.RECORD_KINDS declares, in that order.
+are a loop in Simulation.run. It books each outcome in its RunMetrics as
+it happens and builds trace records only when a trace sink is attached,
+each through its kind's builder in trace.build (claim payloads via
+trace.claim_payload), so every record has the fields trace.RECORD_KINDS
+declares, in that order. MetricsCollector replays a stored trace.
 
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set.
@@ -96,6 +96,15 @@ class RunMetrics:
     def solo_error_rate(self, node: NodeId) -> float:
         return self.solo[node].error_rate
 
+    def score_claim(self, node: NodeId, detected: bool, present: bool) -> None:
+        """Score a node's own claim against its session's ground truth."""
+        stats = self.solo.get(node)
+        if stats is None:
+            stats = self.solo[node] = SoloStats()
+        stats.claims += 1
+        if detected != present:
+            stats.errors += 1
+
     def count_verdict(self, stop: bool, present: bool) -> None:
         """Book one session's verdict against that session's ground truth."""
         self.decisions += 1
@@ -122,50 +131,33 @@ _LATE = ExclusionReason.LATE.value
 
 
 class MetricsCollector:
-    """Books RunMetrics from typed protocol events as a run produces them.
+    """Books a stored trace's records, fed in order, into RunMetrics.
 
-    Needs no second pass and no stored trace: truth comes from opened
-    sessions, node counterfactuals from sent claims, outcomes from
-    decisions. feed replays a stored trace onto the same methods.
+    Each session's truth is read from its session_open record and kept,
+    so memory grows with the sessions replayed; a live run keeps none.
     """
 
     def __init__(self) -> None:
         self.metrics = RunMetrics()
         self._truth: dict[SessionId, bool] = {}
 
-    def opened(self, session: SessionId, present: bool) -> None:
-        self._truth[session] = present
-
-    def claim_sent(self, node: NodeId, session: SessionId, detected: bool) -> None:
-        """Score a node's own claim against its session's truth."""
-        stats = self.metrics.solo.get(node)
-        if stats is None:
-            stats = self.metrics.solo[node] = SoloStats()
-        stats.claims += 1
-        if detected != self._truth[session]:
-            stats.errors += 1
-
-    def decided(self, session: SessionId, stop: bool) -> None:
-        self.metrics.count_verdict(stop, self._truth[session])
-
-    def excluded(self, reason: str) -> None:
-        self.metrics.exclusions[reason] += 1
-
     def feed(self, record: dict) -> None:
         """Book one stored trace record, as the run that wrote it did."""
+        metrics = self.metrics
         ev = record["ev"]
         if ev == "send":
             if record["kind"] == "claim":
                 claim = record["claim"]
-                self.claim_sent(claim["node"], claim["session"], claim["detection"] == "pedestrian_detected")
+                detected = claim["detection"] == "pedestrian_detected"
+                metrics.score_claim(claim["node"], detected, self._truth[claim["session"]])
         elif ev == "session_open":
-            self.opened(record["session"], record["pedestrian_present"])
+            self._truth[record["session"]] = record["pedestrian_present"]
         elif ev == "decision":
-            self.decided(record["session"], record["verdict"] == "stop")
+            metrics.count_verdict(record["verdict"] == "stop", self._truth[record["session"]])
         elif ev == "claim_excluded":
-            self.excluded(record["reason"])
+            metrics.exclusions[record["reason"]] += 1
         elif ev == "claim_orphan":
-            self.excluded(_LATE)  # landed after the final session closed
+            metrics.exclusions[_LATE] += 1  # landed after the final session closed
 
 
 class Simulation:
@@ -173,11 +165,11 @@ class Simulation:
 
     It plays the master's sessions, one after another in run(), and every
     node's sensing and actuation, with per-node state in dicts keyed by
-    node id. Each event is booked in `collector`; a trace record is built
-    only when there are sinks, once, and handed to each. `semantics`
-    drives the run: its verdicts are actuated and traced. Each of `extra_semantics` is decided on the same
-    frozen claim sets and only counted, in the matching entry of
-    `extra_metrics`.
+    node id. Each outcome is booked in `metrics` as it happens; a trace
+    record is built only when there are sinks, once, and handed to each.
+    `semantics` drives the run: its verdicts are actuated and traced. Each
+    of `extra_semantics` is decided on the same frozen claim sets and only
+    counted, in the matching entry of `extra_metrics`.
     """
 
     def __init__(
@@ -191,13 +183,15 @@ class Simulation:
     ) -> None:
         if truth_mode not in TRUTH_MODES:
             raise ValueError(f"truth_mode must be one of {TRUTH_MODES}, got {truth_mode!r}")
+        present = scenario.ground_truth.pedestrian_present
+        # Presence by session parity: alternating truth flips even sessions.
+        self._present_by_parity = (not present if truth_mode == "alternating" else present, present)
         self.scenario = scenario
         self.semantics = semantics
         self.extra_semantics = extra_semantics
+        self.metrics = RunMetrics()
         self.extra_metrics = [RunMetrics() for _ in extra_semantics]
-        self.collector = MetricsCollector()
         self.seed = seed
-        self.truth_mode = truth_mode
         self._sinks = sinks or []
 
         self.master_id = scenario.master_node().id
@@ -242,10 +236,7 @@ class Simulation:
 
     def truth_for(self, session: SessionId) -> bool:
         """Whether a pedestrian is present in this session."""
-        present = self.scenario.ground_truth.pedestrian_present
-        if self.truth_mode == "alternating" and session % 2 == 0:
-            present = not present
-        return present
+        return self._present_by_parity[session % 2]
 
     def run(self) -> None:
         """Play the sessions in turn, then deliver what is still in flight.
@@ -278,10 +269,8 @@ class Simulation:
 
     def _open_next(self, now: SimTime) -> SessionState:
         self.state = state = open_session(self.state, now, self.scenario.session_window)
-        present = self.truth_for(state.id)
-        self.collector.opened(state.id, present)
         if self._sinks:
-            self.emit(build.session_open(now, state.id, state.deadline, present))
+            self.emit(build.session_open(now, state.id, state.deadline, self.truth_for(state.id)))
         self._send(_SESSION_START, self.master_id, None, state.id, now)
         return state
 
@@ -289,13 +278,13 @@ class Simulation:
         state = self.state
         if state.phase is _CLOSED:
             # Landed after the final session closed; booked run-wide as late.
-            self.collector.excluded(_LATE)
+            self.metrics.exclusions[_LATE] += 1
             if self._sinks:
                 self.emit(build.claim_orphan(now, claim.node, claim.session))
             return
         reason = accept_claim(state, claim, now, self.known_nodes)
         if reason is not None:
-            self.collector.excluded(reason._value_)
+            self.metrics.exclusions[reason._value_] += 1
         if not self._sinks:
             return
         if reason is None:
@@ -306,12 +295,11 @@ class Simulation:
     def _decide(self, state: SessionState) -> None:
         now = state.deadline
         decision = close_and_decide(state, now, self.semantics)
-        self.collector.decided(decision.session, decision.verdict is _STOP)
-        if self.extra_semantics:
-            present = self.truth_for(state.id)
-            for semantics, metrics in zip(self.extra_semantics, self.extra_metrics):
-                verdict = verdict_on(decision.used_claims, decision.ranking, semantics)
-                metrics.count_verdict(verdict is _STOP, present)
+        present = self.truth_for(state.id)
+        self.metrics.count_verdict(decision.verdict is _STOP, present)
+        for semantics, metrics in zip(self.extra_semantics, self.extra_metrics):
+            verdict = verdict_on(decision.used_claims, decision.ranking, semantics)
+            metrics.count_verdict(verdict is _STOP, present)
         if self._sinks:
             self.emit(
                 build.decision(
@@ -335,10 +323,11 @@ class Simulation:
     def _on_session_start(self, now: SimTime, node: NodeId, session: SessionId) -> None:
         profile, distance, miss, ghost = self.sensors[node]
         draw = sense_stream(self.seed, node, session).random()
-        detection = sense(self.truth_for(session), miss, ghost, draw)
+        present = self.truth_for(session)
+        detection = sense(present, miss, ghost, draw)
         # Positional: keywords make this frozen dataclass's __init__ markedly slower.
         claim = Claim(node, session, detection, profile, distance, now)
-        self.collector.claim_sent(node, session, detection is _DETECTED)
+        self.metrics.score_claim(node, detection is _DETECTED, present)
         self._send(_CLAIM, node, self.master_id, claim, now)
 
     def _on_actuation(self, now: SimTime, node: NodeId, command: ActuationCommand) -> None:
@@ -371,6 +360,12 @@ class Simulation:
             raise ProtocolError(f"unhandled message kind {kind!r}")
 
 
+def _check_semantics(entries: Sequence) -> None:
+    for entry in entries:
+        if not isinstance(entry, AggregationSemantics):
+            raise ValueError(f"semantics must be AggregationSemantics members, got {entry!r}")
+
+
 def run_once(
     scenario: Scenario,
     semantics: AggregationSemantics,
@@ -383,11 +378,11 @@ def run_once(
 ) -> tuple[list[dict] | None, RunMetrics] | tuple[list[dict] | None, RunMetrics, list[RunMetrics]]:
     """Run one scenario to quiescence; returns (trace records, metrics).
 
-    Metrics are booked from the run's events directly. Trace records are
-    built only for a sink: the returned list when collect_trace is true,
-    trace_stream (serialized line by line) when given. With
-    collect_trace=False and no trace_stream no record is built, keeping
-    time and memory low for large Monte Carlo runs.
+    Metrics are booked as the run goes, keeping nothing per session. Trace
+    records are built only for a sink: the returned list when collect_trace
+    is true, trace_stream (serialized line by line) when given. With
+    collect_trace=False and no trace_stream no record is built, so time
+    stays low and memory flat at any session count.
 
     Given extra_semantics, every session's frozen claim set is also decided
     under each of them, without simulating again; actuation and the trace
@@ -395,8 +390,10 @@ def run_once(
     extra), with one RunMetrics in `extra` per entry of extra_semantics,
     equal to what a run_once call with that semantics returns.
 
-    A seed that is not an int in [0, 2^64) raises ValueError before the run.
+    A seed not an int in [0, 2^64), an unknown truth_mode, or a semantics or
+    extra_semantics entry not an AggregationSemantics raises ValueError first.
     """
+    _check_semantics((semantics, *(extra_semantics or ())))
     errors = validate_scenario(scenario)
     if errors:
         raise ScenarioValidationError(errors)
@@ -416,7 +413,7 @@ def run_once(
     sim = Simulation(scenario, semantics, seed, truth_mode, sinks, tuple(extra_semantics or ()))
     sim.run()
 
-    metrics = sim.collector.metrics
+    metrics = sim.metrics
     for extra in sim.extra_metrics:
         # Exclusions and solo claims never depend on the verdict.
         extra.exclusions = dict(metrics.exclusions)
@@ -492,18 +489,18 @@ def run_sweep(
     per entry, repeats included; a repeated semantics is decided once and
     its rows are equal. When out_dir is given, each distinct semantics'
     per-run metrics go to one newline-delimited record file per seed and
-    the comparison table to summary.csv; `files` lists each file once.
+    the comparison table to summary.csv; `files` lists each file once. A
+    `seeds` that is not an int >= 1, or a semantics_list that is empty or
+    holds a non-AggregationSemantics, raises ValueError. out_dir is made
+    only after the first run_once returns, so a rejected call makes no dir.
     """
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
+        raise ValueError(f"seeds must be an integer >= 1, got {seeds!r}")
     if not semantics_list:
         raise ValueError("at least one semantics is required")
+    _check_semantics(semantics_list)
 
-    out_path: Path | None = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-
+    out_path = None if out_dir is None else Path(out_dir)
     arms = sorted(set(semantics_list), key=lambda s: s.value)
     totals = [RunMetrics() for _ in arms]
     arm_files: list[list[Path]] = [[] for _ in arms]
@@ -517,6 +514,8 @@ def run_sweep(
             collect_trace=False,
             extra_semantics=arms[1:],
         )
+        if seed == 0 and out_path is not None:
+            out_path.mkdir(parents=True, exist_ok=True)
         for node, stats in first.solo.items():
             sums = solo.setdefault(node, SoloStats())
             sums.claims += stats.claims

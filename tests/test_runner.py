@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import io
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,23 @@ class TestSeedCheck:
     def test_largest_seed_runs(self):
         _, metrics = run_once(make_scenario(), AggregationSemantics.MAJORITY, seed=2**64 - 1)
         assert metrics.decisions == 1
+
+
+class TestSemanticsCheck:
+    """A semantics that is not an AggregationSemantics member is refused
+    before the run, whatever the network loses and whether it is traced."""
+
+    @pytest.mark.parametrize("drop", [0.0, 1.0], ids=["lossless", "total_loss"])
+    @pytest.mark.parametrize("collect_trace", [True, False], ids=["traced", "lean"])
+    @pytest.mark.parametrize(
+        "semantics, extra",
+        [("majority", None), (AggregationSemantics.MAJORITY, ["bogus"])],
+        ids=["semantics", "extra_semantics"],
+    )
+    def test_a_non_member_is_refused(self, drop, collect_trace, semantics, extra):
+        scenario = make_scenario(drop=drop)
+        with pytest.raises(ValueError, match="AggregationSemantics"):
+            run_once(scenario, semantics, seed=1, collect_trace=collect_trace, extra_semantics=extra)
 
 
 class TestTruthModes:
@@ -497,6 +515,30 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(scenario, [], seeds=1)
 
+    @pytest.mark.parametrize("seeds", [True, 2.5, "2"])
+    def test_seeds_must_be_an_int_of_at_least_one(self, seeds):
+        with pytest.raises(ValueError, match="seeds"):
+            run_sweep(make_scenario(), [AggregationSemantics.MAJORITY], seeds=seeds)
+
+    @pytest.mark.parametrize("semantics_list", [["majority"], [AggregationSemantics.MAJORITY, "bogus"]])
+    def test_a_non_member_semantics_is_refused(self, semantics_list):
+        with pytest.raises(ValueError, match="AggregationSemantics"):
+            run_sweep(make_scenario(), semantics_list, seeds=1)
+
+    @pytest.mark.parametrize(
+        "scenario, truth_mode, error",
+        [
+            (dataclasses.replace(make_scenario(), sessions=0), "fixed", ScenarioValidationError),
+            (make_scenario(), "x", ValueError),
+        ],
+        ids=["no_sessions", "unknown_truth_mode"],
+    )
+    def test_a_rejected_sweep_leaves_no_out_dir(self, tmp_path, scenario, truth_mode, error):
+        out_dir = tmp_path / "out"
+        with pytest.raises(error):
+            run_sweep(scenario, [AggregationSemantics.MAJORITY], seeds=2, truth_mode=truth_mode, out_dir=out_dir)
+        assert not out_dir.exists()
+
 
 def reference_sweep(scenario, semantics_list, seeds, truth_mode, out_dir, scenario_name):
     """The sweep as one run_once call per (semantics, seed), arm by arm.
@@ -744,6 +786,21 @@ class TestLazyTrace:
             run_once(scenario, AggregationSemantics.MAJORITY, seed=3)
         with pytest.raises(AssertionError, match="no sink"):
             run_once(scenario, AggregationSemantics.MAJORITY, seed=3, collect_trace=False, trace_stream=io.StringIO())
+
+    def test_a_lean_run_keeps_memory_flat(self):
+        """Nothing is kept per session: a lean run's peak traced memory over
+        5000 sessions exceeds its peak over 500 by less than a fixed 16 KiB."""
+
+        def peak(sessions: int) -> int:
+            scenario = make_scenario(node_count=3, sessions=sessions)
+            tracemalloc.start()
+            try:
+                run_once(scenario, AggregationSemantics.MAJORITY, seed=0, collect_trace=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(5000) - peak(500) <= 16 * 1024
 
     CASES = 12
 

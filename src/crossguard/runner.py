@@ -11,9 +11,11 @@ trace.claim_payload), so every record has the fields trace.RECORD_KINDS
 declares, in that order. MetricsCollector replays a stored trace.
 
 No draw, sequence number or claim set depends on a verdict, so one
-run can also decide further semantics on each session's frozen claim set.
-A sweep simulates each seed once and decides every arm on the same claim
-sets (common random numbers), so semantics are compared like for like.
+run can also decide further semantics on each session's frozen claim set,
+each arm booked in full in its own RunMetrics. A Simulation checks its own
+arguments; run_once adds only the scenario's validation and the sinks. A
+sweep simulates each seed once and decides every arm on the same claim sets
+(common random numbers), so semantics are compared like for like.
 """
 
 from __future__ import annotations
@@ -117,6 +119,23 @@ class RunMetrics:
             if present:
                 self.false_go_count += 1
 
+    def add(self, other: RunMetrics) -> None:
+        """Add another run's counts, exclusions and solo claims to these."""
+        self.decisions += other.decisions
+        self.stops += other.stops
+        self.gos += other.gos
+        self.false_go_count += other.false_go_count
+        self.false_stop_count += other.false_stop_count
+        for reason, count in other.exclusions.items():
+            self.exclusions[reason] += count
+        solo = self.solo
+        for node, stats in other.solo.items():
+            mine = solo.get(node)
+            if mine is None:
+                mine = solo[node] = SoloStats()
+            mine.claims += stats.claims
+            mine.errors += stats.errors
+
 
 # Enum members looked up once: the Simulation's handlers run for every event.
 # Trace records read a member's value as _value_, which skips the descriptor
@@ -169,7 +188,10 @@ class Simulation:
     record is built only when there are sinks, once, and handed to each.
     `semantics` drives the run: its verdicts are actuated and traced. Each
     of `extra_semantics` is decided on the same frozen claim sets and only
-    counted, in the matching entry of `extra_metrics`.
+    counted, in the matching entry of `extra_metrics`; run() gives each the
+    run's exclusions and solo claims too. A semantics or extra entry that is
+    not an AggregationSemantics, a seed not an int in [0, 2^64) or an
+    unknown truth_mode raises ValueError before anything is built.
     """
 
     def __init__(
@@ -181,6 +203,9 @@ class Simulation:
         sinks: list | None = None,
         extra_semantics: tuple[AggregationSemantics, ...] = (),
     ) -> None:
+        _check_semantics((semantics, *extra_semantics))
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_BOUND:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         if truth_mode not in TRUTH_MODES:
             raise ValueError(f"truth_mode must be one of {TRUTH_MODES}, got {truth_mode!r}")
         present = scenario.ground_truth.pedestrian_present
@@ -259,6 +284,10 @@ class Simulation:
             if self._sinks:
                 self.emit(build.session_close(now, state.id))
         self._deliver_until(math.inf)
+        for extra in self.extra_metrics:
+            # Exclusions and solo claims never depend on the verdict.
+            extra.exclusions = dict(self.metrics.exclusions)
+            extra.solo = {node: SoloStats(stats.claims, stats.errors) for node, stats in self.metrics.solo.items()}
 
     def _deliver_until(self, bound: SimTime | float) -> None:
         pop = self.queue.pop
@@ -390,17 +419,13 @@ def run_once(
     extra), with one RunMetrics in `extra` per entry of extra_semantics,
     equal to what a run_once call with that semantics returns.
 
-    A seed not an int in [0, 2^64), an unknown truth_mode, or a semantics or
-    extra_semantics entry not an AggregationSemantics raises ValueError first.
+    An invalid scenario raises ScenarioValidationError first; then the
+    Simulation's argument checks raise ValueError before any session runs.
     """
-    _check_semantics((semantics, *(extra_semantics or ())))
     errors = validate_scenario(scenario)
     if errors:
         raise ScenarioValidationError(errors)
-    if seed is None:
-        seed = scenario.network.seed
-    elif not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_BOUND:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    seed = scenario.network.seed if seed is None else seed
 
     sinks: list = []
     records: list[dict] | None = None
@@ -413,17 +438,12 @@ def run_once(
     sim = Simulation(scenario, semantics, seed, truth_mode, sinks, tuple(extra_semantics or ()))
     sim.run()
 
-    metrics = sim.metrics
-    for extra in sim.extra_metrics:
-        # Exclusions and solo claims never depend on the verdict.
-        extra.exclusions = dict(metrics.exclusions)
-        extra.solo = {node: SoloStats(stats.claims, stats.errors) for node, stats in metrics.solo.items()}
-    for arm in (metrics, *sim.extra_metrics):
+    for arm in (sim.metrics, *sim.extra_metrics):
         if arm.stops + arm.gos != arm.decisions:
             raise ProtocolError("metrics do not conserve: stops + gos != decisions")
     if extra_semantics is None:
-        return records, metrics
-    return records, metrics, sim.extra_metrics
+        return records, sim.metrics
+    return records, sim.metrics, sim.extra_metrics
 
 
 @dataclass
@@ -504,7 +524,6 @@ def run_sweep(
     arms = sorted(set(semantics_list), key=lambda s: s.value)
     totals = [RunMetrics() for _ in arms]
     arm_files: list[list[Path]] = [[] for _ in arms]
-    solo: dict[NodeId, SoloStats] = {}
     for seed in range(seeds):
         _, first, extra = run_once(
             scenario,
@@ -516,13 +535,8 @@ def run_sweep(
         )
         if seed == 0 and out_path is not None:
             out_path.mkdir(parents=True, exist_ok=True)
-        for node, stats in first.solo.items():
-            sums = solo.setdefault(node, SoloStats())
-            sums.claims += stats.claims
-            sums.errors += stats.errors
         for semantics, metrics, total, written in zip(arms, (first, *extra), totals, arm_files):
-            for name in VERDICT_COUNTS:
-                setattr(total, name, getattr(total, name) + getattr(metrics, name))
+            total.add(metrics)
             if out_path is not None:
                 target = out_path / f"{scenario_name}__{semantics.value}__seed{seed}.metrics.ndjson"
                 with target.open("w", encoding="utf-8") as handle:
@@ -540,6 +554,7 @@ def run_sweep(
         )
         for semantics in sorted(semantics_list, key=lambda s: s.value)
     ]
+    solo = totals[0].solo  # every arm books the same claims
     solo_rates = {node: solo[node].error_rate for node in sorted(solo)}
     files = [path for written in arm_files for path in written]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import keyword
 import math
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .actuation import ActuationAction, MotionState
 from .aggregation import AggregationSemantics, Verdict
@@ -279,23 +279,6 @@ def dumps_records(records: Iterable[dict]) -> str:
     return "".join(dumps_record(record) + "\n" for record in records)
 
 
-def dump_records(records: Iterable[dict], stream: IO[str]) -> int:
-    """Write records to a text stream; returns how many were written."""
-    count = 0
-    for record in records:
-        stream.write(dumps_record(record) + "\n")
-        count += 1
-    return count
-
-
 def loads_records(text: str) -> list[dict]:
     """Parse a newline-delimited trace back into record dicts."""
     return [json.loads(line) for line in text.splitlines() if line]
-
-
-def iter_records(stream: IO[str]) -> Iterator[dict]:
-    """Stream records from an open trace file."""
-    for line in stream:
-        line = line.strip()
-        if line:
-            yield json.loads(line)

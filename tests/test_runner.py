@@ -223,11 +223,20 @@ class TestPinnedLossyRun:
                 assert last_send["dst"] in ("*", record["dst"])
 
 
+def assert_each_entry_refuses(match, scenario, semantics, seed, truth_mode="fixed", collect_trace=True, extra=None):
+    """run_once, and a hand-built Simulation (built only, not run), must each
+    raise ValueError for the same bad argument."""
+    with pytest.raises(ValueError, match=match):
+        run_once(scenario, semantics, seed, truth_mode, collect_trace, extra_semantics=extra)
+    sinks = [[].append] if collect_trace else None
+    with pytest.raises(ValueError, match=match):
+        runner.Simulation(scenario, semantics, seed, truth_mode, sinks, tuple(extra or ()))
+
+
 class TestSeedCheck:
     @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5])
     def test_seed_that_is_not_an_unsigned_64_bit_int_is_refused(self, seed):
-        with pytest.raises(ValueError, match="seed"):
-            run_once(make_scenario(), AggregationSemantics.MAJORITY, seed=seed)
+        assert_each_entry_refuses("seed", make_scenario(), AggregationSemantics.MAJORITY, seed)
 
     def test_largest_seed_runs(self):
         _, metrics = run_once(make_scenario(), AggregationSemantics.MAJORITY, seed=2**64 - 1)
@@ -247,8 +256,9 @@ class TestSemanticsCheck:
     )
     def test_a_non_member_is_refused(self, drop, collect_trace, semantics, extra):
         scenario = make_scenario(drop=drop)
-        with pytest.raises(ValueError, match="AggregationSemantics"):
-            run_once(scenario, semantics, seed=1, collect_trace=collect_trace, extra_semantics=extra)
+        assert_each_entry_refuses(
+            "AggregationSemantics", scenario, semantics, 1, collect_trace=collect_trace, extra=extra
+        )
 
 
 class TestTruthModes:
@@ -268,8 +278,7 @@ class TestTruthModes:
 
     def test_unknown_truth_mode_is_rejected(self):
         scenario = make_scenario()
-        with pytest.raises(ValueError):
-            run_once(scenario, AggregationSemantics.MAJORITY, seed=1, truth_mode="chaotic")
+        assert_each_entry_refuses("truth_mode", scenario, AggregationSemantics.MAJORITY, 1, truth_mode="chaotic")
 
 
 class TestSessionSequencing:
@@ -435,6 +444,8 @@ class TestMetrics:
         broken = dataclasses.replace(make_scenario(), sessions=0)
         with pytest.raises(ScenarioValidationError):
             run_once(broken, AggregationSemantics.MAJORITY, seed=1)
+        with pytest.raises(ScenarioValidationError):  # the scenario is checked before the arguments
+            run_once(broken, "majority", seed=-1)
 
     def test_collector_conserves_verdict_counts(self):
         scenario = make_scenario(sessions=30, fn=0.3, fp=0.3, drop=0.2)
@@ -651,6 +662,10 @@ class TestSweepMatchesOneRunPerSemantics:
                         scenario, semantics, seed=seed, truth_mode=truth_mode, collect_trace=False
                     )
                     assert metrics == reference, (case, seed, semantics)
+                sim = runner.Simulation(scenario, arms[0], seed, truth_mode, extra_semantics=tuple(arms[1:]))
+                sim.run()
+                assert sim.metrics == first
+                assert sim.extra_metrics == extra
                 late += first.exclusions["late"]
                 orphans += sum(1 for r in records if r["ev"] == "claim_orphan")
                 drops += sum(1 for r in records if r["ev"] == "drop")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import io
 import json
 import math
 import re
@@ -23,11 +22,9 @@ from crossguard.trace import (
     build,
     claim_from_payload,
     claim_payload,
-    dump_records,
     dumps_record,
     dumps_records,
     format_line,
-    iter_records,
     loads_records,
 )
 
@@ -116,14 +113,6 @@ def test_dumps_records_is_newline_delimited_with_trailing_newline():
 def test_loads_records_round_trip():
     records = [{"t": 0, "ev": "send"}, {"t": 5, "ev": "deliver", "dst": 2}]
     assert loads_records(dumps_records(records)) == records
-
-
-def test_dump_and_iter_records_through_a_stream():
-    records = [{"t": 1}, {"t": 2}, {"t": 3}]
-    buffer = io.StringIO()
-    assert dump_records(records, buffer) == 3
-    buffer.seek(0)
-    assert list(iter_records(buffer)) == records
 
 
 def test_float_values_round_trip_exactly():

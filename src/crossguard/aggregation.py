@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .model import Claim, Detection, ExclusionReason, NodeId, ProtocolError, SessionId
 
@@ -45,9 +46,10 @@ def decide(
     ranking: list[NodeId],
     semantics: AggregationSemantics,
 ) -> Verdict:
-    """Apply one semantics to a non-empty claim set.
+    """Check a non-empty claim set and its ranking, then apply one semantics.
 
     `ranking` must be a permutation of the claim nodes, most trusted first.
+    The verdict is verdict_of on each claim's "clear" flag in that order.
     The empty-claims fail-safe is the session layer's job, not ours.
     """
     if not claims:
@@ -57,34 +59,36 @@ def decide(
         raise ProtocolError("decide() received duplicate claims for one node")
     if sorted(by_node) != sorted(ranking) or len(ranking) != len(claims):
         raise ProtocolError("ranking is not a permutation of the claim nodes")
+    return verdict_of([by_node[node].detection is Detection.CLEAR for node in ranking], semantics)
 
-    clear = sum(1 for claim in claims if claim.detection is Detection.CLEAR)
-    detected = len(claims) - clear
+
+def verdict_of(clear: Sequence[bool], semantics: AggregationSemantics) -> Verdict:
+    """One semantics' verdict on a ranked claim set, unchecked.
+
+    `clear` holds each claim's "clear" flag, most trusted claim first. An
+    empty claim set is Stop: silence is never evidence of a clear crossing.
+    """
+    total = len(clear)
+    if not total:
+        return Verdict.STOP
 
     if semantics is AggregationSemantics.UNANIMITY_SAFE:
-        return Verdict.GO if detected == 0 else Verdict.STOP
+        return Verdict.GO if all(clear) else Verdict.STOP
 
     if semantics is AggregationSemantics.MAJORITY:
         # Ties go to Stop.
-        return Verdict.GO if clear > detected else Verdict.STOP
+        clear_count = sum(clear)
+        return Verdict.GO if clear_count > total - clear_count else Verdict.STOP
 
     if semantics is AggregationSemantics.TRUST_WEIGHTED_MAJORITY:
         # Rank-linear weights: position i of n carries weight n - i. Steeper
         # laws such as doubling collapse onto the top claim alone, because the
         # leader then outweighs everyone below combined.
-        total = len(ranking)
-        clear_weight = 0
-        detected_weight = 0
-        for position, node in enumerate(ranking):
-            weight = total - position
-            if by_node[node].detection is Detection.CLEAR:
-                clear_weight += weight
-            else:
-                detected_weight += weight
+        clear_weight = sum(total - position for position, flag in enumerate(clear) if flag)
+        detected_weight = total * (total + 1) // 2 - clear_weight
         return Verdict.GO if clear_weight > detected_weight else Verdict.STOP
 
     if semantics is AggregationSemantics.EXPERT_OVERRIDE:
-        expert = by_node[ranking[0]]
-        return Verdict.GO if expert.detection is Detection.CLEAR else Verdict.STOP
+        return Verdict.GO if clear[0] else Verdict.STOP
 
     raise ProtocolError(f"unhandled semantics {semantics!r}")

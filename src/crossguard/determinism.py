@@ -27,30 +27,33 @@ class KeyedStream:
     Blocks are SHA-256(key || block index), consumed eight bytes per draw,
     so the i-th draw of a stream is a pure function of (key, i) that is
     stable across platforms and Python versions. Each block is unpacked
-    into its four words once. Streams are cheap: nothing is hashed until
-    the first draw.
+    into its four words once. Every stream a run builds is drawn from, so
+    block 0 is hashed when the stream is built; the draws read words from
+    the current block inline and call _word only at a block boundary.
     """
 
     __slots__ = ("_key", "_words", "_index", "_counter")
 
     def __init__(self, key: bytes) -> None:
         self._key = key
-        self._words: tuple[int, ...] = ()
-        self._index = 4
-        self._counter = 0
+        self._words: tuple[int, ...] = _BLOCK_WORDS.unpack(hashlib.sha256(key + _BLOCK_INDEX.pack(0)).digest())
+        self._index = 0
+        self._counter = 1
 
     def _word(self) -> int:
-        index = self._index
-        if index == 4:
-            block = hashlib.sha256(self._key + _BLOCK_INDEX.pack(self._counter)).digest()
-            self._words = _BLOCK_WORDS.unpack(block)
-            self._counter += 1
-            index = 0
-        self._index = index + 1
-        return self._words[index]
+        """The first word of the next block, read once the current one is used up."""
+        block = hashlib.sha256(self._key + _BLOCK_INDEX.pack(self._counter)).digest()
+        self._words = _BLOCK_WORDS.unpack(block)
+        self._counter += 1
+        self._index = 1
+        return self._words[0]
 
     def random(self) -> float:
         """Uniform float in [0, 1), from the top 53 bits of one word."""
+        index = self._index
+        if index < 4:
+            self._index = index + 1
+            return (self._words[index] >> 11) / _TWO_53
         return (self._word() >> 11) / _TWO_53
 
     def randint(self, low: int, high: int) -> int:
@@ -66,7 +69,12 @@ class KeyedStream:
         # Rejection sampling removes the (tiny) modulo bias exactly.
         limit = _WORD_SPAN - (_WORD_SPAN % span)
         while True:
-            word = self._word()
+            index = self._index
+            if index < 4:
+                self._index = index + 1
+                word = self._words[index]
+            else:
+                word = self._word()
             if word < limit:
                 return low + (word % span)
 

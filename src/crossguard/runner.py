@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .actuation import ActuationCommand, NodeMotion, apply_command, sequence_actuation
-from .aggregation import AggregationSemantics, Verdict
+from .aggregation import AggregationSemantics, Verdict, verdict_of
 from .determinism import SEED_BOUND, sense_stream
 from .model import (
     Claim,
@@ -50,9 +50,10 @@ from .session import (
     close_and_decide,
     mark_closed,
     open_session,
-    verdict_on,
+    trust_positions,
 )
 from .trace import BROADCAST, build, claim_payload, dumps_record
+from .trust import Evidence
 
 TRUTH_MODES = ("fixed", "alternating")
 # The RunMetrics counts that depend on the verdict, hence differ between arms.
@@ -144,6 +145,7 @@ _SESSION_START = MessageKind.SESSION_START
 _CLAIM = MessageKind.CLAIM
 _ACTUATION = MessageKind.ACTUATION
 _DETECTED = Detection.PEDESTRIAN_DETECTED
+_CLEAR = Detection.CLEAR
 _STOP = Verdict.STOP
 _CLOSED = SessionPhase.CLOSED
 _LATE = ExclusionReason.LATE.value
@@ -189,9 +191,11 @@ class Simulation:
     `semantics` drives the run: its verdicts are actuated and traced. Each
     of `extra_semantics` is decided on the same frozen claim sets and only
     counted, in the matching entry of `extra_metrics`; run() gives each the
-    run's exclusions and solo claims too. A semantics or extra entry that is
-    not an AggregationSemantics, a seed not an int in [0, 2^64) or an
-    unknown truth_mode raises ValueError before anything is built.
+    run's exclusions and solo claims too. Each node's trust position is
+    fixed here, once, from its evidence. A semantics that is not an
+    AggregationSemantics, an extra_semantics that is not a list or tuple of
+    them, a seed not an int in [0, 2^64) or an unknown truth_mode raises
+    ValueError before anything is built.
     """
 
     def __init__(
@@ -201,9 +205,11 @@ class Simulation:
         seed: int,
         truth_mode: str = "fixed",
         sinks: list | None = None,
-        extra_semantics: tuple[AggregationSemantics, ...] = (),
+        extra_semantics: Sequence[AggregationSemantics] = (),
     ) -> None:
-        _check_semantics((semantics, *extra_semantics))
+        if not isinstance(semantics, AggregationSemantics):
+            raise ValueError(f"semantics must be an AggregationSemantics member, got {semantics!r}")
+        _check_semantics("extra_semantics", extra_semantics)
         if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_BOUND:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         if truth_mode not in TRUTH_MODES:
@@ -213,7 +219,7 @@ class Simulation:
         self._present_by_parity = (not present if truth_mode == "alternating" else present, present)
         self.scenario = scenario
         self.semantics = semantics
-        self.extra_semantics = extra_semantics
+        self.extra_semantics = tuple(extra_semantics)
         self.metrics = RunMetrics()
         self.extra_metrics = [RunMetrics() for _ in extra_semantics]
         self.seed = seed
@@ -232,6 +238,10 @@ class Simulation:
             + detection_rates(spec.pose, spec.sensor, scenario.ground_truth, perception)
             for spec in scenario.nodes
         }
+        # Evidence is fixed too, so is the trust order: each session sorts its claims by it.
+        self.trust_positions = trust_positions(
+            Evidence(node, profile, distance) for node, (profile, distance, _, _) in self.sensors.items()
+        )
         self.motions = {spec.id: NodeMotion() for spec in scenario.nodes}
         self.state: SessionState | None = None
 
@@ -323,12 +333,14 @@ class Simulation:
 
     def _decide(self, state: SessionState) -> None:
         now = state.deadline
-        decision = close_and_decide(state, now, self.semantics)
+        decision = close_and_decide(state, now, self.semantics, self.trust_positions)
         present = self.truth_for(state.id)
         self.metrics.count_verdict(decision.verdict is _STOP, present)
-        for semantics, metrics in zip(self.extra_semantics, self.extra_metrics):
-            verdict = verdict_on(decision.used_claims, decision.ranking, semantics)
-            metrics.count_verdict(verdict is _STOP, present)
+        if self.extra_semantics:
+            received = state.received
+            clear = [received[node].detection is _CLEAR for node in decision.ranking]
+            for semantics, metrics in zip(self.extra_semantics, self.extra_metrics):
+                metrics.count_verdict(verdict_of(clear, semantics) is _STOP, present)
         if self._sinks:
             self.emit(
                 build.decision(
@@ -389,10 +401,13 @@ class Simulation:
             raise ProtocolError(f"unhandled message kind {kind!r}")
 
 
-def _check_semantics(entries: Sequence) -> None:
+def _check_semantics(name: str, entries: Sequence) -> None:
+    """Refuse anything but a list or tuple of AggregationSemantics members."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{name} must be a list or tuple of AggregationSemantics members, got {entries!r}")
     for entry in entries:
         if not isinstance(entry, AggregationSemantics):
-            raise ValueError(f"semantics must be AggregationSemantics members, got {entry!r}")
+            raise ValueError(f"{name} must hold only AggregationSemantics members, got {entry!r}")
 
 
 def run_once(
@@ -435,7 +450,7 @@ def run_once(
     if trace_stream is not None:
         sinks.append(lambda record: trace_stream.write(dumps_record(record) + "\n"))
 
-    sim = Simulation(scenario, semantics, seed, truth_mode, sinks, tuple(extra_semantics or ()))
+    sim = Simulation(scenario, semantics, seed, truth_mode, sinks, () if extra_semantics is None else extra_semantics)
     sim.run()
 
     for arm in (sim.metrics, *sim.extra_metrics):
@@ -510,15 +525,16 @@ def run_sweep(
     its rows are equal. When out_dir is given, each distinct semantics'
     per-run metrics go to one newline-delimited record file per seed and
     the comparison table to summary.csv; `files` lists each file once. A
-    `seeds` that is not an int >= 1, or a semantics_list that is empty or
-    holds a non-AggregationSemantics, raises ValueError. out_dir is made
-    only after the first run_once returns, so a rejected call makes no dir.
+    `seeds` that is not an int >= 1, or a semantics_list that is not a
+    non-empty list or tuple of AggregationSemantics members, raises
+    ValueError. out_dir is made only after the first run_once returns, so a
+    rejected call makes no dir.
     """
     if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
         raise ValueError(f"seeds must be an integer >= 1, got {seeds!r}")
+    _check_semantics("semantics_list", semantics_list)
     if not semantics_list:
         raise ValueError("at least one semantics is required")
-    _check_semantics(semantics_list)
 
     out_path = None if out_dir is None else Path(out_dir)
     arms = sorted(set(semantics_list), key=lambda s: s.value)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
 
 from .aggregation import AggregationSemantics, Decision, Verdict, decide
 from .model import (
@@ -21,7 +22,7 @@ from .model import (
     SimTime,
     claim_evidence_valid,
 )
-from .trust import rank
+from .trust import Evidence, rank
 
 
 class SessionPhase(Enum):
@@ -100,25 +101,28 @@ def accept_claim(
     return reason
 
 
-def verdict_on(
-    used: tuple[Claim, ...], ranking: tuple[NodeId, ...], semantics: AggregationSemantics
-) -> Verdict:
-    """One semantics' verdict on a session's frozen, ranked claim set.
+def trust_positions(evidence: Iterable[Claim | Evidence]) -> dict[NodeId, int]:
+    """Each node's position in rank's order of this evidence, 0 the most trusted.
 
-    An empty claim set short-circuits to Stop before any semantics runs:
-    silence is never evidence of a clear crossing.
+    A node's evidence never changes during a run, and trust_key ends in the
+    node id, so the order is strict: sorting any subset of these nodes by
+    position gives the ranking of that subset.
     """
-    if not used:
-        return Verdict.STOP
-    return decide(list(used), list(ranking), semantics)
+    return {node: position for position, node in enumerate(rank(list(evidence)))}
 
 
 def close_and_decide(
-    state: SessionState, now: SimTime, semantics: AggregationSemantics
+    state: SessionState,
+    now: SimTime,
+    semantics: AggregationSemantics,
+    positions: dict[NodeId, int] | None = None,
 ) -> Decision:
     """Freeze the claim set at the deadline and produce the verdict.
 
-    The verdict comes from verdict_on, so an empty claim set means Stop.
+    The ranking orders the accepted nodes by `positions`, a trust_positions
+    map; a run builds it once from each node's evidence. Without one, it is
+    built from the session's own claims. An accepted node the map lacks is
+    a ProtocolError. An empty claim set means Stop.
     """
     if state.phase is not SessionPhase.COLLECTING:
         raise ProtocolError(f"session {state.id} already {state.phase.value}")
@@ -127,10 +131,15 @@ def close_and_decide(
             f"session {state.id} closing at {now} before its deadline {state.deadline}"
         )
     used = tuple(sorted(state.received.values(), key=lambda claim: claim.node))
-    ranking = tuple(rank(list(used))) if used else ()
+    if positions is None:
+        positions = trust_positions(used)
+    try:
+        ranking = tuple(sorted(state.received, key=positions.__getitem__))
+    except KeyError as missing:
+        raise ProtocolError(f"node {missing.args[0]} has no trust position") from None
     decision = Decision(
         session=state.id,
-        verdict=verdict_on(used, ranking, semantics),
+        verdict=decide(list(used), list(ranking), semantics) if used else Verdict.STOP,
         semantics=semantics,
         ranking=ranking,
         used_claims=used,

@@ -3,14 +3,23 @@
 Claims are ordered by a lexicographic key: sensor quality tier first, then
 proximity to the queried region, then baseline accuracy, then node id as a
 final tie-break. The key depends only on evidence, never on what the claim
-says, so flipping a detection can never change the ranking.
+says, so flipping a detection can never change the ranking, and a node's
+evidence alone (an Evidence) ranks the same as any claim it sends.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import Claim, NodeId, ProtocolError
+from .model import Claim, NodeId, ProtocolError, SensorProfile
+
+
+class Evidence(NamedTuple):
+    """The part of a claim the ranking reads: who sent it and its sensor evidence."""
+
+    node: NodeId
+    profile: SensorProfile
+    distance_to_target: float
 
 
 class TrustKey(NamedTuple):
@@ -22,8 +31,8 @@ class TrustKey(NamedTuple):
     node_tiebreak: int
 
 
-def trust_key(claim: Claim) -> TrustKey:
-    """The ranking key for one claim."""
+def trust_key(claim: Claim | Evidence) -> TrustKey:
+    """The ranking key for one claim, or for a node's evidence."""
     profile = claim.profile
     return TrustKey(
         sensor_tier=profile.kind.tier,
@@ -33,7 +42,7 @@ def trust_key(claim: Claim) -> TrustKey:
     )
 
 
-def rank(claims: list[Claim]) -> list[NodeId]:
+def rank(claims: list[Claim | Evidence]) -> list[NodeId]:
     """Node ids from most to least trustworthy.
 
     The lower-node-id tie-break makes this a strict total order, so the

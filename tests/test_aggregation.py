@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crossguard.aggregation import AggregationSemantics, Verdict, decide
+from crossguard.aggregation import AggregationSemantics, Verdict, decide, verdict_of
 from crossguard.model import Detection, ProtocolError, SensorKind
 from crossguard.trust import rank
 
@@ -133,3 +135,29 @@ def test_all_semantics_match_enumeration_oracle_up_to_three_nodes():
                 for semantics in AggregationSemantics:
                     got = decide(assigned, ranking, semantics)
                     assert got is oracle_decide(assigned, semantics)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_verdict_of_the_ranked_clear_flags_matches_decide_and_the_oracle(data):
+    """The unchecked core, given each claim's clear flag in rank order, agrees
+    with decide and the oracle for every semantics."""
+    claims = [
+        make_claim(
+            node=node,
+            detection=data.draw(st.sampled_from([CLEAR, DETECTED])),
+            kind=data.draw(st.sampled_from(list(SensorKind))),
+            distance=data.draw(st.sampled_from([1.0, 5.0, 14.25])),
+        )
+        for node in range(1, data.draw(st.integers(min_value=1, max_value=7)) + 1)
+    ]
+    ranking = rank(claims)
+    by_node = {claim.node: claim for claim in claims}
+    clear = [by_node[node].detection is CLEAR for node in ranking]
+    for semantics in AggregationSemantics:
+        assert verdict_of(clear, semantics) is decide(claims, ranking, semantics) is oracle_decide(claims, semantics)
+
+
+@pytest.mark.parametrize("semantics", list(AggregationSemantics))
+def test_verdict_of_an_empty_claim_set_is_stop(semantics):
+    assert verdict_of([], semantics) is Verdict.STOP

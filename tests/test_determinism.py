@@ -203,17 +203,21 @@ def test_rejection_near_two_to_the_64_consumes_the_same_words():
 
 
 class CappedStream(KeyedStream):
-    """Fails instead of drawing forever, so a missing range check cannot hang."""
+    """Fails instead of drawing forever, so a missing range check cannot hang.
 
-    __slots__ = ("words",)
+    Draws read words inline and call _word once per block after the first,
+    so the cap counts blocks: 16 blocks are 64 words.
+    """
+
+    __slots__ = ("blocks",)
 
     def __init__(self, key: bytes) -> None:
         super().__init__(key)
-        self.words = 0
+        self.blocks = 0
 
     def _word(self) -> int:
-        self.words += 1
-        if self.words > 64:
+        self.blocks += 1
+        if self.blocks > 16:
             raise AssertionError("randint kept drawing")
         return super()._word()
 
@@ -226,3 +230,15 @@ def test_randint_refuses_a_span_wider_than_one_word():
     for low, high in [(0, 2**64), (-1, 2**64 - 1), (0, 2**65)]:
         with pytest.raises(ValueError, match="2\\^64"):
             stream.randint(low, high)
+
+
+def test_randint_rejects_a_word_equal_to_its_limit():
+    """Words at or above limit = 2^64 - (2^64 mod span) are rejected, and
+    limit - 1 is the largest accepted word. Both are injected, in order, as
+    the words the stream reads next."""
+    span = 3
+    limit = 2**64 - 2**64 % span
+    stream = KeyedStream(b"")
+    stream._words, stream._index = (limit, limit - 1, 0, 0), 0
+    assert stream.randint(10, 12) == 10 + (limit - 1) % span == 12
+    assert stream._index == 2  # limit was read and rejected, then limit - 1 accepted

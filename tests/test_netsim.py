@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from crossguard import netsim
 from crossguard.model import NetworkConfig, ProtocolError
 from crossguard.netsim import Delivery, EventQueue, Message, MessageKind, Network
 
@@ -154,6 +155,27 @@ class TestNetworkTransport:
             network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)
         latencies = {due - event.message.sent_at for due, event in drain(queue)}
         assert latencies == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "draw, delivered",
+        [(0.25, True), (math.nextafter(0.25, 0.0), False)],
+        ids=["equal_is_delivered", "just_below_is_dropped"],
+    )
+    def test_a_drop_draw_equal_to_the_probability_is_delivered(self, monkeypatch, draw, delivered):
+        """A copy is dropped iff its draw is strictly below drop_probability."""
+
+        class InjectedDraws:
+            def random(self):
+                return draw
+
+            def randint(self, low, high):
+                return low
+
+        monkeypatch.setattr(netsim, "transport_stream", lambda *key: InjectedDraws())
+        queue, network = build_net([1, 2], lossless(drop=0.25))
+        _, dropped = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
+        assert dropped == ([] if delivered else [2])
+        assert len(drain(queue)) == (1 if delivered else 0)
 
     def test_drop_rate_matches_the_configured_probability(self):
         """100 000 unicast sends at drop 0.3: frozen observation 0.30079,

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import io
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -225,12 +226,13 @@ class TestPinnedLossyRun:
 
 def assert_each_entry_refuses(match, scenario, semantics, seed, truth_mode="fixed", collect_trace=True, extra=None):
     """run_once, and a hand-built Simulation (built only, not run), must each
-    raise ValueError for the same bad argument."""
+    raise ValueError for the same bad argument. Both get `extra` as it is,
+    except that the Simulation gets () for None, its "no extra" value."""
     with pytest.raises(ValueError, match=match):
         run_once(scenario, semantics, seed, truth_mode, collect_trace, extra_semantics=extra)
     sinks = [[].append] if collect_trace else None
     with pytest.raises(ValueError, match=match):
-        runner.Simulation(scenario, semantics, seed, truth_mode, sinks, tuple(extra or ()))
+        runner.Simulation(scenario, semantics, seed, truth_mode, sinks, () if extra is None else extra)
 
 
 class TestSeedCheck:
@@ -250,15 +252,24 @@ class TestSemanticsCheck:
     @pytest.mark.parametrize("drop", [0.0, 1.0], ids=["lossless", "total_loss"])
     @pytest.mark.parametrize("collect_trace", [True, False], ids=["traced", "lean"])
     @pytest.mark.parametrize(
-        "semantics, extra",
-        [("majority", None), (AggregationSemantics.MAJORITY, ["bogus"])],
-        ids=["semantics", "extra_semantics"],
+        "semantics, extra, match",
+        [
+            ("majority", None, "AggregationSemantics"),
+            (AggregationSemantics.MAJORITY, ["bogus"], "AggregationSemantics"),
+            # Not a list or tuple: the message names the whole argument.
+            (AggregationSemantics.MAJORITY, 5, "^extra_semantics .*AggregationSemantics.*got 5$"),
+            (AggregationSemantics.MAJORITY, "majority", "^extra_semantics .*AggregationSemantics.*got 'majority'$"),
+        ],
+        ids=["semantics", "extra_semantics", "extra_semantics_int", "extra_semantics_str"],
     )
-    def test_a_non_member_is_refused(self, drop, collect_trace, semantics, extra):
+    def test_a_non_member_is_refused(self, drop, collect_trace, semantics, extra, match):
         scenario = make_scenario(drop=drop)
-        assert_each_entry_refuses(
-            "AggregationSemantics", scenario, semantics, 1, collect_trace=collect_trace, extra=extra
-        )
+        assert_each_entry_refuses(match, scenario, semantics, 1, collect_trace=collect_trace, extra=extra)
+
+    def test_a_simulation_refuses_extra_semantics_none(self):
+        """None means "no extra" to run_once only; a Simulation takes ()."""
+        with pytest.raises(ValueError, match="^extra_semantics .*AggregationSemantics.*got None$"):
+            runner.Simulation(make_scenario(), AggregationSemantics.MAJORITY, 1, extra_semantics=None)
 
 
 class TestTruthModes:
@@ -534,6 +545,11 @@ class TestSweep:
     @pytest.mark.parametrize("semantics_list", [["majority"], [AggregationSemantics.MAJORITY, "bogus"]])
     def test_a_non_member_semantics_is_refused(self, semantics_list):
         with pytest.raises(ValueError, match="AggregationSemantics"):
+            run_sweep(make_scenario(), semantics_list, seeds=1)
+
+    @pytest.mark.parametrize("semantics_list", ["majority", 5])
+    def test_a_semantics_list_that_is_no_list_is_refused_whole(self, semantics_list):
+        with pytest.raises(ValueError, match=f"^semantics_list .*got {re.escape(repr(semantics_list))}$"):
             run_sweep(make_scenario(), semantics_list, seeds=1)
 
     @pytest.mark.parametrize(

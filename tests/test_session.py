@@ -24,9 +24,12 @@ from crossguard.session import (
     close_and_decide,
     mark_closed,
     open_session,
+    trust_positions,
 )
+from crossguard.trust import Evidence, rank
 
 from helpers import make_claim
+from oracles import oracle_rank
 
 KNOWN = frozenset({1, 2, 3})
 SEMANTICS = AggregationSemantics.MAJORITY
@@ -250,3 +253,42 @@ class TestMarkClosed:
         close_and_decide(state, state.deadline, SEMANTICS)
         mark_closed(state)
         assert state.phase is SessionPhase.CLOSED
+
+
+def test_a_positions_map_without_an_accepted_node_is_a_protocol_error():
+    state = fresh()
+    accept_claim(state, make_claim(node=2), state.deadline, KNOWN)
+    with pytest.raises(ProtocolError, match="node 2 has no trust position"):
+        close_and_decide(state, state.deadline, SEMANTICS, {1: 0, 3: 1})
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_set_up_positions_rank_any_subset_like_rank_and_the_oracle(data):
+    """A run fixes each node's trust position once from its evidence. Sorting
+    any session's claims by position must give rank's and the pairwise
+    oracle's order of that subset, and close_and_decide must rank by it the
+    same as when it builds positions from the session's own claims."""
+    nodes = data.draw(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=8, unique=True))
+    claims = {
+        node: make_claim(
+            node=node,
+            kind=data.draw(st.sampled_from(list(SensorKind))),
+            distance=data.draw(st.sampled_from([0.0, 1.0, 5.0, 14.25])),
+            fn=data.draw(st.sampled_from([0.01, 0.1])),
+            fp=data.draw(st.sampled_from([0.01, 0.1])),
+        )
+        for node in nodes
+    }
+    positions = trust_positions(
+        Evidence(claim.node, claim.profile, claim.distance_to_target) for claim in claims.values()
+    )
+    subset = [claims[node] for node in data.draw(st.lists(st.sampled_from(nodes), unique=True))]
+    by_position = sorted((claim.node for claim in subset), key=positions.__getitem__)
+    assert by_position == rank(subset) == oracle_rank(subset)
+    for given_positions in (positions, None):
+        state = fresh()
+        for claim in subset:
+            assert accept_claim(state, claim, state.deadline, frozenset(nodes)) is None
+        decision = close_and_decide(state, state.deadline, SEMANTICS, given_positions)
+        assert list(decision.ranking) == by_position

@@ -205,6 +205,8 @@ def sensor_errors(profile: SensorProfile, path: str = "sensor") -> list[str]:
 
 
 def _pose_errors(pose: Pose, path: str) -> list[str]:
+    if not isinstance(pose, Pose):
+        return [f"{path}: must be a Pose, got {shown_value(pose)}"]
     errors = []
     for axis in ("x", "y"):
         value = getattr(pose, axis)
@@ -216,8 +218,10 @@ def _pose_errors(pose: Pose, path: str) -> list[str]:
 def claim_evidence_valid(claim: Claim) -> bool:
     """True exactly when claim_evidence_errors(claim) is empty.
 
-    The same checks, inlined and without building any message, for the
-    master's per-claim path. Inside these bounds a number is finite.
+    The same checks, inlined and without building any message. It is the
+    set-up check: session.trust_positions runs it once per node, on a claim
+    or a trust.Evidence, and a sweep pays that set-up once per run. Inside
+    these bounds a number is finite.
     """
     profile = claim.profile
     fn = profile.base_false_negative
@@ -279,7 +283,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             distance = node.pose.distance_to(center)
             if not _finite(distance):
                 errors.append(f"{path}.pose: distance to query_region_center must be finite, got {distance!r}")
-        errors.extend(sensor_errors(node.sensor, f"{path}.sensor"))
+        if isinstance(node.sensor, SensorProfile):
+            errors.extend(sensor_errors(node.sensor, f"{path}.sensor"))
+        else:
+            errors.append(f"{path}.sensor: must be a SensorProfile, got {shown_value(node.sensor)}")
 
     masters = [n for n in scenario.nodes if n.master]
     if len(masters) != 1:
@@ -288,13 +295,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         errors.append("nodes: the master node must be actuated")
 
     truth = scenario.ground_truth
-    if truth.pedestrian_present:
-        if truth.pedestrian_pose is None:
-            errors.append("ground_truth.pedestrian_pose: required when pedestrian_present")
-        else:
-            errors.extend(_pose_errors(truth.pedestrian_pose, "ground_truth.pedestrian_pose"))
-    elif truth.pedestrian_pose is not None:
+    if not isinstance(truth.pedestrian_present, bool):
+        present = shown_value(truth.pedestrian_present)
+        errors.append(f"ground_truth.pedestrian_present: must be true or false, got {present}")
+    if truth.pedestrian_pose is not None:
         errors.extend(_pose_errors(truth.pedestrian_pose, "ground_truth.pedestrian_pose"))
+    elif truth.pedestrian_present:
+        errors.append("ground_truth.pedestrian_pose: required when pedestrian_present")
 
     if not _finite(scenario.perception.distance_reference) or scenario.perception.distance_reference <= 0.0:
         errors.append(

@@ -191,11 +191,12 @@ class Simulation:
     `semantics` drives the run: its verdicts are actuated and traced. Each
     of `extra_semantics` is decided on the same frozen claim sets and only
     counted, in the matching entry of `extra_metrics`; run() gives each the
-    run's exclusions and solo claims too. Each node's trust position is
-    fixed here, once, from its evidence. A semantics that is not an
-    AggregationSemantics, an extra_semantics that is not a list or tuple of
-    them, a seed not an int in [0, 2^64) or an unknown truth_mode raises
-    ValueError before anything is built.
+    run's exclusions and solo claims too. The node table, trust_positions,
+    is fixed here once: every session judges a claim by its node's evidence
+    as registered here and ranks it by that node's position. A semantics
+    that is not an AggregationSemantics, an extra_semantics that is not a
+    list or tuple of them, a seed not an int in [0, 2^64) or an unknown
+    truth_mode raises ValueError before anything is built.
     """
 
     def __init__(
@@ -226,7 +227,6 @@ class Simulation:
         self._sinks = sinks or []
 
         self.master_id = scenario.master_node().id
-        self.known_nodes = frozenset(scenario.node_ids())
         self.actuated = list(scenario.actuated_ids())
         self.queue = EventQueue()
         self.network = Network(list(scenario.node_ids()), scenario.network, seed, self.queue)
@@ -238,7 +238,7 @@ class Simulation:
             + detection_rates(spec.pose, spec.sensor, scenario.ground_truth, perception)
             for spec in scenario.nodes
         }
-        # Evidence is fixed too, so is the trust order: each session sorts its claims by it.
+        # Evidence is fixed too: the node table judges and ranks every session's claims.
         self.trust_positions = trust_positions(
             Evidence(node, profile, distance) for node, (profile, distance, _, _) in self.sensors.items()
         )
@@ -307,7 +307,7 @@ class Simulation:
     # -- master-side protocol steps -------------------------------------
 
     def _open_next(self, now: SimTime) -> SessionState:
-        self.state = state = open_session(self.state, now, self.scenario.session_window)
+        self.state = state = open_session(self.state, now, self.scenario.session_window, self.trust_positions)
         if self._sinks:
             self.emit(build.session_open(now, state.id, state.deadline, self.truth_for(state.id)))
         self._send(_SESSION_START, self.master_id, None, state.id, now)
@@ -321,7 +321,7 @@ class Simulation:
             if self._sinks:
                 self.emit(build.claim_orphan(now, claim.node, claim.session))
             return
-        reason = accept_claim(state, claim, now, self.known_nodes)
+        reason = accept_claim(state, claim, now)
         if reason is not None:
             self.metrics.exclusions[reason._value_] += 1
         if not self._sinks:
@@ -333,7 +333,7 @@ class Simulation:
 
     def _decide(self, state: SessionState) -> None:
         now = state.deadline
-        decision = close_and_decide(state, now, self.semantics, self.trust_positions)
+        decision = close_and_decide(state, now, self.semantics)
         present = self.truth_for(state.id)
         self.metrics.count_verdict(decision.verdict is _STOP, present)
         if self.extra_semantics:

@@ -37,38 +37,42 @@ class SessionState:
 
     id: SessionId
     deadline: SimTime
+    positions: dict[NodeId, int | None]
     phase: SessionPhase = SessionPhase.COLLECTING
     received: dict[NodeId, Claim] = field(default_factory=dict)
     exclusions: list[tuple[Claim, ExclusionReason]] = field(default_factory=list)
 
 
 def open_session(
-    previous: SessionState | None, now: SimTime, window: SimTime
+    previous: SessionState | None, now: SimTime, window: SimTime, positions: dict[NodeId, int | None]
 ) -> SessionState:
-    """Start the next session; ids are consecutive from 1 with no gaps."""
+    """Start the next session; ids are consecutive from 1 with no gaps.
+
+    `positions` is the run's node table, a trust_positions map: the session
+    judges and ranks every claim by it.
+    """
     if previous is not None and previous.phase is not SessionPhase.CLOSED:
         raise ProtocolError(
             f"session {previous.id} is still {previous.phase.value}; sessions may not overlap"
         )
     next_id = 1 if previous is None else previous.id + 1
-    return SessionState(id=next_id, deadline=now + window)
+    return SessionState(id=next_id, deadline=now + window, positions=positions)
 
 
-def classify_claim(
-    state: SessionState,
-    claim: Claim,
-    arrival: SimTime,
-    known_nodes: frozenset[NodeId],
-) -> ExclusionReason | None:
+def classify_claim(state: SessionState, claim: Claim, arrival: SimTime) -> ExclusionReason | None:
     """First applicable exclusion reason, or None when the claim is usable.
 
     Reasons are checked in a fixed priority so a claim that is wrong in
-    several ways is always booked the same way. A claim tagged with an old
-    session id counts as Late: the window it answered has already passed.
+    several ways is always booked the same way. A node missing from the
+    session's positions is unknown, and one mapped to None had malformed
+    evidence at set-up: a claim is judged by its node's evidence as
+    registered then. A claim tagged with an old session id counts as Late:
+    the window it answered has already passed.
     """
-    if claim.node not in known_nodes:
+    positions = state.positions
+    if claim.node not in positions:
         return ExclusionReason.UNKNOWN_NODE
-    if not claim_evidence_valid(claim):
+    if positions[claim.node] is None:
         return ExclusionReason.MALFORMED_EVIDENCE
     if claim.node in state.received:
         return ExclusionReason.DUPLICATE
@@ -79,12 +83,7 @@ def classify_claim(
     return None
 
 
-def accept_claim(
-    state: SessionState,
-    claim: Claim,
-    arrival: SimTime,
-    known_nodes: frozenset[NodeId],
-) -> ExclusionReason | None:
+def accept_claim(state: SessionState, claim: Claim, arrival: SimTime) -> ExclusionReason | None:
     """Record one delivered claim, first claim per node wins.
 
     Returns the exclusion reason it was booked under, or None if accepted.
@@ -93,7 +92,7 @@ def accept_claim(
     """
     if state.phase is SessionPhase.CLOSED:
         raise ProtocolError(f"claim delivered to closed session {state.id}")
-    reason = classify_claim(state, claim, arrival, known_nodes)
+    reason = classify_claim(state, claim, arrival)
     if reason is None:
         state.received[claim.node] = claim
     else:
@@ -101,28 +100,34 @@ def accept_claim(
     return reason
 
 
-def trust_positions(evidence: Iterable[Claim | Evidence]) -> dict[NodeId, int]:
-    """Each node's position in rank's order of this evidence, 0 the most trusted.
+def trust_positions(evidence: Iterable[Claim | Evidence]) -> dict[NodeId, int | None]:
+    """A run's node table: each node's position in rank's order, 0 the most
+    trusted, or None when its evidence is malformed.
 
-    A node's evidence never changes during a run, and trust_key ends in the
-    node id, so the order is strict: sorting any subset of these nodes by
-    position gives the ranking of that subset.
+    Each node's evidence is checked once, with claim_evidence_valid, and the
+    sound nodes are ranked by one rank call. A node's evidence never changes
+    during a run, and trust_key ends in the node id, so the order is strict:
+    sorting any subset of the sound nodes by position gives the ranking of
+    that subset. A node id given twice is a ProtocolError.
     """
-    return {node: position for position, node in enumerate(rank(list(evidence)))}
+    positions: dict[NodeId, int | None] = {}
+    sound = []
+    for item in evidence:
+        if item.node in positions:
+            raise ProtocolError(f"duplicate evidence from node {item.node}")
+        positions[item.node] = None
+        if claim_evidence_valid(item):
+            sound.append(item)
+    for position, node in enumerate(rank(sound)):
+        positions[node] = position
+    return positions
 
 
-def close_and_decide(
-    state: SessionState,
-    now: SimTime,
-    semantics: AggregationSemantics,
-    positions: dict[NodeId, int] | None = None,
-) -> Decision:
+def close_and_decide(state: SessionState, now: SimTime, semantics: AggregationSemantics) -> Decision:
     """Freeze the claim set at the deadline and produce the verdict.
 
-    The ranking orders the accepted nodes by `positions`, a trust_positions
-    map; a run builds it once from each node's evidence. Without one, it is
-    built from the session's own claims. An accepted node the map lacks is
-    a ProtocolError. An empty claim set means Stop.
+    The ranking orders the accepted nodes by the session's positions; only
+    a node with a position is ever accepted. An empty claim set means Stop.
     """
     if state.phase is not SessionPhase.COLLECTING:
         raise ProtocolError(f"session {state.id} already {state.phase.value}")
@@ -131,12 +136,7 @@ def close_and_decide(
             f"session {state.id} closing at {now} before its deadline {state.deadline}"
         )
     used = tuple(sorted(state.received.values(), key=lambda claim: claim.node))
-    if positions is None:
-        positions = trust_positions(used)
-    try:
-        ranking = tuple(sorted(state.received, key=positions.__getitem__))
-    except KeyError as missing:
-        raise ProtocolError(f"node {missing.args[0]} has no trust position") from None
+    ranking = tuple(sorted(state.received, key=state.positions.__getitem__))
     decision = Decision(
         session=state.id,
         verdict=decide(list(used), list(ranking), semantics) if used else Verdict.STOP,

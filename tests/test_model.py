@@ -22,6 +22,7 @@ from crossguard.model import (
     validate_scenario,
 )
 from crossguard.runner import run_once
+from crossguard.scenario import ScenarioValidationError
 
 from helpers import make_claim, make_profile, make_scenario
 
@@ -251,6 +252,50 @@ class TestValidateScenario:
         else:
             broken = dataclasses.replace(scenario, **{name: flag})
         assert any(e.startswith(f"{path}: must be an integer") for e in validate_scenario(broken))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("ground_truth.pedestrian_present", 1),
+            ("ground_truth.pedestrian_present", 0),
+            ("ground_truth.pedestrian_present", None),
+            ("nodes[1].pose", None),
+            ("nodes[1].pose", (0.0, 0.0)),
+            ("nodes[1].sensor", None),
+            ("nodes[1].sensor", "lidar"),
+            ("query_region_center", None),
+            ("ground_truth.pedestrian_pose", None),
+            ("ground_truth.pedestrian_pose", (0.0, 0.0)),
+        ],
+        ids=repr,
+    )
+    def test_a_field_of_the_wrong_type_is_listed(self, path, value):
+        """Only a library caller can build these: the scenario parser makes
+        every pose, profile and flag itself. A fixed-truth run would have
+        traced pedestrian_present=1 as a number."""
+        scenario = make_scenario(present=True)
+        truth, node = scenario.ground_truth, scenario.nodes[1]
+        broken = {
+            "ground_truth.pedestrian_present": lambda: dataclasses.replace(
+                scenario, ground_truth=dataclasses.replace(truth, pedestrian_present=value)
+            ),
+            "nodes[1].pose": lambda: dataclasses.replace(
+                scenario, nodes=(scenario.nodes[0], dataclasses.replace(node, pose=value), *scenario.nodes[2:])
+            ),
+            "nodes[1].sensor": lambda: dataclasses.replace(
+                scenario, nodes=(scenario.nodes[0], dataclasses.replace(node, sensor=value), *scenario.nodes[2:])
+            ),
+            "query_region_center": lambda: dataclasses.replace(
+                scenario, perception=dataclasses.replace(scenario.perception, query_center=value)
+            ),
+            "ground_truth.pedestrian_pose": lambda: dataclasses.replace(
+                scenario, ground_truth=dataclasses.replace(truth, pedestrian_pose=value)
+            ),
+        }[path]()
+        errors = validate_scenario(broken)
+        assert any(e.startswith(f"{path}: ") for e in errors), errors
+        with pytest.raises(ScenarioValidationError):
+            run_once(broken, AggregationSemantics.MAJORITY, seed=1)
 
     @pytest.mark.parametrize("huge", [2**1024, -(2**1024), 10**400], ids=["2^1024", "-2^1024", "10^400"])
     def test_numbers_no_float_can_hold_are_listed(self, huge):

@@ -15,7 +15,7 @@ import pytest
 
 from crossguard import runner
 from crossguard.aggregation import AggregationSemantics
-from crossguard.model import GroundTruth, PerceptionModel, Pose
+from crossguard.model import GroundTruth, PerceptionModel, Pose, claim_evidence_valid
 from crossguard.runner import TRUTH_MODES, MetricsCollector, SweepResult, SweepRow, run_once, run_sweep
 from crossguard.scenario import ScenarioValidationError, load_scenario
 from crossguard.trace import (
@@ -222,6 +222,53 @@ class TestPinnedLossyRun:
                     key: last_send[key] for key in ("t", "kind", "src", "seq")
                 }
                 assert last_send["dst"] in ("*", record["dst"])
+
+
+class TestNodeTable:
+    """A Simulation checks each node's evidence once, at set-up, and every
+    session judges that node's claims by it."""
+
+    def test_a_node_with_malformed_evidence_is_pinned(self):
+        """Node 2's false-negative rate of 0.7 is out of [0, 0.5): a hand-built
+        Simulation, which skips validation, excludes each claim it delivers.
+        Hash recorded when each claim's own evidence was checked on arrival."""
+        scenario = make_scenario(
+            node_count=4, drop=0.1, latency=(1000, 30000), window=20000, settle=30000, sessions=5
+        )
+        nodes = tuple(
+            dataclasses.replace(node, sensor=dataclasses.replace(node.sensor, base_false_negative=0.7))
+            if node.id == 2
+            else node
+            for node in scenario.nodes
+        )
+        records = []
+        sim = runner.Simulation(
+            dataclasses.replace(scenario, nodes=nodes),
+            AggregationSemantics.TRUST_WEIGHTED_MAJORITY,
+            3,
+            "alternating",
+            [records.append],
+        )
+        sim.run()
+        assert sim.metrics.exclusions == {"unknown_node": 0, "malformed_evidence": 3, "duplicate": 0, "late": 5}
+        assert {r["node"] for r in by_ev(records, "claim_excluded", reason="malformed_evidence")} == {2}
+        digest = hashlib.sha256(dumps_records(records).encode("utf-8")).hexdigest()
+        assert digest == "fc32b908e72178dc8f432d403f8f082c10aeb6c4af990ba61137b6bad449c0a7"
+
+    def test_each_nodes_evidence_is_checked_once_per_simulation(self, monkeypatch):
+        checked = []
+
+        def check(claim):
+            checked.append(claim.node)
+            return claim_evidence_valid(claim)
+
+        monkeypatch.setattr("crossguard.session.claim_evidence_valid", check)
+        for sessions in (1, 6):
+            checked.clear()
+            sim = runner.Simulation(make_scenario(node_count=4, sessions=sessions), AggregationSemantics.MAJORITY, 1)
+            sim.run()
+            assert sim.metrics.decisions == sessions
+            assert sorted(checked) == [1, 2, 3, 4], sessions
 
 
 def assert_each_entry_refuses(match, scenario, semantics, seed, truth_mode="fixed", collect_trace=True, extra=None):

@@ -31,12 +31,15 @@ from crossguard.trust import Evidence, rank
 from helpers import make_claim
 from oracles import oracle_rank
 
-KNOWN = frozenset({1, 2, 3})
+# The node table of a run with nodes 1, 2 and 3, all with sound evidence.
+POSITIONS = trust_positions(make_claim(node=node) for node in (1, 2, 3))
+# The same nodes, but node 2 registered a NaN distance at set-up.
+MALFORMED_2 = trust_positions(make_claim(node=node, distance=float("nan") if node == 2 else 1.0) for node in (1, 2, 3))
 SEMANTICS = AggregationSemantics.MAJORITY
 
 
-def fresh(opened_at=120000, window=50000, session_id=None):
-    state = open_session(None, opened_at, window)
+def fresh(opened_at=120000, window=50000, session_id=None, positions=POSITIONS):
+    state = open_session(None, opened_at, window, positions)
     if session_id is not None:
         state.id = session_id
     return state
@@ -44,75 +47,85 @@ def fresh(opened_at=120000, window=50000, session_id=None):
 
 class TestOpenSession:
     def test_first_session_gets_id_one(self):
-        state = open_session(None, 0, 50000)
+        state = open_session(None, 0, 50000, POSITIONS)
         assert state.id == 1
         assert state.phase is SessionPhase.COLLECTING
 
     def test_ids_are_consecutive(self):
-        first = open_session(None, 0, 50000)
+        first = open_session(None, 0, 50000, POSITIONS)
         close_and_decide(first, first.deadline, SEMANTICS)
         mark_closed(first)
-        second = open_session(first, first.deadline + 1, 50000)
+        second = open_session(first, first.deadline + 1, 50000, POSITIONS)
         assert second.id == 2
 
     def test_deadline_is_open_plus_window(self):
-        state = open_session(None, 120000, 50000)
+        state = open_session(None, 120000, 50000, POSITIONS)
         assert state.deadline == 170000
 
     def test_cannot_open_over_a_live_session(self):
-        first = open_session(None, 0, 50000)
+        first = open_session(None, 0, 50000, POSITIONS)
         with pytest.raises(ProtocolError):
-            open_session(first, 10, 50000)
+            open_session(first, 10, 50000, POSITIONS)
         close_and_decide(first, first.deadline, SEMANTICS)
         with pytest.raises(ProtocolError):
-            open_session(first, first.deadline, 50000)
+            open_session(first, first.deadline, 50000, POSITIONS)
 
 
 class TestClassifyClaim:
     def test_clean_claim_is_usable(self):
         state = fresh()
         claim = make_claim(node=2, session=state.id)
-        assert classify_claim(state, claim, 150000, KNOWN) is None
+        assert classify_claim(state, claim, 150000) is None
 
     def test_arrival_exactly_at_deadline_is_usable(self):
         """The deadline is inclusive: 170 000 is inside a window ending there."""
         state = fresh(opened_at=120000, window=50000)
         claim = make_claim(node=2, session=state.id)
-        assert classify_claim(state, claim, 170000, KNOWN) is None
-        assert classify_claim(state, claim, 170001, KNOWN) is ExclusionReason.LATE
+        assert classify_claim(state, claim, 170000) is None
+        assert classify_claim(state, claim, 170001) is ExclusionReason.LATE
 
     def test_unknown_node(self):
         state = fresh()
         claim = make_claim(node=9, session=state.id)
-        assert classify_claim(state, claim, 130000, KNOWN) is ExclusionReason.UNKNOWN_NODE
+        assert classify_claim(state, claim, 130000) is ExclusionReason.UNKNOWN_NODE
 
     def test_malformed_evidence(self):
-        state = fresh()
+        assert MALFORMED_2[2] is None
+        state = fresh(positions=MALFORMED_2)
         claim = make_claim(node=2, session=state.id, distance=float("nan"))
-        assert classify_claim(state, claim, 130000, KNOWN) is ExclusionReason.MALFORMED_EVIDENCE
+        assert classify_claim(state, claim, 130000) is ExclusionReason.MALFORMED_EVIDENCE
+
+    def test_a_claim_is_judged_by_its_nodes_evidence_as_registered(self):
+        """The node table, not the claim's own evidence, decides malformed."""
+        sound = make_claim(node=2, session=1)
+        broken = make_claim(node=2, session=1, distance=float("nan"))
+        assert classify_claim(fresh(positions=MALFORMED_2), sound, 130000) is ExclusionReason.MALFORMED_EVIDENCE
+        assert classify_claim(fresh(), broken, 130000) is None
 
     def test_stale_session_id_counts_as_late(self):
         """A claim tagged for session 3 arriving during session 4 is Late."""
         state = fresh(session_id=4)
         claim = make_claim(node=2, session=3)
-        assert classify_claim(state, claim, 130000, KNOWN) is ExclusionReason.LATE
+        assert classify_claim(state, claim, 130000) is ExclusionReason.LATE
 
     def test_unknown_node_outranks_every_other_reason(self):
-        state = fresh()
+        state = fresh(positions=MALFORMED_2)
         claim = make_claim(node=9, session=99, distance=float("nan"))
-        assert classify_claim(state, claim, 999999, KNOWN) is ExclusionReason.UNKNOWN_NODE
+        assert classify_claim(state, claim, 999999) is ExclusionReason.UNKNOWN_NODE
 
     def test_malformed_outranks_duplicate_and_late(self):
-        state = fresh()
-        accept_claim(state, make_claim(node=2, session=state.id), 130000, KNOWN)
+        # Only the order of the checks is under test: a run never accepts a
+        # claim from a node with malformed evidence, so node 2 is put in by hand.
+        state = fresh(positions=MALFORMED_2)
+        state.received[2] = make_claim(node=2, session=state.id)
         broken = make_claim(node=2, session=state.id, distance=float("nan"))
-        assert classify_claim(state, broken, 999999, KNOWN) is ExclusionReason.MALFORMED_EVIDENCE
+        assert classify_claim(state, broken, 999999) is ExclusionReason.MALFORMED_EVIDENCE
 
     def test_duplicate_outranks_late(self):
         state = fresh()
-        accept_claim(state, make_claim(node=2, session=state.id), 130000, KNOWN)
+        accept_claim(state, make_claim(node=2, session=state.id), 130000)
         again = make_claim(node=2, session=state.id, distance=3.0)
-        assert classify_claim(state, again, 999999, KNOWN) is ExclusionReason.DUPLICATE
+        assert classify_claim(state, again, 999999) is ExclusionReason.DUPLICATE
 
 
 # Evidence values a master cannot take on faith: bools pass as ints in Python,
@@ -134,14 +147,17 @@ def with_evidence(claim, **changes):
 
 
 class TestEvidenceCheck:
-    """classify_claim books MALFORMED_EVIDENCE exactly when
-    claim_evidence_errors finds a problem, without building its messages."""
+    """The node table maps a node to None, and classify_claim books its
+    claims MALFORMED_EVIDENCE, exactly when claim_evidence_errors finds a
+    problem in its evidence; the check builds none of those messages."""
 
     @staticmethod
     def assert_agrees(claim):
         errors = claim_evidence_errors(claim)
         assert claim_evidence_valid(claim) is (not errors)
-        reason = classify_claim(fresh(), claim, 130000, KNOWN)
+        positions = trust_positions([claim])
+        assert positions == {claim.node: None if errors else 0}
+        reason = classify_claim(fresh(positions=positions), claim, 130000)
         assert reason is (ExclusionReason.MALFORMED_EVIDENCE if errors else None), errors
 
     @pytest.mark.parametrize("field", EVIDENCE_FIELDS)
@@ -175,8 +191,8 @@ class TestAcceptClaim:
         state = fresh()
         first = make_claim(node=2, session=state.id, distance=1.0)
         second = make_claim(node=2, session=state.id, distance=9.0)
-        assert accept_claim(state, first, 130000, KNOWN) is None
-        assert accept_claim(state, second, 131000, KNOWN) is ExclusionReason.DUPLICATE
+        assert accept_claim(state, first, 130000) is None
+        assert accept_claim(state, second, 131000) is ExclusionReason.DUPLICATE
         assert state.received[2] is first
         assert state.exclusions == [(second, ExclusionReason.DUPLICATE)]
 
@@ -184,7 +200,7 @@ class TestAcceptClaim:
         state = fresh()
         close_and_decide(state, state.deadline, SEMANTICS)
         straggler = make_claim(node=2, session=state.id)
-        assert accept_claim(state, straggler, state.deadline + 5, KNOWN) is ExclusionReason.LATE
+        assert accept_claim(state, straggler, state.deadline + 5) is ExclusionReason.LATE
         assert state.exclusions == [(straggler, ExclusionReason.LATE)]
 
     def test_delivery_to_closed_session_is_a_protocol_error(self):
@@ -192,7 +208,7 @@ class TestAcceptClaim:
         close_and_decide(state, state.deadline, SEMANTICS)
         mark_closed(state)
         with pytest.raises(ProtocolError):
-            accept_claim(state, make_claim(node=2, session=state.id), state.deadline + 11, KNOWN)
+            accept_claim(state, make_claim(node=2, session=state.id), state.deadline + 11)
 
 
 class TestCloseAndDecide:
@@ -218,10 +234,10 @@ class TestCloseAndDecide:
     def test_decision_snapshot_is_complete(self):
         state = fresh()
         kept = make_claim(node=2, session=state.id)
-        accept_claim(state, kept, 130000, KNOWN)
+        accept_claim(state, kept, 130000)
         dupe = make_claim(node=2, session=state.id, distance=2.0)
-        accept_claim(state, dupe, 131000, KNOWN)
-        accept_claim(state, make_claim(node=3, session=state.id), 132000, KNOWN)
+        accept_claim(state, dupe, 131000)
+        accept_claim(state, make_claim(node=3, session=state.id), 132000)
         decision = close_and_decide(state, state.deadline, SEMANTICS)
         assert decision.session == state.id
         assert decision.semantics is SEMANTICS
@@ -238,7 +254,7 @@ class TestCloseAndDecide:
             make_claim(node=9, session=state.id),
         ]
         for arrival, claim in enumerate(deliveries, start=130000):
-            accept_claim(state, claim, arrival, KNOWN)
+            accept_claim(state, claim, arrival)
         assert len(state.received) + len(state.exclusions) == len(deliveries)
 
 
@@ -255,11 +271,11 @@ class TestMarkClosed:
         assert state.phase is SessionPhase.CLOSED
 
 
-def test_a_positions_map_without_an_accepted_node_is_a_protocol_error():
-    state = fresh()
-    accept_claim(state, make_claim(node=2), state.deadline, KNOWN)
-    with pytest.raises(ProtocolError, match="node 2 has no trust position"):
-        close_and_decide(state, state.deadline, SEMANTICS, {1: 0, 3: 1})
+@pytest.mark.parametrize("second_distance", [1.0, float("nan")], ids=["sound", "malformed"])
+@pytest.mark.parametrize("first_distance", [1.0, float("nan")], ids=["sound", "malformed"])
+def test_a_node_given_twice_in_the_node_table_is_a_protocol_error(first_distance, second_distance):
+    with pytest.raises(ProtocolError, match="node 2"):
+        trust_positions([make_claim(node=2, distance=first_distance), make_claim(node=2, distance=second_distance)])
 
 
 @given(data=st.data())
@@ -267,8 +283,7 @@ def test_a_positions_map_without_an_accepted_node_is_a_protocol_error():
 def test_set_up_positions_rank_any_subset_like_rank_and_the_oracle(data):
     """A run fixes each node's trust position once from its evidence. Sorting
     any session's claims by position must give rank's and the pairwise
-    oracle's order of that subset, and close_and_decide must rank by it the
-    same as when it builds positions from the session's own claims."""
+    oracle's order of that subset, and close_and_decide must rank by it."""
     nodes = data.draw(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=8, unique=True))
     claims = {
         node: make_claim(
@@ -286,9 +301,8 @@ def test_set_up_positions_rank_any_subset_like_rank_and_the_oracle(data):
     subset = [claims[node] for node in data.draw(st.lists(st.sampled_from(nodes), unique=True))]
     by_position = sorted((claim.node for claim in subset), key=positions.__getitem__)
     assert by_position == rank(subset) == oracle_rank(subset)
-    for given_positions in (positions, None):
-        state = fresh()
-        for claim in subset:
-            assert accept_claim(state, claim, state.deadline, frozenset(nodes)) is None
-        decision = close_and_decide(state, state.deadline, SEMANTICS, given_positions)
-        assert list(decision.ranking) == by_position
+    state = fresh(positions=positions)
+    for claim in subset:
+        assert accept_claim(state, claim, state.deadline) is None
+    decision = close_and_decide(state, state.deadline, SEMANTICS)
+    assert list(decision.ranking) == by_position

@@ -224,6 +224,8 @@ def claim_evidence_valid(claim: Claim) -> bool:
     these bounds a number is finite.
     """
     profile = claim.profile
+    if not isinstance(profile, SensorProfile):
+        return False
     fn = profile.base_false_negative
     fp = profile.base_false_positive
     reach = profile.effective_range
@@ -247,12 +249,13 @@ def claim_evidence_valid(claim: Claim) -> bool:
 
 def claim_evidence_errors(claim: Claim) -> list[str]:
     """Checks the evidence fields a master cannot take on faith."""
-    errors = sensor_errors(claim.profile, path=f"claim from node {claim.node}")
+    path = f"claim from node {claim.node}"
+    if isinstance(claim.profile, SensorProfile):
+        errors = sensor_errors(claim.profile, path)
+    else:
+        errors = [f"{path}.profile: must be a SensorProfile, got {shown_value(claim.profile)}"]
     if not _finite(claim.distance_to_target) or claim.distance_to_target < 0.0:
-        errors.append(
-            f"claim from node {claim.node}: distance_to_target must be >= 0,"
-            f" got {shown_value(claim.distance_to_target)}"
-        )
+        errors.append(f"{path}: distance_to_target must be >= 0, got {shown_value(claim.distance_to_target)}")
     return errors
 
 
@@ -263,13 +266,33 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     """
     errors: list[str] = []
 
-    center = scenario.perception.query_center
-    center_errors = _pose_errors(center, "query_region_center")
-    if not scenario.nodes:
+    # A section of the wrong type is one error; none of its fields is read.
+    perception = scenario.perception
+    center = None
+    if isinstance(perception, PerceptionModel):
+        perception_errors = []
+        reference = perception.distance_reference
+        if not _finite(reference) or reference <= 0.0:
+            perception_errors.append(f"perception.distance_reference: must be > 0, got {shown_value(reference)}")
+        center_errors = _pose_errors(perception.query_center, "query_region_center")
+        perception_errors.extend(center_errors)
+        if not center_errors:
+            center = perception.query_center
+    else:
+        perception_errors = [f"perception: must be a PerceptionModel, got {shown_value(perception)}"]
+
+    nodes = scenario.nodes
+    if not isinstance(nodes, (tuple, list)):
+        errors.append(f"nodes: must be a tuple or list, got {shown_value(nodes)}")
+        nodes = None
+    elif not nodes:
         errors.append("nodes: at least one node is required")
     seen: set[NodeId] = set()
-    for index, node in enumerate(scenario.nodes):
+    for index, node in enumerate(nodes or ()):
         path = f"nodes[{index}]"
+        if not isinstance(node, NodeSpec):
+            errors.append(f"{path}: must be a NodeSpec, got {shown_value(node)}")
+            continue
         if not _integer(node.id) or not 0 <= node.id < NODE_ID_BOUND:
             errors.append(f"{path}.id: must be an integer >= 0 and < 2^63, got {shown_value(node.id)}")
             continue
@@ -278,7 +301,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         seen.add(node.id)
         pose_errors = _pose_errors(node.pose, f"{path}.pose")
         errors.extend(pose_errors)
-        if not pose_errors and not center_errors:
+        if not pose_errors and center is not None:
             # Claims carry this distance as evidence; finite poses can still overflow it.
             distance = node.pose.distance_to(center)
             if not _finite(distance):
@@ -288,45 +311,49 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         else:
             errors.append(f"{path}.sensor: must be a SensorProfile, got {shown_value(node.sensor)}")
 
-    masters = [n for n in scenario.nodes if n.master]
-    if len(masters) != 1:
-        errors.append(f"nodes: exactly one master is required, got {len(masters)}")
-    elif not masters[0].actuated:
-        errors.append("nodes: the master node must be actuated")
+    if nodes is not None:
+        masters = [n for n in nodes if isinstance(n, NodeSpec) and n.master]
+        if len(masters) != 1:
+            errors.append(f"nodes: exactly one master is required, got {len(masters)}")
+        elif not masters[0].actuated:
+            errors.append("nodes: the master node must be actuated")
 
     truth = scenario.ground_truth
-    if not isinstance(truth.pedestrian_present, bool):
-        present = shown_value(truth.pedestrian_present)
-        errors.append(f"ground_truth.pedestrian_present: must be true or false, got {present}")
-    if truth.pedestrian_pose is not None:
-        errors.extend(_pose_errors(truth.pedestrian_pose, "ground_truth.pedestrian_pose"))
-    elif truth.pedestrian_present:
-        errors.append("ground_truth.pedestrian_pose: required when pedestrian_present")
+    if not isinstance(truth, GroundTruth):
+        errors.append(f"ground_truth: must be a GroundTruth, got {shown_value(truth)}")
+    else:
+        if not isinstance(truth.pedestrian_present, bool):
+            present = shown_value(truth.pedestrian_present)
+            errors.append(f"ground_truth.pedestrian_present: must be true or false, got {present}")
+        if truth.pedestrian_pose is not None:
+            errors.extend(_pose_errors(truth.pedestrian_pose, "ground_truth.pedestrian_pose"))
+        elif truth.pedestrian_present:
+            errors.append("ground_truth.pedestrian_pose: required when pedestrian_present")
 
-    if not _finite(scenario.perception.distance_reference) or scenario.perception.distance_reference <= 0.0:
-        errors.append(
-            "perception.distance_reference: must be > 0,"
-            f" got {shown_value(scenario.perception.distance_reference)}"
-        )
-    errors.extend(center_errors)
+    errors.extend(perception_errors)
 
     net = scenario.network
-    if not _integer(net.latency_min) or net.latency_min < 0:
-        errors.append(f"network.latency_min: must be an integer >= 0, got {shown_value(net.latency_min)}")
-    if not _integer(net.latency_max) or net.latency_max < 0:
-        errors.append(f"network.latency_max: must be an integer >= 0, got {shown_value(net.latency_max)}")
-    elif net.latency_max >= LATENCY_BOUND:
-        # One keyed draw is a 64-bit word; a wider latency band cannot be sampled.
-        errors.append(f"network.latency_max: must be < 2^64, got {shown_value(net.latency_max)}")
-    elif _integer(net.latency_min) and net.latency_max < net.latency_min:
-        errors.append(
-            f"network.latency_max: must be >= latency_min, got {shown_value(net.latency_max)}"
-            f" < {shown_value(net.latency_min)}"
-        )
-    if not _finite(net.drop_probability) or not 0.0 <= net.drop_probability <= 1.0:
-        errors.append(f"network.drop_probability: must be in [0.0, 1.0], got {shown_value(net.drop_probability)}")
-    if not _integer(net.seed) or not 0 <= net.seed < SEED_BOUND:
-        errors.append(f"network.seed: must be an integer in [0, 2^64), got {shown_value(net.seed)}")
+    latency_max = None
+    if not isinstance(net, NetworkConfig):
+        errors.append(f"network: must be a NetworkConfig, got {shown_value(net)}")
+    else:
+        latency_max = net.latency_max
+        if not _integer(net.latency_min) or net.latency_min < 0:
+            errors.append(f"network.latency_min: must be an integer >= 0, got {shown_value(net.latency_min)}")
+        if not _integer(net.latency_max) or net.latency_max < 0:
+            errors.append(f"network.latency_max: must be an integer >= 0, got {shown_value(net.latency_max)}")
+        elif net.latency_max >= LATENCY_BOUND:
+            # One keyed draw is a 64-bit word; a wider latency band cannot be sampled.
+            errors.append(f"network.latency_max: must be < 2^64, got {shown_value(net.latency_max)}")
+        elif _integer(net.latency_min) and net.latency_max < net.latency_min:
+            errors.append(
+                f"network.latency_max: must be >= latency_min, got {shown_value(net.latency_max)}"
+                f" < {shown_value(net.latency_min)}"
+            )
+        if not _finite(net.drop_probability) or not 0.0 <= net.drop_probability <= 1.0:
+            errors.append(f"network.drop_probability: must be in [0.0, 1.0], got {shown_value(net.drop_probability)}")
+        if not _integer(net.seed) or not 0 <= net.seed < SEED_BOUND:
+            errors.append(f"network.seed: must be an integer in [0, 2^64), got {shown_value(net.seed)}")
 
     # Times are bounded as latency is, so that a trace can print every one.
     if not _integer(scenario.session_window) or scenario.session_window <= 0:
@@ -337,11 +364,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         errors.append(f"settle_interval: must be an integer >= 0, got {shown_value(scenario.settle_interval)}")
     elif scenario.settle_interval >= LATENCY_BOUND:
         errors.append(f"settle_interval: must be < 2^64, got {shown_value(scenario.settle_interval)}")
-    elif _integer(net.latency_max) and scenario.settle_interval < net.latency_max:
+    elif _integer(latency_max) and scenario.settle_interval < latency_max:
         # Actuation must land before the next session opens in a lossless run.
         errors.append(
             f"settle_interval: must be >= network.latency_max, got {shown_value(scenario.settle_interval)}"
-            f" < {shown_value(net.latency_max)}"
+            f" < {shown_value(latency_max)}"
         )
     if not _integer(scenario.sessions) or scenario.sessions < 1:
         errors.append(f"sessions: must be an integer >= 1, got {shown_value(scenario.sessions)}")

@@ -1,8 +1,10 @@
 """Deterministic lossy-network and event-queue layer: transport only.
 
-The network draws each copy's drop and latency, schedules the deliveries
-and tells its caller which copies it dropped. It knows nothing of the
-protocol carried in the payloads or of the trace format.
+The network draws each copy's drop and latency, schedules one Delivery
+record per copy it keeps and tells its caller which copies it dropped. A
+transmission has no record of its own: its copies share its kind, src, seq,
+sent_at and payload. The network knows nothing of the protocol carried in
+the payloads or of the trace format.
 
 The queue holds only deliveries. It pops them in (due, src, seq, recipient)
 order, and only up to a bound its caller gives, so the caller can run its
@@ -25,27 +27,21 @@ class MessageKind(Enum):
     ACTUATION = "actuation"
 
 
-# Message and Delivery are built once per transmission and per copy, so they
-# are slotted rather than frozen: a frozen dataclass's __init__ costs several
-# times as much. Nothing mutates them after construction.
+# A Delivery is built once per copy, so it is slotted rather than frozen: a
+# frozen dataclass's __init__ costs several times as much. Nothing mutates it
+# after construction.
 @dataclass(slots=True)
-class Message:
-    """One transmission; dst None means broadcast to every node, sender included."""
+class Delivery:
+    """One copy of a transmission, addressed to one recipient: the fields of
+    its ``deliver`` trace record plus the payload. A broadcast is one copy per
+    node, sender included; copies of one transmission share src and seq."""
 
     kind: MessageKind
     src: NodeId
-    dst: NodeId | None
+    recipient: NodeId
     seq: int
     sent_at: SimTime
     payload: object
-
-
-@dataclass(slots=True)
-class Delivery:
-    """A message arriving at one recipient."""
-
-    message: Message
-    recipient: NodeId
 
 
 class EventQueue:
@@ -66,8 +62,7 @@ class EventQueue:
             raise ProtocolError(
                 f"delivery {delivery!r} scheduled at {due}, before current time {self._now}"
             )
-        message = delivery.message
-        heapq.heappush(self._heap, (due, message.src, message.seq, delivery.recipient, delivery))
+        heapq.heappush(self._heap, (due, delivery.src, delivery.seq, delivery.recipient, delivery))
 
     def pop(self, bound: SimTime) -> tuple[SimTime, Delivery] | None:
         """The next delivery due at or before bound, or None; later ones stay queued."""
@@ -111,12 +106,12 @@ class Network:
         dst: NodeId | None,
         payload: object,
         now: SimTime,
-    ) -> tuple[Message, list[NodeId]]:
-        """Transmit; returns the message and the recipients whose copy was
+    ) -> tuple[int, list[NodeId]]:
+        """Transmit to dst, or to every node, sender included, if dst is None;
+        returns the transmission's seq and the recipients whose copy was
         dropped, in ascending id order, after scheduling every other copy."""
         seq = self._next_seq[src]
         self._next_seq[src] = seq + 1
-        message = Message(kind, src, dst, seq, now, payload)
 
         dropped = []
         config = self.config
@@ -129,6 +124,6 @@ class Network:
                 dropped.append(recipient)
                 continue
             latency = stream.randint(config.latency_min, config.latency_max)
-            schedule(now + latency, Delivery(message, recipient))
+            schedule(now + latency, Delivery(kind, src, recipient, seq, now, payload))
         self.dropped += len(dropped)
-        return message, dropped
+        return seq, dropped

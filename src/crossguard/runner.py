@@ -251,11 +251,10 @@ class Simulation:
 
     def _send(self, kind: MessageKind, src: NodeId, dst: NodeId | None, payload: object, now: SimTime) -> None:
         """Send one message; traced with its payload's fields, then each dropped copy."""
-        message, dropped = self.network.send(kind, src, dst, payload, now)
+        seq, dropped = self.network.send(kind, src, dst, payload, now)
         if not self._sinks:
             return
         name = kind._value_
-        seq = message.seq
         if kind is _CLAIM:
             self.emit(build.send_claim(now, name, src, dst, seq, claim_payload(payload)))
         elif kind is _ACTUATION:
@@ -384,19 +383,18 @@ class Simulation:
     # -- event dispatch ---------------------------------------------------
 
     def _on_delivery(self, now: SimTime, delivery: Delivery) -> None:
-        message = delivery.message
         recipient = delivery.recipient
-        kind = message.kind
+        kind = delivery.kind
         if self._sinks:
-            self.emit(build.deliver(now, kind._value_, message.src, recipient, message.seq, message.sent_at))
+            self.emit(build.deliver(now, kind._value_, delivery.src, recipient, delivery.seq, delivery.sent_at))
         if kind is _SESSION_START:
-            self._on_session_start(now, recipient, message.payload)
+            self._on_session_start(now, recipient, delivery.payload)
         elif kind is _CLAIM:
             if recipient != self.master_id:
                 raise ProtocolError("claim delivered to a non-master node")
-            self._on_claim(now, message.payload)
+            self._on_claim(now, delivery.payload)
         elif kind is _ACTUATION:
-            self._on_actuation(now, recipient, message.payload)
+            self._on_actuation(now, recipient, delivery.payload)
         else:
             raise ProtocolError(f"unhandled message kind {kind!r}")
 

@@ -266,13 +266,19 @@ class TestValidateScenario:
             ("query_region_center", None),
             ("ground_truth.pedestrian_pose", None),
             ("ground_truth.pedestrian_pose", (0.0, 0.0)),
+            ("perception", None),
+            ("network", None),
+            ("ground_truth", None),
+            ("nodes", None),
+            ("nodes[0]", None),
         ],
         ids=repr,
     )
     def test_a_field_of_the_wrong_type_is_listed(self, path, value):
         """Only a library caller can build these: the scenario parser makes
-        every pose, profile and flag itself. A fixed-truth run would have
-        traced pedestrian_present=1 as a number."""
+        every section, node, pose, profile and flag itself. A fixed-truth run
+        would have traced pedestrian_present=1 as a number. A section or node
+        of the wrong type is listed, not read."""
         scenario = make_scenario(present=True)
         truth, node = scenario.ground_truth, scenario.nodes[1]
         broken = {
@@ -291,6 +297,11 @@ class TestValidateScenario:
             "ground_truth.pedestrian_pose": lambda: dataclasses.replace(
                 scenario, ground_truth=dataclasses.replace(truth, pedestrian_pose=value)
             ),
+            "perception": lambda: dataclasses.replace(scenario, perception=value),
+            "network": lambda: dataclasses.replace(scenario, network=value),
+            "ground_truth": lambda: dataclasses.replace(scenario, ground_truth=value),
+            "nodes": lambda: dataclasses.replace(scenario, nodes=value),
+            "nodes[0]": lambda: dataclasses.replace(scenario, nodes=(value,)),
         }[path]()
         errors = validate_scenario(broken)
         assert any(e.startswith(f"{path}: ") for e in errors), errors

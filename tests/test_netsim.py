@@ -8,7 +8,7 @@ import pytest
 
 from crossguard import netsim
 from crossguard.model import NetworkConfig, ProtocolError
-from crossguard.netsim import Delivery, EventQueue, Message, MessageKind, Network
+from crossguard.netsim import Delivery, EventQueue, MessageKind, Network
 
 
 def lossless(latency_min=1000, latency_max=5000, drop=0.0, seed=7):
@@ -39,8 +39,7 @@ def drain(queue):
 
 
 def delivery_at(due, src=1, seq=0, recipient=2, kind=MessageKind.CLAIM):
-    message = Message(kind=kind, src=src, dst=recipient, seq=seq, sent_at=0, payload=None)
-    return due, Delivery(message=message, recipient=recipient)
+    return due, Delivery(kind=kind, src=src, recipient=recipient, seq=seq, sent_at=0, payload=None)
 
 
 class TestEventQueue:
@@ -57,7 +56,7 @@ class TestEventQueue:
         queue.schedule(*delivery_at(501, seq=1))
         assert queue.pop(499) is None
         due, delivery = queue.pop(500)
-        assert (due, delivery.message.seq) == (500, 0)
+        assert (due, delivery.seq) == (500, 0)
         assert queue.pop(500) is None
         assert len(queue) == 1 and queue.now == 500
         assert [due for due, _ in drain(queue)] == [501]
@@ -69,7 +68,7 @@ class TestEventQueue:
         queue.schedule(*delivery_at(100, src=1, seq=1, recipient=2))
         queue.schedule(*delivery_at(100, src=1, seq=0, recipient=9))
         order = [
-            (event.message.src, event.message.seq, event.recipient)
+            (event.src, event.seq, event.recipient)
             for _, event in drain(queue)
         ]
         assert order == [(1, 0, 9), (1, 1, 2), (1, 1, 3), (2, 0, 1)]
@@ -126,13 +125,37 @@ class TestNetworkTransport:
         queue, network = build_net([1, 2, 3, 4, 5], lossless(drop=0.5))
         dropped = set()
         for now in range(40):
-            message, lost = network.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=now)
+            seq, lost = network.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=now)
             assert lost == sorted(lost)
-            dropped.update((message.seq, recipient) for recipient in lost)
-        delivered = {(event.message.seq, event.recipient) for _, event in drain(queue)}
+            dropped.update((seq, recipient) for recipient in lost)
+        delivered = {(event.seq, event.recipient) for _, event in drain(queue)}
         assert 0 < len(dropped) == network.dropped < 200
         assert dropped.isdisjoint(delivered)
         assert dropped | delivered == {(seq, node) for seq in range(40) for node in range(1, 6)}
+
+    @pytest.mark.parametrize(
+        "kind, dst", [(MessageKind.SESSION_START, None), (MessageKind.CLAIM, 1)], ids=["broadcast", "unicast"]
+    )
+    def test_each_copy_carries_what_send_was_given(self, kind, dst):
+        """A popped copy holds send's kind, src, sent_at and payload and the seq
+        it returned; its recipients are exactly those not reported dropped."""
+        queue, network = build_net([1, 2, 3, 4, 5], lossless(drop=0.4))
+        addressed = [1, 2, 3, 4, 5] if dst is None else [dst]
+        sent = {}
+        for now in range(0, 20000, 1000):
+            payload = object()
+            seq, dropped = network.send(kind, src=2, dst=dst, payload=payload, now=now)
+            sent[seq] = (now, payload, [node for node in addressed if node not in dropped])
+        received = {seq: [] for seq in sent}
+        for _, delivery in drain(queue):
+            now, payload, _ = sent[delivery.seq]
+            assert (delivery.kind, delivery.src, delivery.sent_at) == (kind, 2, now)
+            assert delivery.payload is payload
+            received[delivery.seq].append(delivery.recipient)
+        assert {seq: sorted(recipients) for seq, recipients in received.items()} == {
+            seq: kept for seq, (_, _, kept) in sent.items()
+        }
+        assert 0 < network.dropped < len(sent) * len(addressed)
 
     def test_degenerate_latency_is_exact(self):
         """latency_min == latency_max == 10 000 puts every arrival at send+10 000."""
@@ -145,7 +168,7 @@ class TestNetworkTransport:
         queue, network = build_net([1, 2], lossless(latency_min=2000, latency_max=8000))
         for now in range(0, 20000, 10):
             network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)
-        latencies = sorted(due - event.message.sent_at for due, event in drain(queue))
+        latencies = sorted(due - event.sent_at for due, event in drain(queue))
         assert latencies[0] >= 2000
         assert latencies[-1] <= 8000
 
@@ -153,7 +176,7 @@ class TestNetworkTransport:
         queue, network = build_net([1, 2], lossless(latency_min=0, latency_max=3))
         for now in range(2000):
             network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)
-        latencies = {due - event.message.sent_at for due, event in drain(queue)}
+        latencies = {due - event.sent_at for due, event in drain(queue)}
         assert latencies == {0, 1, 2, 3}
 
     @pytest.mark.parametrize(
@@ -193,7 +216,7 @@ class TestNetworkTransport:
         a, _ = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
         b, _ = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=1)
         c, _ = network.send(MessageKind.CLAIM, src=2, dst=1, payload=None, now=2)
-        assert (a.seq, b.seq, c.seq) == (0, 1, 0)
+        assert (a, b, c) == (0, 1, 0)
 
 
 class TestKeyedTransportDraws:

@@ -169,6 +169,13 @@ class TestEvidenceCheck:
     def test_sensor_kinds(self, kind):
         self.assert_agrees(with_evidence(make_claim(node=2), kind=kind))
 
+    @pytest.mark.parametrize("profile", [None, "lidar", (SensorKind.LIDAR, 0.1, 0.1, 50.0)], ids=repr)
+    def test_a_profile_that_is_not_a_sensor_profile(self, profile):
+        claim = dataclasses.replace(make_claim(node=2), profile=profile)
+        assert len(claim_evidence_errors(claim)) == 1
+        self.assert_agrees(claim)
+        assert trust_positions([Evidence(1, profile, 1.0)]) == {1: None}
+
     @given(
         kind=st.sampled_from([*SensorKind, *ODD_KINDS]),
         values=st.lists(

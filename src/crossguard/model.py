@@ -310,9 +310,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             errors.extend(sensor_errors(node.sensor, f"{path}.sensor"))
         else:
             errors.append(f"{path}.sensor: must be a SensorProfile, got {shown_value(node.sensor)}")
+        for flag in ("master", "actuated"):
+            if not isinstance(value := getattr(node, flag), bool):
+                errors.append(f"{path}.{flag}: must be true or false, got {shown_value(value)}")
 
     if nodes is not None:
-        masters = [n for n in nodes if isinstance(n, NodeSpec) and n.master]
+        masters = [n for n in nodes if isinstance(n, NodeSpec) and n.master is True]
         if len(masters) != 1:
             errors.append(f"nodes: exactly one master is required, got {len(masters)}")
         elif not masters[0].actuated:

@@ -13,7 +13,7 @@ declares, in that order. MetricsCollector replays a stored trace.
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set,
 each arm booked in full in its own RunMetrics. A Simulation checks its own
-arguments; run_once adds only the scenario's validation and the sinks. A
+scenario and arguments; run_once adds only the sinks and checks the sums. A
 sweep simulates each seed once and decides every arm on the same claim sets
 (common random numbers), so semantics are compared like for like.
 """
@@ -193,21 +193,28 @@ class Simulation:
     counted, in the matching entry of `extra_metrics`; run() gives each the
     run's exclusions and solo claims too. The node table, trust_positions,
     is fixed here once: every session judges a claim by its node's evidence
-    as registered here and ranks it by that node's position. A semantics
-    that is not an AggregationSemantics, an extra_semantics that is not a
-    list or tuple of them, a seed not an int in [0, 2^64) or an unknown
-    truth_mode raises ValueError before anything is built.
+    as registered here and ranks it by that node's position. An invalid
+    scenario raises ScenarioValidationError; then a seed of None means
+    network.seed, and a semantics that is not an AggregationSemantics, an
+    extra_semantics that is not a list or tuple of them, a seed not an int
+    in [0, 2^64) or an unknown truth_mode raises ValueError, all before
+    anything is built. A valid scenario's commands land before the next
+    session decides, so one refused as stale is a ProtocolError.
     """
 
     def __init__(
         self,
         scenario: Scenario,
         semantics: AggregationSemantics,
-        seed: int,
+        seed: int | None,
         truth_mode: str = "fixed",
         sinks: list | None = None,
         extra_semantics: Sequence[AggregationSemantics] = (),
     ) -> None:
+        errors = validate_scenario(scenario)
+        if errors:
+            raise ScenarioValidationError(errors)
+        seed = scenario.network.seed if seed is None else seed
         if not isinstance(semantics, AggregationSemantics):
             raise ValueError(f"semantics must be an AggregationSemantics member, got {semantics!r}")
         _check_semantics("extra_semantics", extra_semantics)
@@ -372,13 +379,10 @@ class Simulation:
 
     def _on_actuation(self, now: SimTime, node: NodeId, command: ActuationCommand) -> None:
         motion = self.motions[node]
-        applied = apply_command(motion, command)
-        if not self._sinks:
-            return
-        if applied:
+        if not apply_command(motion, command):
+            raise ProtocolError(f"node {node} refused session {command.session}'s command as stale")
+        if self._sinks:
             self.emit(build.actuated(now, node, command.session, command.action._value_, motion.state._value_))
-        else:
-            self.emit(build.stale_command(now, node, command.session, motion.latest_session))
 
     # -- event dispatch ---------------------------------------------------
 
@@ -432,14 +436,9 @@ def run_once(
     extra), with one RunMetrics in `extra` per entry of extra_semantics,
     equal to what a run_once call with that semantics returns.
 
-    An invalid scenario raises ScenarioValidationError first; then the
-    Simulation's argument checks raise ValueError before any session runs.
+    The Simulation checks the scenario and the arguments, and resolves a
+    seed of None, before any session runs; see Simulation.
     """
-    errors = validate_scenario(scenario)
-    if errors:
-        raise ScenarioValidationError(errors)
-    seed = scenario.network.seed if seed is None else seed
-
     sinks: list = []
     records: list[dict] | None = None
     if collect_trace:

@@ -151,10 +151,27 @@ _SCENARIO = {
 }
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that refuses a key given twice in one mapping, where
+    safe_load keeps the last; a merge key (<<) may still override a value."""
+
+    def compose_mapping_node(self, anchor):
+        # Checked as composed: each mapping once, before a merge rewrites its pairs.
+        # A key that is no scalar cannot be hashed; the constructor refuses it.
+        node = super().compose_mapping_node(anchor)
+        seen: dict = {}
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if seen.setdefault(key, key_node) is not key_node:
+                    raise ScenarioParseError(f"duplicate key {shown_value(key)} at line {key_node.start_mark.line + 1}")
+        return node
+
+
 def parse_scenario(text: str) -> Scenario:
     """Build a Scenario from YAML text; shape errors only, no range checks."""
     try:
-        document = yaml.safe_load(text)
+        document = yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: YAML that Python cannot build, such as an integer
         # literal beyond the interpreter's digit limit.

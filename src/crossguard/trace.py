@@ -112,7 +112,6 @@ RECORD_KINDS = (
     RecordKind(
         "actuated", "", (("node", int), ("session", int), ("action", ActuationAction), ("state", MotionState))
     ),
-    RecordKind("stale_command", "", (("node", int), ("session", int), ("latest_session", int))),
     RecordKind("session_close", "", (("session", int),)),
 )
 

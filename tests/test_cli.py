@@ -151,10 +151,21 @@ class TestValidateCommand:
             ),
             ("sessions: 1\n", f"sessions: 1\n? {LONG_HEX}\n: 1\n", "scenario: unknown field(s) " + HEX_SHOWN),
             ("sessions: 1\n", 'sessions: 1\n"a\\nb": 1\n', "scenario: unknown field(s) 'a\\nb'"),
+            (
+                "  drop_probability: 0.0\n",
+                "  drop_probability: 0.0\n  drop_probability: 1.0\n",
+                "duplicate key 'drop_probability' at line 48",
+            ),
+            (
+                "sessions: 1\n",
+                f"sessions: 1\n? {LONG_HEX}\n: 1\n? {LONG_HEX}\n: 2\n",
+                f"duplicate key {HEX_SHOWN} at line 55",
+            ),
         ],
         ids=[
             "int-key", "null-key", "nested-int-key", "401-digit-float", "5000-digit-int",
             "long-hex-bool", "long-hex-kind", "long-hex-in-a-list", "long-hex-key", "newline-key",
+            "duplicate-key", "duplicate-long-hex-key",
         ],
     )
     def test_malformed_input_exits_two_on_one_line(self, tmp_path, capsys, old, new, message):
@@ -222,6 +233,11 @@ class TestRunCommand:
         code = cli.main(["run", str(INTERSECTION)])
         assert code == cli.EXIT_PROTOCOL
         assert "protocol error" in capsys.readouterr().err
+
+    def test_a_refused_actuation_command_exits_four(self, monkeypatch, capsys):
+        monkeypatch.setattr("crossguard.runner.apply_command", lambda motion, command: False)
+        assert cli.main(["run", str(INTERSECTION)]) == cli.EXIT_PROTOCOL
+        assert capsys.readouterr().err == "protocol error: node 1 refused session 1's command as stale\n"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), "seven"])
     def test_seed_outside_64_bits_is_an_argument_error(self, seed, capsys):

@@ -6,7 +6,8 @@ node ids up to 2^63 - 1, coordinates up to +-1e308, drop probabilities 0,
 one to four sessions, every semantics, both truth modes and seeds up to
 2^64 - 1. Each accepted scenario must run to a trace of plain JSON whose
 records have their declared keys, and whose metrics read the same however
-they are booked.
+they are booked, by a hand-built Simulation, by run_once or from the trace;
+a hand-built Simulation refuses each other one with the validator's errors.
 
 CLI: hypothesis mutates the bundled scenario files (deleted, unknown and
 non-string keys, wrong types, huge ints and floats, deep nesting, long hex
@@ -28,6 +29,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,7 +47,8 @@ from crossguard.model import (
     SensorProfile,
     validate_scenario,
 )
-from crossguard.runner import TRUTH_MODES, MetricsCollector, run_once
+from crossguard.runner import TRUTH_MODES, MetricsCollector, Simulation, run_once
+from crossguard.scenario import ScenarioValidationError
 from crossguard.trace import RECORD_KINDS
 
 from helpers import INTERSECTION, REFERENCE
@@ -127,9 +130,15 @@ def test_every_validated_scenario_runs_to_a_clean_trace(scenario, semantics, tru
             for i, node in enumerate(scenario.nodes)
             if not math.isfinite(node.pose.distance_to(center))
         ]
+        with pytest.raises(ScenarioValidationError) as refused:
+            Simulation(scenario, semantics, seed, truth_mode)
+        assert refused.value.errors == errors
         return
 
-    _, lean = run_once(scenario, semantics, seed, truth_mode, collect_trace=False)
+    # Lean from a hand-built Simulation, traced from run_once: both must book the same.
+    simulation = Simulation(scenario, semantics, seed, truth_mode)
+    simulation.run()
+    lean = simulation.metrics
     stream = io.StringIO()
     _, traced = run_once(scenario, semantics, seed, truth_mode, collect_trace=False, trace_stream=stream)
     replay = MetricsCollector()
@@ -138,8 +147,6 @@ def test_every_validated_scenario_runs_to_a_clean_trace(scenario, semantics, tru
         ev = record["ev"]
         shape = record["kind"].replace("_", " ") if ev == "send" else ""
         assert tuple(record) == KEYS[ev, shape], record
-        # Validation makes actuation land before the next session decides.
-        assert ev != "stale_command", record
         if ev == "decision" and not record["used"]:
             assert record["verdict"] == "stop", record
         replay.feed(record)

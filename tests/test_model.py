@@ -21,7 +21,7 @@ from crossguard.model import (
     shown_value,
     validate_scenario,
 )
-from crossguard.runner import run_once
+from crossguard.runner import Simulation, run_once
 from crossguard.scenario import ScenarioValidationError
 
 from helpers import make_claim, make_profile, make_scenario
@@ -119,6 +119,10 @@ class TestValidateScenario:
         assert any("master" in e for e in validate_scenario(dataclasses.replace(scenario, nodes=demoted)))
         promoted = tuple(dataclasses.replace(n, master=True) for n in scenario.nodes)
         assert any("master" in e for e in validate_scenario(dataclasses.replace(scenario, nodes=promoted)))
+        # Only a master that is True counts: a truthy flag is listed, not counted.
+        truthy = tuple(dataclasses.replace(n, master="no") for n in scenario.nodes)
+        errors = validate_scenario(dataclasses.replace(scenario, nodes=truthy))
+        assert errors[-1] == "nodes: exactly one master is required, got 0"
 
     def test_master_must_be_actuated(self):
         scenario = make_scenario()
@@ -271,14 +275,20 @@ class TestValidateScenario:
             ("ground_truth", None),
             ("nodes", None),
             ("nodes[0]", None),
+            ("nodes[1].master", "no"),
+            ("nodes[1].master", 1),
+            ("nodes[1].actuated", "no"),
+            ("nodes[1].actuated", None),
         ],
         ids=repr,
     )
     def test_a_field_of_the_wrong_type_is_listed(self, path, value):
         """Only a library caller can build these: the scenario parser makes
         every section, node, pose, profile and flag itself. A fixed-truth run
-        would have traced pedestrian_present=1 as a number. A section or node
-        of the wrong type is listed, not read."""
+        would have traced pedestrian_present=1 as a number, and actuated="no"
+        would have sent that node commands. A section or node of the wrong
+        type is listed, not read. run_once and a hand-built Simulation refuse
+        the scenario with the validator's errors."""
         scenario = make_scenario(present=True)
         truth, node = scenario.ground_truth, scenario.nodes[1]
         broken = {
@@ -302,11 +312,20 @@ class TestValidateScenario:
             "ground_truth": lambda: dataclasses.replace(scenario, ground_truth=value),
             "nodes": lambda: dataclasses.replace(scenario, nodes=value),
             "nodes[0]": lambda: dataclasses.replace(scenario, nodes=(value,)),
+            "nodes[1].master": lambda: dataclasses.replace(
+                scenario, nodes=(scenario.nodes[0], dataclasses.replace(node, master=value), *scenario.nodes[2:])
+            ),
+            "nodes[1].actuated": lambda: dataclasses.replace(
+                scenario, nodes=(scenario.nodes[0], dataclasses.replace(node, actuated=value), *scenario.nodes[2:])
+            ),
         }[path]()
         errors = validate_scenario(broken)
         assert any(e.startswith(f"{path}: ") for e in errors), errors
-        with pytest.raises(ScenarioValidationError):
+        with pytest.raises(ScenarioValidationError) as ran:
             run_once(broken, AggregationSemantics.MAJORITY, seed=1)
+        with pytest.raises(ScenarioValidationError) as built:
+            Simulation(broken, AggregationSemantics.MAJORITY, 1)
+        assert ran.value.errors == built.value.errors == errors
 
     @pytest.mark.parametrize("huge", [2**1024, -(2**1024), 10**400], ids=["2^1024", "-2^1024", "10^400"])
     def test_numbers_no_float_can_hold_are_listed(self, huge):

@@ -15,7 +15,14 @@ import pytest
 
 from crossguard import runner
 from crossguard.aggregation import AggregationSemantics
-from crossguard.model import GroundTruth, PerceptionModel, Pose, claim_evidence_valid
+from crossguard.model import (
+    GroundTruth,
+    PerceptionModel,
+    Pose,
+    ProtocolError,
+    claim_evidence_valid,
+    validate_scenario,
+)
 from crossguard.runner import TRUTH_MODES, MetricsCollector, SweepResult, SweepRow, run_once, run_sweep
 from crossguard.scenario import ScenarioValidationError, load_scenario
 from crossguard.trace import (
@@ -114,7 +121,7 @@ class TestSingleSessionTrace:
     def test_no_losses_no_orphans_no_stale_commands(self, records):
         assert by_ev(records, "drop") == []
         assert by_ev(records, "claim_orphan") == []
-        assert by_ev(records, "stale_command") == []
+        assert len(by_ev(records, "actuated")) == len(by_ev(records, "deliver", kind="actuation"))
 
 
 class TestDeterminism:
@@ -137,6 +144,7 @@ class TestDeterminism:
             scenario, AggregationSemantics.MAJORITY, seed=scenario.network.seed
         )
         assert dumps_records(defaulted) == dumps_records(explicit)
+        assert runner.Simulation(scenario, AggregationSemantics.MAJORITY, None).seed == scenario.network.seed
 
     def test_semantics_arms_share_every_draw(self):
         """Same seed, different semantics: identical transport and claims,
@@ -228,10 +236,11 @@ class TestNodeTable:
     """A Simulation checks each node's evidence once, at set-up, and every
     session judges that node's claims by it."""
 
-    def test_a_node_with_malformed_evidence_is_pinned(self):
-        """Node 2's false-negative rate of 0.7 is out of [0, 0.5): a hand-built
-        Simulation, which skips validation, excludes each claim it delivers.
-        Hash recorded when each claim's own evidence was checked on arrival."""
+    def test_a_node_with_malformed_evidence_is_refused_before_the_run(self):
+        """Node 2's false-negative rate of 0.7 is out of [0, 0.5). A run validates
+        its scenario first, so no run's node table maps a node to None; the
+        session layer's malformed_evidence booking is a library contract,
+        tested in test_session."""
         scenario = make_scenario(
             node_count=4, drop=0.1, latency=(1000, 30000), window=20000, settle=30000, sessions=5
         )
@@ -241,19 +250,17 @@ class TestNodeTable:
             else node
             for node in scenario.nodes
         )
+        broken = dataclasses.replace(scenario, nodes=nodes)
+        semantics = AggregationSemantics.TRUST_WEIGHTED_MAJORITY
         records = []
-        sim = runner.Simulation(
-            dataclasses.replace(scenario, nodes=nodes),
-            AggregationSemantics.TRUST_WEIGHTED_MAJORITY,
-            3,
-            "alternating",
-            [records.append],
-        )
-        sim.run()
-        assert sim.metrics.exclusions == {"unknown_node": 0, "malformed_evidence": 3, "duplicate": 0, "late": 5}
-        assert {r["node"] for r in by_ev(records, "claim_excluded", reason="malformed_evidence")} == {2}
-        digest = hashlib.sha256(dumps_records(records).encode("utf-8")).hexdigest()
-        assert digest == "fc32b908e72178dc8f432d403f8f082c10aeb6c4af990ba61137b6bad449c0a7"
+        for entry in (
+            lambda: runner.Simulation(broken, semantics, 3, "alternating", [records.append]),
+            lambda: run_once(broken, semantics, 3, "alternating"),
+        ):
+            with pytest.raises(ScenarioValidationError) as excinfo:
+                entry()
+            assert excinfo.value.errors == ["nodes[1].sensor.base_false_negative: must be in [0.0, 0.5), got 0.7"]
+        assert records == []
 
     def test_each_nodes_evidence_is_checked_once_per_simulation(self, monkeypatch):
         checked = []
@@ -339,6 +346,53 @@ class TestTruthModes:
         assert_each_entry_refuses("truth_mode", scenario, AggregationSemantics.MAJORITY, 1, truth_mode="chaotic")
 
 
+class TestRunContract:
+    """Simulation.__init__ is the one place a run's inputs are checked, and
+    a run whose actuation the validator says must land in time stops if a
+    command is ever refused."""
+
+    @pytest.mark.parametrize("seed", [1, None], ids=["seed", "default_seed"])
+    @pytest.mark.parametrize(
+        "change", [{"session_window": -5}, {"network": None}], ids=["negative_window", "no_network"]
+    )
+    def test_a_hand_built_simulation_refuses_an_invalid_scenario(self, change, seed):
+        """A negative window once decided a session whose deadline fell before
+        it opened, and network=None ended in AttributeError."""
+        broken = dataclasses.replace(make_scenario(), **change)
+        records = []
+        with pytest.raises(ScenarioValidationError) as built:
+            runner.Simulation(broken, AggregationSemantics.MAJORITY, seed, sinks=[records.append])
+        assert records == []
+        assert built.value.errors == validate_scenario(broken) != []
+        with pytest.raises(ScenarioValidationError) as ran:
+            run_once(broken, AggregationSemantics.MAJORITY, seed)
+        assert ran.value.errors == built.value.errors
+
+    def test_each_simulation_validates_its_scenario_once(self, monkeypatch):
+        calls = []
+
+        def counted(scenario):
+            calls.append(scenario)
+            return validate_scenario(scenario)
+
+        monkeypatch.setattr(runner, "validate_scenario", counted)
+        scenario = make_scenario(sessions=2)
+        runner.Simulation(scenario, AggregationSemantics.MAJORITY, 1).run()
+        assert len(calls) == 1
+        run_once(scenario, AggregationSemantics.MAJORITY, 1, extra_semantics=[AggregationSemantics.MAJORITY])
+        assert len(calls) == 2
+        run_sweep(scenario, list(AggregationSemantics), seeds=3)  # one Simulation per seed
+        assert calls == [scenario] * 5
+
+    @pytest.mark.parametrize("collect_trace", [True, False], ids=["traced", "lean"])
+    def test_a_refused_command_is_a_protocol_error(self, monkeypatch, collect_trace):
+        """A valid scenario's actuation lands before the next session decides,
+        so no run can refuse a command as stale; if one did, the run stops."""
+        monkeypatch.setattr(runner, "apply_command", lambda motion, command: False)
+        with pytest.raises(ProtocolError, match="^node 1 refused session 1's command as stale$"):
+            run_once(make_scenario(), AggregationSemantics.MAJORITY, 1, collect_trace=collect_trace)
+
+
 class TestSessionSequencing:
     def test_session_ids_are_consecutive_and_blocks_are_ordered(self):
         scenario = make_scenario(sessions=5, drop=0.1)
@@ -360,7 +414,7 @@ class TestSessionSequencing:
             node = record["node"]
             assert last_per_node.get(node, 0) <= record["session"]
             last_per_node[node] = record["session"]
-        assert by_ev(records, "stale_command") == []
+        assert last_per_node == {1: 6, 2: 6, 3: 6, 4: 6}
 
 
 class TestSessionBoundaries:
@@ -394,7 +448,6 @@ class TestSessionBoundaries:
             assert close["t"] == session * 3 * self.L
             assert [r["t"] for r in actuated] == [close["t"]] * 3
             assert records.index(actuated[-1]) < records.index(close)
-        assert by_ev(records, "stale_command") == []
 
     def test_zero_latency_and_zero_settle_decide_every_session(self):
         records, metrics = self.run(sessions=4, latency=0, window=1, settle=0)
@@ -502,8 +555,11 @@ class TestMetrics:
         broken = dataclasses.replace(make_scenario(), sessions=0)
         with pytest.raises(ScenarioValidationError):
             run_once(broken, AggregationSemantics.MAJORITY, seed=1)
-        with pytest.raises(ScenarioValidationError):  # the scenario is checked before the arguments
+        # The scenario is checked before the arguments, by run_once and by a hand-built Simulation.
+        with pytest.raises(ScenarioValidationError):
             run_once(broken, "majority", seed=-1)
+        with pytest.raises(ScenarioValidationError):
+            runner.Simulation(broken, "majority", -1, "chaotic", extra_semantics=5)
 
     def test_collector_conserves_verdict_counts(self):
         scenario = make_scenario(sessions=30, fn=0.3, fp=0.3, drop=0.2)

@@ -8,7 +8,7 @@ import sys
 import pytest
 import yaml
 
-from crossguard.model import SensorKind, validate_scenario
+from crossguard.model import Pose, SensorKind, validate_scenario
 from crossguard.scenario import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -449,6 +449,55 @@ class TestParseScenario:
     def test_window_must_be_integer(self):
         with pytest.raises(ScenarioParseError, match="session_window"):
             parse_scenario(GOOD.replace("session_window: 20000", "session_window: 20000.5"))
+
+
+class TestDuplicateKeys:
+    """yaml.safe_load keeps the last of two equal keys; the parser refuses both,
+    naming the key and the line of its second use."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("sessions: 2\n", "sessions: 2\nsessions: 3\n", "duplicate key 'sessions' at line 32"),
+            (
+                "  drop_probability: 0.0\n",
+                "  drop_probability: 0.0\n  drop_probability: 1.0\n",
+                "duplicate key 'drop_probability' at line 28",
+            ),
+            ("    master: true\n", "    master: true\n    master: false\n", "duplicate key 'master' at line 11"),
+            ("pose: {x: 0.0, y: 0.0}", "pose: {x: 0.0, x: 1.0}", "duplicate key 'x' at line 4"),
+        ],
+        ids=["top-level", "section-field", "node-field", "flow-mapping"],
+    )
+    def test_a_key_given_twice_is_a_parse_error(self, old, new, message):
+        assert GOOD.count(old) == 1
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario(GOOD.replace(old, new))
+        assert str(excinfo.value) == message
+
+    def test_a_merge_key_may_override(self):
+        """Node 2's sensor merges node 1's and overrides two of its fields."""
+        text = GOOD.replace("    sensor:\n      kind: rgb_camera\n", "    sensor: &camera\n      kind: rgb_camera\n")
+        text = text.replace(
+            "      kind: lidar\n      base_false_negative: 0.01\n      base_false_positive: 0.01\n",
+            "      <<: *camera\n      kind: lidar\n      base_false_negative: 0.01\n",
+        ).replace("      effective_range: 50.0\n", "")
+        sensor = parse_scenario(text).nodes[1].sensor
+        assert (sensor.kind, sensor.base_false_negative, sensor.base_false_positive) == (SensorKind.LIDAR, 0.01, 0.1)
+        assert sensor.effective_range == 30.0
+        with pytest.raises(ScenarioParseError, match="^duplicate key 'kind' at line 17$"):
+            parse_scenario(text.replace("      kind: lidar\n", "      kind: lidar\n      kind: lidar\n"))
+
+    def test_merges_are_checked_before_they_are_flattened(self):
+        """Node 1's pose merges a point and overrides its x, and the query center,
+        built first, merges that pose: legal. A key given twice in a mapping
+        that is only ever merged is still refused."""
+        text = GOOD.replace("pose: {x: 0.0, y: 0.0}", "pose: &pose {<<: {x: 9.0}, x: 2.0, y: 0.0}")
+        legal = text.replace("query_region_center: {x: 2.0, y: 0.0}", "query_region_center: {<<: *pose}")
+        scenario = parse_scenario(legal)
+        assert scenario.nodes[0].pose == scenario.perception.query_center == Pose(2.0, 0.0)
+        with pytest.raises(ScenarioParseError, match="^duplicate key 'x' at line 4$"):
+            parse_scenario(legal.replace("{<<: {x: 9.0}", "{<<: {x: 9.0, x: 8.0}"))
 
 
 class TestLoadScenario:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from crossguard.aggregation import AggregationSemantics
 from crossguard.model import Detection, SensorKind
-from crossguard.runner import Simulation, run_once
+from crossguard.runner import run_once
 from crossguard.trace import (
     CLAIM_FIELDS,
     RECORD_KINDS,
@@ -36,9 +36,7 @@ TRUTH_MODES = ("fixed", "alternating")
 
 
 def lossy_runs(truth_mode: str) -> list[list[dict]]:
-    """Records of lossy multi-session runs: drops, late claims and orphans in
-    each, and stale commands in the ones whose settle interval is shorter
-    than the latency band (which only a Simulation built by hand accepts)."""
+    """Records of lossy multi-session runs: drops, late claims and orphans in each."""
     runs = []
     for seed in (26, 27):
         scenario = make_scenario(
@@ -50,11 +48,9 @@ def lossy_runs(truth_mode: str) -> list[list[dict]]:
     for seed in (0, 1):
         scenario = make_scenario(
             node_count=6, fn=0.25, fp=0.25, drop=0.2, latency=(1000, 40000), window=20000,
-            settle=5000, sessions=8, actuate_all=True,
+            settle=40000, sessions=8, actuate_all=True,
         )
-        records = []
-        Simulation(scenario, AggregationSemantics.MAJORITY, seed, truth_mode, [records.append]).run()
-        runs.append(records)
+        runs.append(run_once(scenario, AggregationSemantics.MAJORITY, seed=seed, truth_mode=truth_mode)[0])
     return runs
 
 
@@ -161,7 +157,6 @@ class TestSchema:
             ("drop", ""),
             ("claim_excluded", "late"),
             ("claim_orphan", ""),
-            ("stale_command", ""),
             ("decision", "stop"),
             ("decision", "go"),
             ("send", "session start"),

@@ -1,14 +1,18 @@
 """Core domain types shared by every other module.
 
 Times are integer microseconds, distances are meters in a flat 2D plane.
+Each scenario section has one table here, the one place its fields are
+declared: kind, default and range rule. scenario.parse_scenario reads a
+file by the tables, and validate_scenario checks a Scenario by them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .determinism import LATENCY_BOUND, NODE_ID_BOUND, SEED_BOUND
 
@@ -190,190 +194,207 @@ def shown_value(value: object) -> str:
         return f"a {type(value).__name__} holding an integer too long to print"
 
 
-def sensor_errors(profile: SensorProfile, path: str = "sensor") -> list[str]:
-    """Value-range problems in a sensor profile, as human-readable strings."""
-    errors = []
-    if not isinstance(profile.kind, SensorKind):
-        errors.append(f"{path}.kind: unknown sensor kind {shown_value(profile.kind)}")
-    for name in ("base_false_negative", "base_false_positive"):
-        rate = getattr(profile, name)
-        if not _finite(rate) or not 0.0 <= rate < 0.5:
-            errors.append(f"{path}.{name}: must be in [0.0, 0.5), got {shown_value(rate)}")
-    if not _finite(profile.effective_range) or profile.effective_range <= 0.0:
-        errors.append(f"{path}.effective_range: must be > 0, got {shown_value(profile.effective_range)}")
-    return errors
+class _Field(NamedTuple):
+    """One row of a section's table: a field and what it may hold.
+
+    kind is int, float, bool, SensorKind or a section's class; many marks a
+    list of sections. rules are (test, message) pairs that a value of the
+    kind must pass in turn. A file may leave out a field with a default, and
+    a default of None admits None. A file keeps a root_key field at its top,
+    just before the field's section, and messages name it by that key.
+    """
+
+    name: str
+    kind: type
+    rules: tuple = ()
+    default: object = MISSING
+    root_key: str = ""
+    many: bool = False
 
 
-def _pose_errors(pose: Pose, path: str) -> list[str]:
-    if not isinstance(pose, Pose):
-        return [f"{path}: must be a Pose, got {shown_value(pose)}"]
-    errors = []
-    for axis in ("x", "y"):
-        value = getattr(pose, axis)
-        if not _finite(value):
-            errors.append(f"{path}.{axis}: must be a finite number, got {shown_value(value)}")
-    return errors
+# The message for a value of the wrong kind where a row has no rule.
+_KIND_MESSAGES = {
+    float: "must be a finite number, got {}",
+    bool: "must be true or false, got {}",
+    SensorKind: "unknown sensor kind {}",
+}
+
+_RATE = ((lambda v: 0.0 <= v < 0.5, "must be in [0.0, 0.5), got {}"),)
+_POSITIVE = ((lambda v: v > 0.0, "must be > 0, got {}"),)
+_NON_NEGATIVE = (lambda v: v >= 0, "must be an integer >= 0, got {}")
+# One keyed draw is a 64-bit word, so a wider latency band cannot be sampled;
+# times are bounded alike, so that a trace can print every one.
+_BELOW_2_64 = (lambda v: v < LATENCY_BOUND, "must be < 2^64, got {}")
+
+# One table per section, its fields in the order a file lays them out.
+_TABLES: dict[type, tuple[_Field, ...]] = {
+    Pose: (_Field("x", float), _Field("y", float)),
+    SensorProfile: (
+        _Field("kind", SensorKind),
+        _Field("base_false_negative", float, _RATE),
+        _Field("base_false_positive", float, _RATE),
+        _Field("effective_range", float, _POSITIVE),
+    ),
+    NodeSpec: (
+        _Field("id", int, ((lambda v: 0 <= v < NODE_ID_BOUND, "must be an integer >= 0 and < 2^63, got {}"),)),
+        _Field("pose", Pose),
+        _Field("sensor", SensorProfile),
+        _Field("master", bool, default=False),
+        _Field("actuated", bool, default=False),
+    ),
+    GroundTruth: (_Field("pedestrian_present", bool), _Field("pedestrian_pose", Pose, default=None)),
+    PerceptionModel: (
+        _Field("distance_reference", float, _POSITIVE),
+        _Field("query_center", Pose, root_key="query_region_center"),
+    ),
+    NetworkConfig: (
+        _Field("latency_min", int, (_NON_NEGATIVE,)),
+        _Field("latency_max", int, (_NON_NEGATIVE, _BELOW_2_64)),
+        _Field("drop_probability", float, ((lambda v: 0.0 <= v <= 1.0, "must be in [0.0, 1.0], got {}"),)),
+        _Field("seed", int, ((lambda v: 0 <= v < SEED_BOUND, "must be an integer in [0, 2^64), got {}"),)),
+    ),
+    Scenario: (
+        _Field("nodes", NodeSpec, ((len, "at least one node is required"),), many=True),
+        _Field("ground_truth", GroundTruth),
+        _Field("perception", PerceptionModel),
+        _Field("network", NetworkConfig),
+        _Field("session_window", int, ((lambda v: v > 0, "must be an integer > 0, got {}"), _BELOW_2_64)),
+        _Field("settle_interval", int, (_NON_NEGATIVE, _BELOW_2_64)),
+        _Field("sessions", int, ((lambda v: v >= 1, "must be an integer >= 1, got {}"),)),
+    ),
+}
+
+
+def _leaf_error(value: object, field: _Field, path: str, of_kind: bool) -> str:
+    """The message for a value that a leaf field may not hold: the first rule
+    it fails, or, if it is not of the field's kind, the first rule's message
+    or the kind's own."""
+    if of_kind:
+        message = next(message for rule, message in field.rules if not rule(value))
+    else:
+        message = field.rules[0][1] if field.rules else _KIND_MESSAGES[field.kind]
+    return f"{path}: {message.format(shown_value(value))}"
+
+
+def _test(rules: tuple):
+    """A row's rules as one test, or None if it has none."""
+    if len(rules) < 2:
+        return rules[0][0] if rules else None
+    return lambda value: all(test(value) for test, _ in rules)
+
+
+# Each table as the walker reads it: plain tuples, which unpack faster.
+_WALK = {
+    cls: tuple((f.name, f.kind, _test(f.rules), f.kind in _TABLES, f) for f in rows)
+    for cls, rows in _TABLES.items()
+}
+
+
+def _section_sound(section: object, cls: type, path: str, errors: list[str], after: dict) -> bool:
+    """Lists the problems of each of a section's fields, in table order, and
+    returns True if it has none. after maps a class to {field name: rule}; a
+    rule runs right after its field is checked, given the section, its path
+    and whether the field was sound."""
+    if not isinstance(section, cls):
+        errors.append(f"{path}: must be a {cls.__name__}, got {shown_value(section)}")
+        return False
+    listed = len(errors)
+    hooks = after.get(cls)
+    prefix = "" if cls is Scenario else f"{path}."
+    for name, kind, test, nested, field in _WALK[cls]:
+        value = getattr(section, name)
+        if nested:
+            if value is None and field.default is None:
+                ok = True
+            elif not field.many:
+                ok = _section_sound(value, kind, field.root_key or prefix + name, errors, after)
+            elif not isinstance(value, (tuple, list)):
+                errors.append(f"{prefix}{name}: must be a tuple or list, got {shown_value(value)}")
+                ok = False
+            elif not test(value):
+                errors.append(f"{prefix}{name}: {field.rules[0][1]}")
+                ok = False
+            else:
+                ok = all([_section_sound(item, kind, f"{prefix}{name}[{i}]", errors, after) for i, item in enumerate(value)])
+        else:
+            # _finite and _integer, inlined: this runs once per leaf field.
+            if kind is float:
+                ok = isinstance(value, _REAL) and value.__class__ is not bool and -_FLOAT_MAX <= value <= _FLOAT_MAX
+            elif kind is int:
+                ok = isinstance(value, int) and value.__class__ is not bool
+            else:
+                ok = isinstance(value, kind)
+            if not (ok and (test is None or test(value))):
+                errors.append(_leaf_error(value, field, field.root_key or prefix + name, ok))
+                ok = False
+        if hooks is not None and name in hooks:
+            hooks[name](section, path, ok)
+    return len(errors) == listed
 
 
 def claim_evidence_valid(claim: Claim) -> bool:
-    """True exactly when claim_evidence_errors(claim) is empty.
-
-    The same checks, inlined and without building any message. It is the
-    set-up check: session.trust_positions runs it once per node, on a claim
-    or a trust.Evidence, and a sweep pays that set-up once per run. Inside
-    these bounds a number is finite.
-    """
-    profile = claim.profile
-    if not isinstance(profile, SensorProfile):
-        return False
-    fn = profile.base_false_negative
-    fp = profile.base_false_positive
-    reach = profile.effective_range
+    """True when the claim's profile passes the sensor table and its
+    distance_to_target is a finite number >= 0: evidence a master may take
+    on faith. session.trust_positions runs it once per node, on a claim or
+    a trust.Evidence, when a run is set up."""
     distance = claim.distance_to_target
-    return (
-        isinstance(profile.kind, SensorKind)
-        and isinstance(fn, _REAL)
-        and type(fn) is not bool
-        and 0.0 <= fn < 0.5
-        and isinstance(fp, _REAL)
-        and type(fp) is not bool
-        and 0.0 <= fp < 0.5
-        and isinstance(reach, _REAL)
-        and type(reach) is not bool
-        and 0.0 < reach <= _FLOAT_MAX
-        and isinstance(distance, _REAL)
-        and type(distance) is not bool
-        and 0.0 <= distance <= _FLOAT_MAX
-    )
-
-
-def claim_evidence_errors(claim: Claim) -> list[str]:
-    """Checks the evidence fields a master cannot take on faith."""
-    path = f"claim from node {claim.node}"
-    if isinstance(claim.profile, SensorProfile):
-        errors = sensor_errors(claim.profile, path)
-    else:
-        errors = [f"{path}.profile: must be a SensorProfile, got {shown_value(claim.profile)}"]
-    if not _finite(claim.distance_to_target) or claim.distance_to_target < 0.0:
-        errors.append(f"{path}: distance_to_target must be >= 0, got {shown_value(claim.distance_to_target)}")
-    return errors
+    return _section_sound(claim.profile, SensorProfile, "profile", [], {}) and _finite(distance) and distance >= 0.0
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Every invariant violation in the scenario, or an empty list if runnable.
 
-    Error strings carry field paths so CLI users can find the offending line.
+    The tables give each field's kind and range; the cross-field rules below
+    are the rest, each listed right after the field it follows. Error strings
+    carry field paths so CLI users can find the offending line.
     """
     errors: list[str] = []
-
-    # A section of the wrong type is one error; none of its fields is read.
-    perception = scenario.perception
-    center = None
-    if isinstance(perception, PerceptionModel):
-        perception_errors = []
-        reference = perception.distance_reference
-        if not _finite(reference) or reference <= 0.0:
-            perception_errors.append(f"perception.distance_reference: must be > 0, got {shown_value(reference)}")
-        center_errors = _pose_errors(perception.query_center, "query_region_center")
-        perception_errors.extend(center_errors)
-        if not center_errors:
-            center = perception.query_center
-    else:
-        perception_errors = [f"perception: must be a PerceptionModel, got {shown_value(perception)}"]
-
-    nodes = scenario.nodes
-    if not isinstance(nodes, (tuple, list)):
-        errors.append(f"nodes: must be a tuple or list, got {shown_value(nodes)}")
-        nodes = None
-    elif not nodes:
-        errors.append("nodes: at least one node is required")
     seen: set[NodeId] = set()
-    for index, node in enumerate(nodes or ()):
-        path = f"nodes[{index}]"
-        if not isinstance(node, NodeSpec):
-            errors.append(f"{path}: must be a NodeSpec, got {shown_value(node)}")
-            continue
-        if not _integer(node.id) or not 0 <= node.id < NODE_ID_BOUND:
-            errors.append(f"{path}.id: must be an integer >= 0 and < 2^63, got {shown_value(node.id)}")
-            continue
-        if node.id in seen:
-            errors.append(f"duplicate node id: {node.id}")
-        seen.add(node.id)
-        pose_errors = _pose_errors(node.pose, f"{path}.pose")
-        errors.extend(pose_errors)
-        if not pose_errors and center is not None:
-            # Claims carry this distance as evidence; finite poses can still overflow it.
-            distance = node.pose.distance_to(center)
-            if not _finite(distance):
-                errors.append(f"{path}.pose: distance to query_region_center must be finite, got {distance!r}")
-        if isinstance(node.sensor, SensorProfile):
-            errors.extend(sensor_errors(node.sensor, f"{path}.sensor"))
-        else:
-            errors.append(f"{path}.sensor: must be a SensorProfile, got {shown_value(node.sensor)}")
-        for flag in ("master", "actuated"):
-            if not isinstance(value := getattr(node, flag), bool):
-                errors.append(f"{path}.{flag}: must be true or false, got {shown_value(value)}")
+    perception = getattr(scenario, "perception", None)
+    center = perception.query_center if isinstance(perception, PerceptionModel) else None
+    if not _section_sound(center, Pose, "", [], {}):
+        center = None
 
-    if nodes is not None:
-        masters = [n for n in nodes if isinstance(n, NodeSpec) and n.master is True]
-        if len(masters) != 1:
-            errors.append(f"nodes: exactly one master is required, got {len(masters)}")
-        elif not masters[0].actuated:
-            errors.append("nodes: the master node must be actuated")
+    def unique_id(node: NodeSpec, path: str, sound: bool) -> None:
+        if sound:
+            if node.id in seen:
+                errors.append(f"duplicate node id: {node.id}")
+            seen.add(node.id)
 
-    truth = scenario.ground_truth
-    if not isinstance(truth, GroundTruth):
-        errors.append(f"ground_truth: must be a GroundTruth, got {shown_value(truth)}")
-    else:
-        if not isinstance(truth.pedestrian_present, bool):
-            present = shown_value(truth.pedestrian_present)
-            errors.append(f"ground_truth.pedestrian_present: must be true or false, got {present}")
-        if truth.pedestrian_pose is not None:
-            errors.extend(_pose_errors(truth.pedestrian_pose, "ground_truth.pedestrian_pose"))
-        elif truth.pedestrian_present:
+    def finite_distance(node: NodeSpec, path: str, sound: bool) -> None:
+        # Claims carry this distance as evidence; finite poses can still overflow it.
+        if sound and center is not None and not _finite(distance := node.pose.distance_to(center)):
+            errors.append(f"{path}.pose: distance to query_region_center must be finite, got {distance!r}")
+
+    def one_actuated_master(root: Scenario, path: str, sound: bool) -> None:
+        if isinstance(root.nodes, (tuple, list)):
+            masters = [n for n in root.nodes if isinstance(n, NodeSpec) and n.master is True]
+            if len(masters) != 1:
+                errors.append(f"nodes: exactly one master is required, got {len(masters)}")
+            elif not masters[0].actuated:
+                errors.append("nodes: the master node must be actuated")
+
+    def pose_when_present(truth: GroundTruth, path: str, sound: bool) -> None:
+        if truth.pedestrian_pose is None and truth.pedestrian_present:
             errors.append("ground_truth.pedestrian_pose: required when pedestrian_present")
 
-    errors.extend(perception_errors)
+    def latency_order(net: NetworkConfig, path: str, sound: bool) -> None:
+        if sound and _integer(net.latency_min) and net.latency_max < net.latency_min:
+            shown = f"{shown_value(net.latency_max)} < {shown_value(net.latency_min)}"
+            errors.append(f"network.latency_max: must be >= latency_min, got {shown}")
 
-    net = scenario.network
-    latency_max = None
-    if not isinstance(net, NetworkConfig):
-        errors.append(f"network: must be a NetworkConfig, got {shown_value(net)}")
-    else:
-        latency_max = net.latency_max
-        if not _integer(net.latency_min) or net.latency_min < 0:
-            errors.append(f"network.latency_min: must be an integer >= 0, got {shown_value(net.latency_min)}")
-        if not _integer(net.latency_max) or net.latency_max < 0:
-            errors.append(f"network.latency_max: must be an integer >= 0, got {shown_value(net.latency_max)}")
-        elif net.latency_max >= LATENCY_BOUND:
-            # One keyed draw is a 64-bit word; a wider latency band cannot be sampled.
-            errors.append(f"network.latency_max: must be < 2^64, got {shown_value(net.latency_max)}")
-        elif _integer(net.latency_min) and net.latency_max < net.latency_min:
-            errors.append(
-                f"network.latency_max: must be >= latency_min, got {shown_value(net.latency_max)}"
-                f" < {shown_value(net.latency_min)}"
-            )
-        if not _finite(net.drop_probability) or not 0.0 <= net.drop_probability <= 1.0:
-            errors.append(f"network.drop_probability: must be in [0.0, 1.0], got {shown_value(net.drop_probability)}")
-        if not _integer(net.seed) or not 0 <= net.seed < SEED_BOUND:
-            errors.append(f"network.seed: must be an integer in [0, 2^64), got {shown_value(net.seed)}")
-
-    # Times are bounded as latency is, so that a trace can print every one.
-    if not _integer(scenario.session_window) or scenario.session_window <= 0:
-        errors.append(f"session_window: must be an integer > 0, got {shown_value(scenario.session_window)}")
-    elif scenario.session_window >= LATENCY_BOUND:
-        errors.append(f"session_window: must be < 2^64, got {shown_value(scenario.session_window)}")
-    if not _integer(scenario.settle_interval) or scenario.settle_interval < 0:
-        errors.append(f"settle_interval: must be an integer >= 0, got {shown_value(scenario.settle_interval)}")
-    elif scenario.settle_interval >= LATENCY_BOUND:
-        errors.append(f"settle_interval: must be < 2^64, got {shown_value(scenario.settle_interval)}")
-    elif _integer(latency_max) and scenario.settle_interval < latency_max:
+    def settle_covers_latency(root: Scenario, path: str, sound: bool) -> None:
         # Actuation must land before the next session opens in a lossless run.
-        errors.append(
-            f"settle_interval: must be >= network.latency_max, got {shown_value(scenario.settle_interval)}"
-            f" < {shown_value(latency_max)}"
-        )
-    if not _integer(scenario.sessions) or scenario.sessions < 1:
-        errors.append(f"sessions: must be an integer >= 1, got {shown_value(scenario.sessions)}")
+        if sound and isinstance(root.network, NetworkConfig) and _integer(latency_max := root.network.latency_max):
+            if root.settle_interval < latency_max:
+                shown = f"{shown_value(root.settle_interval)} < {shown_value(latency_max)}"
+                errors.append(f"settle_interval: must be >= network.latency_max, got {shown}")
 
+    after = {
+        Scenario: {"nodes": one_actuated_master, "settle_interval": settle_covers_latency},
+        NodeSpec: {"id": unique_id, "pose": finite_distance},
+        GroundTruth: {"pedestrian_pose": pose_when_present},
+        NetworkConfig: {"latency_max": latency_order},
+    }
+    _section_sound(scenario, Scenario, "scenario", errors, after)
     return errors

@@ -2,30 +2,20 @@
 
 Scenario files are YAML with sections mirroring the Scenario fields one to
 one (query_region_center joins PerceptionModel); scenarios/reference.scenario
-documents every field. Each section is one table of field converters, read
-in order. Shape and type problems raise ScenarioParseError, value-range and
-consistency problems raise ScenarioValidationError, and the CLI maps the two
-to distinct exit codes.
+documents every field. Each section is read by its table in crossguard.model,
+in table order. Shape and type problems raise ScenarioParseError, value-range
+and consistency problems raise ScenarioValidationError, and the CLI maps the
+two to distinct exit codes.
 """
 
 from __future__ import annotations
 
+from dataclasses import MISSING
 from pathlib import Path
 
 import yaml
 
-from .model import (
-    GroundTruth,
-    NetworkConfig,
-    NodeSpec,
-    PerceptionModel,
-    Pose,
-    Scenario,
-    SensorKind,
-    SensorProfile,
-    shown_value,
-    validate_scenario,
-)
+from .model import _TABLES, Scenario, SensorKind, shown_value, validate_scenario
 
 
 class ScenarioParseError(Exception):
@@ -41,114 +31,84 @@ class ScenarioValidationError(Exception):
 
 
 _ROOT = "scenario"
+# What a file must hold for a leaf row of each kind.
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    SensorKind: "one of " + ", ".join(kind.value for kind in SensorKind),
+}
 
 
-def _fields(value: object, path: str, converters: dict, defaults: dict) -> dict:
-    """One section's fields, converted in table order, as keyword arguments.
+def _layout(cls: type) -> dict:
+    """A section's rows by their key in a file, in the order they are read;
+    the top level also holds each section's root_key rows, just before it."""
+    if cls is not Scenario:
+        return {field.name: field for field in _TABLES[cls] if not field.root_key}
+    layout = {}
+    for field in _TABLES[Scenario]:
+        layout.update((row.root_key, row) for row in _TABLES.get(field.kind, ()) if row.root_key)
+        layout[field.name] = field
+    return layout
 
-    An absent field takes its default if it has one; an explicit null does not.
-    """
+
+_LAYOUTS = {cls: _layout(cls) for cls in _TABLES}
+
+
+def _build(value: object, cls: type, path: str, top: dict) -> object:
+    """cls built from a mapping laid out as its table says, its fields read in
+    table order. top carries the root_key fields from the top level to the
+    section they belong to. An absent field takes its default if it has one;
+    an explicit null does not, unless that default is None."""
     if not isinstance(value, dict):
         raise ScenarioParseError(f"{path}: expected a mapping, got {type(value).__name__}")
+    layout = _LAYOUTS[cls]
     # A key shows as str only if that is one printable line and it is no int
     # (one may be too long to print); otherwise as shown_value, its repr.
     unknown = sorted(
         str(key) if not isinstance(key, int) and str(key).isprintable() else shown_value(key)
-        for key in value if key not in converters
+        for key in value if key not in layout
     )
     if unknown:
         raise ScenarioParseError(f"{path}: unknown field(s) {', '.join(unknown)}")
-    prefix = "" if path == _ROOT else f"{path}."
+    prefix = "" if cls is Scenario else f"{path}."
     fields = {}
-    for name, convert in converters.items():
-        if name in value:
-            fields[name] = convert(value[name], prefix + name)
-        elif name in defaults:
-            fields[name] = defaults[name]
+    for key, field in layout.items():
+        if key in value:
+            converted = _convert(value[key], field, prefix + key, top)
+        elif field.default is not MISSING:
+            converted = field.default
         else:
-            raise ScenarioParseError(f"{path}.{name}: missing required field")
-    return fields
+            raise ScenarioParseError(f"{path}.{key}: missing required field")
+        (top if field.root_key else fields)[field.name] = converted
+    fields.update((field.name, top[field.name]) for field in _TABLES[cls] if field.root_key)
+    return cls(**fields)
 
 
-def _section(cls: type, converters: dict, **defaults: object):
-    """A converter that builds cls from a section laid out as the table says."""
-    return lambda value, path: cls(**_fields(value, path, converters, defaults))
-
-
-def _as_int(value: object, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioParseError(f"{path}: expected an integer, got {shown_value(value)}")
-    return value
-
-
-def _as_float(value: object, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioParseError(f"{path}: expected a number, got {shown_value(value)}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ScenarioParseError(f"{path}: number too large for a float") from None
-
-
-def _as_bool(value: object, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioParseError(f"{path}: expected true or false, got {shown_value(value)}")
-    return value
-
-
-def _as_kind(value: object, path: str) -> SensorKind:
-    try:
-        return SensorKind(value)
-    except ValueError:
-        names = ", ".join(k.value for k in SensorKind)
-        raise ScenarioParseError(f"{path}: expected one of {names}, got {shown_value(value)}") from None
-
-
-_as_pose = _section(Pose, {"x": _as_float, "y": _as_float})
-_as_sensor = _section(
-    SensorProfile,
-    {
-        "kind": _as_kind,
-        "base_false_negative": _as_float,
-        "base_false_positive": _as_float,
-        "effective_range": _as_float,
-    },
-)
-_as_node = _section(
-    NodeSpec,
-    {"id": _as_int, "pose": _as_pose, "sensor": _as_sensor, "master": _as_bool, "actuated": _as_bool},
-    master=False,
-    actuated=False,
-)
-
-
-def _as_nodes(value: object, path: str) -> tuple[NodeSpec, ...]:
-    if not isinstance(value, list):
-        raise ScenarioParseError(f"{path}: expected a list")
-    return tuple(_as_node(item, f"{path}[{i}]") for i, item in enumerate(value))
-
-
-_SCENARIO = {
-    "nodes": _as_nodes,
-    "ground_truth": _section(
-        GroundTruth,
-        {
-            "pedestrian_present": _as_bool,
-            "pedestrian_pose": lambda value, path: None if value is None else _as_pose(value, path),
-        },
-        pedestrian_pose=None,
-    ),
-    "query_region_center": _as_pose,
-    # Built as a plain dict: PerceptionModel also takes the query center.
-    "perception": _section(dict, {"distance_reference": _as_float}),
-    "network": _section(
-        NetworkConfig,
-        {"latency_min": _as_int, "latency_max": _as_int, "drop_probability": _as_float, "seed": _as_int},
-    ),
-    "session_window": _as_int,
-    "settle_interval": _as_int,
-    "sessions": _as_int,
-}
+def _convert(value: object, field, path: str, top: dict) -> object:
+    """value as a value of the field's kind, or ScenarioParseError naming path."""
+    kind = field.kind
+    if value is None and field.default is None:
+        return None
+    if field.many:
+        if not isinstance(value, list):
+            raise ScenarioParseError(f"{path}: expected a list")
+        return tuple(_build(item, kind, f"{path}[{i}]", top) for i, item in enumerate(value))
+    if kind in _TABLES:
+        return _build(value, kind, path, top)
+    if kind is SensorKind:
+        try:
+            return SensorKind(value)
+        except ValueError:
+            pass
+    elif type(value) is kind:
+        return value
+    elif kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ScenarioParseError(f"{path}: number too large for a float") from None
+    raise ScenarioParseError(f"{path}: expected {_EXPECTED[kind]}, got {shown_value(value)}")
 
 
 class _Loader(yaml.SafeLoader):
@@ -168,22 +128,30 @@ class _Loader(yaml.SafeLoader):
         return node
 
 
+def _one_line(exc: Exception) -> str:
+    """An error from loading YAML on one line: PyYAML's problem and where it
+    was found, or, where it gives none (as a ReaderError does), its text
+    with the line breaks joined."""
+    mark = getattr(exc, "problem_mark", None)
+    if getattr(exc, "problem", None) and mark is not None:
+        return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+    return " ".join(str(exc).split())
+
+
 def parse_scenario(text: str) -> Scenario:
-    """Build a Scenario from YAML text; shape errors only, no range checks."""
+    """Build a Scenario from YAML text by the model's tables; shape and type
+    errors only, no range checks."""
     try:
         document = yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: YAML that Python cannot build, such as an integer
         # literal beyond the interpreter's digit limit.
-        raise ScenarioParseError(f"not valid YAML: {exc}") from exc
+        raise ScenarioParseError(f"not valid YAML: {_one_line(exc)}") from exc
     except RecursionError:
         raise ScenarioParseError("not valid YAML: nested too deeply") from None
     if document is None:
         raise ScenarioParseError("empty scenario file")
-    fields = _fields(document, _ROOT, _SCENARIO, {})
-    center = fields.pop("query_region_center")
-    fields["perception"] = PerceptionModel(query_center=center, **fields["perception"])
-    return Scenario(**fields)
+    return _build(document, Scenario, _ROOT, {})
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -8,6 +8,7 @@ instead of shared helpers. Tests compare library output against these.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
 
 from crossguard.aggregation import AggregationSemantics, Verdict
@@ -77,6 +78,37 @@ def power_of_two_decide(claims: list[Claim], ranking: list[int]) -> Verdict:
 _DISTANCES = (0.5, 1.0, 5.0, 5.0, 14.25)
 _ERROR_RATES = ((0.05, 0.02), (0.2, 0.02), (0.2, 0.02), (0.015, 0.01))
 _REACHES = (20.0, 50.0)
+
+
+def _finite_number(value) -> bool:
+    """A real number, not a bool, that a float can hold and that is not NaN."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        return False
+    return -sys.float_info.max <= value <= sys.float_info.max
+
+
+def claim_evidence_errors(claim: Claim) -> list[str]:
+    """The evidence problems a master cannot take on faith, one string each:
+    the reference that model.claim_evidence_valid is checked against."""
+    where = f"claim from node {claim.node}"
+    profile = claim.profile
+    problems = []
+    if not isinstance(profile, SensorProfile):
+        problems.append(f"{where}.profile: must be a SensorProfile, got {profile!r}")
+    else:
+        if not isinstance(profile.kind, SensorKind):
+            problems.append(f"{where}.kind: unknown sensor kind {profile.kind!r}")
+        for name in ("base_false_negative", "base_false_positive"):
+            rate = getattr(profile, name)
+            if not (_finite_number(rate) and 0.0 <= rate < 0.5):
+                problems.append(f"{where}.{name}: must be in [0.0, 0.5), got {rate!r}")
+        reach = profile.effective_range
+        if not (_finite_number(reach) and reach > 0.0):
+            problems.append(f"{where}.effective_range: must be > 0, got {reach!r}")
+    distance = claim.distance_to_target
+    if not (_finite_number(distance) and distance >= 0.0):
+        problems.append(f"{where}: distance_to_target must be >= 0, got {distance!r}")
+    return problems
 
 
 def evidence_pool(rng: random.Random, node: int, session: int = 1) -> Claim:

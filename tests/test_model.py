@@ -6,7 +6,9 @@ import dataclasses
 import io
 
 import pytest
+import yaml
 
+from crossguard import cli
 from crossguard.aggregation import AggregationSemantics
 from crossguard.model import (
     Detection,
@@ -16,15 +18,66 @@ from crossguard.model import (
     Pose,
     Scenario,
     SensorKind,
-    claim_evidence_errors,
-    sensor_errors,
+    _TABLES,
     shown_value,
     validate_scenario,
 )
 from crossguard.runner import Simulation, run_once
 from crossguard.scenario import ScenarioValidationError
 
-from helpers import make_claim, make_profile, make_scenario
+from helpers import REFERENCE, make_claim, make_profile, make_scenario
+from oracles import claim_evidence_errors
+
+
+def table_rows(item: int, cls: type = Scenario, attrs: tuple = (), doc: tuple = (), path: str = ""):
+    """(attribute path, key path in a file, message path, row) for every row
+    of the model's tables, reached from the scenario root; a list's rows are
+    reached through its item at index item."""
+    for row in _TABLES[cls]:
+        where = row.root_key or (f"{path}.{row.name}" if path else row.name)
+        key = (row.root_key,) if row.root_key else doc + (row.name,)
+        yield attrs + (row.name,), key, where, row
+        if row.many:
+            inner = (attrs + (row.name, item), key + (item,), f"{where}[{item}]")
+            yield from table_rows(item, row.kind, *inner)
+        elif row.kind in _TABLES:
+            yield from table_rows(item, row.kind, attrs + (row.name,), key, where)
+
+
+def replaced(obj, attrs: tuple, value):
+    """obj with the field at the attribute path set to value, unchecked."""
+    if not attrs:
+        return value
+    head, *rest = attrs
+    if isinstance(head, int):
+        items = list(obj)
+        items[head] = replaced(items[head], rest, value)
+        return tuple(items)
+    return dataclasses.replace(obj, **{head: replaced(getattr(obj, head), rest, value)})
+
+
+# Each row with "x", of the wrong kind in code and in a file, and the values
+# each field was tested with before the tables drove this list. Node 1 is
+# not the master, so its flags can be wrong alone.
+EARLIER = {
+    "ground_truth.pedestrian_present": [1, 0, None],
+    "nodes[1].pose": [None, (0.0, 0.0)],
+    "nodes[1].sensor": [None, "lidar"],
+    "query_region_center": [None],
+    "ground_truth.pedestrian_pose": [None, (0.0, 0.0)],
+    "perception": [None],
+    "network": [None],
+    "ground_truth": [None],
+    "nodes": [None],
+    "nodes[1].master": ["no", 1],
+    "nodes[1].actuated": ["no", None],
+}
+WRONG_TYPES = [
+    (attrs, doc, path, value)
+    for attrs, doc, path, _ in table_rows(1)
+    for value in ["x", *EARLIER.get(path, [])]
+] + [(("nodes", 0), ("nodes", 0), "nodes[0]", None)]
+CASE_IDS = [f"{path}={value!r}" for _, _, path, value in WRONG_TYPES]
 
 
 def test_sensor_tiers_order_lidar_highest():
@@ -41,24 +94,31 @@ def test_detection_values_are_binary():
     assert set(Detection) == {Detection.PEDESTRIAN_DETECTED, Detection.CLEAR}
 
 
+def sensor_errors(profile):
+    """validate_scenario's errors for a scenario whose node 1 carries the profile."""
+    scenario = make_scenario()
+    node = dataclasses.replace(scenario.nodes[1], sensor=profile)
+    return validate_scenario(dataclasses.replace(scenario, nodes=(scenario.nodes[0], node, *scenario.nodes[2:])))
+
+
 class TestSensorErrors:
     def test_valid_profile_passes(self):
-        assert sensor_errors(make_profile(fn=0.0, fp=0.499), "p") == []
+        assert sensor_errors(make_profile(fn=0.0, fp=0.499)) == []
 
     def test_rate_of_half_rejected(self):
-        errors = sensor_errors(make_profile(fn=0.5), "p")
+        errors = sensor_errors(make_profile(fn=0.5))
         assert any("base_false_negative" in e for e in errors)
 
     def test_negative_rate_rejected(self):
-        errors = sensor_errors(make_profile(fp=-0.01), "p")
+        errors = sensor_errors(make_profile(fp=-0.01))
         assert any("base_false_positive" in e for e in errors)
 
     def test_nonpositive_range_rejected(self):
-        errors = sensor_errors(make_profile(reach=0.0), "p")
+        errors = sensor_errors(make_profile(reach=0.0))
         assert any("effective_range" in e for e in errors)
 
     def test_nan_rate_rejected(self):
-        errors = sensor_errors(make_profile(fn=float("nan")), "p")
+        errors = sensor_errors(make_profile(fn=float("nan")))
         assert errors
 
 
@@ -257,75 +317,47 @@ class TestValidateScenario:
             broken = dataclasses.replace(scenario, **{name: flag})
         assert any(e.startswith(f"{path}: must be an integer") for e in validate_scenario(broken))
 
-    @pytest.mark.parametrize(
-        "path, value",
-        [
-            ("ground_truth.pedestrian_present", 1),
-            ("ground_truth.pedestrian_present", 0),
-            ("ground_truth.pedestrian_present", None),
-            ("nodes[1].pose", None),
-            ("nodes[1].pose", (0.0, 0.0)),
-            ("nodes[1].sensor", None),
-            ("nodes[1].sensor", "lidar"),
-            ("query_region_center", None),
-            ("ground_truth.pedestrian_pose", None),
-            ("ground_truth.pedestrian_pose", (0.0, 0.0)),
-            ("perception", None),
-            ("network", None),
-            ("ground_truth", None),
-            ("nodes", None),
-            ("nodes[0]", None),
-            ("nodes[1].master", "no"),
-            ("nodes[1].master", 1),
-            ("nodes[1].actuated", "no"),
-            ("nodes[1].actuated", None),
-        ],
-        ids=repr,
-    )
-    def test_a_field_of_the_wrong_type_is_listed(self, path, value):
+    @pytest.mark.parametrize("attrs, doc, path, value", WRONG_TYPES, ids=CASE_IDS)
+    def test_a_field_of_the_wrong_type_is_listed(self, attrs, doc, path, value):
         """Only a library caller can build these: the scenario parser makes
         every section, node, pose, profile and flag itself. A fixed-truth run
         would have traced pedestrian_present=1 as a number, and actuated="no"
         would have sent that node commands. A section or node of the wrong
-        type is listed, not read. run_once and a hand-built Simulation refuse
-        the scenario with the validator's errors."""
-        scenario = make_scenario(present=True)
-        truth, node = scenario.ground_truth, scenario.nodes[1]
-        broken = {
-            "ground_truth.pedestrian_present": lambda: dataclasses.replace(
-                scenario, ground_truth=dataclasses.replace(truth, pedestrian_present=value)
-            ),
-            "nodes[1].pose": lambda: dataclasses.replace(
-                scenario, nodes=(scenario.nodes[0], dataclasses.replace(node, pose=value), *scenario.nodes[2:])
-            ),
-            "nodes[1].sensor": lambda: dataclasses.replace(
-                scenario, nodes=(scenario.nodes[0], dataclasses.replace(node, sensor=value), *scenario.nodes[2:])
-            ),
-            "query_region_center": lambda: dataclasses.replace(
-                scenario, perception=dataclasses.replace(scenario.perception, query_center=value)
-            ),
-            "ground_truth.pedestrian_pose": lambda: dataclasses.replace(
-                scenario, ground_truth=dataclasses.replace(truth, pedestrian_pose=value)
-            ),
-            "perception": lambda: dataclasses.replace(scenario, perception=value),
-            "network": lambda: dataclasses.replace(scenario, network=value),
-            "ground_truth": lambda: dataclasses.replace(scenario, ground_truth=value),
-            "nodes": lambda: dataclasses.replace(scenario, nodes=value),
-            "nodes[0]": lambda: dataclasses.replace(scenario, nodes=(value,)),
-            "nodes[1].master": lambda: dataclasses.replace(
-                scenario, nodes=(scenario.nodes[0], dataclasses.replace(node, master=value), *scenario.nodes[2:])
-            ),
-            "nodes[1].actuated": lambda: dataclasses.replace(
-                scenario, nodes=(scenario.nodes[0], dataclasses.replace(node, actuated=value), *scenario.nodes[2:])
-            ),
-        }[path]()
+        type is listed, not read. Each gives one error, at its path; putting
+        a non-node in the master's place also leaves no master. run_once and
+        a hand-built Simulation refuse the scenario with the validator's
+        errors."""
+        broken = replaced(make_scenario(present=True), attrs, value)
         errors = validate_scenario(broken)
-        assert any(e.startswith(f"{path}: ") for e in errors), errors
+        at_path = [e for e in errors if e.startswith(f"{path}: ")]
+        assert len(at_path) == 1, errors
+        assert errors == at_path or errors == [*at_path, "nodes: exactly one master is required, got 0"], errors
         with pytest.raises(ScenarioValidationError) as ran:
             run_once(broken, AggregationSemantics.MAJORITY, seed=1)
         with pytest.raises(ScenarioValidationError) as built:
             Simulation(broken, AggregationSemantics.MAJORITY, 1)
         assert ran.value.errors == built.value.errors == errors
+
+    @pytest.mark.parametrize("attrs, doc, path, value", WRONG_TYPES, ids=CASE_IDS)
+    def test_the_same_value_in_a_file_is_a_parse_error(self, attrs, doc, path, value, tmp_path, capsys):
+        """The file parser converts by the same tables: the value is refused
+        at the same path, with exit code 2. A null where a field may be left
+        out parses, and the validator lists it."""
+        document = yaml.safe_load(REFERENCE.read_text(encoding="utf-8"))
+        *parents, last = doc
+        target = document
+        for key in parents:
+            target = target[key]
+        target[last] = list(value) if isinstance(value, tuple) else value
+        file = tmp_path / "wrong.scenario"
+        file.write_text(yaml.safe_dump(document, sort_keys=False), encoding="utf-8")
+        code = cli.main(["validate", str(file)])
+        err = capsys.readouterr().err
+        if value is None and path == "ground_truth.pedestrian_pose":
+            assert (code, err) == (cli.EXIT_VALIDATION, f"validation error: {path}: required when pedestrian_present\n")
+        else:
+            assert code == cli.EXIT_PARSE
+            assert err.startswith(f"parse error: {path}: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("huge", [2**1024, -(2**1024), 10**400], ids=["2^1024", "-2^1024", "10^400"])
     def test_numbers_no_float_can_hold_are_listed(self, huge):
@@ -351,6 +383,17 @@ class TestValidateScenario:
             "network.drop_probability",
         ):
             assert any(e.startswith(f"{path}: ") for e in errors), path
+
+
+def test_every_table_field_is_in_the_reference_scenario():
+    """scenarios/reference.scenario documents every field: each row's key is
+    in it, through its first node for the node's rows."""
+    document = yaml.safe_load(REFERENCE.read_text(encoding="utf-8"))
+    for _, doc, path, _ in table_rows(0):
+        target = document
+        for key in doc:
+            assert isinstance(target, (dict, list)) and (key in target if isinstance(target, dict) else key < len(target)), path
+            target = target[key]
 
 
 def test_scenario_is_frozen():

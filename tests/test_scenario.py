@@ -8,6 +8,7 @@ import sys
 import pytest
 import yaml
 
+from crossguard import cli
 from crossguard.model import Pose, SensorKind, validate_scenario
 from crossguard.scenario import (
     ScenarioParseError,
@@ -425,6 +426,23 @@ class TestParseScenario:
     def test_invalid_yaml_rejected(self):
         with pytest.raises(ScenarioParseError, match="YAML"):
             parse_scenario("nodes: [unclosed")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["nodes: [unclosed", "nodes:\n\t- id: 1\n", "a: b: c", "a: *x", "a: \x07"],
+        ids=["unclosed-list", "tab-indent", "nested-mapping-value", "undefined-alias", "control-character"],
+    )
+    def test_a_yaml_error_is_one_line(self, text, tmp_path, capsys):
+        """PyYAML's marked errors span several lines (context, marks, carets);
+        the parse error keeps the problem and its line and column. A
+        ReaderError has no mark, and its text is joined into one line."""
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario(text)
+        assert str(excinfo.value).startswith("not valid YAML: ") and "\n" not in str(excinfo.value)
+        path = tmp_path / "bad.scenario"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == f"parse error: {excinfo.value}\n"
 
     def test_missing_field_names_its_path(self):
         with pytest.raises(ScenarioParseError, match="network.seed"):

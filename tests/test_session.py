@@ -14,7 +14,6 @@ from crossguard.model import (
     ExclusionReason,
     ProtocolError,
     SensorKind,
-    claim_evidence_errors,
     claim_evidence_valid,
 )
 from crossguard.session import (
@@ -29,7 +28,7 @@ from crossguard.session import (
 from crossguard.trust import Evidence, rank
 
 from helpers import make_claim
-from oracles import oracle_rank
+from oracles import claim_evidence_errors, oracle_rank
 
 # The node table of a run with nodes 1, 2 and 3, all with sound evidence.
 POSITIONS = trust_positions(make_claim(node=node) for node in (1, 2, 3))

@@ -385,6 +385,10 @@ class TestValidateScenario:
             assert any(e.startswith(f"{path}: ") for e in errors), path
 
 
+def test_every_earlier_case_names_a_table_row():
+    assert set(EARLIER) <= {path for _, _, path, _ in table_rows(1)}
+
+
 def test_every_table_field_is_in_the_reference_scenario():
     """scenarios/reference.scenario documents every field: each row's key is
     in it, through its first node for the node's rows."""

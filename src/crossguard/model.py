@@ -164,22 +164,11 @@ class Scenario:
     def actuated_ids(self) -> tuple[NodeId, ...]:
         return tuple(sorted(n.id for n in self.nodes if n.actuated))
 
-
 _REAL = (int, float)
 # Exact int/float comparison against this bound rejects NaN, the infinities
 # and any int too large for a float, where math.isfinite would raise.
 _FLOAT_MAX = sys.float_info.max
 _SHOWN_BITS = 256  # a longer integer shows its size, not its digits, in messages
-
-
-def _finite(value: float) -> bool:
-    if isinstance(value, bool) or not isinstance(value, _REAL):
-        return False
-    return -_FLOAT_MAX <= value <= _FLOAT_MAX
-
-
-def _integer(value: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def shown_value(value: object) -> str:
@@ -198,10 +187,11 @@ class _Field(NamedTuple):
     """One row of a section's table: a field and what it may hold.
 
     kind is int, float, bool, SensorKind or a section's class; many marks a
-    list of sections. rules are (test, message) pairs that a value of the
-    kind must pass in turn. A file may leave out a field with a default, and
-    a default of None admits None. A file keeps a root_key field at its top,
-    just before the field's section, and messages name it by that key.
+    list of sections. rules are (test, message) pairs: test is a Python
+    expression in v that a value of the kind must make true, in turn. A file
+    may leave out a field with a default, and a default of None admits None.
+    A file keeps a root_key field at its top, just before the field's
+    section, and messages name it by that key.
     """
 
     name: str
@@ -212,19 +202,30 @@ class _Field(NamedTuple):
     many: bool = False
 
 
-# The message for a value of the wrong kind where a row has no rule.
-_KIND_MESSAGES = {
-    float: "must be a finite number, got {}",
-    bool: "must be true or false, got {}",
-    SensorKind: "unknown sensor kind {}",
+# Each leaf kind: what a value of it is, as an expression in v; what a file
+# must hold for it; and the message for a value that is not one, where its
+# row has no rule.
+_KINDS = {
+    float: (
+        "isinstance(v, _REAL) and not isinstance(v, bool) and -_FLOAT_MAX <= v <= _FLOAT_MAX",
+        "a number",
+        "must be a finite number, got {}",
+    ),
+    int: ("isinstance(v, int) and not isinstance(v, bool)", "an integer", ""),
+    bool: ("isinstance(v, bool)", "true or false", "must be true or false, got {}"),
+    SensorKind: (
+        "isinstance(v, SensorKind)",
+        "one of " + ", ".join(kind.value for kind in SensorKind),
+        "unknown sensor kind {}",
+    ),
 }
 
-_RATE = ((lambda v: 0.0 <= v < 0.5, "must be in [0.0, 0.5), got {}"),)
-_POSITIVE = ((lambda v: v > 0.0, "must be > 0, got {}"),)
-_NON_NEGATIVE = (lambda v: v >= 0, "must be an integer >= 0, got {}")
+_RATE = (("0.0 <= v < 0.5", "must be in [0.0, 0.5), got {}"),)
+_POSITIVE = (("v > 0.0", "must be > 0, got {}"),)
+_NON_NEGATIVE = ("v >= 0", "must be an integer >= 0, got {}")
 # One keyed draw is a 64-bit word, so a wider latency band cannot be sampled;
 # times are bounded alike, so that a trace can print every one.
-_BELOW_2_64 = (lambda v: v < LATENCY_BOUND, "must be < 2^64, got {}")
+_BELOW_2_64 = ("v < LATENCY_BOUND", "must be < 2^64, got {}")
 
 # One table per section, its fields in the order a file lays them out.
 _TABLES: dict[type, tuple[_Field, ...]] = {
@@ -236,7 +237,7 @@ _TABLES: dict[type, tuple[_Field, ...]] = {
         _Field("effective_range", float, _POSITIVE),
     ),
     NodeSpec: (
-        _Field("id", int, ((lambda v: 0 <= v < NODE_ID_BOUND, "must be an integer >= 0 and < 2^63, got {}"),)),
+        _Field("id", int, (("0 <= v < NODE_ID_BOUND", "must be an integer >= 0 and < 2^63, got {}"),)),
         _Field("pose", Pose),
         _Field("sensor", SensorProfile),
         _Field("master", bool, default=False),
@@ -250,151 +251,167 @@ _TABLES: dict[type, tuple[_Field, ...]] = {
     NetworkConfig: (
         _Field("latency_min", int, (_NON_NEGATIVE,)),
         _Field("latency_max", int, (_NON_NEGATIVE, _BELOW_2_64)),
-        _Field("drop_probability", float, ((lambda v: 0.0 <= v <= 1.0, "must be in [0.0, 1.0], got {}"),)),
-        _Field("seed", int, ((lambda v: 0 <= v < SEED_BOUND, "must be an integer in [0, 2^64), got {}"),)),
+        _Field("drop_probability", float, (("0.0 <= v <= 1.0", "must be in [0.0, 1.0], got {}"),)),
+        _Field("seed", int, (("0 <= v < SEED_BOUND", "must be an integer in [0, 2^64), got {}"),)),
     ),
     Scenario: (
-        _Field("nodes", NodeSpec, ((len, "at least one node is required"),), many=True),
+        _Field("nodes", NodeSpec, (("len(v) > 0", "at least one node is required"),), many=True),
         _Field("ground_truth", GroundTruth),
         _Field("perception", PerceptionModel),
         _Field("network", NetworkConfig),
-        _Field("session_window", int, ((lambda v: v > 0, "must be an integer > 0, got {}"), _BELOW_2_64)),
+        _Field("session_window", int, (("v > 0", "must be an integer > 0, got {}"), _BELOW_2_64)),
         _Field("settle_interval", int, (_NON_NEGATIVE, _BELOW_2_64)),
-        _Field("sessions", int, ((lambda v: v >= 1, "must be an integer >= 1, got {}"),)),
+        _Field("sessions", int, (("v >= 1", "must be an integer >= 1, got {}"),)),
     ),
 }
 
 
-def _leaf_error(value: object, field: _Field, path: str, of_kind: bool) -> str:
-    """The message for a value that a leaf field may not hold: the first rule
-    it fails, or, if it is not of the field's kind, the first rule's message
-    or the kind's own."""
-    if of_kind:
-        message = next(message for rule, message in field.rules if not rule(value))
+def _predicate(test: str):
+    """A test, an expression in v, as a function of v."""
+    return eval(f"lambda v: {test}", globals())
+
+
+def _row_test(field: _Field) -> str:
+    """All that a field's value must be, as one expression in v: of the
+    row's kind, then each rule in turn."""
+    rules = [rule for rule, _ in field.rules]
+    if field.many:
+        tests = ["isinstance(v, (tuple, list))", *rules, f"all(map(_SOUND[{field.kind.__name__}], v))"]
+    elif field.kind in _TABLES:
+        tests = [f"_SOUND[{field.kind.__name__}](v)"]
     else:
-        message = field.rules[0][1] if field.rules else _KIND_MESSAGES[field.kind]
-    return f"{path}: {message.format(shown_value(value))}"
+        tests = [_KINDS[field.kind][0], *rules]
+    test = " and ".join(f"({part})" for part in tests)
+    return f"v is None or {test}" if field.default is None else test
 
 
-def _test(rules: tuple):
-    """A row's rules as one test, or None if it has none."""
-    if len(rules) < 2:
-        return rules[0][0] if rules else None
-    return lambda value: all(test(value) for test, _ in rules)
+def _sound(cls: type):
+    """One function that is True when its argument is a cls and each field
+    passes its row. It is compiled from the rows, as dataclasses compiles
+    __init__, so that a sound scenario costs one call per section, not one
+    per field and rule."""
+    source = ["def sound(s):", f"    if not isinstance(s, {cls.__name__}): return False"]
+    for field in _TABLES[cls]:
+        source += [f"    v = s.{field.name}", f"    if not ({_row_test(field)}): return False"]
+    namespace: dict = {}
+    exec("\n".join(source + ["    return True"]), globals(), namespace)
+    return namespace["sound"]
 
 
-# Each table as the walker reads it: plain tuples, which unpack faster.
-_WALK = {
-    cls: tuple((f.name, f.kind, _test(f.rules), f.kind in _TABLES, f) for f in rows)
-    for cls, rows in _TABLES.items()
-}
+_SOUND = {cls: _sound(cls) for cls in _TABLES}
+_TESTS = {cls: {field.name: _predicate(_row_test(field)) for field in rows} for cls, rows in _TABLES.items()}
+_finite = _predicate(_KINDS[float][0])
+_integer = _predicate(_KINDS[int][0])
 
 
-def _section_sound(section: object, cls: type, path: str, errors: list[str], after: dict) -> bool:
-    """Lists the problems of each of a section's fields, in table order, and
-    returns True if it has none. after maps a class to {field name: rule}; a
-    rule runs right after its field is checked, given the section, its path
-    and whether the field was sound."""
-    if not isinstance(section, cls):
+def _field_errors(section: object, cls: type, path: str, errors: list[str], after: dict[str, str]) -> None:
+    """Lists the problem of each field of a cls that fails its row, in table
+    order. after maps a field's path to a problem to list once the field's
+    own are listed."""
+    # A scenario's fields are read whatever its class; a section's must be its own.
+    if not isinstance(section, cls) and cls is not Scenario:
         errors.append(f"{path}: must be a {cls.__name__}, got {shown_value(section)}")
-        return False
-    listed = len(errors)
-    hooks = after.get(cls)
-    prefix = "" if cls is Scenario else f"{path}."
-    for name, kind, test, nested, field in _WALK[cls]:
-        value = getattr(section, name)
-        if nested:
-            if value is None and field.default is None:
-                ok = True
-            elif not field.many:
-                ok = _section_sound(value, kind, field.root_key or prefix + name, errors, after)
-            elif not isinstance(value, (tuple, list)):
-                errors.append(f"{prefix}{name}: must be a tuple or list, got {shown_value(value)}")
-                ok = False
-            elif not test(value):
-                errors.append(f"{prefix}{name}: {field.rules[0][1]}")
-                ok = False
-            else:
-                ok = all([_section_sound(item, kind, f"{prefix}{name}[{i}]", errors, after) for i, item in enumerate(value)])
+        return
+    for field in _TABLES[cls]:
+        value = getattr(section, field.name)
+        here = field.root_key or (f"{path}.{field.name}" if path else field.name)
+        if field.kind not in _TABLES:
+            if not _TESTS[cls][field.name](value):
+                errors.append(f"{here}: {_message(value, field).format(shown_value(value))}")
+                if cls is NodeSpec and field.name == "id":
+                    return  # a node without a sound id is listed by that alone
+        elif value is None and field.default is None:
+            pass
+        elif not field.many:
+            _field_errors(value, field.kind, here, errors, after)
+        elif not isinstance(value, (tuple, list)):
+            errors.append(f"{here}: must be a tuple or list, got {shown_value(value)}")
+        elif not value:
+            errors.append(f"{here}: {field.rules[0][1]}")
         else:
-            # _finite and _integer, inlined: this runs once per leaf field.
-            if kind is float:
-                ok = isinstance(value, _REAL) and value.__class__ is not bool and -_FLOAT_MAX <= value <= _FLOAT_MAX
-            elif kind is int:
-                ok = isinstance(value, int) and value.__class__ is not bool
-            else:
-                ok = isinstance(value, kind)
-            if not (ok and (test is None or test(value))):
-                errors.append(_leaf_error(value, field, field.root_key or prefix + name, ok))
-                ok = False
-        if hooks is not None and name in hooks:
-            hooks[name](section, path, ok)
-    return len(errors) == listed
+            for index, item in enumerate(value):
+                _field_errors(item, field.kind, f"{here}[{index}]", errors, after)
+        if here in after:
+            errors.append(after[here])
+
+
+def _message(value: object, field: _Field) -> str:
+    """The message for a value its leaf row does not pass: that of the first
+    rule it fails, or, if it is not of the row's kind, that of the first rule
+    or of the kind."""
+    test, _, message = _KINDS[field.kind]
+    if _predicate(test)(value):
+        return next(message for rule, message in field.rules if not _predicate(rule)(value))
+    return field.rules[0][1] if field.rules else message
+
+
+def _cross_field_errors(scenario: Scenario, sound: bool) -> list[tuple[str, str]]:
+    """The problems the rules across fields find, in the order they are
+    listed, each with the path of the field it follows; no two share one.
+    A rule reads only fields that pass their rows; sound says that every
+    field does."""
+    found = []
+    perception = scenario.perception
+    center = None
+    if sound or isinstance(perception, PerceptionModel) and _SOUND[Pose](perception.query_center):
+        center = perception.query_center
+    nodes = scenario.nodes
+    if isinstance(nodes, (tuple, list)):
+        seen: set[NodeId] = set()
+        for index, node in enumerate(nodes):
+            if not (sound or isinstance(node, NodeSpec) and _TESTS[NodeSpec]["id"](node.id)):
+                continue
+            if node.id in seen:
+                found.append((f"nodes[{index}].id", f"duplicate node id: {node.id}"))
+            seen.add(node.id)
+            # Claims carry this distance as evidence; finite poses can still overflow it.
+            if center is not None and (sound or _SOUND[Pose](node.pose)):
+                if not _finite(distance := node.pose.distance_to(center)):
+                    path = f"nodes[{index}].pose"
+                    found.append((path, f"{path}: distance to query_region_center must be finite, got {distance!r}"))
+        masters = [n for n in nodes if isinstance(n, NodeSpec) and n.master is True]
+        if len(masters) != 1:
+            found.append(("nodes", f"nodes: exactly one master is required, got {len(masters)}"))
+        elif not masters[0].actuated:
+            found.append(("nodes", "nodes: the master node must be actuated"))
+    truth = scenario.ground_truth
+    if isinstance(truth, GroundTruth) and truth.pedestrian_pose is None and truth.pedestrian_present:
+        found.append(("ground_truth.pedestrian_pose", "ground_truth.pedestrian_pose: required when pedestrian_present"))
+    net = scenario.network
+    if isinstance(net, NetworkConfig):
+        if sound or _TESTS[NetworkConfig]["latency_max"](net.latency_max) and _integer(net.latency_min):
+            if net.latency_max < net.latency_min:
+                shown = f"{shown_value(net.latency_max)} < {shown_value(net.latency_min)}"
+                found.append(("network.latency_max", f"network.latency_max: must be >= latency_min, got {shown}"))
+        # Actuation must land before the next session opens in a lossless run.
+        if sound or _integer(net.latency_max) and _TESTS[Scenario]["settle_interval"](scenario.settle_interval):
+            if scenario.settle_interval < net.latency_max:
+                shown = f"{shown_value(scenario.settle_interval)} < {shown_value(net.latency_max)}"
+                found.append(("settle_interval", f"settle_interval: must be >= network.latency_max, got {shown}"))
+    return found
 
 
 def claim_evidence_valid(claim: Claim) -> bool:
     """True when the claim's profile passes the sensor table and its
     distance_to_target is a finite number >= 0: evidence a master may take
-    on faith. session.trust_positions runs it once per node, on a claim or
-    a trust.Evidence, when a run is set up."""
+    on faith. It builds no message. session.trust_positions runs it once
+    per node, on a claim or a trust.Evidence, when a run is set up."""
     distance = claim.distance_to_target
-    return _section_sound(claim.profile, SensorProfile, "profile", [], {}) and _finite(distance) and distance >= 0.0
+    return _SOUND[SensorProfile](claim.profile) and _finite(distance) and distance >= 0.0
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Every invariant violation in the scenario, or an empty list if runnable.
 
-    The tables give each field's kind and range; the cross-field rules below
-    are the rest, each listed right after the field it follows. Error strings
-    carry field paths so CLI users can find the offending line.
+    Each field is checked by its row in the tables. The rules across fields
+    are checked apart, and each of their problems is listed right after
+    those of the field it follows. Error strings carry field paths so CLI users
+    can find the offending line.
     """
+    sound = _SOUND[Scenario](scenario)
+    found = _cross_field_errors(scenario, sound)
+    if sound:
+        return [message for _, message in found]
     errors: list[str] = []
-    seen: set[NodeId] = set()
-    perception = getattr(scenario, "perception", None)
-    center = perception.query_center if isinstance(perception, PerceptionModel) else None
-    if not _section_sound(center, Pose, "", [], {}):
-        center = None
-
-    def unique_id(node: NodeSpec, path: str, sound: bool) -> None:
-        if sound:
-            if node.id in seen:
-                errors.append(f"duplicate node id: {node.id}")
-            seen.add(node.id)
-
-    def finite_distance(node: NodeSpec, path: str, sound: bool) -> None:
-        # Claims carry this distance as evidence; finite poses can still overflow it.
-        if sound and center is not None and not _finite(distance := node.pose.distance_to(center)):
-            errors.append(f"{path}.pose: distance to query_region_center must be finite, got {distance!r}")
-
-    def one_actuated_master(root: Scenario, path: str, sound: bool) -> None:
-        if isinstance(root.nodes, (tuple, list)):
-            masters = [n for n in root.nodes if isinstance(n, NodeSpec) and n.master is True]
-            if len(masters) != 1:
-                errors.append(f"nodes: exactly one master is required, got {len(masters)}")
-            elif not masters[0].actuated:
-                errors.append("nodes: the master node must be actuated")
-
-    def pose_when_present(truth: GroundTruth, path: str, sound: bool) -> None:
-        if truth.pedestrian_pose is None and truth.pedestrian_present:
-            errors.append("ground_truth.pedestrian_pose: required when pedestrian_present")
-
-    def latency_order(net: NetworkConfig, path: str, sound: bool) -> None:
-        if sound and _integer(net.latency_min) and net.latency_max < net.latency_min:
-            shown = f"{shown_value(net.latency_max)} < {shown_value(net.latency_min)}"
-            errors.append(f"network.latency_max: must be >= latency_min, got {shown}")
-
-    def settle_covers_latency(root: Scenario, path: str, sound: bool) -> None:
-        # Actuation must land before the next session opens in a lossless run.
-        if sound and isinstance(root.network, NetworkConfig) and _integer(latency_max := root.network.latency_max):
-            if root.settle_interval < latency_max:
-                shown = f"{shown_value(root.settle_interval)} < {shown_value(latency_max)}"
-                errors.append(f"settle_interval: must be >= network.latency_max, got {shown}")
-
-    after = {
-        Scenario: {"nodes": one_actuated_master, "settle_interval": settle_covers_latency},
-        NodeSpec: {"id": unique_id, "pose": finite_distance},
-        GroundTruth: {"pedestrian_pose": pose_when_present},
-        NetworkConfig: {"latency_max": latency_order},
-    }
-    _section_sound(scenario, Scenario, "scenario", errors, after)
+    _field_errors(scenario, Scenario, "", errors, dict(found))
     return errors

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import yaml
 
-from .model import _TABLES, Scenario, SensorKind, shown_value, validate_scenario
+from .model import _KINDS, _TABLES, Scenario, SensorKind, shown_value, validate_scenario
 
 
 class ScenarioParseError(Exception):
@@ -31,13 +31,6 @@ class ScenarioValidationError(Exception):
 
 
 _ROOT = "scenario"
-# What a file must hold for a leaf row of each kind.
-_EXPECTED = {
-    int: "an integer",
-    float: "a number",
-    bool: "true or false",
-    SensorKind: "one of " + ", ".join(kind.value for kind in SensorKind),
-}
 
 
 def _layout(cls: type) -> dict:
@@ -108,7 +101,7 @@ def _convert(value: object, field, path: str, top: dict) -> object:
             return float(value)
         except OverflowError:
             raise ScenarioParseError(f"{path}: number too large for a float") from None
-    raise ScenarioParseError(f"{path}: expected {_EXPECTED[kind]}, got {shown_value(value)}")
+    raise ScenarioParseError(f"{path}: expected {_KINDS[kind][1]}, got {shown_value(value)}")
 
 
 class _Loader(yaml.SafeLoader):

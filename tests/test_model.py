@@ -76,7 +76,7 @@ WRONG_TYPES = [
     (attrs, doc, path, value)
     for attrs, doc, path, _ in table_rows(1)
     for value in ["x", *EARLIER.get(path, [])]
-] + [(("nodes", 0), ("nodes", 0), "nodes[0]", None)]
+] + [(("nodes", 0), ("nodes", 0), "nodes[0]", None), (("nodes",), ("nodes",), "nodes[0]", (None,))]
 CASE_IDS = [f"{path}={value!r}" for _, _, path, value in WRONG_TYPES]
 
 
@@ -358,6 +358,40 @@ class TestValidateScenario:
         else:
             assert code == cli.EXIT_PARSE
             assert err.startswith(f"parse error: {path}: ") and err.count("\n") == 1, err
+
+    def test_a_node_without_a_sound_id_is_listed_by_that_alone(self):
+        """Its pose, sensor and flags are not read, and it takes no part in
+        the duplicate-id and distance rules."""
+        scenario = make_scenario()
+        nodes = scenario.nodes
+        node = dataclasses.replace(nodes[1], id=-1, pose=None, sensor=make_profile(fn=0.9), master="no")
+        broken = dataclasses.replace(scenario, nodes=(nodes[0], node, nodes[2]))
+        assert validate_scenario(broken) == ["nodes[1].id: must be an integer >= 0 and < 2^63, got -1"]
+
+    def test_each_cross_field_problem_follows_the_field_it_names(self):
+        """Field problems come in table order, and each cross-field problem
+        right after those of the field it follows."""
+        scenario = make_scenario(latency=(10, 5), settle=1, sessions=0)
+        nodes = scenario.nodes
+        nodes = (
+            nodes[0],
+            dataclasses.replace(nodes[1], id=nodes[0].id, sensor=make_profile(fn=0.7)),
+            dataclasses.replace(nodes[2], pose=Pose(1.0e308, 0.0), actuated=None),
+        )
+        perception = dataclasses.replace(scenario.perception, query_center=Pose(-1.0e308, 0.0))
+        broken = dataclasses.replace(
+            scenario, nodes=nodes, ground_truth=GroundTruth(True, None), perception=perception
+        )
+        assert validate_scenario(broken) == [
+            "duplicate node id: 1",
+            "nodes[1].sensor.base_false_negative: must be in [0.0, 0.5), got 0.7",
+            "nodes[2].pose: distance to query_region_center must be finite, got inf",
+            "nodes[2].actuated: must be true or false, got None",
+            "ground_truth.pedestrian_pose: required when pedestrian_present",
+            "network.latency_max: must be >= latency_min, got 5 < 10",
+            "settle_interval: must be >= network.latency_max, got 1 < 5",
+            "sessions: must be an integer >= 1, got 0",
+        ]
 
     @pytest.mark.parametrize("huge", [2**1024, -(2**1024), 10**400], ids=["2^1024", "-2^1024", "10^400"])
     def test_numbers_no_float_can_hold_are_listed(self, huge):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import MISSING, dataclass
+from functools import cache
 from enum import Enum
 from typing import NamedTuple
 
@@ -266,8 +267,10 @@ _TABLES: dict[type, tuple[_Field, ...]] = {
 }
 
 
+@cache
 def _predicate(test: str):
-    """A test, an expression in v, as a function of v."""
+    """A test, an expression in v, as a function of v. Each is compiled
+    once: the tables hold a fixed few."""
     return eval(f"lambda v: {test}", globals())
 
 

@@ -30,9 +30,6 @@ class ScenarioValidationError(Exception):
         self.errors = errors
 
 
-_ROOT = "scenario"
-
-
 def _layout(cls: type) -> dict:
     """A section's rows by their key in a file, in the order they are read;
     the top level also holds each section's root_key rows, just before it."""
@@ -144,7 +141,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError("not valid YAML: nested too deeply") from None
     if document is None:
         raise ScenarioParseError("empty scenario file")
-    return _build(document, Scenario, _ROOT, {})
+    return _build(document, Scenario, "scenario", {})
 
 
 def load_scenario(path: str | Path) -> Scenario:

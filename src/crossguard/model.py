@@ -269,8 +269,7 @@ _TABLES: dict[type, tuple[_Field, ...]] = {
 
 @cache
 def _predicate(test: str):
-    """A test, an expression in v, as a function of v. Each is compiled
-    once: the tables hold a fixed few."""
+    """A test, an expression in v, as a function of v; kept, as the tables hold few."""
     return eval(f"lambda v: {test}", globals())
 
 
@@ -302,7 +301,7 @@ def _sound(cls: type):
 
 
 _SOUND = {cls: _sound(cls) for cls in _TABLES}
-_TESTS = {cls: {field.name: _predicate(_row_test(field)) for field in rows} for cls, rows in _TABLES.items()}
+_ROWS = {(cls, field.name): field for cls, rows in _TABLES.items() for field in rows}
 _finite = _predicate(_KINDS[float][0])
 _integer = _predicate(_KINDS[int][0])
 
@@ -319,8 +318,8 @@ def _field_errors(section: object, cls: type, path: str, errors: list[str], afte
         value = getattr(section, field.name)
         here = field.root_key or (f"{path}.{field.name}" if path else field.name)
         if field.kind not in _TABLES:
-            if not _TESTS[cls][field.name](value):
-                errors.append(f"{here}: {_message(value, field).format(shown_value(value))}")
+            if (problem := _problem(value, cls, field.name)) is not None:
+                errors.append(f"{here}: {problem.format(shown_value(value))}")
                 if cls is NodeSpec and field.name == "id":
                     return  # a node without a sound id is listed by that alone
         elif value is None and field.default is None:
@@ -338,14 +337,15 @@ def _field_errors(section: object, cls: type, path: str, errors: list[str], afte
             errors.append(after[here])
 
 
-def _message(value: object, field: _Field) -> str:
-    """The message for a value its leaf row does not pass: that of the first
-    rule it fails, or, if it is not of the row's kind, that of the first rule
-    or of the kind."""
+def _problem(value: object, cls: type, name: str) -> str | None:
+    """The message for a value that the leaf row name of cls's table does not
+    pass, or None if it passes: that of the first rule it fails, or, if it is
+    not of the row's kind, that of the first rule or of the kind."""
+    field = _ROWS[cls, name]
     test, _, message = _KINDS[field.kind]
-    if _predicate(test)(value):
-        return next(message for rule, message in field.rules if not _predicate(rule)(value))
-    return field.rules[0][1] if field.rules else message
+    if not _predicate(test)(value):
+        return field.rules[0][1] if field.rules else message
+    return next((message for rule, message in field.rules if not _predicate(rule)(value)), None)
 
 
 def _cross_field_errors(scenario: Scenario, sound: bool) -> list[tuple[str, str]]:
@@ -362,7 +362,7 @@ def _cross_field_errors(scenario: Scenario, sound: bool) -> list[tuple[str, str]
     if isinstance(nodes, (tuple, list)):
         seen: set[NodeId] = set()
         for index, node in enumerate(nodes):
-            if not (sound or isinstance(node, NodeSpec) and _TESTS[NodeSpec]["id"](node.id)):
+            if not (sound or isinstance(node, NodeSpec) and _problem(node.id, NodeSpec, "id") is None):
                 continue
             if node.id in seen:
                 found.append((f"nodes[{index}].id", f"duplicate node id: {node.id}"))
@@ -382,12 +382,12 @@ def _cross_field_errors(scenario: Scenario, sound: bool) -> list[tuple[str, str]
         found.append(("ground_truth.pedestrian_pose", "ground_truth.pedestrian_pose: required when pedestrian_present"))
     net = scenario.network
     if isinstance(net, NetworkConfig):
-        if sound or _TESTS[NetworkConfig]["latency_max"](net.latency_max) and _integer(net.latency_min):
+        if sound or _problem(net.latency_max, NetworkConfig, "latency_max") is None and _integer(net.latency_min):
             if net.latency_max < net.latency_min:
                 shown = f"{shown_value(net.latency_max)} < {shown_value(net.latency_min)}"
                 found.append(("network.latency_max", f"network.latency_max: must be >= latency_min, got {shown}"))
         # Actuation must land before the next session opens in a lossless run.
-        if sound or _integer(net.latency_max) and _TESTS[Scenario]["settle_interval"](scenario.settle_interval):
+        if sound or _integer(net.latency_max) and _problem(scenario.settle_interval, Scenario, "settle_interval") is None:
             if scenario.settle_interval < net.latency_max:
                 shown = f"{shown_value(scenario.settle_interval)} < {shown_value(net.latency_max)}"
                 found.append(("settle_interval", f"settle_interval: must be >= network.latency_max, got {shown}"))

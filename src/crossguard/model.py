@@ -269,7 +269,7 @@ _TABLES: dict[type, tuple[_Field, ...]] = {
 
 @cache
 def _predicate(test: str):
-    """A test, an expression in v, as a function of v; kept, as the tables hold few."""
+    """A test, an expression in v, as a function of v, compiled once: the tables hold few."""
     return eval(f"lambda v: {test}", globals())
 
 

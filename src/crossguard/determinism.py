@@ -15,10 +15,18 @@ import struct
 DOMAIN_SENSE = b"sense"
 DOMAIN_NET = b"net"
 
-_TWO_53 = float(1 << 53)
+TWO_53 = float(1 << 53)  # a float draw is the top 53 bits of a word over 2^53
 _WORD_SPAN = 1 << 64
 _BLOCK_WORDS = struct.Struct("<4Q")  # one SHA-256 block as four little-endian words
 _BLOCK_INDEX = struct.Struct("<Q")
+
+
+def word_limit(span: int) -> int:
+    """randint over span values accepts the words below 2^64 - (2^64 mod
+    span); rejecting the rest removes the (tiny) modulo bias exactly. For a
+    span that is empty or wider than one word, where randint raises, the
+    limit is 0: no word is accepted."""
+    return _WORD_SPAN - _WORD_SPAN % span if span > 0 else 0
 
 
 class KeyedStream:
@@ -53,8 +61,8 @@ class KeyedStream:
         index = self._index
         if index < 4:
             self._index = index + 1
-            return (self._words[index] >> 11) / _TWO_53
-        return (self._word() >> 11) / _TWO_53
+            return (self._words[index] >> 11) / TWO_53
+        return (self._word() >> 11) / TWO_53
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high], both ends inclusive.
@@ -66,8 +74,7 @@ class KeyedStream:
         span = high - low + 1
         if span > _WORD_SPAN:
             raise ValueError(f"range [{low}, {high}] spans more than 2^64 values")
-        # Rejection sampling removes the (tiny) modulo bias exactly.
-        limit = _WORD_SPAN - (_WORD_SPAN % span)
+        limit = word_limit(span)
         while True:
             index = self._index
             if index < 4:
@@ -100,6 +107,8 @@ def _key_packer(domain: bytes, parts: int):
 
 _pack_sense_key = _key_packer(DOMAIN_SENSE, 2)
 _pack_net_key = _key_packer(DOMAIN_NET, 3)
+# The transport key followed by block index 0: what block 0 of the stream hashes.
+_pack_net_block_0 = struct.Struct(f"<{len(DOMAIN_NET)}sQ3qQ").pack
 
 
 def sense_stream(seed: int, node: int, session: int) -> KeyedStream:
@@ -110,3 +119,15 @@ def sense_stream(seed: int, node: int, session: int) -> KeyedStream:
 def transport_stream(seed: int, src: int, seq: int, dst: int) -> KeyedStream:
     """Substream for one message's delivery draws toward one recipient."""
     return KeyedStream(_pack_net_key(DOMAIN_NET, seed, src, seq, dst))
+
+
+def transport_words(seed: int, src: int, seq: int, dst: int) -> tuple[int, int, int, int]:
+    """Block 0 of transport_stream(seed, src, seq, dst), as its four words.
+
+    A copy's drop draw, the stream's first random(), is (words[0] >> 11) /
+    2^53. Its latency draw, the randint(low, high) after it, is low +
+    words[1] % span when words[1] < word_limit(span), span being high - low
+    + 1. Only a rejected words[1] needs the stream itself, replayed from its
+    first draw, to read on.
+    """
+    return _BLOCK_WORDS.unpack(hashlib.sha256(_pack_net_block_0(DOMAIN_NET, seed, src, seq, dst, 0)).digest())

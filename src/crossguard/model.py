@@ -369,7 +369,11 @@ def _cross_field_errors(scenario: Scenario, sound: bool) -> list[tuple[str, str]
             seen.add(node.id)
             # Claims carry this distance as evidence; finite poses can still overflow it.
             if center is not None and (sound or _SOUND[Pose](node.pose)):
-                if not _finite(distance := node.pose.distance_to(center)):
+                try:
+                    distance = node.pose.distance_to(center)
+                except OverflowError:  # integer coordinates whose difference no float holds
+                    distance = math.inf
+                if not _finite(distance):
                     path = f"nodes[{index}].pose"
                     found.append((path, f"{path}: distance to query_region_center must be finite, got {distance!r}"))
         masters = [n for n in nodes if isinstance(n, NodeSpec) and n.master is True]

@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 
-from .determinism import transport_stream
+from .determinism import TWO_53, transport_stream, transport_words, word_limit
 from .model import NetworkConfig, NodeId, ProtocolError, SimTime
 
 
@@ -82,7 +82,9 @@ class Network:
 
     Draws come from substreams keyed by (seed, src, seq, recipient): resending
     with the same seed replays identically, and adding a node never perturbs
-    the draws any existing pair sees.
+    the draws any existing pair sees. A copy reads its drop and latency words
+    straight from block 0 of its stream (determinism.transport_words) and
+    replays the stream only when the latency word is rejected.
     """
 
     def __init__(
@@ -116,14 +118,22 @@ class Network:
         dropped = []
         config = self.config
         drop_probability = config.drop_probability
+        low = config.latency_min
+        span = config.latency_max - low + 1
+        limit = word_limit(span)
         seed = self.seed
         schedule = self.queue.schedule
         for recipient in self.node_ids if dst is None else (dst,):
-            stream = transport_stream(seed, src, seq, recipient)
-            if stream.random() < drop_probability:
+            drop_word, latency_word, _, _ = transport_words(seed, src, seq, recipient)
+            if (drop_word >> 11) / TWO_53 < drop_probability:
                 dropped.append(recipient)
                 continue
-            latency = stream.randint(config.latency_min, config.latency_max)
+            if latency_word < limit:
+                latency = low + latency_word % span
+            else:
+                stream = transport_stream(seed, src, seq, recipient)
+                stream.random()
+                latency = stream.randint(low, config.latency_max)
             schedule(now + latency, Delivery(kind, src, recipient, seq, now, payload))
         self.dropped += len(dropped)
         return seq, dropped

@@ -118,13 +118,20 @@ class _Loader(yaml.SafeLoader):
         return node
 
 
-def _one_line(exc: Exception) -> str:
-    """An error from loading YAML on one line: PyYAML's problem and where it
-    was found, or, where it gives none (as a ReaderError does), its text
-    with the line breaks joined."""
-    mark = getattr(exc, "problem_mark", None)
-    if getattr(exc, "problem", None) and mark is not None:
-        return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+def _one_line(exc: Exception, text: str) -> str:
+    """An error from loading YAML text on one line: PyYAML's problem and the
+    line and column it was found at, or, where it gives none, its text with
+    the line breaks joined. A ReaderError (a character YAML does not allow)
+    gives only an offset into text, so PyYAML's reader is run up to it to
+    count lines and columns as every other error's mark does."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        reader = yaml.reader.Reader(text[: exc.position])
+        reader.forward(exc.position)
+        problem, mark = str(exc).partition("\n")[0], reader.get_mark()
+    else:
+        problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
+    if problem and mark is not None:
+        return f"{problem} at line {mark.line + 1}, column {mark.column + 1}"
     return " ".join(str(exc).split())
 
 
@@ -136,7 +143,7 @@ def parse_scenario(text: str) -> Scenario:
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: YAML that Python cannot build, such as an integer
         # literal beyond the interpreter's digit limit.
-        raise ScenarioParseError(f"not valid YAML: {_one_line(exc)}") from exc
+        raise ScenarioParseError(f"not valid YAML: {_one_line(exc, text)}") from exc
     except RecursionError:
         raise ScenarioParseError("not valid YAML: nested too deeply") from None
     if document is None:

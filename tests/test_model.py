@@ -288,6 +288,19 @@ class TestValidateScenario:
         fixed = dataclasses.replace(broken, nodes=(scenario.nodes[0], near, *scenario.nodes[2:]))
         assert validate_scenario(fixed) == []
 
+    def test_integer_poses_whose_distance_no_float_holds_are_listed(self):
+        """A Scenario built in code may hold integer coordinates; their
+        difference is too large for math.hypot, which raises OverflowError."""
+        scenario = make_scenario()
+        perception = dataclasses.replace(scenario.perception, query_center=Pose(-(10**308), 0))
+        far = dataclasses.replace(scenario.nodes[1], pose=Pose(10**308, 0))
+        broken = dataclasses.replace(
+            scenario, perception=perception, nodes=(scenario.nodes[0], far, *scenario.nodes[2:])
+        )
+        assert validate_scenario(broken) == [
+            "nodes[1].pose: distance to query_region_center must be finite, got inf"
+        ]
+
     def test_sessions_must_be_at_least_one(self):
         broken = dataclasses.replace(make_scenario(), sessions=0)
         assert any("sessions" in e for e in validate_scenario(broken))

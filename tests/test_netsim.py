@@ -5,8 +5,11 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossguard import netsim
+from crossguard.determinism import transport_stream
 from crossguard.model import NetworkConfig, ProtocolError
 from crossguard.netsim import Delivery, EventQueue, MessageKind, Network
 
@@ -180,25 +183,71 @@ class TestNetworkTransport:
         assert latencies == {0, 1, 2, 3}
 
     @pytest.mark.parametrize(
-        "draw, delivered",
-        [(0.25, True), (math.nextafter(0.25, 0.0), False)],
+        "drop_word, delivered",
+        [(2**51 << 11, True), ((2**51 - 1) << 11, False)],
         ids=["equal_is_delivered", "just_below_is_dropped"],
     )
-    def test_a_drop_draw_equal_to_the_probability_is_delivered(self, monkeypatch, draw, delivered):
-        """A copy is dropped iff its draw is strictly below drop_probability."""
-
-        class InjectedDraws:
-            def random(self):
-                return draw
-
-            def randint(self, low, high):
-                return low
-
-        monkeypatch.setattr(netsim, "transport_stream", lambda *key: InjectedDraws())
+    def test_a_drop_draw_equal_to_the_probability_is_delivered(self, monkeypatch, drop_word, delivered):
+        """A copy is dropped iff its draw is strictly below drop_probability.
+        The drop draw is the top 53 bits of block 0's word 0 over 2^53, so
+        2^51 << 11 draws exactly 0.25 and (2^51 - 1) << 11 one 2^-53 step
+        below it; both are injected as that word."""
+        monkeypatch.setattr(netsim, "transport_words", lambda *key: (drop_word, 0, 0, 0))
         queue, network = build_net([1, 2], lossless(drop=0.25))
         _, dropped = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
         assert dropped == ([] if delivered else [2])
-        assert len(drain(queue)) == (1 if delivered else 0)
+        assert [due for due, _ in drain(queue)] == ([1000] if delivered else [])
+
+    @pytest.mark.parametrize("offset, replayed", [(0, True), (-1, False)], ids=["limit_is_replayed", "below_it_is_read"])
+    def test_a_latency_word_equal_to_its_limit_replays_the_stream(self, monkeypatch, offset, replayed):
+        """Block 0's word 1 is the latency draw while it is below limit =
+        2^64 - (2^64 mod span); limit itself is rejected, and the copy's
+        latency then comes from transport_stream, replayed through random()
+        and randint() as a stream is read."""
+        span = 3
+        limit = 2**64 - 2**64 % span
+        replays = []
+
+        class Replay:
+            def random(self):
+                replays.append("random")
+                return 0.0
+
+            def randint(self, low, high):
+                replays.append(("randint", low, high))
+                return 11
+
+        def transport_stream(*key):
+            replays.append(key)
+            return Replay()
+
+        monkeypatch.setattr(netsim, "transport_words", lambda *key: (0, limit + offset, 0, 0))
+        monkeypatch.setattr(netsim, "transport_stream", transport_stream)
+        queue, network = build_net([1, 2], lossless(latency_min=10, latency_max=12), seed=5)
+        network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=100)
+        [(due, _)] = drain(queue)
+        if replayed:
+            assert replays == [(5, 1, 0, 2), "random", ("randint", 10, 12)] and due == 111
+        else:
+            assert replays == [] and due == 100 + 10 + (limit - 1) % span == 112
+
+    @pytest.mark.parametrize(
+        "latency_min, latency_max",
+        [(5000, 4999), (0, -1), (0, 2**64), (-(2**63), 2**63)],
+        ids=["inverted", "inverted_at_zero", "span_past_2^64", "wide_span_past_2^64"],
+    )
+    def test_an_unvalidated_latency_range_fails_at_the_first_kept_copy(self, latency_min, latency_max):
+        """A Network built from a NetworkConfig that validate_scenario would
+        refuse raises randint's ValueError when a copy is kept, and sends
+        without error while every copy is dropped."""
+        config = lossless(latency_min=latency_min, latency_max=latency_max, drop=1.0)
+        queue, network = build_net([1, 2, 3], config)
+        assert network.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=0) == (0, [1, 2, 3])
+        assert network.send(MessageKind.CLAIM, src=2, dst=1, payload=None, now=0) == (0, [1])
+        queue, network = build_net([1, 2, 3], lossless(latency_min=latency_min, latency_max=latency_max))
+        with pytest.raises(ValueError, match="empty range|2\\^64"):
+            network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
+        assert len(queue) == 0
 
     def test_drop_rate_matches_the_configured_probability(self):
         """100 000 unicast sends at drop 0.3: frozen observation 0.30079,
@@ -219,7 +268,75 @@ class TestNetworkTransport:
         assert (a, b, c) == (0, 1, 0)
 
 
+def stream_replay(network, src, seq, recipients):
+    """What transport_stream(seed, src, seq, recipient) draws for each copy,
+    read as a stream: random() for the drop, then randint() for the latency.
+    Returns the dropped recipients and the kept ones' latencies."""
+    config = network.config
+    dropped, latencies = [], {}
+    for recipient in recipients:
+        stream = transport_stream(network.seed, src, seq, recipient)
+        if stream.random() < config.drop_probability:
+            dropped.append(recipient)
+        else:
+            latencies[recipient] = stream.randint(config.latency_min, config.latency_max)
+    return dropped, latencies
+
+
+def sent_draws(queue, sent):
+    """The dropped recipients send returned for each seq in sent, a
+    {seq: dropped} map, with the latencies of that seq's queued copies."""
+    latencies = {seq: {} for seq in sent}
+    for due, delivery in drain(queue):
+        latencies[delivery.seq][delivery.recipient] = due - delivery.sent_at
+    return {seq: (dropped, latencies[seq]) for seq, dropped in sent.items()}
+
+
+# latency_max = 2^63 over latency_min = 0 is a span of 2^63 + 1: about half of
+# all latency words are rejected and replayed.
+SPANS = st.one_of(
+    st.integers(min_value=1, max_value=10**6),
+    st.sampled_from([2**63 + 1, 2**64 - 1, 2**64]),
+    st.integers(min_value=2**63, max_value=2**64),
+)
+
+
 class TestKeyedTransportDraws:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        src=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        nodes=st.sets(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=1, max_size=6),
+        drop=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        latency_min=st.integers(min_value=0, max_value=10**9),
+        span=SPANS,
+        sends=st.integers(min_value=1, max_value=3),
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_send_draws_what_the_stream_replay_draws(self, seed, src, nodes, drop, latency_min, span, sends):
+        """Reading block 0's words inline keeps every copy's drop and latency."""
+        config = lossless(latency_min=latency_min, latency_max=latency_min + span - 1, drop=drop)
+        queue, network = build_net(sorted(nodes | {src}), config, seed=seed)
+        sent = dict(network.send(MessageKind.SESSION_START, src=src, dst=None, payload=None, now=0) for _ in range(sends))
+        assert sent_draws(queue, sent) == {seq: stream_replay(network, src, seq, network.node_ids) for seq in sent}
+
+    def test_half_the_latency_words_are_replayed_at_a_span_of_2_to_the_63(self, monkeypatch):
+        """At latency (0, 2^63) about half of 40 copies reject their latency
+        word and replay the stream, and every copy still draws what the
+        stream draws."""
+        replays = []
+
+        def counted(*key):
+            replays.append(key)
+            return transport_stream(*key)
+
+        monkeypatch.setattr(netsim, "transport_stream", counted)
+        queue, network = build_net(list(range(40)), lossless(latency_min=0, latency_max=2**63), seed=3)
+        sent = dict([network.send(MessageKind.SESSION_START, src=0, dst=None, payload=None, now=0)])
+        monkeypatch.undo()
+        assert sent_draws(queue, sent) == {0: stream_replay(network, 0, 0, range(40))}
+        assert 10 <= len(replays) <= 30
+
+
     def test_same_seed_replays_the_same_schedule(self):
         queue_a, net_a = build_net([1, 2, 3], lossless(drop=0.2))
         net_a.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=0)

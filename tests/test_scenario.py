@@ -434,8 +434,7 @@ class TestParseScenario:
     )
     def test_a_yaml_error_is_one_line(self, text, tmp_path, capsys):
         """PyYAML's marked errors span several lines (context, marks, carets);
-        the parse error keeps the problem and its line and column. A
-        ReaderError has no mark, and its text is joined into one line."""
+        the parse error keeps the problem and its line and column."""
         with pytest.raises(ScenarioParseError) as excinfo:
             parse_scenario(text)
         assert str(excinfo.value).startswith("not valid YAML: ") and "\n" not in str(excinfo.value)
@@ -443,6 +442,23 @@ class TestParseScenario:
         path.write_text(text, encoding="utf-8")
         assert cli.main(["validate", str(path)]) == cli.EXIT_PARSE
         assert capsys.readouterr().err == f"parse error: {excinfo.value}\n"
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("a: \x07", "#x0007: special characters are not allowed at line 1, column 4"),
+            ("a: b\r\nc: \x07", "#x0007: special characters are not allowed at line 2, column 4"),
+            ("a: 1\n\n  b: \u2028x: \x7f", "#x007f: special characters are not allowed at line 4, column 4"),
+        ],
+        ids=["first-line", "after-crlf", "after-line-separator"],
+    )
+    def test_a_character_yaml_refuses_is_named_by_line_and_column(self, text, where):
+        """PyYAML gives a ReaderError an offset into the text, not a mark; the
+        parse error counts its line and column as PyYAML's marks do, with
+        \r\n as one line break and U+2028 as one."""
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario(text)
+        assert str(excinfo.value) == f"not valid YAML: unacceptable character {where}"
 
     def test_missing_field_names_its_path(self):
         with pytest.raises(ScenarioParseError, match="network.seed"):

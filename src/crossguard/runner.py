@@ -56,6 +56,7 @@ from .trace import BROADCAST, build, claim_payload, dumps_record
 from .trust import Evidence
 
 TRUTH_MODES = ("fixed", "alternating")
+_TRACE_BLOCK = 1024  # run_once writes its trace stream this many lines at a time
 # The RunMetrics counts that depend on the verdict, hence differ between arms.
 VERDICT_COUNTS = ("decisions", "stops", "gos", "false_go_count", "false_stop_count")
 
@@ -231,7 +232,11 @@ class Simulation:
         self.metrics = RunMetrics()
         self.extra_metrics = [RunMetrics() for _ in extra_semantics]
         self.seed = seed
-        self._sinks = sinks or []
+        self._sinks = sinks = sinks or []
+        if len(sinks) == 1:
+            # A lone sink is called directly. Never store a bound method of self here:
+            # the cycle would leave each Simulation to the cyclic GC.
+            self.emit = sinks[0]
 
         self.master_id = scenario.master_node().id
         self.actuated = list(scenario.actuated_ids())
@@ -426,9 +431,10 @@ def run_once(
 
     Metrics are booked as the run goes, keeping nothing per session. Trace
     records are built only for a sink: the returned list when collect_trace
-    is true, trace_stream (serialized line by line) when given. With
-    collect_trace=False and no trace_stream no record is built, so time
-    stays low and memory flat at any session count.
+    is true, trace_stream when given. The stream is written in blocks of
+    _TRACE_BLOCK lines and holds every line before run_once returns or
+    raises. With collect_trace=False and no trace_stream no record is
+    built, so time stays low and memory flat at any session count.
 
     Given extra_semantics, every session's frozen claim set is also decided
     under each of them, without simulating again; actuation and the trace
@@ -444,11 +450,23 @@ def run_once(
     if collect_trace:
         records = []
         sinks.append(records.append)
+    lines: list[str] = []  # the stream's lines not yet written: at most one block
     if trace_stream is not None:
-        sinks.append(lambda record: trace_stream.write(dumps_record(record) + "\n"))
+
+        def stream(record: dict) -> None:
+            lines.append(dumps_record(record))
+            if len(lines) == _TRACE_BLOCK:
+                trace_stream.write("\n".join(lines) + "\n")
+                lines.clear()
+
+        sinks.append(stream)
 
     sim = Simulation(scenario, semantics, seed, truth_mode, sinks, () if extra_semantics is None else extra_semantics)
-    sim.run()
+    try:
+        sim.run()
+    finally:
+        if lines:
+            trace_stream.write("\n".join(lines) + "\n")
 
     for arm in (sim.metrics, *sim.extra_metrics):
         if arm.stops + arm.gos != arm.decisions:

@@ -14,6 +14,13 @@ exactly the kind's keys; one line formatter per kind is compiled when the
 first record is serialized. dumps_record uses a kind's formatter for a
 record that matches the kind exactly and the JSON encoder for anything
 else; both give the same bytes.
+
+A formatter writes a float field's text from a memo of repr by value, since
+a run's claim floats recur in every claim send; a lookup costs a fraction
+of repr. The memo is cleared past 1 024 entries and never holds a zero:
+0.0 and -0.0 are equal keys that print differently, and a valid scenario
+may hold either. No other two finite floats are equal, so no line depends
+on what the memo holds.
 """
 
 from __future__ import annotations
@@ -187,6 +194,20 @@ def _plain(text: str) -> str:
     return text
 
 
+# The repr of each nonzero float a formatter has written, keyed by the float; see the module docstring.
+_FLOAT_TEXT: dict[float, str] = {}
+
+
+def _float_text(value: float) -> str:
+    """repr(value); a nonzero value's text is kept in _FLOAT_TEXT, which is cleared past 1 024 entries."""
+    text = repr(value)
+    if value:
+        if len(_FLOAT_TEXT) > 1024:
+            _FLOAT_TEXT.clear()
+        _FLOAT_TEXT[value] = text
+    return text
+
+
 def _compile(name: str, fields: tuple):
     """Generate one object's line formatter, as dataclasses generates __init__.
 
@@ -195,7 +216,13 @@ def _compile(name: str, fields: tuple):
     An object with a list field gets no formatter (None): it stays on the
     JSON path.
     """
-    env = {"_BOOL": ("false", "true"), "_INF": math.inf, "_KEYS": tuple(key for key, _ in fields)}
+    env = {
+        "_BOOL": ("false", "true"),
+        "_INF": math.inf,
+        "_KEYS": tuple(key for key, _ in fields),
+        "_FLOAT_TEXT": _FLOAT_TEXT,
+        "_float_text": _float_text,
+    }
     checks, parts = [], []
     for i, (key, kind) in enumerate(fields):
         _plain_name(key)  # keys are written into the source
@@ -205,7 +232,7 @@ def _compile(name: str, fields: tuple):
             text = f"{{{value}}}"
         elif kind is float:
             checks.append(f"type({value}) is float and -_INF < {value} < _INF")
-            text = f"{{{value}!r}}"
+            text = f"{{_FLOAT_TEXT.get({value}) or _float_text({value})}}"
         elif kind is bool:
             checks.append(f"type({value}) is bool")
             text = f"{{_BOOL[{value}]}}"

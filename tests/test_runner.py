@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from crossguard import runner
+from crossguard import cli, runner
 from crossguard.aggregation import AggregationSemantics
 from crossguard.model import (
     GroundTruth,
@@ -566,6 +566,57 @@ class TestMetrics:
         for semantics in ALL_SEMANTICS:
             _, metrics = run_once(scenario, semantics, seed=13, collect_trace=False)
             assert metrics.stops + metrics.gos == metrics.decisions == 30
+
+
+def refuse_from_session(first: int):
+    """An apply_command that refuses every command of session `first` onwards."""
+    apply = runner.apply_command
+    return lambda motion, command: command.session < first and apply(motion, command)
+
+
+class TestTraceStream:
+    """A trace stream holds every record's line, in order, by the time
+    run_once returns or raises, however many lines the run writes."""
+
+    def test_a_long_lossy_run_streams_the_same_bytes(self):
+        scenario = make_scenario(sessions=300, drop=0.2, actuate_all=True)
+        buffer = io.StringIO()
+        records, _ = run_once(scenario, AggregationSemantics.MAJORITY, seed=3, trace_stream=buffer)
+        assert len(records) > 3 * 1024  # several full blocks and a part-filled one
+        assert by_ev(records, "drop")
+        assert buffer.getvalue() == dumps_records(records)
+
+    @pytest.mark.parametrize("first", [1, 250], ids=["first_session", "late_session"])
+    def test_a_protocol_error_leaves_the_lines_emitted_before_it(self, monkeypatch, first):
+        scenario = make_scenario(sessions=300, drop=0.2)
+        monkeypatch.setattr(runner, "apply_command", refuse_from_session(first))
+        message = r"^node 1 refused session \d+'s command as stale$"  # a dropped command refuses none
+        records = []
+        sim = runner.Simulation(scenario, AggregationSemantics.MAJORITY, 3, sinks=[records.append])
+        with pytest.raises(ProtocolError, match=message):
+            sim.run()
+        assert records[-1]["ev"] == "deliver" and records[-1]["kind"] == "actuation"
+        buffer = io.StringIO()
+        with pytest.raises(ProtocolError, match=message):
+            run_once(scenario, AggregationSemantics.MAJORITY, seed=3, collect_trace=False, trace_stream=buffer)
+        assert buffer.getvalue() == dumps_records(records)
+
+    def test_the_cli_trace_file_holds_the_lines_emitted_before_a_protocol_error(self, monkeypatch, tmp_path):
+        text = INTERSECTION.read_text(encoding="utf-8")
+        text = text.replace("sessions: 1", "sessions: 300")
+        text = text.replace("drop_probability: 0.0", "drop_probability: 0.2")
+        path = tmp_path / "long.scenario"
+        path.write_text(text, encoding="utf-8")
+        trace = tmp_path / "t.ndjson"
+        monkeypatch.setattr(runner, "apply_command", refuse_from_session(250))
+        code = cli.main(["run", str(path), "--semantics", "majority", "--seed", "5", "--trace", str(trace)])
+        assert code == cli.EXIT_PROTOCOL
+        records = []
+        sim = runner.Simulation(load_scenario(path), AggregationSemantics.MAJORITY, 5, sinks=[records.append])
+        with pytest.raises(ProtocolError):
+            sim.run()
+        assert len(records) > 3 * 1024  # several full blocks and a part-filled one
+        assert trace.read_text(encoding="utf-8") == dumps_records(records)
 
 
 class TestSweep:

@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossguard import trace
 from crossguard.aggregation import AggregationSemantics
 from crossguard.model import Detection, SensorKind
 from crossguard.runner import run_once
@@ -290,6 +292,57 @@ class TestExactness:
                     target = target[parent]
                 target[key] = odd
                 assert dumps_record(record) == ENCODE(record), path
+
+
+def claim_send(*floats: float) -> dict:
+    """A claim's send record whose four floats are `floats`, one value repeated if only one is given."""
+    fn, fp, reach, distance = floats * 4 if len(floats) == 1 else floats
+    claim = make_claim(fn=fn, fp=fp, reach=reach, distance=distance)
+    return build.send_claim(0, "claim", 2, 1, 3, claim_payload(claim))
+
+
+# Zeros and the smallest subnormal of either sign, a larger subnormal, the smallest normal, the largest of either sign.
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1.5e-310, sys.float_info.min, sys.float_info.max, -sys.float_info.max
+)
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def claim_sends_with_repeats(draw):
+    """Claim sends whose floats come from a small pool, so values recur within and across records."""
+    pool = draw(st.lists(FINITE_FLOATS, min_size=1, max_size=5))
+    value = st.sampled_from(pool)
+    return [draw(st.tuples(value, value, value, value)) for _ in range(draw(st.integers(1, 6)))]
+
+
+class TestFloatText:
+    """A float's text comes from a memo once seen; no line depends on what the memo holds."""
+
+    def test_zeros_of_either_sign_keep_their_own_text(self):
+        lines = [dumps_record(claim_send(zero)) for zero in (0.0, -0.0, 0.0)]
+        assert lines == [ENCODE(claim_send(zero)) for zero in (0.0, -0.0, 0.0)]
+        assert '"base_false_negative":-0.0,' in lines[1]
+        assert "-0.0" not in lines[0] + lines[2]
+
+    def test_a_float_seen_twice_prints_the_same(self):
+        record = claim_send(0.2, 0.02, 30.0, 14.142135623730951)
+        assert dumps_record(record) == dumps_record(copy.deepcopy(record)) == ENCODE(record)
+
+    def test_the_memo_is_cleared_past_its_limit(self):
+        values = [1 + i / 4096 for i in range(3 * 1024)]
+        for value in values + values:
+            assert dumps_record(claim_send(value)) == ENCODE(claim_send(value))
+            assert len(trace._FLOAT_TEXT) <= 1025
+        assert dumps_record(claim_send(-0.0)) == ENCODE(claim_send(-0.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(claim_sends_with_repeats())
+    def test_claim_sends_match_the_encoder(self, sends):
+        for floats in sends:
+            record = claim_send(*floats)
+            assert format_line(record) is not None
+            assert dumps_record(record) == ENCODE(record)
 
 
 def _paths(record: dict) -> list[tuple[str, ...]]:

@@ -95,13 +95,8 @@ NODE_ID_BOUND = 1 << 63
 LATENCY_BOUND = 1 << 64
 
 
-def substream(seed: int, domain: bytes, *parts: int) -> KeyedStream:
-    """The substream for one draw site, keyed by (seed, domain, *parts)."""
-    return KeyedStream(domain + struct.pack(f"<Q{len(parts)}q", seed, *parts))
-
-
 def _key_packer(domain: bytes, parts: int):
-    """Packs (domain, seed, *parts) into the key substream(seed, domain, *parts) uses."""
+    """Packs (domain, seed, *parts) into a stream key: the domain's bytes, then the seed and `parts` parts."""
     return struct.Struct(f"<{len(domain)}sQ{parts}q").pack
 
 

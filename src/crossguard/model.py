@@ -398,15 +398,6 @@ def _cross_field_errors(scenario: Scenario, sound: bool) -> list[tuple[str, str]
     return found
 
 
-def claim_evidence_valid(claim: Claim) -> bool:
-    """True when the claim's profile passes the sensor table and its
-    distance_to_target is a finite number >= 0: evidence a master may take
-    on faith. It builds no message. session.trust_positions runs it once
-    per node, on a claim or a trust.Evidence, when a run is set up."""
-    distance = claim.distance_to_target
-    return _SOUND[SensorProfile](claim.profile) and _finite(distance) and distance >= 0.0
-
-
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Every invariant violation in the scenario, or an empty list if runnable.
 

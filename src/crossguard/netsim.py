@@ -53,10 +53,6 @@ class EventQueue:
         self._heap: list[tuple] = []
         self._now: SimTime = 0
 
-    @property
-    def now(self) -> SimTime:
-        return self._now
-
     def schedule(self, due: SimTime, delivery: Delivery) -> None:
         if due < self._now:
             raise ProtocolError(

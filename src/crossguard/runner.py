@@ -193,8 +193,8 @@ class Simulation:
     of `extra_semantics` is decided on the same frozen claim sets and only
     counted, in the matching entry of `extra_metrics`; run() gives each the
     run's exclusions and solo claims too. The node table, trust_positions,
-    is fixed here once: every session judges a claim by its node's evidence
-    as registered here and ranks it by that node's position. An invalid
+    is fixed here once from the validated scenario's evidence, unchecked
+    again: every session ranks a claim by its node's position. An invalid
     scenario raises ScenarioValidationError; then a seed of None means
     network.seed, and a semantics that is not an AggregationSemantics, an
     extra_semantics that is not a list or tuple of them, a seed not an int
@@ -250,7 +250,7 @@ class Simulation:
             + detection_rates(spec.pose, spec.sensor, scenario.ground_truth, perception)
             for spec in scenario.nodes
         }
-        # Evidence is fixed too: the node table judges and ranks every session's claims.
+        # Evidence is fixed too: the node table ranks every session's claims.
         self.trust_positions = trust_positions(
             Evidence(node, profile, distance) for node, (profile, distance, _, _) in self.sensors.items()
         )

@@ -20,7 +20,6 @@ from .model import (
     ProtocolError,
     SessionId,
     SimTime,
-    claim_evidence_valid,
 )
 from .trust import Evidence, rank
 
@@ -37,14 +36,14 @@ class SessionState:
 
     id: SessionId
     deadline: SimTime
-    positions: dict[NodeId, int | None]
+    positions: dict[NodeId, int]
     phase: SessionPhase = SessionPhase.COLLECTING
     received: dict[NodeId, Claim] = field(default_factory=dict)
     exclusions: list[tuple[Claim, ExclusionReason]] = field(default_factory=list)
 
 
 def open_session(
-    previous: SessionState | None, now: SimTime, window: SimTime, positions: dict[NodeId, int | None]
+    previous: SessionState | None, now: SimTime, window: SimTime, positions: dict[NodeId, int]
 ) -> SessionState:
     """Start the next session; ids are consecutive from 1 with no gaps.
 
@@ -64,21 +63,17 @@ def classify_claim(state: SessionState, claim: Claim, arrival: SimTime) -> Exclu
 
     Reasons are checked in a fixed priority so a claim that is wrong in
     several ways is always booked the same way. A node missing from the
-    session's positions is unknown, and one mapped to None had malformed
-    evidence at set-up: a claim is judged by its node's evidence as
-    registered then. A claim tagged with an old session id counts as Late:
-    the window it answered has already passed.
+    session's positions is unknown; a run's claims all come from its
+    scenario's nodes, so only a library caller's claim can be. A claim
+    tagged with an old session id counts as Late: the window it answered
+    has already passed. A claim delivered after the decision arrived after
+    the deadline, so it too is Late.
     """
-    positions = state.positions
-    if claim.node not in positions:
+    if claim.node not in state.positions:
         return ExclusionReason.UNKNOWN_NODE
-    if positions[claim.node] is None:
-        return ExclusionReason.MALFORMED_EVIDENCE
     if claim.node in state.received:
         return ExclusionReason.DUPLICATE
     if arrival > state.deadline or claim.session != state.id:
-        return ExclusionReason.LATE
-    if state.phase is not SessionPhase.COLLECTING:
         return ExclusionReason.LATE
     return None
 
@@ -100,27 +95,17 @@ def accept_claim(state: SessionState, claim: Claim, arrival: SimTime) -> Exclusi
     return reason
 
 
-def trust_positions(evidence: Iterable[Claim | Evidence]) -> dict[NodeId, int | None]:
+def trust_positions(evidence: Iterable[Claim | Evidence]) -> dict[NodeId, int]:
     """A run's node table: each node's position in rank's order, 0 the most
-    trusted, or None when its evidence is malformed.
+    trusted.
 
-    Each node's evidence is checked once, with claim_evidence_valid, and the
-    sound nodes are ranked by one rank call. A node's evidence never changes
-    during a run, and trust_key ends in the node id, so the order is strict:
-    sorting any subset of the sound nodes by position gives the ranking of
-    that subset. A node id given twice is a ProtocolError.
+    The evidence comes from a validated scenario, so it is ranked as given,
+    by one rank call; a node id given twice is rank's ProtocolError. A
+    node's evidence never changes during a run, and trust_key ends in the
+    node id, so the order is strict: sorting any subset of the nodes by
+    position gives the ranking of that subset.
     """
-    positions: dict[NodeId, int | None] = {}
-    sound = []
-    for item in evidence:
-        if item.node in positions:
-            raise ProtocolError(f"duplicate evidence from node {item.node}")
-        positions[item.node] = None
-        if claim_evidence_valid(item):
-            sound.append(item)
-    for position, node in enumerate(rank(sound)):
-        positions[node] = position
-    return positions
+    return {node: position for position, node in enumerate(rank(list(evidence)))}
 
 
 def close_and_decide(state: SessionState, now: SimTime, semantics: AggregationSemantics) -> Decision:

@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 
 from .actuation import ActuationAction, MotionState
 from .aggregation import AggregationSemantics, Verdict
-from .model import Claim, Detection, ExclusionReason, SensorKind, SensorProfile
+from .model import Claim, Detection, ExclusionReason, SensorKind
 from .netsim import MessageKind
 
 BROADCAST = "*"  # the dst of a message sent to every node
@@ -151,7 +151,7 @@ _claim = _builder("claim", tuple(key for key, _ in CLAIM_FIELDS))
 
 
 def claim_payload(claim: Claim) -> dict:
-    """A claim as a trace-embeddable mapping, in CLAIM_FIELDS order; see claim_from_payload."""
+    """A claim as a trace-embeddable mapping, in CLAIM_FIELDS order."""
     profile = claim.profile
     return _claim(
         claim.node,
@@ -163,23 +163,6 @@ def claim_payload(claim: Claim) -> dict:
         profile.effective_range,
         claim.distance_to_target,
         claim.emitted_at,
-    )
-
-
-def claim_from_payload(payload: dict) -> Claim:
-    """Inverse of claim_payload; round-trips value-exactly, floats included."""
-    return Claim(
-        node=payload["node"],
-        session=payload["session"],
-        detection=Detection(payload["detection"]),
-        profile=SensorProfile(
-            kind=SensorKind(payload["sensor"]),
-            base_false_negative=payload["base_false_negative"],
-            base_false_positive=payload["base_false_positive"],
-            effective_range=payload["effective_range"],
-        ),
-        distance_to_target=payload["distance_to_target"],
-        emitted_at=payload["emitted_at"],
     )
 
 

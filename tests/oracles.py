@@ -8,10 +8,12 @@ instead of shared helpers. Tests compare library output against these.
 from __future__ import annotations
 
 import random
+import struct
 import sys
 from itertools import product
 
 from crossguard.aggregation import AggregationSemantics, Verdict
+from crossguard.determinism import KeyedStream
 from crossguard.model import Claim, Detection, GroundTruth, PerceptionModel, Pose, SensorKind, SensorProfile
 from crossguard.perception import effective_error_rates
 
@@ -88,8 +90,11 @@ def _finite_number(value) -> bool:
 
 
 def claim_evidence_errors(claim: Claim) -> list[str]:
-    """The evidence problems a master cannot take on faith, one string each:
-    the reference that model.claim_evidence_valid is checked against."""
+    """The evidence problems a master cannot take on faith, one string each.
+
+    session.trust_positions ranks a run's evidence unchecked, on the premise
+    that validate_scenario already refuses every scenario whose nodes would
+    give evidence with a problem here; the tests hold validation to that."""
     where = f"claim from node {claim.node}"
     profile = claim.profile
     problems = []
@@ -109,6 +114,30 @@ def claim_evidence_errors(claim: Claim) -> list[str]:
     if not (_finite_number(distance) and distance >= 0.0):
         problems.append(f"{where}: distance_to_target must be >= 0, got {distance!r}")
     return problems
+
+
+def claim_from_payload(payload: dict) -> Claim:
+    """Inverse of trace.claim_payload; round-trips value-exactly, floats included."""
+    return Claim(
+        node=payload["node"],
+        session=payload["session"],
+        detection=Detection(payload["detection"]),
+        profile=SensorProfile(
+            kind=SensorKind(payload["sensor"]),
+            base_false_negative=payload["base_false_negative"],
+            base_false_positive=payload["base_false_positive"],
+            effective_range=payload["effective_range"],
+        ),
+        distance_to_target=payload["distance_to_target"],
+        emitted_at=payload["emitted_at"],
+    )
+
+
+def substream(seed: int, domain: bytes, *parts: int) -> KeyedStream:
+    """The reference key layout for one draw site: the domain's bytes, then
+    the seed as an unsigned and each part as a signed little-endian 64-bit
+    integer. sense_stream and transport_stream must build these streams."""
+    return KeyedStream(domain + struct.pack(f"<Q{len(parts)}q", seed, *parts))
 
 
 def evidence_pool(rng: random.Random, node: int, session: int = 1) -> Claim:

@@ -16,9 +16,10 @@ from crossguard.determinism import (
     SEED_BOUND,
     KeyedStream,
     sense_stream,
-    substream,
     transport_stream,
 )
+
+from oracles import substream
 
 
 def test_same_key_replays_identically():

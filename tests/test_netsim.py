@@ -61,8 +61,11 @@ class TestEventQueue:
         due, delivery = queue.pop(500)
         assert (due, delivery.seq) == (500, 0)
         assert queue.pop(500) is None
-        assert len(queue) == 1 and queue.now == 500
-        assert [due for due, _ in drain(queue)] == [501]
+        assert len(queue) == 1
+        with pytest.raises(ProtocolError):
+            queue.schedule(*delivery_at(499, seq=2))
+        queue.schedule(*delivery_at(500, seq=2))
+        assert [due for due, _ in drain(queue)] == [500, 501]
 
     def test_simultaneous_deliveries_order_by_src_seq_recipient(self):
         queue = EventQueue()
@@ -86,9 +89,12 @@ class TestEventQueue:
     def test_pop_advances_the_clock(self):
         queue = EventQueue()
         queue.schedule(*delivery_at(250))
-        assert queue.now == 0
-        queue.pop(250)
-        assert queue.now == 250
+        queue.schedule(*delivery_at(0, seq=1))  # the clock starts at 0
+        assert [queue.pop(250)[0], queue.pop(250)[0]] == [0, 250]
+        with pytest.raises(ProtocolError):
+            queue.schedule(*delivery_at(249, seq=2))
+        queue.schedule(*delivery_at(250, seq=2))
+        assert len(queue) == 1
 
     def test_empty_queue_pops_none(self):
         assert EventQueue().pop(math.inf) is None

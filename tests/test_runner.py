@@ -20,21 +20,21 @@ from crossguard.model import (
     PerceptionModel,
     Pose,
     ProtocolError,
-    claim_evidence_valid,
     validate_scenario,
 )
 from crossguard.runner import TRUTH_MODES, MetricsCollector, SweepResult, SweepRow, run_once, run_sweep
 from crossguard.scenario import ScenarioValidationError, load_scenario
 from crossguard.trace import (
     RECORD_KINDS,
-    claim_from_payload,
     claim_payload,
     dumps_record,
     dumps_records,
     loads_records,
 )
+from crossguard.trust import rank
 
 from helpers import INTERSECTION, make_scenario, random_scenario
+from oracles import claim_from_payload
 
 ALL_SEMANTICS = sorted(AggregationSemantics, key=lambda s: s.value)
 
@@ -233,14 +233,13 @@ class TestPinnedLossyRun:
 
 
 class TestNodeTable:
-    """A Simulation checks each node's evidence once, at set-up, and every
-    session judges that node's claims by it."""
+    """A Simulation ranks each node's evidence once, at set-up, from its
+    validated scenario, and every session ranks that node's claims by it."""
 
     def test_a_node_with_malformed_evidence_is_refused_before_the_run(self):
         """Node 2's false-negative rate of 0.7 is out of [0, 0.5). A run validates
-        its scenario first, so no run's node table maps a node to None; the
-        session layer's malformed_evidence booking is a library contract,
-        tested in test_session."""
+        its scenario first and then takes its evidence unchecked, so nothing is
+        built or traced for a scenario with malformed evidence."""
         scenario = make_scenario(
             node_count=4, drop=0.1, latency=(1000, 30000), window=20000, settle=30000, sessions=5
         )
@@ -262,20 +261,25 @@ class TestNodeTable:
             assert excinfo.value.errors == ["nodes[1].sensor.base_false_negative: must be in [0.0, 0.5), got 0.7"]
         assert records == []
 
-    def test_each_nodes_evidence_is_checked_once_per_simulation(self, monkeypatch):
-        checked = []
+    def test_each_nodes_evidence_is_ranked_once_per_simulation(self, monkeypatch):
+        calls = []
 
-        def check(claim):
-            checked.append(claim.node)
-            return claim_evidence_valid(claim)
+        def counted(evidence):
+            calls.append(list(evidence))
+            return rank(evidence)
 
-        monkeypatch.setattr("crossguard.session.claim_evidence_valid", check)
+        monkeypatch.setattr("crossguard.session.rank", counted)
+        # Mixed sensors and poses, so rank's order is not the node ids' order.
+        scenario = random_scenario(random.Random(5))
         for sessions in (1, 6):
-            checked.clear()
-            sim = runner.Simulation(make_scenario(node_count=4, sessions=sessions), AggregationSemantics.MAJORITY, 1)
+            calls.clear()
+            sim = runner.Simulation(dataclasses.replace(scenario, sessions=sessions), AggregationSemantics.MAJORITY, 1)
             sim.run()
             assert sim.metrics.decisions == sessions
-            assert sorted(checked) == [1, 2, 3, 4], sessions
+            assert len(calls) == 1, sessions
+            order = rank(calls[0])
+            assert sorted(order) == sorted(scenario.node_ids())
+            assert sim.trust_positions == {node: position for position, node in enumerate(order)}
 
 
 def assert_each_entry_refuses(match, scenario, semantics, seed, truth_mode="fixed", collect_trace=True, extra=None):

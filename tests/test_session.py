@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,9 @@ from crossguard.model import (
     ExclusionReason,
     ProtocolError,
     SensorKind,
-    claim_evidence_valid,
+    validate_scenario,
 )
+from crossguard.runner import Simulation
 from crossguard.session import (
     SessionPhase,
     accept_claim,
@@ -27,13 +30,11 @@ from crossguard.session import (
 )
 from crossguard.trust import Evidence, rank
 
-from helpers import make_claim
+from helpers import make_claim, make_scenario, random_scenario
 from oracles import claim_evidence_errors, oracle_rank
 
-# The node table of a run with nodes 1, 2 and 3, all with sound evidence.
+# The node table of a run with nodes 1, 2 and 3.
 POSITIONS = trust_positions(make_claim(node=node) for node in (1, 2, 3))
-# The same nodes, but node 2 registered a NaN distance at set-up.
-MALFORMED_2 = trust_positions(make_claim(node=node, distance=float("nan") if node == 2 else 1.0) for node in (1, 2, 3))
 SEMANTICS = AggregationSemantics.MAJORITY
 
 
@@ -88,19 +89,6 @@ class TestClassifyClaim:
         claim = make_claim(node=9, session=state.id)
         assert classify_claim(state, claim, 130000) is ExclusionReason.UNKNOWN_NODE
 
-    def test_malformed_evidence(self):
-        assert MALFORMED_2[2] is None
-        state = fresh(positions=MALFORMED_2)
-        claim = make_claim(node=2, session=state.id, distance=float("nan"))
-        assert classify_claim(state, claim, 130000) is ExclusionReason.MALFORMED_EVIDENCE
-
-    def test_a_claim_is_judged_by_its_nodes_evidence_as_registered(self):
-        """The node table, not the claim's own evidence, decides malformed."""
-        sound = make_claim(node=2, session=1)
-        broken = make_claim(node=2, session=1, distance=float("nan"))
-        assert classify_claim(fresh(positions=MALFORMED_2), sound, 130000) is ExclusionReason.MALFORMED_EVIDENCE
-        assert classify_claim(fresh(), broken, 130000) is None
-
     def test_stale_session_id_counts_as_late(self):
         """A claim tagged for session 3 arriving during session 4 is Late."""
         state = fresh(session_id=4)
@@ -108,17 +96,12 @@ class TestClassifyClaim:
         assert classify_claim(state, claim, 130000) is ExclusionReason.LATE
 
     def test_unknown_node_outranks_every_other_reason(self):
-        state = fresh(positions=MALFORMED_2)
+        # Node 9 is put in by hand so the claim is also a duplicate, besides
+        # stale, past the deadline and carrying broken evidence.
+        state = fresh()
+        state.received[9] = make_claim(node=9, session=state.id)
         claim = make_claim(node=9, session=99, distance=float("nan"))
         assert classify_claim(state, claim, 999999) is ExclusionReason.UNKNOWN_NODE
-
-    def test_malformed_outranks_duplicate_and_late(self):
-        # Only the order of the checks is under test: a run never accepts a
-        # claim from a node with malformed evidence, so node 2 is put in by hand.
-        state = fresh(positions=MALFORMED_2)
-        state.received[2] = make_claim(node=2, session=state.id)
-        broken = make_claim(node=2, session=state.id, distance=float("nan"))
-        assert classify_claim(state, broken, 999999) is ExclusionReason.MALFORMED_EVIDENCE
 
     def test_duplicate_outranks_late(self):
         state = fresh()
@@ -128,52 +111,69 @@ class TestClassifyClaim:
 
 
 # Evidence values a master cannot take on faith: bools pass as ints in Python,
-# ints are fine, NaN and infinities are not finite, the rate bound is open, and
-# no float can hold an int of 2^1024 or more.
+# ints are fine, NaN and infinities are not finite, the rate bound is open, no
+# float can hold an int of 2^1024 or more, and a pose at the largest float
+# overflows its distance when its other coordinate is as far out.
 ODD_VALUES = [
     True, False, 0, 1, -1, 3, float("nan"), float("inf"), float("-inf"), -0.25, -0.0, 0.0, 0.5, 0.25, 40.0,
-    2**1024, -(2**1024),
+    2**1024, -(2**1024), sys.float_info.max, -sys.float_info.max,
 ]
 ODD_KINDS = ["lidar", None, 3, Detection.CLEAR]
-EVIDENCE_FIELDS = ["base_false_negative", "base_false_positive", "effective_range", "distance_to_target"]
+# A node's evidence is its sensor profile and its pose's distance to the query center.
+EVIDENCE_FIELDS = ["base_false_negative", "base_false_positive", "effective_range", "x", "y"]
 
 
-def with_evidence(claim, **changes):
-    """The claim with some profile or distance fields replaced, unchecked."""
-    distance = changes.pop("distance_to_target", claim.distance_to_target)
-    profile = dataclasses.replace(claim.profile, **changes)
-    return dataclasses.replace(claim, profile=profile, distance_to_target=distance)
+def with_node_evidence(scenario, **changes):
+    """The scenario with some of node 2's sensor or pose fields, or with its
+    whole sensor, replaced, unchecked."""
+    pose = {name: changes.pop(name) for name in ("x", "y") if name in changes}
+
+    def changed(node):
+        sensor = changes["sensor"] if "sensor" in changes else dataclasses.replace(node.sensor, **changes)
+        return dataclasses.replace(node, pose=dataclasses.replace(node.pose, **pose), sensor=sensor)
+
+    return dataclasses.replace(scenario, nodes=tuple(changed(node) if node.id == 2 else node for node in scenario.nodes))
+
+
+def assert_valid_means_sound_evidence(scenario):
+    """trust_positions takes a run's evidence unchecked. That is sound because
+    every scenario validate_scenario passes gives each node evidence that
+    claim_evidence_errors finds no problem in, as a Simulation registers it."""
+    if validate_scenario(scenario):
+        return
+    sim = Simulation(scenario, AggregationSemantics.MAJORITY, 0)
+    evidence = [Evidence(node, profile, distance) for node, (profile, distance, _, _) in sim.sensors.items()]
+    assert [claim_evidence_errors(item) for item in evidence] == [[] for _ in evidence]
+    assert sorted(sim.trust_positions.values()) == list(range(len(evidence)))
 
 
 class TestEvidenceCheck:
-    """The node table maps a node to None, and classify_claim books its
-    claims MALFORMED_EVIDENCE, exactly when claim_evidence_errors finds a
-    problem in its evidence; the check builds none of those messages."""
-
-    @staticmethod
-    def assert_agrees(claim):
-        errors = claim_evidence_errors(claim)
-        assert claim_evidence_valid(claim) is (not errors)
-        positions = trust_positions([claim])
-        assert positions == {claim.node: None if errors else 0}
-        reason = classify_claim(fresh(positions=positions), claim, 130000)
-        assert reason is (ExclusionReason.MALFORMED_EVIDENCE if errors else None), errors
+    """validate_scenario is the only check on a run's evidence: any odd value
+    in a node's sensor or pose that would make its evidence malformed must be
+    refused there."""
 
     @pytest.mark.parametrize("field", EVIDENCE_FIELDS)
     @pytest.mark.parametrize("value", ODD_VALUES, ids=repr)
     def test_each_field_against_each_odd_value(self, field, value):
-        self.assert_agrees(with_evidence(make_claim(node=2), **{field: value}))
+        assert_valid_means_sound_evidence(with_node_evidence(make_scenario(), **{field: value}))
 
     @pytest.mark.parametrize("kind", [*SensorKind, *ODD_KINDS], ids=repr)
     def test_sensor_kinds(self, kind):
-        self.assert_agrees(with_evidence(make_claim(node=2), kind=kind))
+        scenario = with_node_evidence(make_scenario(), kind=kind)
+        assert (validate_scenario(scenario) == []) is isinstance(kind, SensorKind)
+        assert_valid_means_sound_evidence(scenario)
 
-    @pytest.mark.parametrize("profile", [None, "lidar", (SensorKind.LIDAR, 0.1, 0.1, 50.0)], ids=repr)
-    def test_a_profile_that_is_not_a_sensor_profile(self, profile):
-        claim = dataclasses.replace(make_claim(node=2), profile=profile)
-        assert len(claim_evidence_errors(claim)) == 1
-        self.assert_agrees(claim)
-        assert trust_positions([Evidence(1, profile, 1.0)]) == {1: None}
+    @pytest.mark.parametrize("sensor", [None, "lidar", (SensorKind.LIDAR, 0.1, 0.1, 50.0)], ids=repr)
+    def test_a_sensor_that_is_not_a_sensor_profile(self, sensor):
+        scenario = with_node_evidence(make_scenario(), sensor=sensor)
+        assert validate_scenario(scenario) != []
+        assert_valid_means_sound_evidence(scenario)
+
+    @pytest.mark.parametrize("y", [sys.float_info.max, -sys.float_info.max])
+    def test_a_pose_whose_distance_overflows(self, y):
+        scenario = with_node_evidence(make_scenario(), x=sys.float_info.max, y=y)
+        assert validate_scenario(scenario) != []
+        assert_valid_means_sound_evidence(scenario)
 
     @given(
         kind=st.sampled_from([*SensorKind, *ODD_KINDS]),
@@ -183,13 +183,21 @@ class TestEvidenceCheck:
                 st.integers(min_value=-(10**6), max_value=10**6),
                 st.floats(allow_nan=True, allow_infinity=True),
             ),
-            min_size=4,
-            max_size=4,
+            min_size=len(EVIDENCE_FIELDS),
+            max_size=len(EVIDENCE_FIELDS),
         ),
     )
     @settings(max_examples=300, deadline=None)
     def test_random_evidence(self, kind, values):
-        self.assert_agrees(with_evidence(make_claim(node=2), kind=kind, **dict(zip(EVIDENCE_FIELDS, values))))
+        assert_valid_means_sound_evidence(
+            with_node_evidence(make_scenario(), kind=kind, **dict(zip(EVIDENCE_FIELDS, values)))
+        )
+
+    def test_random_scenarios(self):
+        for draw in range(3000):
+            scenario = random_scenario(random.Random(draw))
+            assert validate_scenario(scenario) == [], draw
+            assert_valid_means_sound_evidence(scenario)
 
 
 class TestAcceptClaim:

@@ -22,7 +22,6 @@ from crossguard.trace import (
     CLAIM_FIELDS,
     RECORD_KINDS,
     build,
-    claim_from_payload,
     claim_payload,
     dumps_record,
     dumps_records,
@@ -31,6 +30,7 @@ from crossguard.trace import (
 )
 
 from helpers import make_claim, make_scenario
+from oracles import claim_from_payload
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ENCODE = json.JSONEncoder(separators=(",", ":")).encode

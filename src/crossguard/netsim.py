@@ -95,7 +95,6 @@ class Network:
         self.seed = seed
         self.queue = queue
         self._next_seq: dict[NodeId, int] = {node: 0 for node in self.node_ids}
-        self.dropped = 0
 
     def send(
         self,
@@ -131,5 +130,4 @@ class Network:
                 stream.random()
                 latency = stream.randint(low, config.latency_max)
             schedule(now + latency, Delivery(kind, src, recipient, seq, now, payload))
-        self.dropped += len(dropped)
         return seq, dropped

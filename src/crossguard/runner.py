@@ -5,7 +5,7 @@ plays both sides of the protocol, the master's sessions and every node's
 sensing and actuation, over the deterministic network, which is only a
 transport: its queue holds only the deliveries in flight, and the sessions
 are a loop in Simulation.run. It books each outcome in its RunMetrics as
-it happens and builds trace records only when a trace sink is attached,
+it happens and builds trace records only when it is given a trace callback,
 each through its kind's builder in trace.build (claim payloads via
 trace.claim_payload), so every record has the fields trace.RECORD_KINDS
 declares, in that order. MetricsCollector replays a stored trace.
@@ -13,9 +13,9 @@ declares, in that order. MetricsCollector replays a stored trace.
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set,
 each arm booked in full in its own RunMetrics. A Simulation checks its own
-scenario and arguments; run_once adds only the sinks and checks the sums. A
-sweep simulates each seed once and decides every arm on the same claim sets
-(common random numbers), so semantics are compared like for like.
+scenario and arguments; run_once only picks where records go and checks the
+sums. A sweep simulates each seed once and decides every arm on the same
+claim sets (common random numbers), so semantics are compared like for like.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import csv
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .actuation import ActuationCommand, NodeMotion, apply_command, sequence_actuation
 from .aggregation import AggregationSemantics, Verdict, verdict_of
@@ -188,7 +188,7 @@ class Simulation:
     It plays the master's sessions, one after another in run(), and every
     node's sensing and actuation, with per-node state in dicts keyed by
     node id. Each outcome is booked in `metrics` as it happens; a trace
-    record is built only when there are sinks, once, and handed to each.
+    record is built only when `emit` is given, once, and passed to it.
     `semantics` drives the run: its verdicts are actuated and traced. Each
     of `extra_semantics` is decided on the same frozen claim sets and only
     counted, in the matching entry of `extra_metrics`; run() gives each the
@@ -198,9 +198,10 @@ class Simulation:
     scenario raises ScenarioValidationError; then a seed of None means
     network.seed, and a semantics that is not an AggregationSemantics, an
     extra_semantics that is not a list or tuple of them, a seed not an int
-    in [0, 2^64) or an unknown truth_mode raises ValueError, all before
-    anything is built. A valid scenario's commands land before the next
-    session decides, so one refused as stale is a ProtocolError.
+    in [0, 2^64), an unknown truth_mode or an emit that is neither None nor
+    callable raises ValueError, all before anything is built. A valid
+    scenario's commands land before the next session decides, so one
+    refused as stale is a ProtocolError.
     """
 
     def __init__(
@@ -209,7 +210,7 @@ class Simulation:
         semantics: AggregationSemantics,
         seed: int | None,
         truth_mode: str = "fixed",
-        sinks: list | None = None,
+        emit: Callable[[dict], None] | None = None,
         extra_semantics: Sequence[AggregationSemantics] = (),
     ) -> None:
         errors = validate_scenario(scenario)
@@ -223,6 +224,8 @@ class Simulation:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         if truth_mode not in TRUTH_MODES:
             raise ValueError(f"truth_mode must be one of {TRUTH_MODES}, got {truth_mode!r}")
+        if emit is not None and not callable(emit):
+            raise ValueError(f"emit must be callable or None, got {emit!r}")
         present = scenario.ground_truth.pedestrian_present
         # Presence by session parity: alternating truth flips even sessions.
         self._present_by_parity = (not present if truth_mode == "alternating" else present, present)
@@ -232,11 +235,8 @@ class Simulation:
         self.metrics = RunMetrics()
         self.extra_metrics = [RunMetrics() for _ in extra_semantics]
         self.seed = seed
-        self._sinks = sinks = sinks or []
-        if len(sinks) == 1:
-            # A lone sink is called directly. Never store a bound method of self here:
-            # the cycle would leave each Simulation to the cyclic GC.
-            self.emit = sinks[0]
+        # Never a bound method of self: the cycle would leave each run to the cyclic GC.
+        self.emit = emit
 
         self.master_id = scenario.master_node().id
         self.actuated = list(scenario.actuated_ids())
@@ -257,14 +257,10 @@ class Simulation:
         self.motions = {spec.id: NodeMotion() for spec in scenario.nodes}
         self.state: SessionState | None = None
 
-    def emit(self, record: dict) -> None:
-        for sink in self._sinks:
-            sink(record)
-
     def _send(self, kind: MessageKind, src: NodeId, dst: NodeId | None, payload: object, now: SimTime) -> None:
         """Send one message; traced with its payload's fields, then each dropped copy."""
         seq, dropped = self.network.send(kind, src, dst, payload, now)
-        if not self._sinks:
+        if self.emit is None:
             return
         name = kind._value_
         if kind is _CLAIM:
@@ -302,7 +298,7 @@ class Simulation:
             now = state.deadline + settle
             self._deliver_until(now)
             mark_closed(state)
-            if self._sinks:
+            if self.emit is not None:
                 self.emit(build.session_close(now, state.id))
         self._deliver_until(math.inf)
         for extra in self.extra_metrics:
@@ -319,7 +315,7 @@ class Simulation:
 
     def _open_next(self, now: SimTime) -> SessionState:
         self.state = state = open_session(self.state, now, self.scenario.session_window, self.trust_positions)
-        if self._sinks:
+        if self.emit is not None:
             self.emit(build.session_open(now, state.id, state.deadline, self.truth_for(state.id)))
         self._send(_SESSION_START, self.master_id, None, state.id, now)
         return state
@@ -329,13 +325,13 @@ class Simulation:
         if state.phase is _CLOSED:
             # Landed after the final session closed; booked run-wide as late.
             self.metrics.exclusions[_LATE] += 1
-            if self._sinks:
+            if self.emit is not None:
                 self.emit(build.claim_orphan(now, claim.node, claim.session))
             return
         reason = accept_claim(state, claim, now)
         if reason is not None:
             self.metrics.exclusions[reason._value_] += 1
-        if not self._sinks:
+        if self.emit is None:
             return
         if reason is None:
             self.emit(build.claim_accepted(now, state.id, claim.node, claim.session))
@@ -352,7 +348,7 @@ class Simulation:
             clear = [received[node].detection is _CLEAR for node in decision.ranking]
             for semantics, metrics in zip(self.extra_semantics, self.extra_metrics):
                 metrics.count_verdict(verdict_of(clear, semantics) is _STOP, present)
-        if self._sinks:
+        if self.emit is not None:
             self.emit(
                 build.decision(
                     now,
@@ -386,7 +382,7 @@ class Simulation:
         motion = self.motions[node]
         if not apply_command(motion, command):
             raise ProtocolError(f"node {node} refused session {command.session}'s command as stale")
-        if self._sinks:
+        if self.emit is not None:
             self.emit(build.actuated(now, node, command.session, command.action._value_, motion.state._value_))
 
     # -- event dispatch ---------------------------------------------------
@@ -394,7 +390,7 @@ class Simulation:
     def _on_delivery(self, now: SimTime, delivery: Delivery) -> None:
         recipient = delivery.recipient
         kind = delivery.kind
-        if self._sinks:
+        if self.emit is not None:
             self.emit(build.deliver(now, kind._value_, delivery.src, recipient, delivery.seq, delivery.sent_at))
         if kind is _SESSION_START:
             self._on_session_start(now, recipient, delivery.payload)
@@ -445,23 +441,24 @@ def run_once(
     The Simulation checks the scenario and the arguments, and resolves a
     seed of None, before any session runs; see Simulation.
     """
-    sinks: list = []
-    records: list[dict] | None = None
-    if collect_trace:
-        records = []
-        sinks.append(records.append)
+    records: list[dict] | None = [] if collect_trace else None
+    emit = None if records is None else records.append
     lines: list[str] = []  # the stream's lines not yet written: at most one block
     if trace_stream is not None:
 
-        def stream(record: dict) -> None:
+        def write(record: dict) -> None:
             lines.append(dumps_record(record))
             if len(lines) == _TRACE_BLOCK:
                 trace_stream.write("\n".join(lines) + "\n")
                 lines.clear()
 
-        sinks.append(stream)
+        def keep_and_write(record: dict) -> None:
+            records.append(record)
+            write(record)
 
-    sim = Simulation(scenario, semantics, seed, truth_mode, sinks, () if extra_semantics is None else extra_semantics)
+        emit = write if records is None else keep_and_write
+
+    sim = Simulation(scenario, semantics, seed, truth_mode, emit, () if extra_semantics is None else extra_semantics)
     try:
         sim.run()
     finally:

@@ -1,10 +1,13 @@
-"""Layout gate: every function and class in the package is used or public.
+"""Layout gate: every function, class and attribute in the package is used or public.
 
 A definition in src/crossguard passes when some name, attribute or import in
 src/ refers to it (an override's super() call counts), when crossguard.__all__
 lists it, or when README names it in backticks, inline or in a fenced block.
 Dunder methods are called by protocol, not by name, and are not checked.
-Code that only tests call belongs in tests/.
+An attribute that a method stores on self (`+=` is a store too) passes when
+some attribute read in src/ has its name, or when README names it after a
+dot in backticks, as in `network.seed`. Code and state that only tests read
+belong in tests/.
 """
 
 from __future__ import annotations
@@ -34,13 +37,19 @@ def referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def readme_names() -> set[str]:
-    """Every identifier inside README's backticks: fenced blocks and inline spans."""
+def read_attributes(tree: ast.AST) -> set[str]:
+    """Every attribute name tree reads."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def readme_names(pattern: str = r"[A-Za-z_]\w*") -> set[str]:
+    """Every match of pattern (of its group, if it has one) inside README's
+    backticks: fenced blocks and inline spans."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     spans = []
     for index, part in enumerate(text.split("```")):
         spans.extend([part] if index % 2 else re.findall(r"`([^`\n]+)`", part))
-    return {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
+    return {name for span in spans for name in re.findall(pattern, span)}
 
 
 def unreferenced_definitions() -> list[str]:
@@ -56,6 +65,19 @@ def unreferenced_definitions() -> list[str]:
                 continue
             if node.name not in everywhere:
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
+    read = set().union(*map(read_attributes, trees.values())) | readme_names(r"\.([A-Za-z_]\w*)")
+    for path, tree in trees.items():
+        stores = {}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and node.attr not in read
+            ):
+                stores[node.attr] = min(node.lineno, stores.get(node.attr, node.lineno))
+        found.extend(f"{path.relative_to(ROOT)}:{line}: self.{name}" for name, line in sorted(stores.items()))
     return found
 
 
@@ -74,3 +96,25 @@ def test_the_gate_sees_a_definition_nothing_uses(tmp_path, monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "ROOT", tmp_path)
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", package)
     assert unreferenced_definitions() == ["src/crossguard/alone.py:1: lonely"]
+
+
+def test_the_gate_sees_an_attribute_nothing_reads(tmp_path, monkeypatch):
+    """An attribute only stored, if only by +=, is flagged at its first store;
+    one that src/ reads or that README names after a dot is not."""
+    package = tmp_path / "src" / "crossguard"
+    package.mkdir(parents=True)
+    (package / "tally.py").write_text(
+        "class Tally:\n"
+        "    def __init__(self):\n"
+        "        self.kept = self.named = self.lost = 0\n"
+        "\n"
+        "    def add(self, n):\n"
+        "        self.lost += n\n"
+        "        self.named += n\n"
+        "        return self.kept\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "README.md").write_text("Call `Tally().add(n)`, then read `tally.named`; not `lost`.\n", encoding="utf-8")
+    monkeypatch.setattr(sys.modules[__name__], "ROOT", tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "PACKAGE", package)
+    assert unreferenced_definitions() == ["src/crossguard/tally.py:3: self.lost"]

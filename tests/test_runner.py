@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import random
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -253,7 +255,7 @@ class TestNodeTable:
         semantics = AggregationSemantics.TRUST_WEIGHTED_MAJORITY
         records = []
         for entry in (
-            lambda: runner.Simulation(broken, semantics, 3, "alternating", [records.append]),
+            lambda: runner.Simulation(broken, semantics, 3, "alternating", records.append),
             lambda: run_once(broken, semantics, 3, "alternating"),
         ):
             with pytest.raises(ScenarioValidationError) as excinfo:
@@ -288,9 +290,9 @@ def assert_each_entry_refuses(match, scenario, semantics, seed, truth_mode="fixe
     except that the Simulation gets () for None, its "no extra" value."""
     with pytest.raises(ValueError, match=match):
         run_once(scenario, semantics, seed, truth_mode, collect_trace, extra_semantics=extra)
-    sinks = [[].append] if collect_trace else None
+    emit = [].append if collect_trace else None
     with pytest.raises(ValueError, match=match):
-        runner.Simulation(scenario, semantics, seed, truth_mode, sinks, () if extra is None else extra)
+        runner.Simulation(scenario, semantics, seed, truth_mode, emit, () if extra is None else extra)
 
 
 class TestSeedCheck:
@@ -365,12 +367,18 @@ class TestRunContract:
         broken = dataclasses.replace(make_scenario(), **change)
         records = []
         with pytest.raises(ScenarioValidationError) as built:
-            runner.Simulation(broken, AggregationSemantics.MAJORITY, seed, sinks=[records.append])
+            runner.Simulation(broken, AggregationSemantics.MAJORITY, seed, emit=records.append)
         assert records == []
         assert built.value.errors == validate_scenario(broken) != []
         with pytest.raises(ScenarioValidationError) as ran:
             run_once(broken, AggregationSemantics.MAJORITY, seed)
         assert ran.value.errors == built.value.errors
+
+    @pytest.mark.parametrize("emit", [5, [[].append]], ids=["int", "sink_list"])
+    def test_an_emit_that_is_not_callable_is_refused_before_the_run(self, emit):
+        """It once ended in TypeError at the first record, with a session open."""
+        with pytest.raises(ValueError, match="^emit must be callable or None, got "):
+            runner.Simulation(make_scenario(), AggregationSemantics.MAJORITY, 1, emit=emit)
 
     def test_each_simulation_validates_its_scenario_once(self, monkeypatch):
         calls = []
@@ -596,7 +604,7 @@ class TestTraceStream:
         monkeypatch.setattr(runner, "apply_command", refuse_from_session(first))
         message = r"^node 1 refused session \d+'s command as stale$"  # a dropped command refuses none
         records = []
-        sim = runner.Simulation(scenario, AggregationSemantics.MAJORITY, 3, sinks=[records.append])
+        sim = runner.Simulation(scenario, AggregationSemantics.MAJORITY, 3, emit=records.append)
         with pytest.raises(ProtocolError, match=message):
             sim.run()
         assert records[-1]["ev"] == "deliver" and records[-1]["kind"] == "actuation"
@@ -616,7 +624,7 @@ class TestTraceStream:
         code = cli.main(["run", str(path), "--semantics", "majority", "--seed", "5", "--trace", str(trace)])
         assert code == cli.EXIT_PROTOCOL
         records = []
-        sim = runner.Simulation(load_scenario(path), AggregationSemantics.MAJORITY, 5, sinks=[records.append])
+        sim = runner.Simulation(load_scenario(path), AggregationSemantics.MAJORITY, 5, emit=records.append)
         with pytest.raises(ProtocolError):
             sim.run()
         assert len(records) > 3 * 1024  # several full blocks and a part-filled one
@@ -962,13 +970,21 @@ class TestLazyTrace:
         scenario = make_scenario(
             node_count=4, fn=0.2, drop=0.2, latency=(2000, 30000), window=20000, settle=30000, sessions=5
         )
+        emits = []
+        run = runner.Simulation.run
+
+        def watched(sim):
+            emits.append(sim.emit)
+            run(sim)
+
+        monkeypatch.setattr(runner.Simulation, "run", watched)
         monkeypatch.setattr(runner, "claim_payload", refuse)
         monkeypatch.setattr(runner, "dumps_record", refuse)
-        monkeypatch.setattr(runner.Simulation, "emit", refuse)
         for kind in RECORD_KINDS:
             monkeypatch.setattr(runner.build, kind.name, refuse)
         records, metrics = run_once(scenario, AggregationSemantics.MAJORITY, seed=3, collect_trace=False)
         assert records is None
+        assert emits == [None]
         assert metrics.decisions == 5 and sum(stats.claims for stats in metrics.solo.values()) > 0
         # The same stubs do fire once a sink asks for records.
         with pytest.raises(AssertionError, match="no sink"):
@@ -990,6 +1006,32 @@ class TestLazyTrace:
                 tracemalloc.stop()
 
         assert peak(5000) - peak(500) <= 16 * 1024
+
+    @pytest.mark.parametrize(
+        "collect_trace, stream",
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["lean", "records", "stream", "records_and_stream"],
+    )
+    def test_a_run_is_freed_by_reference_counting_alone(self, monkeypatch, collect_trace, stream):
+        """A Simulation holds no reference cycle, whatever its trace output:
+        with the cyclic GC off, it is freed as soon as run_once returns."""
+        runs = []
+        run = runner.Simulation.run
+
+        def watched(sim):
+            runs.append(weakref.ref(sim))
+            run(sim)
+
+        monkeypatch.setattr(runner.Simulation, "run", watched)
+        scenario = make_scenario(node_count=4, fn=0.2, drop=0.2, sessions=5)
+        output = io.StringIO() if stream else None
+        extra = [AggregationSemantics.EXPERT_OVERRIDE]
+        gc.disable()
+        try:
+            run_once(scenario, AggregationSemantics.MAJORITY, 3, "fixed", collect_trace, output, extra_semantics=extra)
+            assert len(runs) == 1 and runs[0]() is None
+        finally:
+            gc.enable()
 
     CASES = 12
 

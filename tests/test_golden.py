@@ -1,0 +1,72 @@
+"""The golden-digest corpus as the byte-identity gate.
+
+Every case stored in tests/golden/digests.json runs again, and its trace
+bytes and RunMetrics must hash to the stored digests. tests/make_golden.py
+describes the corpus and regenerates the digests; a regeneration is a trace
+format change.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from crossguard.aggregation import AggregationSemantics
+from crossguard.model import ExclusionReason
+from crossguard.runner import run_once
+from crossguard.trace import RECORD_KINDS
+
+import make_golden
+from helpers import make_scenario
+
+
+@pytest.fixture(scope="module")
+def recomputed():
+    """The stored table, and (id, mismatch or None, (ev, reason) pairs reached)
+    for every case of the corpus, in id order."""
+    stored = json.loads(make_golden.DIGESTS.read_text(encoding="utf-8"))
+    results = []
+    for key, records, entry in make_golden.run_corpus():
+        reached = {(record["ev"], record.get("reason")) for record in records}
+        results.append((key, make_golden.mismatch(key, records, stored.get(key), entry), reached))
+    return stored, results
+
+
+def test_every_case_reproduces_its_stored_digests(recomputed):
+    _, results = recomputed
+    problems = [problem for _, problem, _ in results if problem]
+    if problems:
+        pytest.fail(f"{len(problems)} of {len(results)} golden cases differ; the first: {problems[0]}")
+
+
+def test_every_stored_case_is_still_in_the_corpus(recomputed):
+    stored, results = recomputed
+    assert sorted(stored) == [key for key, _, _ in results]
+    assert len(stored) > 1000
+
+
+def test_the_corpus_reaches_every_record_kind_and_live_exclusion(recomputed):
+    """A live run can exclude a claim only as late or as a duplicate: its node
+    table and evidence come from the validated scenario."""
+    _, results = recomputed
+    reached = set().union(*(pairs for _, _, pairs in results))
+    assert {kind.ev for kind in RECORD_KINDS} <= {ev for ev, _ in reached}
+    excluded = {reason for ev, reason in reached if ev == "claim_excluded"}
+    assert excluded == {ExclusionReason.LATE.value, ExclusionReason.DUPLICATE.value}
+
+
+def test_a_mismatch_names_the_case_and_the_first_changed_record():
+    scenario = make_scenario(drop=0.2, latency=(1000, 30000), settle=30000, sessions=3)
+    records, metrics = run_once(scenario, AggregationSemantics.MAJORITY, seed=0)
+    stored = make_golden.digest_entry(records, metrics)
+    assert make_golden.mismatch("case", records, stored, stored) is None
+    changed = [*records[:7], {**records[7], "t": records[7]["t"] + 1}, *records[8:]]
+    problem = make_golden.mismatch("case", changed, stored, make_golden.digest_entry(changed, metrics))
+    assert problem.startswith(f"case: trace differs first at record 7 ({len(records)} records stored")
+    shorter = make_golden.mismatch("case", records[:-2], stored, make_golden.digest_entry(records[:-2], metrics))
+    assert f"first at record {len(records) - 2} " in shorter
+    metrics.decisions += 1
+    assert make_golden.mismatch("case", records, stored, make_golden.digest_entry(records, metrics)) == (
+        "case: the trace matches but RunMetrics differ"
+    )

@@ -1,20 +1,19 @@
 """Deterministic lossy-network and event-queue layer: transport only.
 
-The network draws each copy's drop and latency, schedules one Delivery
-record per copy it keeps and tells its caller which copies it dropped. A
-transmission has no record of its own: its copies share its kind, src, seq,
-sent_at and payload. The network knows nothing of the protocol carried in
-the payloads or of the trace format.
+The network draws each copy's drop and latency, schedules each copy it
+keeps as one plain tuple (see EventQueue) and tells its caller which copies
+it dropped. A transmission has no record of its own: its copies share its
+kind, src, seq, sent_at and payload. The network knows nothing of the
+protocol carried in the payloads or of the trace format.
 
-The queue holds only deliveries. It pops them in (due, src, seq, recipient)
+The queue holds only copies. It pops them in (due, src, seq, recipient)
 order, and only up to a bound its caller gives, so the caller can run its
-own steps at an instant after every delivery due at or before it.
+own steps at an instant after every copy due at or before it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 
 from .determinism import TWO_53, transport_stream, transport_words, word_limit
@@ -27,54 +26,38 @@ class MessageKind(Enum):
     ACTUATION = "actuation"
 
 
-# A Delivery is built once per copy, so it is slotted rather than frozen: a
-# frozen dataclass's __init__ costs several times as much. Nothing mutates it
-# after construction.
-@dataclass(slots=True)
-class Delivery:
-    """One copy of a transmission, addressed to one recipient: the fields of
-    its ``deliver`` trace record plus the payload. A broadcast is one copy per
-    node, sender included; copies of one transmission share src and seq."""
-
-    kind: MessageKind
-    src: NodeId
-    recipient: NodeId
-    seq: int
-    sent_at: SimTime
-    payload: object
-
-
 class EventQueue:
-    """Delivery queue with a total, deterministic pop order: (due, src, seq,
-    recipient). No two copies share (src, seq, recipient), as a sender numbers
-    each message once and sends one copy per recipient, so no tie is left."""
+    """Copy queue with a total, deterministic pop order. A copy is the tuple
+    (due, src, seq, recipient, kind, sent_at, payload): the fields of its
+    deliver trace record plus the payload. The pop order is the tuple's own:
+    no two copies share (src, seq, recipient), as a sender numbers each
+    message once and sends one copy per recipient, so the heap never
+    compares a kind or a payload."""
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
         self._now: SimTime = 0
 
-    def schedule(self, due: SimTime, delivery: Delivery) -> None:
-        if due < self._now:
-            raise ProtocolError(
-                f"delivery {delivery!r} scheduled at {due}, before current time {self._now}"
-            )
-        heapq.heappush(self._heap, (due, delivery.src, delivery.seq, delivery.recipient, delivery))
+    def schedule(self, copy: tuple) -> None:
+        if copy[0] < self._now:
+            raise ProtocolError(f"copy {copy!r} is due before current time {self._now}")
+        heapq.heappush(self._heap, copy)
 
-    def pop(self, bound: SimTime) -> tuple[SimTime, Delivery] | None:
-        """The next delivery due at or before bound, or None; later ones stay queued."""
+    def pop(self, bound: SimTime) -> tuple | None:
+        """The next copy due at or before bound, or None; later ones stay queued."""
         heap = self._heap
         if not heap or heap[0][0] > bound:
             return None
-        entry = heapq.heappop(heap)
-        self._now = due = entry[0]
-        return due, entry[-1]
+        copy = heapq.heappop(heap)
+        self._now = copy[0]
+        return copy
 
     def __len__(self) -> int:
         return len(self._heap)
 
 
 class Network:
-    """Applies per-recipient drop and latency draws and schedules deliveries.
+    """Applies per-recipient drop and latency draws and schedules the kept copies.
 
     Draws come from substreams keyed by (seed, src, seq, recipient): resending
     with the same seed replays identically, and adding a node never perturbs
@@ -129,5 +112,5 @@ class Network:
                 stream = transport_stream(seed, src, seq, recipient)
                 stream.random()
                 latency = stream.randint(low, config.latency_max)
-            schedule(now + latency, Delivery(kind, src, recipient, seq, now, payload))
+            schedule((now + latency, src, seq, recipient, kind, now, payload))
         return seq, dropped

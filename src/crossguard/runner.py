@@ -3,7 +3,8 @@
 This module holds the protocol, the trace and the metrics. A Simulation
 plays both sides of the protocol, the master's sessions and every node's
 sensing and actuation, over the deterministic network, which is only a
-transport: its queue holds only the deliveries in flight, and the sessions
+transport: its queue holds only the message copies in flight, each a plain
+tuple that Simulation._on_delivery takes as its arguments, and the sessions
 are a loop in Simulation.run. It books each outcome in its RunMetrics as
 it happens and builds trace records only when it is given a trace callback,
 each through its kind's builder in trace.build (claim payloads via
@@ -40,7 +41,7 @@ from .model import (
     SimTime,
     validate_scenario,
 )
-from .netsim import Delivery, EventQueue, MessageKind, Network
+from .netsim import EventQueue, MessageKind, Network
 from .perception import detection_rates, sense
 from .scenario import ScenarioValidationError
 from .session import (
@@ -308,8 +309,8 @@ class Simulation:
 
     def _deliver_until(self, bound: SimTime | float) -> None:
         pop = self.queue.pop
-        while (popped := pop(bound)) is not None:
-            self._on_delivery(*popped)
+        while (copy := pop(bound)) is not None:
+            self._on_delivery(*copy)
 
     # -- master-side protocol steps -------------------------------------
 
@@ -387,19 +388,19 @@ class Simulation:
 
     # -- event dispatch ---------------------------------------------------
 
-    def _on_delivery(self, now: SimTime, delivery: Delivery) -> None:
-        recipient = delivery.recipient
-        kind = delivery.kind
+    def _on_delivery(
+        self, now: SimTime, src: NodeId, seq: int, recipient: NodeId, kind: MessageKind, sent_at: SimTime, payload: object
+    ) -> None:
         if self.emit is not None:
-            self.emit(build.deliver(now, kind._value_, delivery.src, recipient, delivery.seq, delivery.sent_at))
+            self.emit(build.deliver(now, kind._value_, src, recipient, seq, sent_at))
         if kind is _SESSION_START:
-            self._on_session_start(now, recipient, delivery.payload)
+            self._on_session_start(now, recipient, payload)
         elif kind is _CLAIM:
             if recipient != self.master_id:
                 raise ProtocolError("claim delivered to a non-master node")
-            self._on_claim(now, delivery.payload)
+            self._on_claim(now, payload)
         elif kind is _ACTUATION:
-            self._on_actuation(now, recipient, delivery.payload)
+            self._on_actuation(now, recipient, payload)
         else:
             raise ProtocolError(f"unhandled message kind {kind!r}")
 

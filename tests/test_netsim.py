@@ -1,8 +1,9 @@
-"""Delivery ordering, lossy transport, and per-message random keying."""
+"""Copy ordering, lossy transport, and per-message random keying."""
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from crossguard import netsim
 from crossguard.determinism import transport_stream
 from crossguard.model import NetworkConfig, ProtocolError
-from crossguard.netsim import Delivery, EventQueue, MessageKind, Network
+from crossguard.netsim import EventQueue, MessageKind, Network
 
 
 def lossless(latency_min=1000, latency_max=5000, drop=0.0, seed=7):
@@ -31,48 +32,65 @@ def build_net(node_ids, config, seed=None):
     return queue, network
 
 
+class Copy(NamedTuple):
+    """Names for the fields of a queued copy tuple, in the tuple's order."""
+
+    due: int
+    src: int
+    seq: int
+    recipient: int
+    kind: MessageKind
+    sent_at: int
+    payload: object
+
+
+def view(copy):
+    """A popped copy tuple as (due, copy viewed through Copy)."""
+    return copy[0], Copy(*copy)
+
+
 def drain(queue):
-    """Pop everything, returning (due, delivery) pairs in pop order."""
+    """Pop everything, returning (due, view) pairs in pop order."""
     out = []
     while True:
         popped = queue.pop(math.inf)
         if popped is None:
             return out
-        out.append(popped)
+        out.append(view(popped))
 
 
 def delivery_at(due, src=1, seq=0, recipient=2, kind=MessageKind.CLAIM):
-    return due, Delivery(kind=kind, src=src, recipient=recipient, seq=seq, sent_at=0, payload=None)
+    return (due, src, seq, recipient, kind, 0, None)
 
 
 class TestEventQueue:
     def test_orders_by_due_time(self):
         queue = EventQueue()
-        queue.schedule(*delivery_at(300))
-        queue.schedule(*delivery_at(100, seq=1))
-        queue.schedule(*delivery_at(200, seq=2))
+        queue.schedule(delivery_at(300))
+        queue.schedule(delivery_at(100, seq=1))
+        queue.schedule(delivery_at(200, seq=2))
         assert [due for due, _ in drain(queue)] == [100, 200, 300]
 
     def test_pop_bound_is_inclusive_and_later_deliveries_stay_queued(self):
         queue = EventQueue()
-        queue.schedule(*delivery_at(500))
-        queue.schedule(*delivery_at(501, seq=1))
+        queue.schedule(delivery_at(500))
+        queue.schedule(delivery_at(501, seq=1))
         assert queue.pop(499) is None
-        due, delivery = queue.pop(500)
+        due, delivery = view(queue.pop(500))
         assert (due, delivery.seq) == (500, 0)
         assert queue.pop(500) is None
         assert len(queue) == 1
         with pytest.raises(ProtocolError):
-            queue.schedule(*delivery_at(499, seq=2))
-        queue.schedule(*delivery_at(500, seq=2))
+            queue.schedule(delivery_at(499, seq=2))
+        queue.schedule(delivery_at(500, seq=2))
         assert [due for due, _ in drain(queue)] == [500, 501]
 
     def test_simultaneous_deliveries_order_by_src_seq_recipient(self):
         queue = EventQueue()
-        queue.schedule(*delivery_at(100, src=2, seq=0, recipient=1))
-        queue.schedule(*delivery_at(100, src=1, seq=1, recipient=3))
-        queue.schedule(*delivery_at(100, src=1, seq=1, recipient=2))
-        queue.schedule(*delivery_at(100, src=1, seq=0, recipient=9))
+        queue.schedule(delivery_at(100, src=2, seq=0, recipient=1))
+        queue.schedule(delivery_at(100, src=1, seq=1, recipient=3))
+        queue.schedule(delivery_at(100, src=1, seq=1, recipient=2))
+        queue.schedule(delivery_at(100, src=1, seq=0, recipient=9))
         order = [
             (event.src, event.seq, event.recipient)
             for _, event in drain(queue)
@@ -81,20 +99,26 @@ class TestEventQueue:
 
     def test_scheduling_in_the_past_is_a_protocol_error(self):
         queue = EventQueue()
-        queue.schedule(*delivery_at(100))
+        queue.schedule(delivery_at(100))
         queue.pop(100)
         with pytest.raises(ProtocolError):
-            queue.schedule(*delivery_at(99, seq=1))
+            queue.schedule(delivery_at(99, seq=1))
 
     def test_pop_advances_the_clock(self):
         queue = EventQueue()
-        queue.schedule(*delivery_at(250))
-        queue.schedule(*delivery_at(0, seq=1))  # the clock starts at 0
+        queue.schedule(delivery_at(250))
+        queue.schedule(delivery_at(0, seq=1))  # the clock starts at 0
         assert [queue.pop(250)[0], queue.pop(250)[0]] == [0, 250]
         with pytest.raises(ProtocolError):
-            queue.schedule(*delivery_at(249, seq=2))
-        queue.schedule(*delivery_at(250, seq=2))
+            queue.schedule(delivery_at(249, seq=2))
+        queue.schedule(delivery_at(250, seq=2))
         assert len(queue) == 1
+
+    def test_pop_returns_the_scheduled_copy_itself(self):
+        queue = EventQueue()
+        copy = delivery_at(100)
+        queue.schedule(copy)
+        assert queue.pop(100) is copy
 
     def test_empty_queue_pops_none(self):
         assert EventQueue().pop(math.inf) is None

@@ -8,8 +8,11 @@ inside the simulator.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
+from typing import Callable
 
 from .aggregation import AggregationSemantics
 from .determinism import SEED_BOUND
@@ -43,24 +46,19 @@ def _parse_semantics_list(text: str) -> list[AggregationSemantics]:
     return chosen
 
 
-def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}; expected an integer") from None
-    if not 0 <= seed < SEED_BOUND:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
+def _integer(name: str, low: int, high: float, bounds: str) -> Callable[[str], int]:
+    """An argparse type for an integer in [low, high); `bounds` says so in its messages."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {name} {text!r}; expected an integer") from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"{name} must be {bounds}, got {value}")
+        return value
 
-def _parse_seed_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed count {text!r}; expected an integer") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"seed count must be >= 1, got {count}")
-    return count
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic simulator for a collaborative go/stop decision layer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    truth = dict(choices=TRUTH_MODES, default="fixed", help="ground-truth mode per session (default fixed)")
 
     p_validate = sub.add_parser("validate", help="check a scenario file and report problems")
     p_validate.add_argument("scenario", help="path to a .scenario file")
@@ -83,16 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--seed",
-        type=_parse_seed,
+        type=_integer("seed", 0, SEED_BOUND, "in [0, 2^64)"),
         default=None,
         help="run seed (default: the scenario's network.seed)",
     )
-    p_run.add_argument(
-        "--truth",
-        choices=TRUTH_MODES,
-        default="fixed",
-        help="ground-truth mode per session (default fixed)",
-    )
+    p_run.add_argument("--truth", **truth)
     p_run.add_argument("--trace", default=None, help="write the full event trace to this file")
 
     p_sweep = sub.add_parser("sweep", help="compare semantics across many seeded runs")
@@ -105,16 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--seeds",
-        type=_parse_seed_count,
+        type=_integer("seed count", 1, math.inf, ">= 1"),
         default=10,
         help="seed values 0..N-1, each simulated once and decided under every semantics (default 10)",
     )
-    p_sweep.add_argument(
-        "--truth",
-        choices=TRUTH_MODES,
-        default="fixed",
-        help="ground-truth mode per session (default fixed)",
-    )
+    p_sweep.add_argument("--truth", **truth)
     p_sweep.add_argument(
         "--out", default=None, help="directory for per-run metrics files and summary.csv"
     )
@@ -147,10 +136,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
 
     seed = args.seed if args.seed is not None else scenario.network.seed
-    trace_stream = None
-    if args.trace is not None:
-        trace_stream = open(args.trace, "w", encoding="utf-8")
-    try:
+    trace = nullcontext() if args.trace is None else open(args.trace, "w", encoding="utf-8")
+    with trace as trace_stream:
         _, metrics = run_once(
             scenario,
             args.semantics,
@@ -159,9 +146,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             collect_trace=False,
             trace_stream=trace_stream,
         )
-    finally:
-        if trace_stream is not None:
-            trace_stream.close()
 
     print(f"scenario: {args.scenario}")
     print(f"semantics: {args.semantics.value}  seed: {seed}  truth: {args.truth}")

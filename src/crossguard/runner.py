@@ -192,8 +192,8 @@ class Simulation:
     record is built only when `emit` is given, once, and passed to it.
     `semantics` drives the run: its verdicts are actuated and traced. Each
     of `extra_semantics` is decided on the same frozen claim sets and only
-    counted, in the matching entry of `extra_metrics`; run() gives each the
-    run's exclusions and solo claims too. The node table, trust_positions,
+    counted, in the matching entry of `extra_metrics`, which holds the
+    run's own exclusions and solo objects. The node table, trust_positions,
     is fixed here once from the validated scenario's evidence, unchecked
     again: every session ranks a claim by its node's position. An invalid
     scenario raises ScenarioValidationError; then a seed of None means
@@ -233,8 +233,9 @@ class Simulation:
         self.scenario = scenario
         self.semantics = semantics
         self.extra_semantics = tuple(extra_semantics)
-        self.metrics = RunMetrics()
-        self.extra_metrics = [RunMetrics() for _ in extra_semantics]
+        self.metrics = metrics = RunMetrics()
+        # Every arm shares the run's ledger: exclusions and solo claims never depend on the verdict.
+        self.extra_metrics = [RunMetrics(exclusions=metrics.exclusions, solo=metrics.solo) for _ in extra_semantics]
         self.seed = seed
         # Never a bound method of self: the cycle would leave each run to the cyclic GC.
         self.emit = emit
@@ -302,10 +303,6 @@ class Simulation:
             if self.emit is not None:
                 self.emit(build.session_close(now, state.id))
         self._deliver_until(math.inf)
-        for extra in self.extra_metrics:
-            # Exclusions and solo claims never depend on the verdict.
-            extra.exclusions = dict(self.metrics.exclusions)
-            extra.solo = {node: SoloStats(stats.claims, stats.errors) for node, stats in self.metrics.solo.items()}
 
     def _deliver_until(self, bound: SimTime | float) -> None:
         pop = self.queue.pop

@@ -11,7 +11,9 @@ from crossguard.model import ProtocolError, validate_scenario
 from crossguard.scenario import parse_scenario
 from crossguard.trace import loads_records
 
-from helpers import INTERSECTION, REFERENCE
+from helpers import INTERSECTION, REFERENCE, SCENARIO_DIR
+
+REPO = SCENARIO_DIR.parent
 
 # A hex literal YAML builds into an int too long for repr, and how messages show it.
 LONG_HEX = "0x" + "f" * 4000
@@ -320,6 +322,15 @@ class TestSweepCommand:
             assert name in out
         assert "node 1 solo error rate" in out
 
+    def test_readme_sweep_example_is_the_commands_output(self, monkeypatch, capsys):
+        """README's sweep table is what the command prints, byte for byte."""
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        start = readme.index("```text\nscenario: scenarios/intersection.scenario  seeds: 200") + len("```text\n")
+        expected = readme[start : readme.index("```", start)]
+        monkeypatch.chdir(REPO)
+        assert cli.main(["sweep", "scenarios/intersection.scenario", "--seeds", "200"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == expected
+
     def test_sweep_writes_outputs_when_asked(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
         code = cli.main(
@@ -363,11 +374,15 @@ class TestSweepCommand:
         assert len(err.strip().splitlines()) == 1
         assert target.read_text(encoding="utf-8") == "keep me"
 
-    def test_sweep_seed_count_must_be_positive(self, capsys):
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [("0", "seed count must be >= 1, got 0"), ("x", "invalid seed count 'x'; expected an integer")],
+    )
+    def test_sweep_seed_count_must_be_positive(self, capsys, seeds, message):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["sweep", str(INTERSECTION), "--seeds", "0"])
+            cli.main(["sweep", str(INTERSECTION), "--seeds", seeds])
         assert excinfo.value.code == cli.EXIT_PARSE
-        assert "--seeds" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"error: argument --seeds: {message}\n")
 
     def test_sweep_parse_error_exits_two(self, garbled_file):
         assert cli.main(["sweep", str(garbled_file)]) == cli.EXIT_PARSE

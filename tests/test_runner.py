@@ -865,6 +865,25 @@ class TestSweepMatchesOneRunPerSemantics:
         # The cases must exercise what could break the equivalence.
         assert late > 0 and orphans > 0 and drops > 0 and diverged > 0
 
+    @pytest.mark.parametrize("truth_mode", TRUTH_MODES)
+    def test_every_arm_shares_the_runs_ledger(self, truth_mode):
+        """Exclusions and solo claims never depend on the verdict, so every
+        extra arm holds the driving arm's own objects, not a copy."""
+        rng = random.Random(f"shared-ledger/{truth_mode}")
+        excluded = 0
+        for seed in range(6):
+            scenario = lossy_scenario(rng)
+            sim = runner.Simulation(scenario, ALL_SEMANTICS[0], seed, truth_mode, extra_semantics=ALL_SEMANTICS[1:])
+            sim.run()
+            assert len(sim.extra_metrics) == len(ALL_SEMANTICS) - 1
+            for semantics, metrics in zip(ALL_SEMANTICS, (sim.metrics, *sim.extra_metrics)):
+                assert metrics.exclusions is sim.metrics.exclusions
+                assert metrics.solo is sim.metrics.solo
+                _, alone = run_once(scenario, semantics, seed=seed, truth_mode=truth_mode, collect_trace=False)
+                assert metrics == alone, (seed, semantics)
+            excluded += sum(sim.metrics.exclusions.values())
+        assert excluded > 0
+
     def test_default_call_returns_records_and_metrics_only(self):
         scenario = make_scenario(sessions=3, drop=0.2)
         assert len(run_once(scenario, AggregationSemantics.MAJORITY, seed=1)) == 2

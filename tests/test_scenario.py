@@ -547,6 +547,13 @@ class TestLoadScenario:
             load_scenario(path)
         assert "duplicate node id: 1" in excinfo.value.errors
         assert any("drop_probability" in e for e in excinfo.value.errors)
+        path.write_text(mutated([(("nodes",), [])]), encoding="utf-8")
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            load_scenario(path)
+        assert excinfo.value.errors == [
+            "nodes: at least one node is required",
+            "nodes: exactly one master is required, got 0",
+        ]
 
     def test_round_trip_through_a_file(self, tmp_path):
         path = tmp_path / "ok.scenario"

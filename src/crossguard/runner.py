@@ -6,10 +6,11 @@ sensing and actuation, over the deterministic network, which is only a
 transport: its queue holds only the message copies in flight, each a plain
 tuple that Simulation._on_delivery takes as its arguments, and the sessions
 are a loop in Simulation.run. It books each outcome in its RunMetrics as
-it happens and builds trace records only when it is given a trace callback,
-each through its kind's builder in trace.build (claim payloads via
-trace.claim_payload), so every record has the fields trace.RECORD_KINDS
-declares, in that order. MetricsCollector replays a stored trace.
+it happens and makes trace records only when it is given a trace sink
+(trace.sink), which takes each record's fields in trace.RECORD_KINDS order
+(claim payloads via trace.claim_payload). run_once's sink builds dicts
+with trace.build to collect records, and writes lines with trace.write to
+stream them. MetricsCollector replays a stored trace.
 
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set,
@@ -53,7 +54,8 @@ from .session import (
     open_session,
     trust_positions,
 )
-from .trace import BROADCAST, build, claim_payload, dumps_record
+from .trace import BROADCAST, RECORD_KINDS, RecordKind, build, claim_payload, dumps_record, write
+from .trace import sink as trace_sink
 from .trust import Evidence
 
 TRUTH_MODES = ("fixed", "alternating")
@@ -122,13 +124,17 @@ class RunMetrics:
             if present:
                 self.false_go_count += 1
 
-    def add(self, other: RunMetrics) -> None:
-        """Add another run's counts, exclusions and solo claims to these."""
+    def add_verdicts(self, other: RunMetrics) -> None:
+        """Add another run's VERDICT_COUNTS alone to these."""
         self.decisions += other.decisions
         self.stops += other.stops
         self.gos += other.gos
         self.false_go_count += other.false_go_count
         self.false_stop_count += other.false_stop_count
+
+    def add(self, other: RunMetrics) -> None:
+        """Add another run's counts, exclusions and solo claims to these."""
+        self.add_verdicts(other)
         for reason, count in other.exclusions.items():
             self.exclusions[reason] += count
         solo = self.solo
@@ -188,8 +194,10 @@ class Simulation:
 
     It plays the master's sessions, one after another in run(), and every
     node's sensing and actuation, with per-node state in dicts keyed by
-    node id. Each outcome is booked in `metrics` as it happens; a trace
-    record is built only when `emit` is given, once, and passed to it.
+    node id. Each outcome is booked in `metrics` as it happens. A trace
+    record is made only when `sink` is given: each trace site calls the
+    sink's function for its kind, named as in trace.build, once, with the
+    builder's arguments, and the sink makes the record (a dict or a line).
     `semantics` drives the run: its verdicts are actuated and traced. Each
     of `extra_semantics` is decided on the same frozen claim sets and only
     counted, in the matching entry of `extra_metrics`, which holds the
@@ -199,10 +207,10 @@ class Simulation:
     scenario raises ScenarioValidationError; then a seed of None means
     network.seed, and a semantics that is not an AggregationSemantics, an
     extra_semantics that is not a list or tuple of them, a seed not an int
-    in [0, 2^64), an unknown truth_mode or an emit that is neither None nor
-    callable raises ValueError, all before anything is built. A valid
-    scenario's commands land before the next session decides, so one
-    refused as stale is a ProtocolError.
+    in [0, 2^64), an unknown truth_mode or a sink other than None that
+    lacks a function for some kind raises ValueError, all before anything
+    is built. A valid scenario's commands land before the next session
+    decides, so one refused as stale is a ProtocolError.
     """
 
     def __init__(
@@ -211,7 +219,7 @@ class Simulation:
         semantics: AggregationSemantics,
         seed: int | None,
         truth_mode: str = "fixed",
-        emit: Callable[[dict], None] | None = None,
+        sink: object = None,
         extra_semantics: Sequence[AggregationSemantics] = (),
     ) -> None:
         errors = validate_scenario(scenario)
@@ -225,8 +233,8 @@ class Simulation:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         if truth_mode not in TRUTH_MODES:
             raise ValueError(f"truth_mode must be one of {TRUTH_MODES}, got {truth_mode!r}")
-        if emit is not None and not callable(emit):
-            raise ValueError(f"emit must be callable or None, got {emit!r}")
+        if sink is not None and not all(callable(getattr(sink, kind.name, None)) for kind in RECORD_KINDS):
+            raise ValueError(f"sink must be None or have one function per trace.build name, got {sink!r}")
         present = scenario.ground_truth.pedestrian_present
         # Presence by session parity: alternating truth flips even sessions.
         self._present_by_parity = (not present if truth_mode == "alternating" else present, present)
@@ -237,8 +245,8 @@ class Simulation:
         # Every arm shares the run's ledger: exclusions and solo claims never depend on the verdict.
         self.extra_metrics = [RunMetrics(exclusions=metrics.exclusions, solo=metrics.solo) for _ in extra_semantics]
         self.seed = seed
-        # Never a bound method of self: the cycle would leave each run to the cyclic GC.
-        self.emit = emit
+        # Never one that holds self: the cycle would leave each run to the cyclic GC.
+        self.sink = sink
 
         self.master_id = scenario.master_node().id
         self.actuated = list(scenario.actuated_ids())
@@ -262,21 +270,18 @@ class Simulation:
     def _send(self, kind: MessageKind, src: NodeId, dst: NodeId | None, payload: object, now: SimTime) -> None:
         """Send one message; traced with its payload's fields, then each dropped copy."""
         seq, dropped = self.network.send(kind, src, dst, payload, now)
-        if self.emit is None:
+        sink = self.sink
+        if sink is None:
             return
         name = kind._value_
         if kind is _CLAIM:
-            self.emit(build.send_claim(now, name, src, dst, seq, claim_payload(payload)))
+            sink.send_claim(now, name, src, dst, seq, claim_payload(payload))
         elif kind is _ACTUATION:
-            self.emit(
-                build.send_actuation(
-                    now, name, src, dst, seq, payload.session, payload.action._value_, payload.issue_order
-                )
-            )
+            sink.send_actuation(now, name, src, dst, seq, payload.session, payload.action._value_, payload.issue_order)
         else:
-            self.emit(build.send_session_start(now, name, src, BROADCAST, seq))
+            sink.send_session_start(now, name, src, BROADCAST, seq)
         for recipient in dropped:
-            self.emit(build.drop(now, name, src, recipient, seq))
+            sink.drop(now, name, src, recipient, seq)
 
     def truth_for(self, session: SessionId) -> bool:
         """Whether a pedestrian is present in this session."""
@@ -300,8 +305,8 @@ class Simulation:
             now = state.deadline + settle
             self._deliver_until(now)
             mark_closed(state)
-            if self.emit is not None:
-                self.emit(build.session_close(now, state.id))
+            if self.sink is not None:
+                self.sink.session_close(now, state.id)
         self._deliver_until(math.inf)
 
     def _deliver_until(self, bound: SimTime | float) -> None:
@@ -313,8 +318,8 @@ class Simulation:
 
     def _open_next(self, now: SimTime) -> SessionState:
         self.state = state = open_session(self.state, now, self.scenario.session_window, self.trust_positions)
-        if self.emit is not None:
-            self.emit(build.session_open(now, state.id, state.deadline, self.truth_for(state.id)))
+        if self.sink is not None:
+            self.sink.session_open(now, state.id, state.deadline, self.truth_for(state.id))
         self._send(_SESSION_START, self.master_id, None, state.id, now)
         return state
 
@@ -323,18 +328,18 @@ class Simulation:
         if state.phase is _CLOSED:
             # Landed after the final session closed; booked run-wide as late.
             self.metrics.exclusions[_LATE] += 1
-            if self.emit is not None:
-                self.emit(build.claim_orphan(now, claim.node, claim.session))
+            if self.sink is not None:
+                self.sink.claim_orphan(now, claim.node, claim.session)
             return
         reason = accept_claim(state, claim, now)
         if reason is not None:
             self.metrics.exclusions[reason._value_] += 1
-        if self.emit is None:
+        if self.sink is None:
             return
         if reason is None:
-            self.emit(build.claim_accepted(now, state.id, claim.node, claim.session))
+            self.sink.claim_accepted(now, state.id, claim.node, claim.session)
         else:
-            self.emit(build.claim_excluded(now, state.id, claim.node, claim.session, reason._value_))
+            self.sink.claim_excluded(now, state.id, claim.node, claim.session, reason._value_)
 
     def _decide(self, state: SessionState) -> None:
         now = state.deadline
@@ -346,20 +351,18 @@ class Simulation:
             clear = [received[node].detection is _CLEAR for node in decision.ranking]
             for semantics, metrics in zip(self.extra_semantics, self.extra_metrics):
                 metrics.count_verdict(verdict_of(clear, semantics) is _STOP, present)
-        if self.emit is not None:
-            self.emit(
-                build.decision(
-                    now,
-                    decision.session,
-                    decision.verdict._value_,
-                    decision.semantics._value_,
-                    list(decision.ranking),
-                    [claim.node for claim in decision.used_claims],
-                    [
-                        {"node": claim.node, "claim_session": claim.session, "reason": reason._value_}
-                        for claim, reason in decision.excluded_claims
-                    ],
-                )
+        if self.sink is not None:
+            self.sink.decision(
+                now,
+                decision.session,
+                decision.verdict._value_,
+                decision.semantics._value_,
+                list(decision.ranking),
+                [claim.node for claim in decision.used_claims],
+                [
+                    {"node": claim.node, "claim_session": claim.session, "reason": reason._value_}
+                    for claim, reason in decision.excluded_claims
+                ],
             )
         for command in sequence_actuation(decision, self.actuated):
             self._send(_ACTUATION, self.master_id, command.target, command, now)
@@ -380,16 +383,16 @@ class Simulation:
         motion = self.motions[node]
         if not apply_command(motion, command):
             raise ProtocolError(f"node {node} refused session {command.session}'s command as stale")
-        if self.emit is not None:
-            self.emit(build.actuated(now, node, command.session, command.action._value_, motion.state._value_))
+        if self.sink is not None:
+            self.sink.actuated(now, node, command.session, command.action._value_, motion.state._value_)
 
     # -- event dispatch ---------------------------------------------------
 
     def _on_delivery(
         self, now: SimTime, src: NodeId, seq: int, recipient: NodeId, kind: MessageKind, sent_at: SimTime, payload: object
     ) -> None:
-        if self.emit is not None:
-            self.emit(build.deliver(now, kind._value_, src, recipient, seq, sent_at))
+        if self.sink is not None:
+            self.sink.deliver(now, kind._value_, src, recipient, seq, sent_at)
         if kind is _SESSION_START:
             self._on_session_start(now, recipient, payload)
         elif kind is _CLAIM:
@@ -411,6 +414,15 @@ def _check_semantics(name: str, entries: Sequence) -> None:
             raise ValueError(f"{name} must hold only AggregationSemantics members, got {entry!r}")
 
 
+def _line_maker(kind: RecordKind) -> Callable:
+    """A kind's line writer, or, for a kind with none (decision), its builder's record through dumps_record."""
+    writer = getattr(write, kind.name, None)
+    if writer is not None:
+        return writer
+    builder = getattr(build, kind.name)
+    return lambda *values: dumps_record(builder(*values))
+
+
 def run_once(
     scenario: Scenario,
     semantics: AggregationSemantics,
@@ -424,11 +436,13 @@ def run_once(
     """Run one scenario to quiescence; returns (trace records, metrics).
 
     Metrics are booked as the run goes, keeping nothing per session. Trace
-    records are built only for a sink: the returned list when collect_trace
-    is true, trace_stream when given. The stream is written in blocks of
-    _TRACE_BLOCK lines and holds every line before run_once returns or
-    raises. With collect_trace=False and no trace_stream no record is
-    built, so time stays low and memory flat at any session count.
+    records are made only for an output: the returned list, of trace.build
+    dicts, when collect_trace is true, and trace_stream, of trace.write
+    lines, when given; with both, each collected dict is streamed through
+    dumps_record. The stream is written in blocks of _TRACE_BLOCK lines and
+    holds every line before run_once returns or raises. With
+    collect_trace=False and no trace_stream no record is made, so time
+    stays low and memory flat at any session count.
 
     Given extra_semantics, every session's frozen claim set is also decided
     under each of them, without simulating again; actuation and the trace
@@ -440,23 +454,23 @@ def run_once(
     seed of None, before any session runs; see Simulation.
     """
     records: list[dict] | None = [] if collect_trace else None
-    emit = None if records is None else records.append
     lines: list[str] = []  # the stream's lines not yet written: at most one block
-    if trace_stream is not None:
 
-        def write(record: dict) -> None:
-            lines.append(dumps_record(record))
-            if len(lines) == _TRACE_BLOCK:
-                trace_stream.write("\n".join(lines) + "\n")
-                lines.clear()
+    def write_line(line: str) -> None:
+        lines.append(line)
+        if len(lines) == _TRACE_BLOCK:
+            trace_stream.write("\n".join(lines) + "\n")
+            lines.clear()
 
-        def keep_and_write(record: dict) -> None:
-            records.append(record)
-            write(record)
+    def keep_and_write(record: dict) -> None:
+        records.append(record)
+        write_line(dumps_record(record))
 
-        emit = write if records is None else keep_and_write
-
-    sim = Simulation(scenario, semantics, seed, truth_mode, emit, () if extra_semantics is None else extra_semantics)
+    if trace_stream is None:
+        sink = None if records is None else trace_sink(records.append)
+    else:
+        sink = trace_sink(write_line, _line_maker) if records is None else trace_sink(keep_and_write)
+    sim = Simulation(scenario, semantics, seed, truth_mode, sink, () if extra_semantics is None else extra_semantics)
     try:
         sim.run()
     finally:
@@ -562,7 +576,10 @@ def run_sweep(
         if seed == 0 and out_path is not None:
             out_path.mkdir(parents=True, exist_ok=True)
         for semantics, metrics, total, written in zip(arms, (first, *extra), totals, arm_files):
-            total.add(metrics)
+            if total is totals[0]:
+                total.add(metrics)  # every arm shares the run's ledger: add it once
+            else:
+                total.add_verdicts(metrics)
             if out_path is not None:
                 target = out_path / f"{scenario_name}__{semantics.value}__seed{seed}.metrics.ndjson"
                 with target.open("w", encoding="utf-8") as handle:

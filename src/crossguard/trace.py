@@ -10,25 +10,26 @@ claim payload a claim's send record carries. Both the records and their
 lines are generated from that table, as dataclasses generates __init__:
 `build` holds one builder per kind, named by RecordKind.name, which takes
 "t" and the kind's field values in table order and returns the record with
-exactly the kind's keys; one line formatter per kind is compiled when the
-first record is serialized. dumps_record uses a kind's formatter for a
-record that matches the kind exactly and the JSON encoder for anything
-else; both give the same bytes.
+exactly the kind's keys; `write` holds a line writer per kind with no array
+field, which takes the same values and returns, unchecked, the line that
+dumps_record, the JSON encoder, writes for that record. A run passes each
+record's values to a `sink`, which makes the record with either.
 
-A formatter writes a float field's text from a memo of repr by value, since
-a run's claim floats recur in every claim send; a lookup costs a fraction
-of repr. The memo is cleared past 1 024 entries and never holds a zero:
-0.0 and -0.0 are equal keys that print differently, and a valid scenario
-may hold either. No other two finite floats are equal, so no line depends
-on what the memo holds.
+A writer takes the text of a value that is exactly a float from a memo of
+repr by value, since a run's claim floats recur in every claim send and a
+lookup costs a fraction of repr; any other number, such as an int or a
+numpy.float64 equal to a key, goes to the encoder. The memo is cleared past
+1 024 entries and never holds a zero: 0.0 and -0.0 are equal keys that
+print differently, and a valid scenario may hold either. No other two
+finite floats are equal, so no line depends on what the memo holds.
 """
 
 from __future__ import annotations
 
 import json
 import keyword
-import math
-from typing import Iterable, NamedTuple
+from types import SimpleNamespace
+from typing import Callable, Iterable, NamedTuple
 
 from .actuation import ActuationAction, MotionState
 from .aggregation import AggregationSemantics, Verdict
@@ -177,7 +178,7 @@ def _plain(text: str) -> str:
     return text
 
 
-# The repr of each nonzero float a formatter has written, keyed by the float; see the module docstring.
+# The repr of each nonzero float a writer has written, keyed by the float; see the module docstring.
 _FLOAT_TEXT: dict[float, str] = {}
 
 
@@ -191,96 +192,72 @@ def _float_text(value: float) -> str:
     return text
 
 
-def _compile(name: str, fields: tuple):
-    """Generate one object's line formatter, as dataclasses generates __init__.
-
-    The formatter returns a dict's line when the dict has exactly `fields`'
-    keys in order and each value is exactly of its field's type, else None.
-    An object with a list field gets no formatter (None): it stays on the
-    JSON path.
-    """
-    env = {
-        "_BOOL": ("false", "true"),
-        "_INF": math.inf,
-        "_KEYS": tuple(key for key, _ in fields),
-        "_FLOAT_TEXT": _FLOAT_TEXT,
-        "_float_text": _float_text,
-    }
-    checks, parts = [], []
-    for i, (key, kind) in enumerate(fields):
-        _plain_name(key)  # keys are written into the source
-        value = f"v{i}"
+def _text(fields: tuple, names: list[str | None], prelude: list[str]) -> str:
+    """The f-string text of one object whose field values are the variables
+    `names`, None for a str field written as that constant (ev); a nested
+    object's values are unpacked into variables of their own by a line
+    added to `prelude`."""
+    parts = []
+    for (key, kind), name in zip(fields, names):
         if kind is int:
-            checks.append(f"type({value}) is int")
-            text = f"{{{value}}}"
+            text = f"{{{name} if type({name}) is int else _encode({name})}}"
         elif kind is float:
-            checks.append(f"type({value}) is float and -_INF < {value} < _INF")
-            text = f"{{_FLOAT_TEXT.get({value}) or _float_text({value})}}"
+            text = f"{{_FLOAT_TEXT.get({name}) or _float_text({name}) if type({name}) is float else _encode({name})}}"
         elif kind is bool:
-            checks.append(f"type({value}) is bool")
-            text = f"{{_BOOL[{value}]}}"
-        elif kind is list:
-            return None
+            text = f"{{_BOOL[{name}]}}"
         elif isinstance(kind, tuple):
-            env[f"_f{i}"] = nested = _compile(key, kind)
-            if nested is None:
-                return None
-            checks.append(f"type({value}) is dict and (s{i} := _f{i}({value})) is not None")
-            text = f"{{s{i}}}"
+            inner = [f"{name}_{i}" for i in range(len(kind))]
+            prelude.append(f"{', '.join(inner)}, = {name}.values()")
+            text = _text(kind, inner, prelude)
         else:
-            strings = (kind,) if isinstance(kind, str) else (member.value for member in kind)
-            env[f"_s{i}"] = frozenset(_plain(string) for string in strings)
-            checks.append(f"type({value}) is str and {value} in _s{i}")
-            text = f'"{{{value}}}"'
-        parts.append(f'"{key}":{text}')
-    source = "\n".join(
-        (
-            f"def {name}(record):",
-            "    if tuple(record) != _KEYS:",
-            "        return None",
-            f"    {''.join(f'v{i}, ' for i in range(len(fields)))}= record.values()",
-            f"    if {' and '.join(checks)}:",
-            "        return f'{{" + ",".join(parts) + "}}'",
-        )
-    )
-    exec(source, env)
-    return env[name]
+            for string in (kind,) if isinstance(kind, str) else (member.value for member in kind):
+                _plain(string)  # written unescaped
+            text = f'"{kind}"' if name is None else f'"{{{name}}}"'
+        parts.append(f'"{_plain_name(key)}":{text}')
+    return "{{" + ",".join(parts) + "}}"
 
 
-# (ev, number of fields) -> that kind's formatter. The three send shapes differ
-# in length, so no two kinds share a key. Filled once, on first use: compiling
-# the formatters costs several milliseconds that a process writing no trace
-# need not pay at import.
-_FORMATTERS: dict = {}
+def _writer(kind: RecordKind):
+    """Generate one kind's line writer, as _builder generates its builder.
 
-
-def _generate() -> dict:
-    for kind in RECORD_KINDS:
-        formatter = _compile(kind.ev, (("t", int), ("ev", kind.ev), *kind.fields))
-        if formatter is not None:
-            _FORMATTERS[(kind.ev, len(kind.keys))] = formatter
-    return _FORMATTERS
-
-
-def format_line(record: dict) -> str | None:
-    """The record's line from its kind's formatter, or None if no formatter takes it.
-
-    A formatter takes a record only when it matches the kind exactly: the
-    same keys in the same order, each value of exactly its field's type.
+    It takes the builder's arguments and returns, unchecked, the line the
+    JSON encoder writes for the builder's record. An int or float value is
+    written as itself only when it is exactly an int or a float, so a float
+    subclass, or an int in a float field, goes to the encoder; an Enum
+    field's strings are written unescaped, so each is checked here once.
     """
-    if type(record) is dict:
-        ev = record.get("ev")
-        if type(ev) is str:
-            formatter = (_FORMATTERS or _generate()).get((ev, len(record)))
-            if formatter is not None:
-                return formatter(record)
-    return None
+    names = [_plain_name(key) for key, _ in kind.fields]
+    prelude: list[str] = []
+    text = _text((("t", int), ("ev", _plain_name(kind.ev)), *kind.fields), ["t", None, *names], prelude)
+    body = [*prelude, f"return f'{text}'"]
+    env = {"_BOOL": ("false", "true"), "_FLOAT_TEXT": _FLOAT_TEXT, "_float_text": _float_text, "_encode": _encode}
+    exec(f"def {kind.name}(t, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body), env)
+    return env[kind.name]
+
+
+# One line writer per kind with no array field, as class attributes like build's; decision has none.
+write = type(
+    "write", (), {kind.name: _writer(kind) for kind in RECORD_KINDS if all(t is not list for _, t in kind.fields)}
+)
+
+
+def sink(out: Callable[[object], None], make: Callable[[RecordKind], Callable] | None = None) -> SimpleNamespace:
+    """A trace sink: one function per record kind, named as in build, that
+    passes the kind's record, made from the kind's field values by the
+    maker make(kind) gives, to out. With no make, the maker is the kind's
+    builder, so sink(records.append) collects a run's records in a list."""
+
+    def passing(maker: Callable) -> Callable:
+        return lambda *values: out(maker(*values))
+
+    return SimpleNamespace(
+        **{kind.name: passing(getattr(build, kind.name) if make is None else make(kind)) for kind in RECORD_KINDS}
+    )
 
 
 def dumps_record(record: dict) -> str:
-    """One record as its canonical single-line form (no trailing newline)."""
-    line = format_line(record)
-    return _encode(record) if line is None else line
+    """One record as its canonical single-line form (no trailing newline): the JSON encoder's compact text."""
+    return _encode(record)
 
 
 def dumps_records(records: Iterable[dict]) -> str:

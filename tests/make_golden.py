@@ -8,7 +8,9 @@ dumps_records writes it, a sha256 digest of its RunMetrics as sorted JSON,
 and a one-byte fingerprint of each trace line (the low byte of its CRC-32,
 base64-packed), so that a mismatch can name the first record that changed.
 A changed line keeps its fingerprint one time in 256; the record named is
-then a later one.
+then a later one. Each case also runs with its trace streamed, as
+`crossguard run --trace` writes it, and the streamed bytes must hash to
+the same trace digest.
 
     pytest tests/test_golden.py              # check every case
     python tests/make_golden.py --write      # recompute digests.json from the stored scenarios
@@ -26,6 +28,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import hashlib
+import io
 import json
 import random
 import sys
@@ -79,17 +82,20 @@ def digest_entry(records: list[dict], metrics: RunMetrics) -> dict:
 
 
 def run_corpus():
-    """Yield (id, trace records, digest entry) for every case, loading each scenario once."""
+    """Yield (id, trace records, digest entry, streamed trace) for every case, loading each scenario once."""
     loaded: dict[Path, Scenario] = {}
     for key, path, semantics, seed, truth in cases():
         if path not in loaded:
             loaded[path] = load_scenario(path)
         records, metrics = run_once(loaded[path], semantics, seed=seed, truth_mode=truth)
-        yield key, records, digest_entry(records, metrics)
+        stream = io.StringIO()
+        run_once(loaded[path], semantics, seed=seed, truth_mode=truth, collect_trace=False, trace_stream=stream)
+        yield key, records, digest_entry(records, metrics), stream.getvalue()
 
 
-def mismatch(key: str, records: list[dict], want: dict | None, got: dict) -> str | None:
-    """What differs between a case's stored and recomputed entries, or None."""
+def mismatch(key: str, records: list[dict], want: dict | None, got: dict, streamed: str) -> str | None:
+    """What differs between a case's stored and recomputed entries, or between
+    its stored trace digest and its streamed trace, or None."""
     if want is None:
         return f"{key}: no stored digests; regenerate with tests/make_golden.py --write"
     if want["trace"] != got["trace"]:
@@ -102,6 +108,11 @@ def mismatch(key: str, records: list[dict], want: dict | None, got: dict) -> str
         )
     if want["metrics"] != got["metrics"]:
         return f"{key}: the trace matches but RunMetrics differ"
+    if hashlib.sha256(streamed.encode("utf-8")).hexdigest() != want["trace"]:
+        lines = streamed.splitlines()
+        index = next((i for i, (line, record) in enumerate(zip(lines, records)) if line != dumps_record(record)), None)
+        where = f"first at line {index}: {lines[index]}" if index is not None else f"in length: {len(lines)} lines"
+        return f"{key}: the collected trace matches but the streamed one differs {where}"
     return None
 
 
@@ -218,7 +229,7 @@ def main(argv: list[str]) -> int:
         print(f"wrote the scenario files in {GOLDEN}; run --write to recompute digests.json")
         return 0
     if argv == ["--write"]:
-        table = {key: entry for key, _, entry in run_corpus()}
+        table = {key: entry for key, _, entry, _ in run_corpus()}
         rows = (f"{json.dumps(key)}: {json.dumps(entry, sort_keys=True)}" for key, entry in table.items())
         DIGESTS.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
         print(f"wrote {len(table)} cases to {DIGESTS}")

@@ -15,7 +15,7 @@ import pytest
 from crossguard.aggregation import AggregationSemantics
 from crossguard.model import ExclusionReason
 from crossguard.runner import run_once
-from crossguard.trace import RECORD_KINDS
+from crossguard.trace import RECORD_KINDS, dumps_records
 
 import make_golden
 from helpers import make_scenario
@@ -27,9 +27,9 @@ def recomputed():
     for every case of the corpus, in id order."""
     stored = json.loads(make_golden.DIGESTS.read_text(encoding="utf-8"))
     results = []
-    for key, records, entry in make_golden.run_corpus():
+    for key, records, entry, streamed in make_golden.run_corpus():
         reached = {(record["ev"], record.get("reason")) for record in records}
-        results.append((key, make_golden.mismatch(key, records, stored.get(key), entry), reached))
+        results.append((key, make_golden.mismatch(key, records, stored.get(key), entry, streamed), reached))
     return stored, results
 
 
@@ -60,13 +60,22 @@ def test_a_mismatch_names_the_case_and_the_first_changed_record():
     scenario = make_scenario(drop=0.2, latency=(1000, 30000), settle=30000, sessions=3)
     records, metrics = run_once(scenario, AggregationSemantics.MAJORITY, seed=0)
     stored = make_golden.digest_entry(records, metrics)
-    assert make_golden.mismatch("case", records, stored, stored) is None
+    text = dumps_records(records)
+    assert make_golden.mismatch("case", records, stored, stored, text) is None
     changed = [*records[:7], {**records[7], "t": records[7]["t"] + 1}, *records[8:]]
-    problem = make_golden.mismatch("case", changed, stored, make_golden.digest_entry(changed, metrics))
+    problem = make_golden.mismatch("case", changed, stored, make_golden.digest_entry(changed, metrics), text)
     assert problem.startswith(f"case: trace differs first at record 7 ({len(records)} records stored")
-    shorter = make_golden.mismatch("case", records[:-2], stored, make_golden.digest_entry(records[:-2], metrics))
+    shorter = make_golden.mismatch("case", records[:-2], stored, make_golden.digest_entry(records[:-2], metrics), text)
     assert f"first at record {len(records) - 2} " in shorter
+    lines = text.splitlines(keepends=True)
+    streamed = "".join([*lines[:5], lines[5].replace('"t":', '"t": '), *lines[6:]])
+    assert make_golden.mismatch("case", records, stored, stored, streamed) == (
+        f"case: the collected trace matches but the streamed one differs first at line 5: {streamed.splitlines()[5]}"
+    )
+    assert make_golden.mismatch("case", records, stored, stored, text + lines[-1]).endswith(
+        f"differs in length: {len(records) + 1} lines"
+    )
     metrics.decisions += 1
-    assert make_golden.mismatch("case", records, stored, make_golden.digest_entry(records, metrics)) == (
+    assert make_golden.mismatch("case", records, stored, make_golden.digest_entry(records, metrics), text) == (
         "case: the trace matches but RunMetrics differ"
     )

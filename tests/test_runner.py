@@ -10,6 +10,7 @@ import io
 import random
 import re
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from crossguard.trace import (
     dumps_record,
     dumps_records,
     loads_records,
+    sink,
 )
 from crossguard.trust import rank
 
@@ -255,7 +257,7 @@ class TestNodeTable:
         semantics = AggregationSemantics.TRUST_WEIGHTED_MAJORITY
         records = []
         for entry in (
-            lambda: runner.Simulation(broken, semantics, 3, "alternating", records.append),
+            lambda: runner.Simulation(broken, semantics, 3, "alternating", sink(records.append)),
             lambda: run_once(broken, semantics, 3, "alternating"),
         ):
             with pytest.raises(ScenarioValidationError) as excinfo:
@@ -290,9 +292,9 @@ def assert_each_entry_refuses(match, scenario, semantics, seed, truth_mode="fixe
     except that the Simulation gets () for None, its "no extra" value."""
     with pytest.raises(ValueError, match=match):
         run_once(scenario, semantics, seed, truth_mode, collect_trace, extra_semantics=extra)
-    emit = [].append if collect_trace else None
+    records = sink([].append) if collect_trace else None
     with pytest.raises(ValueError, match=match):
-        runner.Simulation(scenario, semantics, seed, truth_mode, emit, () if extra is None else extra)
+        runner.Simulation(scenario, semantics, seed, truth_mode, records, () if extra is None else extra)
 
 
 class TestSeedCheck:
@@ -367,18 +369,23 @@ class TestRunContract:
         broken = dataclasses.replace(make_scenario(), **change)
         records = []
         with pytest.raises(ScenarioValidationError) as built:
-            runner.Simulation(broken, AggregationSemantics.MAJORITY, seed, emit=records.append)
+            runner.Simulation(broken, AggregationSemantics.MAJORITY, seed, sink=sink(records.append))
         assert records == []
         assert built.value.errors == validate_scenario(broken) != []
         with pytest.raises(ScenarioValidationError) as ran:
             run_once(broken, AggregationSemantics.MAJORITY, seed)
         assert ran.value.errors == built.value.errors
 
-    @pytest.mark.parametrize("emit", [5, [[].append]], ids=["int", "sink_list"])
-    def test_an_emit_that_is_not_callable_is_refused_before_the_run(self, emit):
-        """It once ended in TypeError at the first record, with a session open."""
-        with pytest.raises(ValueError, match="^emit must be callable or None, got "):
-            runner.Simulation(make_scenario(), AggregationSemantics.MAJORITY, 1, emit=emit)
+    @pytest.mark.parametrize(
+        "argument",
+        [5, [].append, [sink([].append)], types.SimpleNamespace(**{kind.name: print for kind in RECORD_KINDS[1:]})],
+        ids=["int", "callback", "sink_list", "one_kind_missing"],
+    )
+    def test_an_argument_that_is_not_a_sink_is_refused_before_the_run(self, argument):
+        """A callback, the old trace argument, once ended in AttributeError at
+        the first record, with a session open."""
+        with pytest.raises(ValueError, match="^sink must be None or have one function per trace.build name, got "):
+            runner.Simulation(make_scenario(), AggregationSemantics.MAJORITY, 1, sink=argument)
 
     def test_each_simulation_validates_its_scenario_once(self, monkeypatch):
         calls = []
@@ -604,7 +611,7 @@ class TestTraceStream:
         monkeypatch.setattr(runner, "apply_command", refuse_from_session(first))
         message = r"^node 1 refused session \d+'s command as stale$"  # a dropped command refuses none
         records = []
-        sim = runner.Simulation(scenario, AggregationSemantics.MAJORITY, 3, emit=records.append)
+        sim = runner.Simulation(scenario, AggregationSemantics.MAJORITY, 3, sink=sink(records.append))
         with pytest.raises(ProtocolError, match=message):
             sim.run()
         assert records[-1]["ev"] == "deliver" and records[-1]["kind"] == "actuation"
@@ -624,7 +631,7 @@ class TestTraceStream:
         code = cli.main(["run", str(path), "--semantics", "majority", "--seed", "5", "--trace", str(trace)])
         assert code == cli.EXIT_PROTOCOL
         records = []
-        sim = runner.Simulation(load_scenario(path), AggregationSemantics.MAJORITY, 5, emit=records.append)
+        sim = runner.Simulation(load_scenario(path), AggregationSemantics.MAJORITY, 5, sink=sink(records.append))
         with pytest.raises(ProtocolError):
             sim.run()
         assert len(records) > 3 * 1024  # several full blocks and a part-filled one
@@ -647,6 +654,23 @@ class TestSweep:
             assert row.decisions == 15
             assert row.error_rate == 0.0
         assert result.solo_error_rates == {1: 0.0, 2: 0.0, 3: 0.0}
+
+    def test_sweep_adds_the_runs_ledger_once_per_seed(self, monkeypatch):
+        """Every arm shares the run's ledger, so only the first arm's total
+        adds it; the other arms add their verdict counts alone."""
+        added = []
+        add = runner.RunMetrics.add
+        monkeypatch.setattr(runner.RunMetrics, "add", lambda total, other: added.append(other) or add(total, other))
+        scenario = make_scenario(sessions=4, fn=0.3, fp=0.3, drop=0.2)
+        result = run_sweep(scenario, list(AggregationSemantics), seeds=3)
+        assert len(added) == 3
+        assert sum(row.decisions for row in result.rows) == 4 * 3 * len(ALL_SEMANTICS)
+        total = runner.RunMetrics(decisions=1, stops=1, false_stop_count=1)
+        total.add_verdicts(added[0])
+        assert total.decisions == added[0].decisions + 1 and total.stops == added[0].stops + 1
+        assert (total.gos, total.false_go_count) == (added[0].gos, added[0].false_go_count)
+        assert total.false_stop_count == added[0].false_stop_count + 1
+        assert total.exclusions == runner.RunMetrics().exclusions and total.solo == {}
 
     def test_sweep_writes_per_run_files_and_a_summary(self, tmp_path):
         scenario = make_scenario(sessions=2)
@@ -989,11 +1013,11 @@ class TestLazyTrace:
         scenario = make_scenario(
             node_count=4, fn=0.2, drop=0.2, latency=(2000, 30000), window=20000, settle=30000, sessions=5
         )
-        emits = []
+        sinks = []
         run = runner.Simulation.run
 
         def watched(sim):
-            emits.append(sim.emit)
+            sinks.append(sim.sink)
             run(sim)
 
         monkeypatch.setattr(runner.Simulation, "run", watched)
@@ -1001,15 +1025,16 @@ class TestLazyTrace:
         monkeypatch.setattr(runner, "dumps_record", refuse)
         for kind in RECORD_KINDS:
             monkeypatch.setattr(runner.build, kind.name, refuse)
+            if hasattr(runner.write, kind.name):
+                monkeypatch.setattr(runner.write, kind.name, refuse)
         records, metrics = run_once(scenario, AggregationSemantics.MAJORITY, seed=3, collect_trace=False)
         assert records is None
-        assert emits == [None]
+        assert sinks == [None]
         assert metrics.decisions == 5 and sum(stats.claims for stats in metrics.solo.values()) > 0
-        # The same stubs do fire once a sink asks for records.
-        with pytest.raises(AssertionError, match="no sink"):
-            run_once(scenario, AggregationSemantics.MAJORITY, seed=3)
-        with pytest.raises(AssertionError, match="no sink"):
-            run_once(scenario, AggregationSemantics.MAJORITY, seed=3, collect_trace=False, trace_stream=io.StringIO())
+        # The same stubs do fire once a sink asks for records, or for lines, or for both.
+        for collect_trace, stream in [(True, None), (False, io.StringIO()), (True, io.StringIO())]:
+            with pytest.raises(AssertionError, match="no sink"):
+                run_once(scenario, AggregationSemantics.MAJORITY, 3, "fixed", collect_trace, stream)
 
     def test_a_lean_run_keeps_memory_flat(self):
         """Nothing is kept per session: a lean run's peak traced memory over

@@ -1,10 +1,11 @@
-"""Trace serialization: canonical bytes, the declared schema and claim payload round-trips."""
+"""Trace serialization: canonical bytes, the declared schema, the line writers and claim payload round-trips."""
 
 from __future__ import annotations
 
-import copy
+import dataclasses
+import inspect
+import io
 import json
-import math
 import re
 import sys
 from collections import Counter
@@ -25,8 +26,8 @@ from crossguard.trace import (
     claim_payload,
     dumps_record,
     dumps_records,
-    format_line,
     loads_records,
+    write,
 )
 
 from helpers import make_claim, make_scenario
@@ -63,11 +64,14 @@ def record_kind(record: dict):
 
 
 RUNS = {mode: lossy_runs(mode) for mode in TRUTH_MODES}
-REAL_RECORDS = [record for runs in RUNS.values() for run in runs for record in run]
-# The real records by kind, so that rare kinds are drawn as often as common ones.
-BY_KIND = {}
-for _record in REAL_RECORDS:
-    BY_KIND.setdefault(record_kind(_record), []).append(_record)
+# The kinds with a line writer: every kind but those with an array field.
+WRITTEN = [kind for kind in RECORD_KINDS if all(field_type is not list for _, field_type in kind.fields)]
+SEND_CLAIM = next(kind for kind in RECORD_KINDS if kind.name == "send_claim")
+
+
+def written_line(kind, values) -> str:
+    """The line kind's writer writes for `values`, the builder's arguments."""
+    return getattr(write, kind.name)(*values)
 
 
 def test_claim_payload_round_trip():
@@ -143,17 +147,20 @@ class TestBuilders:
 
 class TestSchema:
     @pytest.mark.parametrize("truth_mode", TRUTH_MODES)
-    def test_every_record_of_a_lossy_run_takes_its_kind_s_formatter(self, truth_mode):
-        """Only a kind with an array field keeps the JSON path."""
+    def test_every_record_of_a_lossy_run_is_its_kind_s_writer_line(self, truth_mode):
+        """Each record has a declared kind, and the kind's writer, given the
+        record's values, writes the encoder's line for it; only a kind with
+        an array field has no writer."""
         seen = Counter()
         for records in RUNS[truth_mode]:
             for record in records:
                 kind = record_kind(record)
                 assert kind is not None, f"no declared kind matches {record}"
-                if any(field_type is list for _, field_type in kind.fields):
-                    assert format_line(record) is None
+                t, _, *values = record.values()
+                if kind in WRITTEN:
+                    assert written_line(kind, [t, *values]) == ENCODE(record)
                 else:
-                    assert format_line(record) == ENCODE(record), f"{record} took the JSON path"
+                    assert not hasattr(write, kind.name)
                 seen[record["ev"], record.get("reason", record.get("verdict", kind.shape))] += 1
         for ev, detail in [
             ("drop", ""),
@@ -179,126 +186,20 @@ class TestSchema:
         assert documented == declared
 
 
-# JSON-encodable values that no field declares, or that sit at a declared type's edge.
-ODD_VALUES = st.one_of(
-    st.booleans(),
-    st.none(),
-    st.sampled_from(
-        ['quote"', "back\\slash", "tab\t", "line\nbreak", "caf\u00e9", "\u65e5\u672c", "\u2028", "\x01"]
-    ),
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, 5e-324]),
-    st.integers(min_value=2**63, max_value=2**200),
-    st.integers(),
-    st.floats(),
-    st.text(max_size=4),
-    st.lists(st.integers(), max_size=2),
-)
-FIELD_NAMES = sorted(
-    {name for kind in RECORD_KINDS for name in kind.keys} | {name for name, _ in CLAIM_FIELDS}
-)
-KEYS = st.one_of(st.sampled_from(FIELD_NAMES), st.text(max_size=4), st.integers(), st.none(), st.booleans())
-EV_VALUES = st.one_of(
-    st.sampled_from(sorted({kind.ev for kind in RECORD_KINDS})),
-    st.text(max_size=4),
-    st.integers(),
-    st.none(),
-    st.lists(st.integers(), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
-)
+class Rate(float):
+    """A float subclass with a repr of its own, as numpy.float64 has; validation admits it."""
+
+    def __repr__(self) -> str:
+        return f"Rate({float.__repr__(self)})"
 
 
-def _mutate(draw, target: dict) -> None:
-    """One edit of a dict in place: a value replaced, or a key dropped, added, renamed or moved."""
-    keys = list(target)
-    edit = draw(st.sampled_from(["value", "value", "value", "drop", "add", "rename", "move"]))
-    if edit == "add" or not keys:
-        target[draw(KEYS)] = draw(ODD_VALUES)
-    elif edit == "value":
-        target[draw(st.sampled_from(keys))] = draw(ODD_VALUES)
-    elif edit == "drop":
-        del target[draw(st.sampled_from(keys))]
-    elif edit == "rename":
-        old, new = draw(st.sampled_from(keys)), draw(KEYS)
-        items = [(new if key == old else key, value) for key, value in target.items()]
-        target.clear()
-        target.update(items)
-    else:
-        order = draw(st.permutations(keys))
-        items = [(key, target[key]) for key in order]
-        target.clear()
-        target.update(items)
+class NodeNumber(int):
+    """An int subclass whose repr and str are its own; validation admits it as a node id."""
 
+    def __repr__(self) -> str:
+        return f"NodeNumber({int.__repr__(self)})"
 
-@st.composite
-def mutated_records(draw):
-    """A record of a real lossy run, edited once or twice: its own fields,
-    its ev, or its nested claim payload."""
-    record = copy.deepcopy(draw(st.sampled_from(list(BY_KIND.values())).flatmap(st.sampled_from)))
-    for _ in range(draw(st.integers(1, 2))):
-        where = draw(st.sampled_from(["record", "ev", "claim"]))
-        if where == "ev":
-            record["ev"] = draw(EV_VALUES)
-        elif where == "claim" and isinstance(record.get("claim"), dict):
-            _mutate(draw, record["claim"])
-        else:
-            _mutate(draw, record)
-    return record
-
-
-@st.composite
-def kind_shaped_dicts(draw):
-    """A declared kind's keys in order, ev kept, each other value arbitrary JSON."""
-    json_values = st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-        lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
-        max_leaves=4,
-    )
-    kind = draw(st.sampled_from(RECORD_KINDS))
-    return {key: kind.ev if key == "ev" else draw(json_values) for key in kind.keys}
-
-
-class TestExactness:
-    """dumps_record writes exactly the JSON encoder's bytes for every dict."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(mutated_records())
-    def test_mutated_records_of_real_runs(self, record):
-        assert dumps_record(record) == ENCODE(record)
-
-    @settings(max_examples=100, deadline=None)
-    @given(kind_shaped_dicts())
-    def test_declared_keys_with_arbitrary_values(self, record):
-        assert dumps_record(record) == ENCODE(record)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.dictionaries(KEYS, st.one_of(ODD_VALUES, EV_VALUES), max_size=6))
-    def test_arbitrary_dicts(self, record):
-        assert dumps_record(record) == ENCODE(record)
-
-    @pytest.mark.parametrize(
-        "odd",
-        [True, False, None, 7, 2**63, -(2**64), 1.5, -0.0, math.nan, math.inf, -math.inf,
-         "stopp", 'quote"', "caf\u00e9", "*", "", [1], {"node": 1}],
-        ids=repr,
-    )
-    def test_each_field_of_each_kind_replaced(self, odd):
-        """One real record per kind with one value, nested ones included, replaced."""
-        for records in BY_KIND.values():
-            for path in _paths(records[0]):
-                record = copy.deepcopy(records[0])
-                *parents, key = path
-                target = record
-                for parent in parents:
-                    target = target[parent]
-                target[key] = odd
-                assert dumps_record(record) == ENCODE(record), path
-
-
-def claim_send(*floats: float) -> dict:
-    """A claim's send record whose four floats are `floats`, one value repeated if only one is given."""
-    fn, fp, reach, distance = floats * 4 if len(floats) == 1 else floats
-    claim = make_claim(fn=fn, fp=fp, reach=reach, distance=distance)
-    return build.send_claim(0, "claim", 2, 1, 3, claim_payload(claim))
+    __str__ = __repr__
 
 
 # Zeros and the smallest subnormal of either sign, a larger subnormal, the smallest normal, the largest of either sign.
@@ -306,6 +207,86 @@ EDGE_FLOATS = (
     0.0, -0.0, 5e-324, -5e-324, 1.5e-310, sys.float_info.min, sys.float_info.max, -sys.float_info.max
 )
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+# What validation admits in a float field: a finite float, an int, or a float subclass.
+ADMITTED_FLOATS = FINITE_FLOATS | st.integers(-(2**64), 2**64) | FINITE_FLOATS.map(Rate)
+ADMITTED_INTS = st.integers(0, 2**64 - 1) | st.integers(0, 2**63 - 1).map(NodeNumber)
+
+
+def field_values(draw, fields, floats):
+    """One admitted value per field; each float field draws from `floats`."""
+    values = []
+    for _, field_type in fields:
+        if field_type is int:
+            values.append(draw(ADMITTED_INTS))
+        elif field_type is float:
+            values.append(draw(floats))
+        elif field_type is bool:
+            values.append(draw(st.booleans()))
+        elif isinstance(field_type, tuple):
+            nested = field_values(draw, field_type, floats)
+            values.append(dict(zip((key for key, _ in field_type), nested)))
+        elif isinstance(field_type, str):
+            values.append(field_type)
+        else:
+            values.append(draw(st.sampled_from([member.value for member in field_type])))
+    return values
+
+
+@st.composite
+def writer_calls(draw):
+    """Calls of one kind's writer: its builder's arguments, each float drawn
+    from a small pool, so that values recur within a call and across calls."""
+    kind = draw(st.sampled_from(WRITTEN))
+    pool = st.sampled_from(draw(st.lists(ADMITTED_FLOATS, min_size=1, max_size=4)))
+    calls = draw(st.integers(1, 4))
+    return kind, [[draw(ADMITTED_INTS), *field_values(draw, kind.fields, pool)] for _ in range(calls)]
+
+
+class TestWriters:
+    """Each kind's writer writes exactly the encoder's line for its builder's record."""
+
+    def test_every_kind_without_an_array_field_has_a_writer_with_its_builder_s_parameters(self):
+        assert sorted(name for name in vars(write) if not name.startswith("_")) == sorted(kind.name for kind in WRITTEN)
+        assert [kind.name for kind in RECORD_KINDS if kind not in WRITTEN] == ["decision"]
+        for kind in WRITTEN:
+            builder, writer = getattr(build, kind.name), getattr(write, kind.name)
+            assert inspect.signature(writer) == inspect.signature(builder), kind.name
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(writer_calls())
+    def test_a_writer_matches_the_encoder_on_admitted_values(self, calls):
+        kind, arguments = calls
+        for values in arguments:
+            assert written_line(kind, values) == ENCODE(getattr(build, kind.name)(*values))
+
+    @pytest.mark.parametrize("kind", WRITTEN, ids=lambda kind: kind.name)
+    @pytest.mark.parametrize(
+        "number",
+        [50, 50.0, Rate(50.0), NodeNumber(50), -0.0, 5e-324],
+        ids=["int", "float", "Rate", "NodeNumber", "-0.0", "subnormal"],
+    )
+    def test_every_number_field_takes_an_int_a_float_or_a_subclass(self, kind, number):
+        """One number in every int and float field, nested ones too, once
+        50.0 has been written, so that the memo holds it."""
+        written_line(SEND_CLAIM, claim_send(50.0))
+
+        def value(field_type):
+            if field_type in (int, float):
+                return number
+            if field_type is bool:
+                return True
+            if isinstance(field_type, tuple):
+                return {key: value(nested) for key, nested in field_type}
+            return field_type if isinstance(field_type, str) else next(iter(field_type)).value
+
+        values = [value(field_type) for _, field_type in (("t", int), *kind.fields)]
+        assert written_line(kind, values) == ENCODE(getattr(build, kind.name)(*values))
+
+
+def claim_send(*floats: float) -> list:
+    """A claim send's writer arguments, its four floats `floats`, one value repeated if only one is given."""
+    fn, fp, reach, distance = floats * 4 if len(floats) == 1 else floats
+    return [0, "claim", 2, 1, 3, claim_payload(make_claim(fn=fn, fp=fp, reach=reach, distance=distance))]
 
 
 @st.composite
@@ -319,37 +300,67 @@ def claim_sends_with_repeats(draw):
 class TestFloatText:
     """A float's text comes from a memo once seen; no line depends on what the memo holds."""
 
+    def line(self, *floats: float) -> tuple[str, str]:
+        """A claim send's line from its writer, and from the encoder."""
+        values = claim_send(*floats)
+        return written_line(SEND_CLAIM, values), ENCODE(build.send_claim(*values))
+
     def test_zeros_of_either_sign_keep_their_own_text(self):
-        lines = [dumps_record(claim_send(zero)) for zero in (0.0, -0.0, 0.0)]
-        assert lines == [ENCODE(claim_send(zero)) for zero in (0.0, -0.0, 0.0)]
-        assert '"base_false_negative":-0.0,' in lines[1]
-        assert "-0.0" not in lines[0] + lines[2]
+        lines = [self.line(zero) for zero in (0.0, -0.0, 0.0)]
+        assert all(written == encoded for written, encoded in lines)
+        assert '"base_false_negative":-0.0,' in lines[1][0]
+        assert "-0.0" not in lines[0][0] + lines[2][0]
 
     def test_a_float_seen_twice_prints_the_same(self):
-        record = claim_send(0.2, 0.02, 30.0, 14.142135623730951)
-        assert dumps_record(record) == dumps_record(copy.deepcopy(record)) == ENCODE(record)
+        assert self.line(0.2, 0.02, 30.0, 14.142135623730951) == self.line(0.2, 0.02, 30.0, 14.142135623730951)
 
     def test_the_memo_is_cleared_past_its_limit(self):
         values = [1 + i / 4096 for i in range(3 * 1024)]
         for value in values + values:
-            assert dumps_record(claim_send(value)) == ENCODE(claim_send(value))
+            written, encoded = self.line(value)
+            assert written == encoded
             assert len(trace._FLOAT_TEXT) <= 1025
-        assert dumps_record(claim_send(-0.0)) == ENCODE(claim_send(-0.0))
+        assert self.line(-0.0)[0] == self.line(-0.0)[1]
+
+    def test_an_equal_int_or_float_subclass_never_takes_or_leaves_the_memo_s_text(self):
+        """50 after 50.0 is written 50, as the encoder writes it, and 50.0 after 50 stays 50.0."""
+        for value in (50.0, 50, Rate(50.0), 50.0, Rate(0.4375), 0.4375):
+            written, encoded = self.line(value)
+            assert written == encoded, value
+        assert all(type(key) is float for key in trace._FLOAT_TEXT)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(claim_sends_with_repeats())
     def test_claim_sends_match_the_encoder(self, sends):
         for floats in sends:
-            record = claim_send(*floats)
-            assert format_line(record) is not None
-            assert dumps_record(record) == ENCODE(record)
+            written, encoded = self.line(*floats)
+            assert written == encoded
 
 
-def _paths(record: dict) -> list[tuple[str, ...]]:
-    """The key path of every value in a record, into nested objects too."""
-    paths = []
-    for key, value in record.items():
-        paths.append((key,))
-        if isinstance(value, dict):
-            paths.extend((key, *path) for path in _paths(value))
-    return paths
+def test_a_run_streams_an_int_or_a_subclass_after_an_equal_float():
+    """A scenario built in code may hold an int or a float subclass in a
+    float field, and an int subclass as a node id. Each is streamed after a
+    run that wrote 50.0, and the stream must be the JSON of the run's records."""
+    scenario = make_scenario(node_count=4, drop=0.2, latency=(1000, 30000), settle=30000, sessions=3)
+
+    def with_sensor(**change):
+        nodes = tuple(
+            dataclasses.replace(node, sensor=dataclasses.replace(node.sensor, **change)) for node in scenario.nodes
+        )
+        return dataclasses.replace(scenario, nodes=nodes)
+
+    def streamed(scenario) -> tuple[str, list[dict]]:
+        stream = io.StringIO()
+        run_once(scenario, AggregationSemantics.MAJORITY, seed=4, collect_trace=False, trace_stream=stream)
+        records, _ = run_once(scenario, AggregationSemantics.MAJORITY, seed=4)
+        return stream.getvalue(), records
+
+    renumbered = dataclasses.replace(
+        scenario, nodes=tuple(dataclasses.replace(node, id=NodeNumber(node.id)) for node in scenario.nodes)
+    )
+    for odd in (with_sensor(effective_range=50), with_sensor(base_false_negative=Rate(0.1171875)), renumbered):
+        text, _ = streamed(with_sensor(effective_range=50.0))
+        assert '"effective_range":50.0,' in text
+        text, records = streamed(odd)
+        assert text == "".join(json.dumps(record, separators=(",", ":")) + "\n" for record in records)
+        assert loads_records(text) == records

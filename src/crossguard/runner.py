@@ -16,8 +16,8 @@ No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set,
 each arm booked in full in its own RunMetrics. A Simulation checks its own
 scenario and arguments; run_once only picks where records go and checks the
-sums. A sweep simulates each seed once and decides every arm on the same
-claim sets (common random numbers), so semantics are compared like for like.
+sums. A sweep sets up once, then simulates each seed once on that set-up
+and decides every arm on the same claim sets (common random numbers).
 """
 
 from __future__ import annotations
@@ -189,6 +189,29 @@ class MetricsCollector:
             metrics.exclusions[_LATE] += 1  # landed after the final session closed
 
 
+class _Setup:
+    """What a run fixes from its scenario alone, validated once and shared read-only by every seed's run."""
+
+    def __init__(self, scenario: Scenario) -> None:
+        errors = validate_scenario(scenario)
+        if errors:
+            raise ScenarioValidationError(errors)
+        self.scenario = scenario
+        self.master_id = scenario.master_node().id
+        self.actuated = scenario.actuated_ids()
+        # (profile, evidence distance, miss, ghost) per node, evidence distance measured to the query-region center.
+        perception = scenario.perception
+        self.sensors = {
+            spec.id: (spec.sensor, spec.pose.distance_to(perception.query_center))
+            + detection_rates(spec.pose, spec.sensor, scenario.ground_truth, perception)
+            for spec in scenario.nodes
+        }
+        # Evidence is fixed too: the node table ranks every session's claims.
+        self.trust_positions = trust_positions(
+            Evidence(node, profile, distance) for node, (profile, distance, _, _) in self.sensors.items()
+        )
+
+
 class Simulation:
     """One scenario, one seed, driven to quiescence.
 
@@ -202,8 +225,9 @@ class Simulation:
     of `extra_semantics` is decided on the same frozen claim sets and only
     counted, in the matching entry of `extra_metrics`, which holds the
     run's own exclusions and solo objects. The node table, trust_positions,
-    is fixed here once from the validated scenario's evidence, unchecked
-    again: every session ranks a claim by its node's position. An invalid
+    is fixed once from the validated scenario's evidence, unchecked again:
+    every session ranks a claim by its node's position. `scenario` may be a
+    _Setup, which run_sweep makes once for all its seeds. An invalid
     scenario raises ScenarioValidationError; then a seed of None means
     network.seed, and a semantics that is not an AggregationSemantics, an
     extra_semantics that is not a list or tuple of them, a seed not an int
@@ -215,16 +239,15 @@ class Simulation:
 
     def __init__(
         self,
-        scenario: Scenario,
+        scenario: Scenario | _Setup,
         semantics: AggregationSemantics,
         seed: int | None,
         truth_mode: str = "fixed",
         sink: object = None,
         extra_semantics: Sequence[AggregationSemantics] = (),
     ) -> None:
-        errors = validate_scenario(scenario)
-        if errors:
-            raise ScenarioValidationError(errors)
+        setup = scenario if isinstance(scenario, _Setup) else _Setup(scenario)
+        scenario = setup.scenario
         seed = scenario.network.seed if seed is None else seed
         if not isinstance(semantics, AggregationSemantics):
             raise ValueError(f"semantics must be an AggregationSemantics member, got {semantics!r}")
@@ -248,22 +271,12 @@ class Simulation:
         # Never one that holds self: the cycle would leave each run to the cyclic GC.
         self.sink = sink
 
-        self.master_id = scenario.master_node().id
-        self.actuated = list(scenario.actuated_ids())
+        self.master_id = setup.master_id
+        self.actuated = setup.actuated
         self.queue = EventQueue()
         self.network = Network(list(scenario.node_ids()), scenario.network, seed, self.queue)
-        # Per-node state. (profile, evidence distance, miss, ghost) is fixed for the
-        # run; evidence distance is always measured to the query-region center.
-        perception = scenario.perception
-        self.sensors = {
-            spec.id: (spec.sensor, spec.pose.distance_to(perception.query_center))
-            + detection_rates(spec.pose, spec.sensor, scenario.ground_truth, perception)
-            for spec in scenario.nodes
-        }
-        # Evidence is fixed too: the node table ranks every session's claims.
-        self.trust_positions = trust_positions(
-            Evidence(node, profile, distance) for node, (profile, distance, _, _) in self.sensors.items()
-        )
+        self.sensors = setup.sensors
+        self.trust_positions = setup.trust_positions
         self.motions = {spec.id: NodeMotion() for spec in scenario.nodes}
         self.state: SessionState | None = None
 
@@ -541,18 +554,19 @@ def run_sweep(
 ) -> SweepResult:
     """Monte Carlo comparison of semantics over seed values 0..seeds-1.
 
-    Each seed is simulated once. The first semantics by name drives that
-    run, and every semantics is decided on the same frozen claim sets, so
-    the arms differ only in verdicts and each node's solo error rate is
-    metered once per seed. Rows follow semantics_list sorted by name, one
-    per entry, repeats included; a repeated semantics is decided once and
-    its rows are equal. When out_dir is given, each distinct semantics'
-    per-run metrics go to one newline-delimited record file per seed and
-    the comparison table to summary.csv; `files` lists each file once. A
-    `seeds` that is not an int >= 1, or a semantics_list that is not a
-    non-empty list or tuple of AggregationSemantics members, raises
-    ValueError. out_dir is made only after the first run_once returns, so a
-    rejected call makes no dir.
+    The scenario is validated and set up once (a _Setup), and each seed is
+    simulated once, by run_once on that set-up. The first semantics by name
+    drives that run, and every semantics is decided on the same frozen claim
+    sets, so the arms differ only in verdicts and each node's solo error
+    rate is metered once per seed. Rows follow semantics_list sorted by
+    name, one per entry, repeats included; a repeated semantics is decided
+    once and its rows are equal. When out_dir is given, each distinct
+    semantics' per-run metrics go to one newline-delimited record file per
+    seed and the comparison table to summary.csv; `files` lists each file
+    once. A `seeds` that is not an int >= 1, or a semantics_list that is not
+    a non-empty list or tuple of AggregationSemantics members, raises
+    ValueError, before the scenario is validated. out_dir is made only after
+    the first run_once returns, so a rejected call makes no dir.
     """
     if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
         raise ValueError(f"seeds must be an integer >= 1, got {seeds!r}")
@@ -560,13 +574,14 @@ def run_sweep(
     if not semantics_list:
         raise ValueError("at least one semantics is required")
 
+    setup = _Setup(scenario)
     out_path = None if out_dir is None else Path(out_dir)
     arms = sorted(set(semantics_list), key=lambda s: s.value)
     totals = [RunMetrics() for _ in arms]
     arm_files: list[list[Path]] = [[] for _ in arms]
     for seed in range(seeds):
         _, first, extra = run_once(
-            scenario,
+            setup,
             arms[0],
             seed=seed,
             truth_mode=truth_mode,

@@ -41,6 +41,7 @@ from helpers import INTERSECTION, make_scenario, random_scenario
 from oracles import claim_from_payload
 
 ALL_SEMANTICS = sorted(AggregationSemantics, key=lambda s: s.value)
+NO_SESSIONS = dataclasses.replace(make_scenario(), sessions=0)  # invalid: a scenario needs a session
 
 
 def by_ev(records, ev, **fields):
@@ -387,7 +388,8 @@ class TestRunContract:
         with pytest.raises(ValueError, match="^sink must be None or have one function per trace.build name, got "):
             runner.Simulation(make_scenario(), AggregationSemantics.MAJORITY, 1, sink=argument)
 
-    def test_each_simulation_validates_its_scenario_once(self, monkeypatch):
+    def test_each_simulation_and_each_sweep_validates_its_scenario_once(self, monkeypatch):
+        """A sweep validates once per call, not once per seed: its seeds share one set-up."""
         calls = []
 
         def counted(scenario):
@@ -400,8 +402,10 @@ class TestRunContract:
         assert len(calls) == 1
         run_once(scenario, AggregationSemantics.MAJORITY, 1, extra_semantics=[AggregationSemantics.MAJORITY])
         assert len(calls) == 2
-        run_sweep(scenario, list(AggregationSemantics), seeds=3)  # one Simulation per seed
-        assert calls == [scenario] * 5
+        run_sweep(scenario, list(AggregationSemantics), seeds=3)
+        assert len(calls) == 3
+        run_sweep(scenario, [AggregationSemantics.MAJORITY], seeds=2)
+        assert calls == [scenario] * 4
 
     @pytest.mark.parametrize("collect_trace", [True, False], ids=["traced", "lean"])
     def test_a_refused_command_is_a_protocol_error(self, monkeypatch, collect_trace):
@@ -672,6 +676,34 @@ class TestSweep:
         assert total.false_stop_count == added[0].false_stop_count + 1
         assert total.exclusions == runner.RunMetrics().exclusions and total.solo == {}
 
+    @pytest.mark.parametrize("seeds", [1, 5])
+    def test_a_sweep_sets_up_once(self, monkeypatch, seeds):
+        """A sweep validates its scenario, rates each node's sensor and ranks
+        the node table once per call, yet still builds one Simulation through
+        one run_once per seed: the traced bench wraps both names."""
+        calls = dict.fromkeys(["validate_scenario", "detection_rates", "trust_positions", "run_once", "Simulation"], 0)
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        for name in ("validate_scenario", "detection_rates", "trust_positions", "run_once"):
+            monkeypatch.setattr(runner, name, counting(name, getattr(runner, name)))
+        monkeypatch.setattr(runner.Simulation, "__init__", counting("Simulation", runner.Simulation.__init__))
+        scenario = make_scenario(node_count=4, drop=0.1, sessions=3)
+        result = run_sweep(scenario, list(AggregationSemantics), seeds=seeds)
+        assert calls == {
+            "validate_scenario": 1,
+            "detection_rates": 4,
+            "trust_positions": 1,
+            "run_once": seeds,
+            "Simulation": seeds,
+        }
+        assert [row.decisions for row in result.rows] == [3 * seeds] * len(ALL_SEMANTICS)
+
     def test_sweep_writes_per_run_files_and_a_summary(self, tmp_path):
         scenario = make_scenario(sessions=2)
         result = run_sweep(
@@ -743,18 +775,37 @@ class TestSweep:
             run_sweep(make_scenario(), semantics_list, seeds=1)
 
     @pytest.mark.parametrize(
-        "scenario, truth_mode, error",
+        "scenario, truth_mode, seeds, semantics_list, error, match",
         [
-            (dataclasses.replace(make_scenario(), sessions=0), "fixed", ScenarioValidationError),
-            (make_scenario(), "x", ValueError),
+            (NO_SESSIONS, "fixed", 2, [AggregationSemantics.MAJORITY], ScenarioValidationError, "sessions"),
+            (make_scenario(), "x", 2, [AggregationSemantics.MAJORITY], ValueError, "^truth_mode "),
+            (NO_SESSIONS, "x", 2, [AggregationSemantics.MAJORITY], ScenarioValidationError, "sessions"),
+            (NO_SESSIONS, "x", 0, [AggregationSemantics.MAJORITY], ValueError, "^seeds "),
+            (NO_SESSIONS, "x", 2, [], ValueError, "^at least one semantics"),
         ],
-        ids=["no_sessions", "unknown_truth_mode"],
+        ids=[
+            "no_sessions",
+            "unknown_truth_mode",
+            "no_sessions_and_unknown_truth_mode",
+            "no_sessions_and_no_seeds",
+            "no_sessions_and_no_semantics",
+        ],
     )
-    def test_a_rejected_sweep_leaves_no_out_dir(self, tmp_path, scenario, truth_mode, error):
+    def test_a_rejected_sweep_leaves_no_out_dir(
+        self, tmp_path, scenario, truth_mode, seeds, semantics_list, error, match
+    ):
+        """A sweep checks seeds and semantics_list first, then validates its
+        scenario once, and then its first run checks the other arguments as a
+        Simulation does: an invalid scenario is refused before truth_mode, as
+        by a Simulation. Each refusal comes before out_dir is made."""
         out_dir = tmp_path / "out"
-        with pytest.raises(error):
-            run_sweep(scenario, [AggregationSemantics.MAJORITY], seeds=2, truth_mode=truth_mode, out_dir=out_dir)
+        with pytest.raises(error, match=match) as refused:
+            run_sweep(scenario, semantics_list, seeds=seeds, truth_mode=truth_mode, out_dir=out_dir)
         assert not out_dir.exists()
+        if error is ScenarioValidationError:
+            with pytest.raises(ScenarioValidationError) as built:
+                runner.Simulation(scenario, AggregationSemantics.MAJORITY, 0, truth_mode)
+            assert built.value.errors == refused.value.errors
 
 
 def reference_sweep(scenario, semantics_list, seeds, truth_mode, out_dir, scenario_name):

@@ -53,16 +53,15 @@ class NodeMotion:
     latest_session: SessionId | None = None
 
 
-def sequence_actuation(decision: Decision, actuated_nodes: list[NodeId]) -> list[ActuationCommand]:
-    """Commands for every actuated node, ordered by ascending node id."""
+def sequence_actuation(decision: Decision, actuated_nodes: tuple[NodeId, ...]) -> list[ActuationCommand]:
+    """Commands for every actuated node, in the order given, which must be
+    ascending node id order with no repeats, as Scenario.actuated_ids holds them."""
     if not actuated_nodes:
         raise ProtocolError("sequence_actuation called with no actuated nodes")
-    if len(set(actuated_nodes)) != len(actuated_nodes):
-        raise ProtocolError("duplicate node ids in actuated_nodes")
     action = _ACTION_FOR_VERDICT[decision.verdict]
     return [
         ActuationCommand(session=decision.session, target=node, action=action, issue_order=order)
-        for order, node in enumerate(sorted(actuated_nodes))
+        for order, node in enumerate(actuated_nodes)
     ]
 
 

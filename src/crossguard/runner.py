@@ -6,11 +6,12 @@ sensing and actuation, over the deterministic network, which is only a
 transport: its queue holds only the message copies in flight, each a plain
 tuple that Simulation._on_delivery takes as its arguments, and the sessions
 are a loop in Simulation.run. It books each outcome in its RunMetrics as
-it happens and makes trace records only when it is given a trace sink
-(trace.sink), which takes each record's fields in trace.RECORD_KINDS order
-(claim payloads via trace.claim_payload). run_once's sink builds dicts
-with trace.build to collect records, and writes lines with trace.write to
-stream them. MetricsCollector replays a stored trace.
+it happens and makes trace lines only when it is given a sink, a callable
+that takes each line: every kind's line comes from its trace.write writer
+(claim payloads via trace.claim_payload), but decision's, which is its
+record through dumps_record. run_once keeps the lines to collect records,
+which it parses once, and writes them in blocks to stream them.
+MetricsCollector replays a stored trace.
 
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set,
@@ -23,10 +24,11 @@ and decides every arm on the same claim sets (common random numbers).
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .actuation import ActuationCommand, NodeMotion, apply_command, sequence_actuation
 from .aggregation import AggregationSemantics, Verdict, verdict_of
@@ -54,8 +56,7 @@ from .session import (
     open_session,
     trust_positions,
 )
-from .trace import BROADCAST, RECORD_KINDS, RecordKind, build, claim_payload, dumps_record, write
-from .trace import sink as trace_sink
+from .trace import BROADCAST, claim_payload, dumps_record, write
 from .trust import Evidence
 
 TRUTH_MODES = ("fixed", "alternating")
@@ -218,9 +219,9 @@ class Simulation:
     It plays the master's sessions, one after another in run(), and every
     node's sensing and actuation, with per-node state in dicts keyed by
     node id. Each outcome is booked in `metrics` as it happens. A trace
-    record is made only when `sink` is given: each trace site calls the
-    sink's function for its kind, named as in trace.build, once, with the
-    builder's arguments, and the sink makes the record (a dict or a line).
+    line is made only when `sink` is given: each trace site makes its
+    record's line, with no newline, and passes it to sink once, in trace
+    order, so sink=lines.append keeps a run's trace lines in a list.
     `semantics` drives the run: its verdicts are actuated and traced. Each
     of `extra_semantics` is decided on the same frozen claim sets and only
     counted, in the matching entry of `extra_metrics`, which holds the
@@ -231,10 +232,10 @@ class Simulation:
     scenario raises ScenarioValidationError; then a seed of None means
     network.seed, and a semantics that is not an AggregationSemantics, an
     extra_semantics that is not a list or tuple of them, a seed not an int
-    in [0, 2^64), an unknown truth_mode or a sink other than None that
-    lacks a function for some kind raises ValueError, all before anything
-    is built. A valid scenario's commands land before the next session
-    decides, so one refused as stale is a ProtocolError.
+    in [0, 2^64), an unknown truth_mode or a sink that is neither None nor
+    callable raises ValueError, all before anything is built. A valid
+    scenario's commands land before the next session decides, so one
+    refused as stale is a ProtocolError.
     """
 
     def __init__(
@@ -256,8 +257,8 @@ class Simulation:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         if truth_mode not in TRUTH_MODES:
             raise ValueError(f"truth_mode must be one of {TRUTH_MODES}, got {truth_mode!r}")
-        if sink is not None and not all(callable(getattr(sink, kind.name, None)) for kind in RECORD_KINDS):
-            raise ValueError(f"sink must be None or have one function per trace.build name, got {sink!r}")
+        if sink is not None and not callable(sink):
+            raise ValueError(f"sink must be None or a callable that takes each trace line, got {sink!r}")
         present = scenario.ground_truth.pedestrian_present
         # Presence by session parity: alternating truth flips even sessions.
         self._present_by_parity = (not present if truth_mode == "alternating" else present, present)
@@ -288,13 +289,14 @@ class Simulation:
             return
         name = kind._value_
         if kind is _CLAIM:
-            sink.send_claim(now, name, src, dst, seq, claim_payload(payload))
+            sink(write.send_claim(now, name, src, dst, seq, claim_payload(payload)))
         elif kind is _ACTUATION:
-            sink.send_actuation(now, name, src, dst, seq, payload.session, payload.action._value_, payload.issue_order)
+            session, action, order = payload.session, payload.action._value_, payload.issue_order
+            sink(write.send_actuation(now, name, src, dst, seq, session, action, order))
         else:
-            sink.send_session_start(now, name, src, BROADCAST, seq)
+            sink(write.send_session_start(now, name, src, BROADCAST, seq))
         for recipient in dropped:
-            sink.drop(now, name, src, recipient, seq)
+            sink(write.drop(now, name, src, recipient, seq))
 
     def truth_for(self, session: SessionId) -> bool:
         """Whether a pedestrian is present in this session."""
@@ -319,7 +321,7 @@ class Simulation:
             self._deliver_until(now)
             mark_closed(state)
             if self.sink is not None:
-                self.sink.session_close(now, state.id)
+                self.sink(write.session_close(now, state.id))
         self._deliver_until(math.inf)
 
     def _deliver_until(self, bound: SimTime | float) -> None:
@@ -332,7 +334,7 @@ class Simulation:
     def _open_next(self, now: SimTime) -> SessionState:
         self.state = state = open_session(self.state, now, self.scenario.session_window, self.trust_positions)
         if self.sink is not None:
-            self.sink.session_open(now, state.id, state.deadline, self.truth_for(state.id))
+            self.sink(write.session_open(now, state.id, state.deadline, self.truth_for(state.id)))
         self._send(_SESSION_START, self.master_id, None, state.id, now)
         return state
 
@@ -342,7 +344,7 @@ class Simulation:
             # Landed after the final session closed; booked run-wide as late.
             self.metrics.exclusions[_LATE] += 1
             if self.sink is not None:
-                self.sink.claim_orphan(now, claim.node, claim.session)
+                self.sink(write.claim_orphan(now, claim.node, claim.session))
             return
         reason = accept_claim(state, claim, now)
         if reason is not None:
@@ -350,9 +352,9 @@ class Simulation:
         if self.sink is None:
             return
         if reason is None:
-            self.sink.claim_accepted(now, state.id, claim.node, claim.session)
+            self.sink(write.claim_accepted(now, state.id, claim.node, claim.session))
         else:
-            self.sink.claim_excluded(now, state.id, claim.node, claim.session, reason._value_)
+            self.sink(write.claim_excluded(now, state.id, claim.node, claim.session, reason._value_))
 
     def _decide(self, state: SessionState) -> None:
         now = state.deadline
@@ -365,18 +367,20 @@ class Simulation:
             for semantics, metrics in zip(self.extra_semantics, self.extra_metrics):
                 metrics.count_verdict(verdict_of(clear, semantics) is _STOP, present)
         if self.sink is not None:
-            self.sink.decision(
-                now,
-                decision.session,
-                decision.verdict._value_,
-                decision.semantics._value_,
-                list(decision.ranking),
-                [claim.node for claim in decision.used_claims],
-                [
+            record = {
+                "t": now,
+                "ev": "decision",
+                "session": decision.session,
+                "verdict": decision.verdict._value_,
+                "semantics": decision.semantics._value_,
+                "ranking": list(decision.ranking),
+                "used": [claim.node for claim in decision.used_claims],
+                "excluded": [
                     {"node": claim.node, "claim_session": claim.session, "reason": reason._value_}
                     for claim, reason in decision.excluded_claims
                 ],
-            )
+            }
+            self.sink(dumps_record(record))
         for command in sequence_actuation(decision, self.actuated):
             self._send(_ACTUATION, self.master_id, command.target, command, now)
 
@@ -397,7 +401,7 @@ class Simulation:
         if not apply_command(motion, command):
             raise ProtocolError(f"node {node} refused session {command.session}'s command as stale")
         if self.sink is not None:
-            self.sink.actuated(now, node, command.session, command.action._value_, motion.state._value_)
+            self.sink(write.actuated(now, node, command.session, command.action._value_, motion.state._value_))
 
     # -- event dispatch ---------------------------------------------------
 
@@ -405,7 +409,7 @@ class Simulation:
         self, now: SimTime, src: NodeId, seq: int, recipient: NodeId, kind: MessageKind, sent_at: SimTime, payload: object
     ) -> None:
         if self.sink is not None:
-            self.sink.deliver(now, kind._value_, src, recipient, seq, sent_at)
+            self.sink(write.deliver(now, kind._value_, src, recipient, seq, sent_at))
         if kind is _SESSION_START:
             self._on_session_start(now, recipient, payload)
         elif kind is _CLAIM:
@@ -427,15 +431,6 @@ def _check_semantics(name: str, entries: Sequence) -> None:
             raise ValueError(f"{name} must hold only AggregationSemantics members, got {entry!r}")
 
 
-def _line_maker(kind: RecordKind) -> Callable:
-    """A kind's line writer, or, for a kind with none (decision), its builder's record through dumps_record."""
-    writer = getattr(write, kind.name, None)
-    if writer is not None:
-        return writer
-    builder = getattr(build, kind.name)
-    return lambda *values: dumps_record(builder(*values))
-
-
 def run_once(
     scenario: Scenario,
     semantics: AggregationSemantics,
@@ -449,13 +444,14 @@ def run_once(
     """Run one scenario to quiescence; returns (trace records, metrics).
 
     Metrics are booked as the run goes, keeping nothing per session. Trace
-    records are made only for an output: the returned list, of trace.build
-    dicts, when collect_trace is true, and trace_stream, of trace.write
-    lines, when given; with both, each collected dict is streamed through
-    dumps_record. The stream is written in blocks of _TRACE_BLOCK lines and
-    holds every line before run_once returns or raises. With
-    collect_trace=False and no trace_stream no record is made, so time
-    stays low and memory flat at any session count.
+    lines are made only for an output. With collect_trace true, every line
+    is kept, and the returned records are all of them parsed in one
+    json.loads call, so they are exactly what trace.loads_records reads
+    back from the streamed text. A trace_stream gets the lines in blocks of
+    _TRACE_BLOCK, as the run makes them when nothing is collected and after
+    the run otherwise, and holds every line before run_once returns or
+    raises. With collect_trace=False and no trace_stream no line is made,
+    so time stays low and memory flat at any session count.
 
     Given extra_semantics, every session's frozen claim set is also decided
     under each of them, without simulating again; actuation and the trace
@@ -466,8 +462,7 @@ def run_once(
     The Simulation checks the scenario and the arguments, and resolves a
     seed of None, before any session runs; see Simulation.
     """
-    records: list[dict] | None = [] if collect_trace else None
-    lines: list[str] = []  # the stream's lines not yet written: at most one block
+    lines: list[str] = []  # every line if collecting, else those not yet streamed: at most one block
 
     def write_line(line: str) -> None:
         lines.append(line)
@@ -475,24 +470,19 @@ def run_once(
             trace_stream.write("\n".join(lines) + "\n")
             lines.clear()
 
-    def keep_and_write(record: dict) -> None:
-        records.append(record)
-        write_line(dumps_record(record))
-
-    if trace_stream is None:
-        sink = None if records is None else trace_sink(records.append)
-    else:
-        sink = trace_sink(write_line, _line_maker) if records is None else trace_sink(keep_and_write)
+    sink = lines.append if collect_trace else None if trace_stream is None else write_line
     sim = Simulation(scenario, semantics, seed, truth_mode, sink, () if extra_semantics is None else extra_semantics)
     try:
         sim.run()
     finally:
-        if lines:
-            trace_stream.write("\n".join(lines) + "\n")
+        if trace_stream is not None:
+            for start in range(0, len(lines), _TRACE_BLOCK):
+                trace_stream.write("\n".join(lines[start : start + _TRACE_BLOCK]) + "\n")
 
     for arm in (sim.metrics, *sim.extra_metrics):
         if arm.stops + arm.gos != arm.decisions:
             raise ProtocolError("metrics do not conserve: stops + gos != decisions")
+    records = json.loads("[" + ",".join(lines) + "]") if collect_trace else None
     if extra_semantics is None:
         return records, sim.metrics
     return records, sim.metrics, sim.extra_metrics

@@ -6,14 +6,13 @@ golden traces can be diffed directly.
 
 RECORD_KINDS declares every record kind once: its fields in order, each with
 the type of JSON value it holds, and CLAIM_FIELDS does the same for the
-claim payload a claim's send record carries. Both the records and their
-lines are generated from that table, as dataclasses generates __init__:
-`build` holds one builder per kind, named by RecordKind.name, which takes
-"t" and the kind's field values in table order and returns the record with
-exactly the kind's keys; `write` holds a line writer per kind with no array
-field, which takes the same values and returns, unchecked, the line that
-dumps_record, the JSON encoder, writes for that record. A run passes each
-record's values to a `sink`, which makes the record with either.
+claim payload a claim's send record carries. The line is a trace's only
+form. `write` holds one line writer per kind with no array field, generated
+from that table as dataclasses generates __init__ and named by
+RecordKind.name: it takes "t" and the kind's field values in table order
+and returns, unchecked, the line that dumps_record, the JSON encoder,
+writes for the record with exactly the kind's keys. A run passes each line
+to its sink; loads_records reads lines back as records.
 
 A writer takes the text of a value that is exactly a float from a memo of
 repr by value, since a run's claim floats recur in every claim send and a
@@ -28,8 +27,7 @@ from __future__ import annotations
 
 import json
 import keyword
-from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .actuation import ActuationAction, MotionState
 from .aggregation import AggregationSemantics, Verdict
@@ -62,12 +60,8 @@ class RecordKind(NamedTuple):
     fields: tuple[tuple[str, object], ...]
 
     @property
-    def keys(self) -> tuple[str, ...]:
-        return ("t", "ev", *(name for name, _ in self.fields))
-
-    @property
     def name(self) -> str:
-        """Its builder's name: ev, then the shape's words, joined by "_"."""
+        """Its writer's name: ev, then the shape's words, joined by "_"."""
         return "_".join((self.ev, *self.shape.split()))
 
 
@@ -131,40 +125,20 @@ def _plain_name(key: str) -> str:
     return key
 
 
-def _builder(name: str, keys: tuple[str, ...], ev: str | None = None):
-    """Generate one dict builder, as dataclasses generates __init__.
-
-    It takes the value of each of `keys` in order, "ev" excepted, and
-    returns one dict display with exactly `keys`, "ev" holding `ev`. Over
-    the dict literal it replaces, a call adds about a seventh of what
-    dict(zip(keys, values)) adds.
-    """
-    params = ", ".join(_plain_name(key) for key in keys if key != "ev")
-    items = ", ".join(f'"{key}": {ev!r}' if key == "ev" else f'"{key}": {key}' for key in keys)
-    env: dict = {}
-    exec(f"def {name}({params}):\n    return {{{items}}}", env)
-    return env[name]
-
-
-# One builder per kind, as class attributes: those read faster than a namespace object's.
-build = type("build", (), {kind.name: _builder(kind.name, kind.keys, kind.ev) for kind in RECORD_KINDS})
-_claim = _builder("claim", tuple(key for key, _ in CLAIM_FIELDS))
-
-
 def claim_payload(claim: Claim) -> dict:
     """A claim as a trace-embeddable mapping, in CLAIM_FIELDS order."""
     profile = claim.profile
-    return _claim(
-        claim.node,
-        claim.session,
-        claim.detection._value_,
-        profile.kind._value_,
-        profile.base_false_negative,
-        profile.base_false_positive,
-        profile.effective_range,
-        claim.distance_to_target,
-        claim.emitted_at,
-    )
+    return {
+        "node": claim.node,
+        "session": claim.session,
+        "detection": claim.detection._value_,
+        "sensor": profile.kind._value_,
+        "base_false_negative": profile.base_false_negative,
+        "base_false_positive": profile.base_false_positive,
+        "effective_range": profile.effective_range,
+        "distance_to_target": claim.distance_to_target,
+        "emitted_at": claim.emitted_at,
+    }
 
 
 # json.dumps with these separators would build a new encoder for every record.
@@ -218,10 +192,10 @@ def _text(fields: tuple, names: list[str | None], prelude: list[str]) -> str:
 
 
 def _writer(kind: RecordKind):
-    """Generate one kind's line writer, as _builder generates its builder.
+    """Generate one kind's line writer.
 
-    It takes the builder's arguments and returns, unchecked, the line the
-    JSON encoder writes for the builder's record. An int or float value is
+    It takes "t" and the kind's field values and returns, unchecked, the
+    line the JSON encoder writes for the record with the kind's keys. An int or float value is
     written as itself only when it is exactly an int or a float, so a float
     subclass, or an int in a float field, goes to the encoder; an Enum
     field's strings are written unescaped, so each is checked here once.
@@ -235,24 +209,11 @@ def _writer(kind: RecordKind):
     return env[kind.name]
 
 
-# One line writer per kind with no array field, as class attributes like build's; decision has none.
+# One line writer per kind with no array field, as class attributes: those read faster than a namespace
+# object's. decision has none.
 write = type(
     "write", (), {kind.name: _writer(kind) for kind in RECORD_KINDS if all(t is not list for _, t in kind.fields)}
 )
-
-
-def sink(out: Callable[[object], None], make: Callable[[RecordKind], Callable] | None = None) -> SimpleNamespace:
-    """A trace sink: one function per record kind, named as in build, that
-    passes the kind's record, made from the kind's field values by the
-    maker make(kind) gives, to out. With no make, the maker is the kind's
-    builder, so sink(records.append) collects a run's records in a list."""
-
-    def passing(maker: Callable) -> Callable:
-        return lambda *values: out(maker(*values))
-
-    return SimpleNamespace(
-        **{kind.name: passing(getattr(build, kind.name) if make is None else make(kind)) for kind in RECORD_KINDS}
-    )
 
 
 def dumps_record(record: dict) -> str:
@@ -266,5 +227,5 @@ def dumps_records(records: Iterable[dict]) -> str:
 
 
 def loads_records(text: str) -> list[dict]:
-    """Parse a newline-delimited trace back into record dicts."""
-    return [json.loads(line) for line in text.splitlines() if line]
+    """Parse a newline-delimited trace back into record dicts, all its lines in one json.loads call."""
+    return json.loads("[" + ",".join(line for line in text.splitlines() if line) + "]")

@@ -23,6 +23,11 @@ INTERSECTION = SCENARIO_DIR / "intersection.scenario"
 REFERENCE = SCENARIO_DIR / "reference.scenario"
 
 
+def record_keys(kind) -> tuple[str, ...]:
+    """A trace.RecordKind's record keys in order: "t", "ev", then its fields."""
+    return ("t", "ev", *(name for name, _ in kind.fields))
+
+
 def make_profile(
     kind: SensorKind = SensorKind.RGB_CAMERA,
     fn: float = 0.1,

@@ -8,9 +8,9 @@ dumps_records writes it, a sha256 digest of its RunMetrics as sorted JSON,
 and a one-byte fingerprint of each trace line (the low byte of its CRC-32,
 base64-packed), so that a mismatch can name the first record that changed.
 A changed line keeps its fingerprint one time in 256; the record named is
-then a later one. Each case also runs with its trace streamed, as
-`crossguard run --trace` writes it, and the streamed bytes must hash to
-the same trace digest.
+then a later one. Each case runs once, collecting its records and
+streaming its trace as `crossguard run --trace` writes it, and the
+streamed bytes must hash to the same trace digest.
 
     pytest tests/test_golden.py              # check every case
     python tests/make_golden.py --write      # recompute digests.json from the stored scenarios
@@ -87,9 +87,8 @@ def run_corpus():
     for key, path, semantics, seed, truth in cases():
         if path not in loaded:
             loaded[path] = load_scenario(path)
-        records, metrics = run_once(loaded[path], semantics, seed=seed, truth_mode=truth)
         stream = io.StringIO()
-        run_once(loaded[path], semantics, seed=seed, truth_mode=truth, collect_trace=False, trace_stream=stream)
+        records, metrics = run_once(loaded[path], semantics, seed=seed, truth_mode=truth, trace_stream=stream)
         yield key, records, digest_entry(records, metrics), stream.getvalue()
 
 

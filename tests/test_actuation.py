@@ -29,25 +29,21 @@ def decision_with(verdict, session=1):
 
 class TestSequenceActuation:
     def test_stop_halts_every_actuated_node_in_id_order(self):
-        commands = sequence_actuation(decision_with(Verdict.STOP), [9, 2, 5])
+        commands = sequence_actuation(decision_with(Verdict.STOP), (2, 5, 9))
         assert [c.target for c in commands] == [2, 5, 9]
         assert [c.issue_order for c in commands] == [0, 1, 2]
         assert all(c.action is ActuationAction.HALT for c in commands)
         assert all(c.session == 1 for c in commands)
 
     def test_go_proceeds(self):
-        commands = sequence_actuation(decision_with(Verdict.GO, session=4), [3])
+        commands = sequence_actuation(decision_with(Verdict.GO, session=4), (3,))
         assert commands == [
             ActuationCommand(session=4, target=3, action=ActuationAction.PROCEED, issue_order=0)
         ]
 
     def test_no_actuated_nodes_is_a_protocol_error(self):
         with pytest.raises(ProtocolError):
-            sequence_actuation(decision_with(Verdict.STOP), [])
-
-    def test_duplicate_targets_are_a_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            sequence_actuation(decision_with(Verdict.STOP), [2, 2])
+            sequence_actuation(decision_with(Verdict.STOP), ())
 
 
 class TestApplyCommand:

@@ -51,9 +51,9 @@ from crossguard.runner import TRUTH_MODES, MetricsCollector, Simulation, run_onc
 from crossguard.scenario import ScenarioValidationError
 from crossguard.trace import RECORD_KINDS
 
-from helpers import INTERSECTION, REFERENCE
+from helpers import INTERSECTION, REFERENCE, record_keys
 
-KEYS = {(kind.ev, kind.shape): kind.keys for kind in RECORD_KINDS}
+KEYS = {(kind.ev, kind.shape): record_keys(kind) for kind in RECORD_KINDS}
 
 NEAR = st.floats(min_value=-100.0, max_value=100.0)
 FAR = st.one_of(

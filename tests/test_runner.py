@@ -33,7 +33,6 @@ from crossguard.trace import (
     dumps_record,
     dumps_records,
     loads_records,
-    sink,
 )
 from crossguard.trust import rank
 
@@ -256,15 +255,15 @@ class TestNodeTable:
         )
         broken = dataclasses.replace(scenario, nodes=nodes)
         semantics = AggregationSemantics.TRUST_WEIGHTED_MAJORITY
-        records = []
+        lines = []
         for entry in (
-            lambda: runner.Simulation(broken, semantics, 3, "alternating", sink(records.append)),
+            lambda: runner.Simulation(broken, semantics, 3, "alternating", lines.append),
             lambda: run_once(broken, semantics, 3, "alternating"),
         ):
             with pytest.raises(ScenarioValidationError) as excinfo:
                 entry()
             assert excinfo.value.errors == ["nodes[1].sensor.base_false_negative: must be in [0.0, 0.5), got 0.7"]
-        assert records == []
+        assert lines == []
 
     def test_each_nodes_evidence_is_ranked_once_per_simulation(self, monkeypatch):
         calls = []
@@ -293,9 +292,9 @@ def assert_each_entry_refuses(match, scenario, semantics, seed, truth_mode="fixe
     except that the Simulation gets () for None, its "no extra" value."""
     with pytest.raises(ValueError, match=match):
         run_once(scenario, semantics, seed, truth_mode, collect_trace, extra_semantics=extra)
-    records = sink([].append) if collect_trace else None
+    lines = [].append if collect_trace else None
     with pytest.raises(ValueError, match=match):
-        runner.Simulation(scenario, semantics, seed, truth_mode, records, () if extra is None else extra)
+        runner.Simulation(scenario, semantics, seed, truth_mode, lines, () if extra is None else extra)
 
 
 class TestSeedCheck:
@@ -368,10 +367,10 @@ class TestRunContract:
         """A negative window once decided a session whose deadline fell before
         it opened, and network=None ended in AttributeError."""
         broken = dataclasses.replace(make_scenario(), **change)
-        records = []
+        lines = []
         with pytest.raises(ScenarioValidationError) as built:
-            runner.Simulation(broken, AggregationSemantics.MAJORITY, seed, sink=sink(records.append))
-        assert records == []
+            runner.Simulation(broken, AggregationSemantics.MAJORITY, seed, sink=lines.append)
+        assert lines == []
         assert built.value.errors == validate_scenario(broken) != []
         with pytest.raises(ScenarioValidationError) as ran:
             run_once(broken, AggregationSemantics.MAJORITY, seed)
@@ -379,14 +378,20 @@ class TestRunContract:
 
     @pytest.mark.parametrize(
         "argument",
-        [5, [].append, [sink([].append)], types.SimpleNamespace(**{kind.name: print for kind in RECORD_KINDS[1:]})],
-        ids=["int", "callback", "sink_list", "one_kind_missing"],
+        [5, [], [[].append], types.SimpleNamespace(**{kind.name: print for kind in RECORD_KINDS})],
+        ids=["int", "list", "sink_list", "per_kind_namespace"],
     )
     def test_an_argument_that_is_not_a_sink_is_refused_before_the_run(self, argument):
-        """A callback, the old trace argument, once ended in AttributeError at
-        the first record, with a session open."""
-        with pytest.raises(ValueError, match="^sink must be None or have one function per trace.build name, got "):
+        """A list of sinks, or an object with one function per record kind,
+        the old sink, would otherwise end in TypeError at the first line, with
+        a session open."""
+        with pytest.raises(ValueError, match="^sink must be None or a callable that takes each trace line, got "):
             runner.Simulation(make_scenario(), AggregationSemantics.MAJORITY, 1, sink=argument)
+
+    def test_a_callable_sink_is_accepted_and_gets_every_line(self):
+        lines = []
+        runner.Simulation(make_scenario(sessions=2), AggregationSemantics.MAJORITY, 1, sink=lambda line: lines.append(line)).run()
+        assert [record["ev"] for record in loads_records("\n".join(lines))].count("decision") == 2
 
     def test_each_simulation_and_each_sweep_validates_its_scenario_once(self, monkeypatch):
         """A sweep validates once per call, not once per seed: its seeds share one set-up."""
@@ -609,20 +614,34 @@ class TestTraceStream:
         assert by_ev(records, "drop")
         assert buffer.getvalue() == dumps_records(records)
 
+    @pytest.mark.parametrize("truth_mode", TRUTH_MODES)
+    def test_a_simulation_s_sink_gets_the_lines_run_once_streams(self, truth_mode):
+        """Each line once, in order, with no newline; a lean and a collecting run_once stream the same."""
+        scenario = make_scenario(node_count=4, fn=0.2, drop=0.2, latency=(1000, 30000), settle=30000, sessions=40)
+        lines = []
+        runner.Simulation(scenario, AggregationSemantics.TRUST_WEIGHTED_MAJORITY, 7, truth_mode, lines.append).run()
+        assert not any("\n" in line for line in lines)
+        for collect_trace in (False, True):
+            stream = io.StringIO()
+            run_once(scenario, AggregationSemantics.TRUST_WEIGHTED_MAJORITY, 7, truth_mode, collect_trace, stream)
+            assert stream.getvalue() == "".join(line + "\n" for line in lines)
+
     @pytest.mark.parametrize("first", [1, 250], ids=["first_session", "late_session"])
     def test_a_protocol_error_leaves_the_lines_emitted_before_it(self, monkeypatch, first):
         scenario = make_scenario(sessions=300, drop=0.2)
         monkeypatch.setattr(runner, "apply_command", refuse_from_session(first))
         message = r"^node 1 refused session \d+'s command as stale$"  # a dropped command refuses none
-        records = []
-        sim = runner.Simulation(scenario, AggregationSemantics.MAJORITY, 3, sink=sink(records.append))
+        lines = []
+        sim = runner.Simulation(scenario, AggregationSemantics.MAJORITY, 3, sink=lines.append)
         with pytest.raises(ProtocolError, match=message):
             sim.run()
-        assert records[-1]["ev"] == "deliver" and records[-1]["kind"] == "actuation"
-        buffer = io.StringIO()
-        with pytest.raises(ProtocolError, match=message):
-            run_once(scenario, AggregationSemantics.MAJORITY, seed=3, collect_trace=False, trace_stream=buffer)
-        assert buffer.getvalue() == dumps_records(records)
+        last = loads_records(lines[-1])[0]
+        assert last["ev"] == "deliver" and last["kind"] == "actuation"
+        for collect_trace in (False, True):
+            buffer = io.StringIO()
+            with pytest.raises(ProtocolError, match=message):
+                run_once(scenario, AggregationSemantics.MAJORITY, 3, "fixed", collect_trace, buffer)
+            assert buffer.getvalue() == "".join(line + "\n" for line in lines)
 
     def test_the_cli_trace_file_holds_the_lines_emitted_before_a_protocol_error(self, monkeypatch, tmp_path):
         text = INTERSECTION.read_text(encoding="utf-8")
@@ -634,12 +653,12 @@ class TestTraceStream:
         monkeypatch.setattr(runner, "apply_command", refuse_from_session(250))
         code = cli.main(["run", str(path), "--semantics", "majority", "--seed", "5", "--trace", str(trace)])
         assert code == cli.EXIT_PROTOCOL
-        records = []
-        sim = runner.Simulation(load_scenario(path), AggregationSemantics.MAJORITY, 5, sink=sink(records.append))
+        lines = []
+        sim = runner.Simulation(load_scenario(path), AggregationSemantics.MAJORITY, 5, sink=lines.append)
         with pytest.raises(ProtocolError):
             sim.run()
-        assert len(records) > 3 * 1024  # several full blocks and a part-filled one
-        assert trace.read_text(encoding="utf-8") == dumps_records(records)
+        assert len(lines) > 3 * 1024  # several full blocks and a part-filled one
+        assert trace.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
 
 
 class TestSweep:
@@ -1055,11 +1074,11 @@ def test_metrics_collector_can_replay_a_stored_trace():
 
 
 class TestLazyTrace:
-    """Metrics are booked from typed events; records exist only for a sink."""
+    """Metrics are booked from typed events; trace lines exist only for a sink."""
 
     def test_a_run_without_a_trace_sink_builds_no_record(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a trace record was built for no sink")
+            raise AssertionError("a trace line was made for no sink")
 
         scenario = make_scenario(
             node_count=4, fn=0.2, drop=0.2, latency=(2000, 30000), window=20000, settle=30000, sessions=5
@@ -1075,14 +1094,13 @@ class TestLazyTrace:
         monkeypatch.setattr(runner, "claim_payload", refuse)
         monkeypatch.setattr(runner, "dumps_record", refuse)
         for kind in RECORD_KINDS:
-            monkeypatch.setattr(runner.build, kind.name, refuse)
             if hasattr(runner.write, kind.name):
                 monkeypatch.setattr(runner.write, kind.name, refuse)
         records, metrics = run_once(scenario, AggregationSemantics.MAJORITY, seed=3, collect_trace=False)
         assert records is None
         assert sinks == [None]
         assert metrics.decisions == 5 and sum(stats.claims for stats in metrics.solo.values()) > 0
-        # The same stubs do fire once a sink asks for records, or for lines, or for both.
+        # The same stubs do fire once run_once collects records, or streams lines, or both.
         for collect_trace, stream in [(True, None), (False, io.StringIO()), (True, io.StringIO())]:
             with pytest.raises(AssertionError, match="no sink"):
                 run_once(scenario, AggregationSemantics.MAJORITY, 3, "fixed", collect_trace, stream)

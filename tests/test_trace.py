@@ -22,7 +22,6 @@ from crossguard.runner import run_once
 from crossguard.trace import (
     CLAIM_FIELDS,
     RECORD_KINDS,
-    build,
     claim_payload,
     dumps_record,
     dumps_records,
@@ -30,7 +29,7 @@ from crossguard.trace import (
     write,
 )
 
-from helpers import make_claim, make_scenario
+from helpers import make_claim, make_scenario, record_keys
 from oracles import claim_from_payload
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -60,7 +59,7 @@ def lossy_runs(truth_mode: str) -> list[list[dict]]:
 def record_kind(record: dict):
     """The declared kind with exactly this record's ev and keys, in order, or None."""
     keys = tuple(record)
-    return next((kind for kind in RECORD_KINDS if kind.ev == record["ev"] and kind.keys == keys), None)
+    return next((kind for kind in RECORD_KINDS if kind.ev == record["ev"] and record_keys(kind) == keys), None)
 
 
 RUNS = {mode: lossy_runs(mode) for mode in TRUTH_MODES}
@@ -70,8 +69,30 @@ SEND_CLAIM = next(kind for kind in RECORD_KINDS if kind.name == "send_claim")
 
 
 def written_line(kind, values) -> str:
-    """The line kind's writer writes for `values`, the builder's arguments."""
+    """The line kind's writer writes for `values`: "t", then the kind's field values."""
     return getattr(write, kind.name)(*values)
+
+
+def encoded_line(kind, values) -> str:
+    """The encoder's line for the record of kind with `values`, as written_line takes them."""
+    t, *fields = values
+    return ENCODE(dict(zip(record_keys(kind), (t, kind.ev, *fields))))
+
+
+def sample_values(kind, number) -> list:
+    """Writer arguments for kind: `number` in "t" and in every int and float
+    field, nested ones too, and the first allowed value in every other field."""
+
+    def value(field_type):
+        if field_type in (int, float):
+            return number
+        if field_type is bool:
+            return True
+        if isinstance(field_type, tuple):
+            return {key: value(nested) for key, nested in field_type}
+        return field_type if isinstance(field_type, str) else next(iter(field_type)).value
+
+    return [value(field_type) for _, field_type in (("t", int), *kind.fields)]
 
 
 def test_claim_payload_round_trip():
@@ -125,26 +146,6 @@ def test_float_values_round_trip_exactly():
     assert restored.profile.base_false_negative == claim.profile.base_false_negative
 
 
-class TestBuilders:
-    def test_there_is_one_builder_per_kind(self):
-        names = [kind.name for kind in RECORD_KINDS]
-        assert len(set(names)) == len(names)
-        assert sorted(name for name in vars(build) if not name.startswith("_")) == sorted(names)
-
-    @pytest.mark.parametrize("kind", RECORD_KINDS, ids=lambda kind: kind.name)
-    def test_a_builder_returns_exactly_its_kind_s_keys(self, kind):
-        values = [f"value {i}" for i in range(len(kind.fields))]
-        record = getattr(build, kind.name)(12, *values)
-        assert tuple(record) == kind.keys
-        assert list(record.values()) == [12, kind.ev, *values]
-
-    def test_a_builder_needs_every_field_and_no_more(self):
-        with pytest.raises(TypeError):
-            build.claim_orphan(5, 7)
-        with pytest.raises(TypeError):
-            build.claim_orphan(5, 7, 2, "extra")
-
-
 class TestSchema:
     @pytest.mark.parametrize("truth_mode", TRUTH_MODES)
     def test_every_record_of_a_lossy_run_is_its_kind_s_writer_line(self, truth_mode):
@@ -179,7 +180,7 @@ class TestSchema:
         listed = re.findall(r"^- (`\w+`(?: \([^)]*\))?|the claim payload[^:]*): (.*)$", text, re.MULTILINE)
         documented = [(name, re.findall(r"`(\w+)`", fields)) for name, fields in listed]
         declared = [
-            (f"`{kind.ev}`" + (f" ({kind.shape})" if kind.shape else ""), list(kind.keys))
+            (f"`{kind.ev}`" + (f" ({kind.shape})" if kind.shape else ""), list(record_keys(kind)))
             for kind in RECORD_KINDS
         ]
         declared.append(("the claim payload (`claim` above)", [name for name, _ in CLAIM_FIELDS]))
@@ -234,8 +235,8 @@ def field_values(draw, fields, floats):
 
 @st.composite
 def writer_calls(draw):
-    """Calls of one kind's writer: its builder's arguments, each float drawn
-    from a small pool, so that values recur within a call and across calls."""
+    """Calls of one kind's writer, each float drawn from a small pool, so
+    that values recur within a call and across calls."""
     kind = draw(st.sampled_from(WRITTEN))
     pool = st.sampled_from(draw(st.lists(ADMITTED_FLOATS, min_size=1, max_size=4)))
     calls = draw(st.integers(1, 4))
@@ -243,21 +244,36 @@ def writer_calls(draw):
 
 
 class TestWriters:
-    """Each kind's writer writes exactly the encoder's line for its builder's record."""
+    """Each kind's writer writes exactly the encoder's line for its kind's record."""
 
-    def test_every_kind_without_an_array_field_has_a_writer_with_its_builder_s_parameters(self):
+    def test_every_kind_without_an_array_field_has_a_writer_taking_t_and_its_fields(self):
+        names = [kind.name for kind in RECORD_KINDS]
+        assert len(set(names)) == len(names)
         assert sorted(name for name in vars(write) if not name.startswith("_")) == sorted(kind.name for kind in WRITTEN)
         assert [kind.name for kind in RECORD_KINDS if kind not in WRITTEN] == ["decision"]
         for kind in WRITTEN:
-            builder, writer = getattr(build, kind.name), getattr(write, kind.name)
-            assert inspect.signature(writer) == inspect.signature(builder), kind.name
+            parameters = list(inspect.signature(getattr(write, kind.name)).parameters)
+            assert parameters == ["t", *(name for name, _ in kind.fields)], kind.name
+
+    @pytest.mark.parametrize("kind", WRITTEN, ids=lambda kind: kind.name)
+    def test_a_writer_s_line_reads_back_as_exactly_its_kind_s_keys(self, kind):
+        values = sample_values(kind, 12)
+        record = json.loads(written_line(kind, values))
+        assert tuple(record) == record_keys(kind)
+        assert list(record.values()) == [values[0], kind.ev, *values[1:]]
+
+    def test_a_writer_needs_every_field_and_no_more(self):
+        with pytest.raises(TypeError):
+            write.claim_orphan(5, 7)
+        with pytest.raises(TypeError):
+            write.claim_orphan(5, 7, 2, "extra")
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(writer_calls())
     def test_a_writer_matches_the_encoder_on_admitted_values(self, calls):
         kind, arguments = calls
         for values in arguments:
-            assert written_line(kind, values) == ENCODE(getattr(build, kind.name)(*values))
+            assert written_line(kind, values) == encoded_line(kind, values)
 
     @pytest.mark.parametrize("kind", WRITTEN, ids=lambda kind: kind.name)
     @pytest.mark.parametrize(
@@ -269,18 +285,8 @@ class TestWriters:
         """One number in every int and float field, nested ones too, once
         50.0 has been written, so that the memo holds it."""
         written_line(SEND_CLAIM, claim_send(50.0))
-
-        def value(field_type):
-            if field_type in (int, float):
-                return number
-            if field_type is bool:
-                return True
-            if isinstance(field_type, tuple):
-                return {key: value(nested) for key, nested in field_type}
-            return field_type if isinstance(field_type, str) else next(iter(field_type)).value
-
-        values = [value(field_type) for _, field_type in (("t", int), *kind.fields)]
-        assert written_line(kind, values) == ENCODE(getattr(build, kind.name)(*values))
+        values = sample_values(kind, number)
+        assert written_line(kind, values) == encoded_line(kind, values)
 
 
 def claim_send(*floats: float) -> list:
@@ -303,7 +309,7 @@ class TestFloatText:
     def line(self, *floats: float) -> tuple[str, str]:
         """A claim send's line from its writer, and from the encoder."""
         values = claim_send(*floats)
-        return written_line(SEND_CLAIM, values), ENCODE(build.send_claim(*values))
+        return written_line(SEND_CLAIM, values), encoded_line(SEND_CLAIM, values)
 
     def test_zeros_of_either_sign_keep_their_own_text(self):
         lines = [self.line(zero) for zero in (0.0, -0.0, 0.0)]
@@ -364,3 +370,34 @@ def test_a_run_streams_an_int_or_a_subclass_after_an_equal_float():
         text, records = streamed(odd)
         assert text == "".join(json.dumps(record, separators=(",", ":")) + "\n" for record in records)
         assert loads_records(text) == records
+
+
+def typed(value):
+    """value with each number, string and bool paired with its type, so that == compares type for type."""
+    if isinstance(value, dict):
+        return {key: typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [typed(item) for item in value]
+    return type(value), value
+
+
+def test_collected_records_are_the_streamed_text_read_back_type_for_type():
+    """Int-subclass node ids and a float-subclass rate are collected as the
+    plain int and float that loads_records reads back from the stream."""
+    scenario = make_scenario(node_count=4, drop=0.2, latency=(1000, 30000), settle=30000, sessions=3)
+    odd = dataclasses.replace(
+        scenario,
+        nodes=tuple(
+            dataclasses.replace(
+                node,
+                id=NodeNumber(node.id),
+                sensor=dataclasses.replace(node.sensor, base_false_negative=Rate(node.sensor.base_false_negative)),
+            )
+            for node in scenario.nodes
+        ),
+    )
+    stream = io.StringIO()
+    records, _ = run_once(odd, AggregationSemantics.MAJORITY, seed=4, trace_stream=stream)
+    assert typed(records) == typed(loads_records(stream.getvalue()))
+    claims = [record["claim"] for record in records if record["ev"] == "send" and record["kind"] == "claim"]
+    assert claims and all(type(claim["node"]) is int and type(claim["base_false_negative"]) is float for claim in claims)

@@ -7,10 +7,10 @@ transport: its queue holds only the message copies in flight, each a plain
 tuple that Simulation._on_delivery takes as its arguments, and the sessions
 are a loop in Simulation.run. It books each outcome in its RunMetrics as
 it happens and makes trace lines only when it is given a sink, a callable
-that takes each line: every kind's line comes from its trace.write writer
-(claim payloads via trace.claim_payload), but decision's, which is its
-record through dumps_record. run_once keeps the lines to collect records,
-which it parses once, and writes them in blocks to stream them.
+that takes each line, newline included: every kind's line comes from its
+trace.write writer (claim payloads via trace.claim_payload), but
+decision's, which is its record through dumps_record. run_once's sink is
+its stream's write, or lines.append to collect records, parsed once.
 MetricsCollector replays a stored trace.
 
 No draw, sequence number or claim set depends on a verdict, so one
@@ -56,11 +56,10 @@ from .session import (
     open_session,
     trust_positions,
 )
-from .trace import BROADCAST, claim_payload, dumps_record, write
+from .trace import BROADCAST, claim_payload, dumps_record, dumps_records, write
 from .trust import Evidence
 
 TRUTH_MODES = ("fixed", "alternating")
-_TRACE_BLOCK = 1024  # run_once writes its trace stream this many lines at a time
 # The RunMetrics counts that depend on the verdict, hence differ between arms.
 VERDICT_COUNTS = ("decisions", "stops", "gos", "false_go_count", "false_stop_count")
 
@@ -220,8 +219,8 @@ class Simulation:
     node's sensing and actuation, with per-node state in dicts keyed by
     node id. Each outcome is booked in `metrics` as it happens. A trace
     line is made only when `sink` is given: each trace site makes its
-    record's line, with no newline, and passes it to sink once, in trace
-    order, so sink=lines.append keeps a run's trace lines in a list.
+    record's line, newline included, and passes it to sink once, in trace
+    order, so with sink=lines.append, "".join(lines) is the run's trace text.
     `semantics` drives the run: its verdicts are actuated and traced. Each
     of `extra_semantics` is decided on the same frozen claim sets and only
     counted, in the matching entry of `extra_metrics`, which holds the
@@ -380,7 +379,7 @@ class Simulation:
                     for claim, reason in decision.excluded_claims
                 ],
             }
-            self.sink(dumps_record(record))
+            self.sink(dumps_record(record) + "\n")
         for command in sequence_actuation(decision, self.actuated):
             self._send(_ACTUATION, self.master_id, command.target, command, now)
 
@@ -447,9 +446,9 @@ def run_once(
     lines are made only for an output. With collect_trace true, every line
     is kept, and the returned records are all of them parsed in one
     json.loads call, so they are exactly what trace.loads_records reads
-    back from the streamed text. A trace_stream gets the lines in blocks of
-    _TRACE_BLOCK, as the run makes them when nothing is collected and after
-    the run otherwise, and holds every line before run_once returns or
+    back from the streamed text. A trace_stream gets each line as the run
+    makes it, through its own write, when nothing is collected, and all of
+    them in one write after the run otherwise, before run_once returns or
     raises. With collect_trace=False and no trace_stream no line is made,
     so time stays low and memory flat at any session count.
 
@@ -462,22 +461,14 @@ def run_once(
     The Simulation checks the scenario and the arguments, and resolves a
     seed of None, before any session runs; see Simulation.
     """
-    lines: list[str] = []  # every line if collecting, else those not yet streamed: at most one block
-
-    def write_line(line: str) -> None:
-        lines.append(line)
-        if len(lines) == _TRACE_BLOCK:
-            trace_stream.write("\n".join(lines) + "\n")
-            lines.clear()
-
-    sink = lines.append if collect_trace else None if trace_stream is None else write_line
+    lines: list[str] = []
+    sink = lines.append if collect_trace else None if trace_stream is None else trace_stream.write
     sim = Simulation(scenario, semantics, seed, truth_mode, sink, () if extra_semantics is None else extra_semantics)
     try:
         sim.run()
     finally:
-        if trace_stream is not None:
-            for start in range(0, len(lines), _TRACE_BLOCK):
-                trace_stream.write("\n".join(lines[start : start + _TRACE_BLOCK]) + "\n")
+        if collect_trace and trace_stream is not None:
+            trace_stream.write("".join(lines))
 
     for arm in (sim.metrics, *sim.extra_metrics):
         if arm.stops + arm.gos != arm.decisions:
@@ -588,8 +579,7 @@ def run_sweep(
             if out_path is not None:
                 target = out_path / f"{scenario_name}__{semantics.value}__seed{seed}.metrics.ndjson"
                 with target.open("w", encoding="utf-8") as handle:
-                    for record in _metrics_records(scenario_name, semantics.value, seed, metrics):
-                        handle.write(dumps_record(record) + "\n")
+                    handle.write(dumps_records(_metrics_records(scenario_name, semantics.value, seed, metrics)))
                 written.append(target)
 
     total_for = dict(zip(arms, totals))

@@ -11,8 +11,8 @@ form. `write` holds one line writer per kind with no array field, generated
 from that table as dataclasses generates __init__ and named by
 RecordKind.name: it takes "t" and the kind's field values in table order
 and returns, unchecked, the line that dumps_record, the JSON encoder,
-writes for the record with exactly the kind's keys. A run passes each line
-to its sink; loads_records reads lines back as records.
+writes for the record with exactly the kind's keys, and its newline. A
+run passes each line to its sink; loads_records reads the lines back.
 
 A writer takes the text of a value that is exactly a float from a memo of
 repr by value, since a run's claim floats recur in every claim send and a
@@ -194,16 +194,15 @@ def _text(fields: tuple, names: list[str | None], prelude: list[str]) -> str:
 def _writer(kind: RecordKind):
     """Generate one kind's line writer.
 
-    It takes "t" and the kind's field values and returns, unchecked, the
-    line the JSON encoder writes for the record with the kind's keys. An int or float value is
-    written as itself only when it is exactly an int or a float, so a float
-    subclass, or an int in a float field, goes to the encoder; an Enum
-    field's strings are written unescaped, so each is checked here once.
+    It takes "t" and the kind's field values and returns, unchecked, the JSON encoder's text for
+    the record with the kind's keys and a newline. An int or float value is written as itself only
+    when it is exactly an int or a float, so a float subclass, or an int in a float field, goes to
+    the encoder; an Enum field's strings are written unescaped, so each is checked here once.
     """
     names = [_plain_name(key) for key, _ in kind.fields]
     prelude: list[str] = []
     text = _text((("t", int), ("ev", _plain_name(kind.ev)), *kind.fields), ["t", None, *names], prelude)
-    body = [*prelude, f"return f'{text}'"]
+    body = [*prelude, f"return f'{text}\\n'"]
     env = {"_BOOL": ("false", "true"), "_FLOAT_TEXT": _FLOAT_TEXT, "_float_text": _float_text, "_encode": _encode}
     exec(f"def {kind.name}(t, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body), env)
     return env[kind.name]
@@ -226,6 +225,25 @@ def dumps_records(records: Iterable[dict]) -> str:
     return "".join(dumps_record(record) + "\n" for record in records)
 
 
+# One value from the start of a line, and where it ends: per line, faster than json.loads.
+_decode = json.JSONDecoder().raw_decode
+
+
 def loads_records(text: str) -> list[dict]:
-    """Parse a newline-delimited trace back into record dicts, all its lines in one json.loads call."""
-    return json.loads("[" + ",".join(line for line in text.splitlines() if line) + "]")
+    """Parse a newline-delimited trace back into record dicts, line by line.
+
+    Empty lines are skipped. Any other line that is not exactly one JSON
+    object raises ValueError naming its 1-based line number.
+    """
+    records = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line:
+            continue
+        try:
+            record, end = _decode(line)
+        except json.JSONDecodeError as error:
+            raise ValueError(f"trace line {number} is not one JSON object: {error.msg}, column {error.colno}") from None
+        if end < len(line) or type(record) is not dict:
+            raise ValueError(f"trace line {number} is not one JSON object")
+        records.append(record)
+    return records

@@ -391,7 +391,7 @@ class TestRunContract:
     def test_a_callable_sink_is_accepted_and_gets_every_line(self):
         lines = []
         runner.Simulation(make_scenario(sessions=2), AggregationSemantics.MAJORITY, 1, sink=lambda line: lines.append(line)).run()
-        assert [record["ev"] for record in loads_records("\n".join(lines))].count("decision") == 2
+        assert [record["ev"] for record in loads_records("".join(lines))].count("decision") == 2
 
     def test_each_simulation_and_each_sweep_validates_its_scenario_once(self, monkeypatch):
         """A sweep validates once per call, not once per seed: its seeds share one set-up."""
@@ -610,21 +610,21 @@ class TestTraceStream:
         scenario = make_scenario(sessions=300, drop=0.2, actuate_all=True)
         buffer = io.StringIO()
         records, _ = run_once(scenario, AggregationSemantics.MAJORITY, seed=3, trace_stream=buffer)
-        assert len(records) > 3 * 1024  # several full blocks and a part-filled one
+        assert len(records) > 3 * 1024  # thousands of lines, kept and then written in one call
         assert by_ev(records, "drop")
         assert buffer.getvalue() == dumps_records(records)
 
     @pytest.mark.parametrize("truth_mode", TRUTH_MODES)
     def test_a_simulation_s_sink_gets_the_lines_run_once_streams(self, truth_mode):
-        """Each line once, in order, with no newline; a lean and a collecting run_once stream the same."""
+        """Each line once, in order, ending in its one newline; a lean and a collecting run_once stream the same."""
         scenario = make_scenario(node_count=4, fn=0.2, drop=0.2, latency=(1000, 30000), settle=30000, sessions=40)
         lines = []
         runner.Simulation(scenario, AggregationSemantics.TRUST_WEIGHTED_MAJORITY, 7, truth_mode, lines.append).run()
-        assert not any("\n" in line for line in lines)
+        assert all(line.index("\n") == len(line) - 1 for line in lines)
         for collect_trace in (False, True):
             stream = io.StringIO()
             run_once(scenario, AggregationSemantics.TRUST_WEIGHTED_MAJORITY, 7, truth_mode, collect_trace, stream)
-            assert stream.getvalue() == "".join(line + "\n" for line in lines)
+            assert stream.getvalue() == "".join(lines)
 
     @pytest.mark.parametrize("first", [1, 250], ids=["first_session", "late_session"])
     def test_a_protocol_error_leaves_the_lines_emitted_before_it(self, monkeypatch, first):
@@ -641,7 +641,21 @@ class TestTraceStream:
             buffer = io.StringIO()
             with pytest.raises(ProtocolError, match=message):
                 run_once(scenario, AggregationSemantics.MAJORITY, 3, "fixed", collect_trace, buffer)
-            assert buffer.getvalue() == "".join(line + "\n" for line in lines)
+            assert buffer.getvalue() == "".join(lines)
+
+    def test_a_sink_s_lines_joined_are_the_bytes_run_trace_writes(self, tmp_path):
+        """A sink gets exactly the file's lines, each ending in its one newline."""
+        text = INTERSECTION.read_text(encoding="utf-8")
+        text = text.replace("sessions: 1", "sessions: 40").replace("drop_probability: 0.0", "drop_probability: 0.2")
+        path = tmp_path / "lossy.scenario"
+        path.write_text(text, encoding="utf-8")
+        trace = tmp_path / "t.ndjson"
+        argv = ["run", str(path), "--semantics", "majority", "--seed", "5", "--truth", "alternating", "--trace", str(trace)]
+        assert cli.main(argv) == 0
+        lines = []
+        runner.Simulation(load_scenario(path), AggregationSemantics.MAJORITY, 5, "alternating", lines.append).run()
+        assert len(lines) > 400 and all(line.index("\n") == len(line) - 1 for line in lines)
+        assert trace.read_bytes() == "".join(lines).encode("utf-8")
 
     def test_the_cli_trace_file_holds_the_lines_emitted_before_a_protocol_error(self, monkeypatch, tmp_path):
         text = INTERSECTION.read_text(encoding="utf-8")
@@ -657,8 +671,8 @@ class TestTraceStream:
         sim = runner.Simulation(load_scenario(path), AggregationSemantics.MAJORITY, 5, sink=lines.append)
         with pytest.raises(ProtocolError):
             sim.run()
-        assert len(lines) > 3 * 1024  # several full blocks and a part-filled one
-        assert trace.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+        assert len(lines) > 3 * 1024  # thousands of lines, each written to the file as it is made
+        assert trace.read_text(encoding="utf-8") == "".join(lines)
 
 
 class TestSweep:

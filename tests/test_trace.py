@@ -74,9 +74,9 @@ def written_line(kind, values) -> str:
 
 
 def encoded_line(kind, values) -> str:
-    """The encoder's line for the record of kind with `values`, as written_line takes them."""
+    """The encoder's text for the record of kind with `values`, as written_line takes them, and its newline."""
     t, *fields = values
-    return ENCODE(dict(zip(record_keys(kind), (t, kind.ev, *fields))))
+    return ENCODE(dict(zip(record_keys(kind), (t, kind.ev, *fields)))) + "\n"
 
 
 def sample_values(kind, number) -> list:
@@ -138,6 +138,26 @@ def test_loads_records_round_trip():
     assert loads_records(dumps_records(records)) == records
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1\n2\n", '{"a":1},{"b":2}\n', '{"a":"x\n y"},{"b":1}\n', "[]\n"],
+    ids=["numbers", "two_objects_on_a_line", "a_line_break_in_a_string", "an_array"],
+)
+def test_loads_records_refuses_a_line_that_is_not_one_json_object(text):
+    """A reader that parsed all lines in one call would read these as
+    [1, 2], as two records from one line, as {"a": "x, y"} and as [[]]."""
+    with pytest.raises(ValueError, match="^trace line 1 "):
+        loads_records(text)
+
+
+def test_loads_records_skips_empty_lines_and_counts_them_in_a_bad_line_s_number():
+    assert loads_records('\n{"a":1}\n\n{"b":2}\r\n\r\n') == [{"a": 1}, {"b": 2}]
+    with pytest.raises(ValueError, match="^trace line 4 is not one JSON object$"):
+        loads_records('{"a":1}\n\n\n{"b":2} \n')
+    with pytest.raises(ValueError, match="^trace line 2 is not one JSON object: Expecting value, column 6$"):
+        loads_records('{"a":1}\n{"b":')
+
+
 def test_float_values_round_trip_exactly():
     claim = make_claim(distance=14.142135623730951, fn=0.2, fp=0.02)
     text = dumps_record(claim_payload(claim))
@@ -150,8 +170,8 @@ class TestSchema:
     @pytest.mark.parametrize("truth_mode", TRUTH_MODES)
     def test_every_record_of_a_lossy_run_is_its_kind_s_writer_line(self, truth_mode):
         """Each record has a declared kind, and the kind's writer, given the
-        record's values, writes the encoder's line for it; only a kind with
-        an array field has no writer."""
+        record's values, writes the encoder's text for it and a newline; only
+        a kind with an array field has no writer."""
         seen = Counter()
         for records in RUNS[truth_mode]:
             for record in records:
@@ -159,7 +179,7 @@ class TestSchema:
                 assert kind is not None, f"no declared kind matches {record}"
                 t, _, *values = record.values()
                 if kind in WRITTEN:
-                    assert written_line(kind, [t, *values]) == ENCODE(record)
+                    assert written_line(kind, [t, *values]) == ENCODE(record) + "\n"
                 else:
                     assert not hasattr(write, kind.name)
                 seen[record["ev"], record.get("reason", record.get("verdict", kind.shape))] += 1
@@ -244,7 +264,7 @@ def writer_calls(draw):
 
 
 class TestWriters:
-    """Each kind's writer writes exactly the encoder's line for its kind's record."""
+    """Each kind's writer writes exactly the encoder's text for its kind's record, then a newline."""
 
     def test_every_kind_without_an_array_field_has_a_writer_taking_t_and_its_fields(self):
         names = [kind.name for kind in RECORD_KINDS]

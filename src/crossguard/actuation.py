@@ -59,10 +59,8 @@ def sequence_actuation(decision: Decision, actuated_nodes: tuple[NodeId, ...]) -
     if not actuated_nodes:
         raise ProtocolError("sequence_actuation called with no actuated nodes")
     action = _ACTION_FOR_VERDICT[decision.verdict]
-    return [
-        ActuationCommand(session=decision.session, target=node, action=action, issue_order=order)
-        for order, node in enumerate(actuated_nodes)
-    ]
+    # Positional: keywords make this frozen dataclass's __init__ markedly slower.
+    return [ActuationCommand(decision.session, node, action, order) for order, node in enumerate(actuated_nodes)]
 
 
 def apply_command(motion: NodeMotion, command: ActuationCommand) -> bool:

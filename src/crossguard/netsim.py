@@ -78,6 +78,11 @@ class Network:
         self.seed = seed
         self.queue = queue
         self._next_seq: dict[NodeId, int] = {node: 0 for node in self.node_ids}
+        self._low = config.latency_min
+        self._span = config.latency_max - config.latency_min + 1
+        self._limit = word_limit(self._span)
+        # (word >> 11) / 2^53 < p exactly when word >> 11 < p * 2^53: both scalings by 2^53 are exact.
+        self._drop_below = config.drop_probability * TWO_53
 
     def send(
         self,
@@ -94,16 +99,12 @@ class Network:
         self._next_seq[src] = seq + 1
 
         dropped = []
-        config = self.config
-        drop_probability = config.drop_probability
-        low = config.latency_min
-        span = config.latency_max - low + 1
-        limit = word_limit(span)
+        drop_below, low, span, limit = self._drop_below, self._low, self._span, self._limit
         seed = self.seed
         schedule = self.queue.schedule
         for recipient in self.node_ids if dst is None else (dst,):
             drop_word, latency_word, _, _ = transport_words(seed, src, seq, recipient)
-            if (drop_word >> 11) / TWO_53 < drop_probability:
+            if drop_word >> 11 < drop_below:
                 dropped.append(recipient)
                 continue
             if latency_word < limit:
@@ -111,6 +112,6 @@ class Network:
             else:
                 stream = transport_stream(seed, src, seq, recipient)
                 stream.random()
-                latency = stream.randint(low, config.latency_max)
+                latency = stream.randint(low, self.config.latency_max)
             schedule((now + latency, src, seq, recipient, kind, now, payload))
         return seq, dropped

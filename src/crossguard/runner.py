@@ -4,13 +4,15 @@ This module holds the protocol, the trace and the metrics. A Simulation
 plays both sides of the protocol, the master's sessions and every node's
 sensing and actuation, over the deterministic network, which is only a
 transport: its queue holds only the message copies in flight, each a plain
-tuple that Simulation._on_delivery takes as its arguments, and the sessions
-are a loop in Simulation.run. It books each outcome in its RunMetrics as
-it happens and makes trace lines only when it is given a sink, a callable
-that takes each line, newline included: every kind's line comes from its
-trace.write writer (claim payloads via trace.claim_payload), but
-decision's, which is its record through dumps_record. run_once's sink is
-its stream's write, or lines.append to collect records, parsed once.
+tuple that Simulation._deliver_until unpacks and dispatches as it pops it,
+and the sessions are a loop in Simulation.run. It books each outcome in its
+RunMetrics as it happens and makes trace lines only when it is given a
+sink, a callable that takes each line, newline included: every kind's line
+comes from its trace.write writer but decision's, which is its record
+through dumps_record, and a claim send's, which fills t, seq and session
+into its node's fixed pieces, encoded once per run and detection through
+claim_payload and dumps_record. run_once's sink is its stream's write, or
+lines.append to collect records, parsed once.
 MetricsCollector replays a stored trace.
 
 No draw, sequence number or claim set depends on a verdict, so one
@@ -157,6 +159,19 @@ _CLEAR = Detection.CLEAR
 _STOP = Verdict.STOP
 _CLOSED = SessionPhase.CLOSED
 _LATE = ExclusionReason.LATE.value
+_MARK = "\0"  # encoded "\u0000", a text no other field of a trace line holds
+
+
+def _claim_lines(node: NodeId, master: NodeId, profile, distance: float) -> tuple:
+    """node's claim send line for a clear claim, then for a detected one, as the five pieces of the
+    encoder's text around t, seq, session and emitted_at, the only fields that change between its claims."""
+    lines = []
+    for detection in (_CLEAR, _DETECTED):
+        claim = claim_payload(Claim(node, _MARK, detection, profile, distance, _MARK))
+        record = {"t": _MARK, "ev": "send", "kind": "claim", "src": node, "dst": master, "seq": _MARK, "claim": claim}
+        *pieces, tail = dumps_record(record).split(json.dumps(_MARK))
+        lines.append((*pieces, tail + "\n"))
+    return tuple(lines)
 
 
 class MetricsCollector:
@@ -277,6 +292,11 @@ class Simulation:
         self.network = Network(list(scenario.node_ids()), scenario.network, seed, self.queue)
         self.sensors = setup.sensors
         self.trust_positions = setup.trust_positions
+        # Each node's claim send line pieces, made for this run alone: a claim send fills in only t, seq and session.
+        self._claim_lines = None if sink is None else {
+            node: _claim_lines(node, self.master_id, profile, distance)
+            for node, (profile, distance, _, _) in self.sensors.items()
+        }
         self.motions = {spec.id: NodeMotion() for spec in scenario.nodes}
         self.state: SessionState | None = None
 
@@ -288,7 +308,9 @@ class Simulation:
             return
         name = kind._value_
         if kind is _CLAIM:
-            sink(write.send_claim(now, name, src, dst, seq, claim_payload(payload)))
+            head, after_t, after_seq, after_session, tail = self._claim_lines[src][payload.detection is _DETECTED]
+            t = now if type(now) is int else dumps_record(now)  # a time may be an int subclass, as writers allow
+            sink(f"{head}{t}{after_t}{seq}{after_seq}{payload.session}{after_session}{t}{tail}")
         elif kind is _ACTUATION:
             session, action, order = payload.session, payload.action._value_, payload.issue_order
             sink(write.send_actuation(now, name, src, dst, seq, session, action, order))
@@ -324,9 +346,23 @@ class Simulation:
         self._deliver_until(math.inf)
 
     def _deliver_until(self, bound: SimTime | float) -> None:
+        """Pop and dispatch every copy due at or before bound, each traced as delivered first."""
         pop = self.queue.pop
+        sink = self.sink
         while (copy := pop(bound)) is not None:
-            self._on_delivery(*copy)
+            now, src, seq, recipient, kind, sent_at, payload = copy
+            if sink is not None:
+                sink(write.deliver(now, kind._value_, src, recipient, seq, sent_at))
+            if kind is _SESSION_START:
+                self._on_session_start(now, recipient, payload)
+            elif kind is _CLAIM:
+                if recipient != self.master_id:
+                    raise ProtocolError("claim delivered to a non-master node")
+                self._on_claim(now, payload)
+            elif kind is _ACTUATION:
+                self._on_actuation(now, recipient, payload)
+            else:
+                raise ProtocolError(f"unhandled message kind {kind!r}")
 
     # -- master-side protocol steps -------------------------------------
 
@@ -388,7 +424,7 @@ class Simulation:
     def _on_session_start(self, now: SimTime, node: NodeId, session: SessionId) -> None:
         profile, distance, miss, ghost = self.sensors[node]
         draw = sense_stream(self.seed, node, session).random()
-        present = self.truth_for(session)
+        present = self._present_by_parity[session % 2]
         detection = sense(present, miss, ghost, draw)
         # Positional: keywords make this frozen dataclass's __init__ markedly slower.
         claim = Claim(node, session, detection, profile, distance, now)
@@ -401,24 +437,6 @@ class Simulation:
             raise ProtocolError(f"node {node} refused session {command.session}'s command as stale")
         if self.sink is not None:
             self.sink(write.actuated(now, node, command.session, command.action._value_, motion.state._value_))
-
-    # -- event dispatch ---------------------------------------------------
-
-    def _on_delivery(
-        self, now: SimTime, src: NodeId, seq: int, recipient: NodeId, kind: MessageKind, sent_at: SimTime, payload: object
-    ) -> None:
-        if self.sink is not None:
-            self.sink(write.deliver(now, kind._value_, src, recipient, seq, sent_at))
-        if kind is _SESSION_START:
-            self._on_session_start(now, recipient, payload)
-        elif kind is _CLAIM:
-            if recipient != self.master_id:
-                raise ProtocolError("claim delivered to a non-master node")
-            self._on_claim(now, payload)
-        elif kind is _ACTUATION:
-            self._on_actuation(now, recipient, payload)
-        else:
-            raise ProtocolError(f"unhandled message kind {kind!r}")
 
 
 def _check_semantics(name: str, entries: Sequence) -> None:

@@ -13,14 +13,6 @@ RecordKind.name: it takes "t" and the kind's field values in table order
 and returns, unchecked, the line that dumps_record, the JSON encoder,
 writes for the record with exactly the kind's keys, and its newline. A
 run passes each line to its sink; loads_records reads the lines back.
-
-A writer takes the text of a value that is exactly a float from a memo of
-repr by value, since a run's claim floats recur in every claim send and a
-lookup costs a fraction of repr; any other number, such as an int or a
-numpy.float64 equal to a key, goes to the encoder. The memo is cleared past
-1 024 entries and never holds a zero: 0.0 and -0.0 are equal keys that
-print differently, and a valid scenario may hold either. No other two
-finite floats are equal, so no line depends on what the memo holds.
 """
 
 from __future__ import annotations
@@ -152,20 +144,6 @@ def _plain(text: str) -> str:
     return text
 
 
-# The repr of each nonzero float a writer has written, keyed by the float; see the module docstring.
-_FLOAT_TEXT: dict[float, str] = {}
-
-
-def _float_text(value: float) -> str:
-    """repr(value); a nonzero value's text is kept in _FLOAT_TEXT, which is cleared past 1 024 entries."""
-    text = repr(value)
-    if value:
-        if len(_FLOAT_TEXT) > 1024:
-            _FLOAT_TEXT.clear()
-        _FLOAT_TEXT[value] = text
-    return text
-
-
 def _text(fields: tuple, names: list[str | None], prelude: list[str]) -> str:
     """The f-string text of one object whose field values are the variables
     `names`, None for a str field written as that constant (ev); a nested
@@ -176,7 +154,7 @@ def _text(fields: tuple, names: list[str | None], prelude: list[str]) -> str:
         if kind is int:
             text = f"{{{name} if type({name}) is int else _encode({name})}}"
         elif kind is float:
-            text = f"{{_FLOAT_TEXT.get({name}) or _float_text({name}) if type({name}) is float else _encode({name})}}"
+            text = f"{{_encode({name})}}"
         elif kind is bool:
             text = f"{{_BOOL[{name}]}}"
         elif isinstance(kind, tuple):
@@ -195,15 +173,15 @@ def _writer(kind: RecordKind):
     """Generate one kind's line writer.
 
     It takes "t" and the kind's field values and returns, unchecked, the JSON encoder's text for
-    the record with the kind's keys and a newline. An int or float value is written as itself only
-    when it is exactly an int or a float, so a float subclass, or an int in a float field, goes to
-    the encoder; an Enum field's strings are written unescaped, so each is checked here once.
+    the record with the kind's keys and a newline. An int field's value is written as itself only
+    when it is exactly an int, so an int subclass goes to the encoder, as every float field's value
+    does; an Enum field's strings are written unescaped, so each is checked here once.
     """
     names = [_plain_name(key) for key, _ in kind.fields]
     prelude: list[str] = []
     text = _text((("t", int), ("ev", _plain_name(kind.ev)), *kind.fields), ["t", None, *names], prelude)
     body = [*prelude, f"return f'{text}\\n'"]
-    env = {"_BOOL": ("false", "true"), "_FLOAT_TEXT": _FLOAT_TEXT, "_float_text": _float_text, "_encode": _encode}
+    env = {"_BOOL": ("false", "true"), "_encode": _encode}
     exec(f"def {kind.name}(t, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body), env)
     return env[kind.name]
 

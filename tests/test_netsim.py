@@ -230,6 +230,33 @@ class TestNetworkTransport:
         assert dropped == ([] if delivered else [2])
         assert [due for due, _ in drain(queue)] == ([1000] if delivered else [])
 
+    @given(
+        drop=st.sampled_from([0.0, 5e-324, 2**-53, 0.25, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        low_bits=st.integers(min_value=0, max_value=2**11 - 1),
+        random_words=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=6),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    def test_the_integer_drop_test_agrees_with_the_float_draw(self, drop, low_bits, random_words):
+        """send drops a copy iff drop_word >> 11 < drop_probability * 2^53,
+        which must be the float form (drop_word >> 11) / 2^53 <
+        drop_probability word for word: here at the draws a step below, at
+        and a step above the threshold, either way it rounds, and at random
+        words."""
+        threshold = drop * 2**53
+        draws = {
+            draw
+            for edge in (math.floor(threshold), math.ceil(threshold))
+            for draw in (edge - 1, edge, edge + 1)
+            if 0 <= draw < 2**53
+        }
+        words = [draw << 11 | low_bits for draw in sorted(draws)] + random_words
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(netsim, "transport_words", lambda *key: (words[key[2]], 0, 0, 0))
+            _, network = build_net([1, 2], lossless(drop=drop))
+            for word in words:
+                _, dropped = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
+                assert dropped == ([2] if (word >> 11) / 2**53 < drop else []), (drop, word)
+
     @pytest.mark.parametrize("offset, replayed", [(0, True), (-1, False)], ids=["limit_is_replayed", "below_it_is_read"])
     def test_a_latency_word_equal_to_its_limit_replays_the_stream(self, monkeypatch, offset, replayed):
         """Block 0's word 1 is the latency draw while it is below limit =

@@ -12,6 +12,7 @@ import re
 import tracemalloc
 import types
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -1118,6 +1119,29 @@ class TestLazyTrace:
         for collect_trace, stream in [(True, None), (False, io.StringIO()), (True, io.StringIO())]:
             with pytest.raises(AssertionError, match="no sink"):
                 run_once(scenario, AggregationSemantics.MAJORITY, 3, "fixed", collect_trace, stream)
+
+    def test_a_traced_run_encodes_each_node_s_claim_fields_at_most_twice(self, monkeypatch):
+        """A claim send's fixed fields are encoded once per node and
+        detection, so a traced run calls claim_payload at most twice per
+        node however many claims it sends, and a run with no sink never."""
+        calls = []
+
+        def counted(claim):
+            calls.append(claim.node)
+            return claim_payload(claim)
+
+        monkeypatch.setattr(runner, "claim_payload", counted)
+        scenario = make_scenario(
+            node_count=5, fn=0.3, fp=0.3, drop=0.2, latency=(2000, 30000), window=20000, settle=30000, sessions=8
+        )
+        run_once(scenario, AggregationSemantics.MAJORITY, 3, "alternating", collect_trace=False)
+        assert calls == []
+        for collect_trace, stream in [(True, None), (False, io.StringIO()), (True, io.StringIO())]:
+            calls.clear()
+            records, _ = run_once(scenario, AggregationSemantics.MAJORITY, 3, "alternating", collect_trace, stream)
+            text = dumps_records(records) if stream is None else stream.getvalue()
+            assert text.count('"kind":"claim","src"') > 4 * 5
+            assert set(calls) == {1, 2, 3, 4, 5} and max(Counter(calls).values()) <= 2
 
     def test_a_lean_run_keeps_memory_flat(self):
         """Nothing is kept per session: a lean run's peak traced memory over

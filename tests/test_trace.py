@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossguard import trace
 from crossguard.aggregation import AggregationSemantics
 from crossguard.model import Detection, SensorKind
 from crossguard.runner import run_once
@@ -223,6 +222,15 @@ class NodeNumber(int):
     __str__ = __repr__
 
 
+class Tick(NodeNumber):
+    """A NodeNumber whose sums are Ticks too: a run's times grow from the scenario's."""
+
+    def __add__(self, other):
+        return Tick(int(self) + other)
+
+    __radd__ = __add__
+
+
 # Zeros and the smallest subnormal of either sign, a larger subnormal, the smallest normal, the largest of either sign.
 EDGE_FLOATS = (
     0.0, -0.0, 5e-324, -5e-324, 1.5e-310, sys.float_info.min, sys.float_info.max, -sys.float_info.max
@@ -302,9 +310,7 @@ class TestWriters:
         ids=["int", "float", "Rate", "NodeNumber", "-0.0", "subnormal"],
     )
     def test_every_number_field_takes_an_int_a_float_or_a_subclass(self, kind, number):
-        """One number in every int and float field, nested ones too, once
-        50.0 has been written, so that the memo holds it."""
-        written_line(SEND_CLAIM, claim_send(50.0))
+        """One number in every int and float field, nested ones too."""
         values = sample_values(kind, number)
         assert written_line(kind, values) == encoded_line(kind, values)
 
@@ -324,7 +330,7 @@ def claim_sends_with_repeats(draw):
 
 
 class TestFloatText:
-    """A float's text comes from a memo once seen; no line depends on what the memo holds."""
+    """A claim send writer's floats are the encoder's text, whatever was written before."""
 
     def line(self, *floats: float) -> tuple[str, str]:
         """A claim send's line from its writer, and from the encoder."""
@@ -340,21 +346,6 @@ class TestFloatText:
     def test_a_float_seen_twice_prints_the_same(self):
         assert self.line(0.2, 0.02, 30.0, 14.142135623730951) == self.line(0.2, 0.02, 30.0, 14.142135623730951)
 
-    def test_the_memo_is_cleared_past_its_limit(self):
-        values = [1 + i / 4096 for i in range(3 * 1024)]
-        for value in values + values:
-            written, encoded = self.line(value)
-            assert written == encoded
-            assert len(trace._FLOAT_TEXT) <= 1025
-        assert self.line(-0.0)[0] == self.line(-0.0)[1]
-
-    def test_an_equal_int_or_float_subclass_never_takes_or_leaves_the_memo_s_text(self):
-        """50 after 50.0 is written 50, as the encoder writes it, and 50.0 after 50 stays 50.0."""
-        for value in (50.0, 50, Rate(50.0), 50.0, Rate(0.4375), 0.4375):
-            written, encoded = self.line(value)
-            assert written == encoded, value
-        assert all(type(key) is float for key in trace._FLOAT_TEXT)
-
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(claim_sends_with_repeats())
     def test_claim_sends_match_the_encoder(self, sends):
@@ -363,10 +354,11 @@ class TestFloatText:
             assert written == encoded
 
 
-def test_a_run_streams_an_int_or_a_subclass_after_an_equal_float():
+def test_a_run_streams_an_int_or_a_subclass_in_a_number_field():
     """A scenario built in code may hold an int or a float subclass in a
-    float field, and an int subclass as a node id. Each is streamed after a
-    run that wrote 50.0, and the stream must be the JSON of the run's records."""
+    float field, and an int subclass as a node id or a time, even one whose
+    sums keep its type, so that every later time in the run is one too. The
+    stream must be the JSON of the run's records."""
     scenario = make_scenario(node_count=4, drop=0.2, latency=(1000, 30000), settle=30000, sessions=3)
 
     def with_sensor(**change):
@@ -375,21 +367,49 @@ def test_a_run_streams_an_int_or_a_subclass_after_an_equal_float():
         )
         return dataclasses.replace(scenario, nodes=nodes)
 
-    def streamed(scenario) -> tuple[str, list[dict]]:
-        stream = io.StringIO()
-        run_once(scenario, AggregationSemantics.MAJORITY, seed=4, collect_trace=False, trace_stream=stream)
-        records, _ = run_once(scenario, AggregationSemantics.MAJORITY, seed=4)
-        return stream.getvalue(), records
-
     renumbered = dataclasses.replace(
         scenario, nodes=tuple(dataclasses.replace(node, id=NodeNumber(node.id)) for node in scenario.nodes)
     )
-    for odd in (with_sensor(effective_range=50), with_sensor(base_false_negative=Rate(0.1171875)), renumbered):
-        text, _ = streamed(with_sensor(effective_range=50.0))
-        assert '"effective_range":50.0,' in text
-        text, records = streamed(odd)
-        assert text == "".join(json.dumps(record, separators=(",", ":")) + "\n" for record in records)
-        assert loads_records(text) == records
+    network = dataclasses.replace(scenario.network, latency_min=Tick(scenario.network.latency_min))
+    ticking = dataclasses.replace(scenario, session_window=Tick(scenario.session_window), network=network)
+    for odd in (with_sensor(effective_range=50), with_sensor(base_false_negative=Rate(0.1171875)), renumbered, ticking):
+        stream = io.StringIO()
+        run_once(odd, AggregationSemantics.MAJORITY, seed=4, collect_trace=False, trace_stream=stream)
+        records, _ = run_once(odd, AggregationSemantics.MAJORITY, seed=4)
+        assert stream.getvalue() == "".join(json.dumps(record, separators=(",", ":")) + "\n" for record in records)
+        assert loads_records(stream.getvalue()) == records
+
+
+def test_a_run_streams_each_node_s_own_zero_sign_rate_type_and_id():
+    """A traced run encodes each node's claim fields once. Nodes holding a
+    0.0 and a -0.0 base rate, a Rate rate and NodeNumber ids, in one run,
+    must still stream exactly the JSON of the run's records, each node's
+    claims with its own text."""
+    scenario = make_scenario(
+        node_count=4, fn=0.3, fp=0.3, drop=0.2, latency=(1000, 30000), settle=30000, sessions=6
+    )
+    changes = [
+        {"base_false_positive": 0.0},
+        {"base_false_positive": -0.0},
+        {"base_false_negative": Rate(0.1171875)},
+        {},
+    ]
+    nodes = tuple(
+        dataclasses.replace(node, id=NodeNumber(node.id), sensor=dataclasses.replace(node.sensor, **change))
+        for node, change in zip(scenario.nodes, changes)
+    )
+    odd = dataclasses.replace(scenario, nodes=nodes)
+    for truth_mode in TRUTH_MODES:
+        stream = io.StringIO()
+        run_once(odd, AggregationSemantics.MAJORITY, 4, truth_mode, collect_trace=False, trace_stream=stream)
+        records, _ = run_once(odd, AggregationSemantics.MAJORITY, 4, truth_mode)
+        assert stream.getvalue() == dumps_records(records)
+        claims = [record["claim"] for record in records if record["ev"] == "send" and record["kind"] == "claim"]
+        detections = {(claim["node"], claim["detection"]) for claim in claims}
+        assert len(detections) > len(nodes), "some node must claim both detections"
+        fp_text = {claim["node"]: repr(claim["base_false_positive"]) for claim in claims}
+        assert (fp_text[1], fp_text[2]) == ("0.0", "-0.0")
+        assert '"base_false_negative":0.1171875,' in stream.getvalue()
 
 
 def typed(value):

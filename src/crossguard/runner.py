@@ -8,11 +8,11 @@ tuple that Simulation._deliver_until unpacks and dispatches as it pops it,
 and the sessions are a loop in Simulation.run. It books each outcome in its
 RunMetrics as it happens and makes trace lines only when it is given a
 sink, a callable that takes each line, newline included: every kind's line
-comes from its trace.write writer but decision's, which is its record
-through dumps_record, and a claim send's, which fills t, seq and session
-into its node's fixed pieces, encoded once per run and detection through
-claim_payload and dumps_record. run_once's sink is its stream's write, or
-lines.append to collect records, parsed once.
+is its trace.write template % its values but decision's, which is its
+record through dumps_record, and a claim send's, whose template, one per
+node and detection, is cut once per run by trace.template with the node's
+fields filled in through claim_payload. run_once's sink is its stream's
+write, or lines.append to collect records, parsed once.
 MetricsCollector replays a stored trace.
 
 No draw, sequence number or claim set depends on a verdict, so one
@@ -58,7 +58,7 @@ from .session import (
     open_session,
     trust_positions,
 )
-from .trace import BROADCAST, claim_payload, dumps_record, dumps_records, write
+from .trace import HOLE, claim_payload, dumps_record, dumps_records, template, write
 from .trust import Evidence
 
 TRUTH_MODES = ("fixed", "alternating")
@@ -159,19 +159,13 @@ _CLEAR = Detection.CLEAR
 _STOP = Verdict.STOP
 _CLOSED = SessionPhase.CLOSED
 _LATE = ExclusionReason.LATE.value
-_MARK = "\0"  # encoded "\u0000", a text no other field of a trace line holds
 
 
-def _claim_lines(node: NodeId, master: NodeId, profile, distance: float) -> tuple:
-    """node's claim send line for a clear claim, then for a detected one, as the five pieces of the
-    encoder's text around t, seq, session and emitted_at, the only fields that change between its claims."""
-    lines = []
-    for detection in (_CLEAR, _DETECTED):
-        claim = claim_payload(Claim(node, _MARK, detection, profile, distance, _MARK))
-        record = {"t": _MARK, "ev": "send", "kind": "claim", "src": node, "dst": master, "seq": _MARK, "claim": claim}
-        *pieces, tail = dumps_record(record).split(json.dumps(_MARK))
-        lines.append((*pieces, tail + "\n"))
-    return tuple(lines)
+def _claim_lines(node: NodeId, master: NodeId, profile, distance: float) -> tuple[str, str]:
+    """node's claim send template for a clear claim, then for a detected one. Its holes are t, seq,
+    session and emitted_at, the only fields that change between its claims."""
+    claims = (claim_payload(Claim(node, HOLE, detection, profile, distance, HOLE)) for detection in (_CLEAR, _DETECTED))
+    return tuple(template("send_claim", kind=_CLAIM._value_, src=node, dst=master, claim=claim) for claim in claims)
 
 
 class MetricsCollector:
@@ -292,7 +286,7 @@ class Simulation:
         self.network = Network(list(scenario.node_ids()), scenario.network, seed, self.queue)
         self.sensors = setup.sensors
         self.trust_positions = setup.trust_positions
-        # Each node's claim send line pieces, made for this run alone: a claim send fills in only t, seq and session.
+        # Each node's claim send templates, made for this run alone: a claim send fills in only t, seq and session.
         self._claim_lines = None if sink is None else {
             node: _claim_lines(node, self.master_id, profile, distance)
             for node, (profile, distance, _, _) in self.sensors.items()
@@ -308,16 +302,14 @@ class Simulation:
             return
         name = kind._value_
         if kind is _CLAIM:
-            head, after_t, after_seq, after_session, tail = self._claim_lines[src][payload.detection is _DETECTED]
-            t = now if type(now) is int else dumps_record(now)  # a time may be an int subclass, as writers allow
-            sink(f"{head}{t}{after_t}{seq}{after_seq}{payload.session}{after_session}{t}{tail}")
+            sink(self._claim_lines[src][payload.detection is _DETECTED] % (now, seq, payload.session, now))
         elif kind is _ACTUATION:
             session, action, order = payload.session, payload.action._value_, payload.issue_order
-            sink(write.send_actuation(now, name, src, dst, seq, session, action, order))
+            sink(write.send_actuation % (now, name, src, dst, seq, session, action, order))
         else:
-            sink(write.send_session_start(now, name, src, BROADCAST, seq))
+            sink(write.send_session_start % (now, name, src, seq))
         for recipient in dropped:
-            sink(write.drop(now, name, src, recipient, seq))
+            sink(write.drop % (now, name, src, recipient, seq))
 
     def truth_for(self, session: SessionId) -> bool:
         """Whether a pedestrian is present in this session."""
@@ -342,7 +334,7 @@ class Simulation:
             self._deliver_until(now)
             mark_closed(state)
             if self.sink is not None:
-                self.sink(write.session_close(now, state.id))
+                self.sink(write.session_close % (now, state.id))
         self._deliver_until(math.inf)
 
     def _deliver_until(self, bound: SimTime | float) -> None:
@@ -352,7 +344,7 @@ class Simulation:
         while (copy := pop(bound)) is not None:
             now, src, seq, recipient, kind, sent_at, payload = copy
             if sink is not None:
-                sink(write.deliver(now, kind._value_, src, recipient, seq, sent_at))
+                sink(write.deliver % (now, kind._value_, src, recipient, seq, sent_at))
             if kind is _SESSION_START:
                 self._on_session_start(now, recipient, payload)
             elif kind is _CLAIM:
@@ -369,7 +361,7 @@ class Simulation:
     def _open_next(self, now: SimTime) -> SessionState:
         self.state = state = open_session(self.state, now, self.scenario.session_window, self.trust_positions)
         if self.sink is not None:
-            self.sink(write.session_open(now, state.id, state.deadline, self.truth_for(state.id)))
+            self.sink(write.session_open[self.truth_for(state.id)] % (now, state.id, state.deadline))
         self._send(_SESSION_START, self.master_id, None, state.id, now)
         return state
 
@@ -379,7 +371,7 @@ class Simulation:
             # Landed after the final session closed; booked run-wide as late.
             self.metrics.exclusions[_LATE] += 1
             if self.sink is not None:
-                self.sink(write.claim_orphan(now, claim.node, claim.session))
+                self.sink(write.claim_orphan % (now, claim.node, claim.session))
             return
         reason = accept_claim(state, claim, now)
         if reason is not None:
@@ -387,9 +379,9 @@ class Simulation:
         if self.sink is None:
             return
         if reason is None:
-            self.sink(write.claim_accepted(now, state.id, claim.node, claim.session))
+            self.sink(write.claim_accepted % (now, state.id, claim.node, claim.session))
         else:
-            self.sink(write.claim_excluded(now, state.id, claim.node, claim.session, reason._value_))
+            self.sink(write.claim_excluded % (now, state.id, claim.node, claim.session, reason._value_))
 
     def _decide(self, state: SessionState) -> None:
         now = state.deadline
@@ -436,7 +428,7 @@ class Simulation:
         if not apply_command(motion, command):
             raise ProtocolError(f"node {node} refused session {command.session}'s command as stale")
         if self.sink is not None:
-            self.sink(write.actuated(now, node, command.session, command.action._value_, motion.state._value_))
+            self.sink(write.actuated % (now, node, command.session, command.action._value_, motion.state._value_))
 
 
 def _check_semantics(name: str, entries: Sequence) -> None:

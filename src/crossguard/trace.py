@@ -7,18 +7,22 @@ golden traces can be diffed directly.
 RECORD_KINDS declares every record kind once: its fields in order, each with
 the type of JSON value it holds, and CLAIM_FIELDS does the same for the
 claim payload a claim's send record carries. The line is a trace's only
-form. `write` holds one line writer per kind with no array field, generated
-from that table as dataclasses generates __init__ and named by
-RecordKind.name: it takes "t" and the kind's field values in table order
-and returns, unchecked, the line that dumps_record, the JSON encoder,
-writes for the record with exactly the kind's keys, and its newline. A
-run passes each line to its sink; loads_records reads the lines back.
+form. template cuts a kind's line once from the JSON encoder's own text,
+as a %-template whose holes are its open int and Enum fields, "t" first.
+`write` holds, named by RecordKind.name, one template per kind with no
+array or nested object, and for session_open a pair indexed by its
+pedestrian_present value: `write.deliver % (t, kind, src, dst, seq,
+sent_at)` is, unchecked, the line dumps_record writes for that record and
+its newline, for any int or int subclass in an int field. A run cuts each
+node's two claim send templates once, its fixed fields filled in, and
+writes decision, with its arrays, through dumps_record. A run passes each
+line to its sink; loads_records reads the lines back.
 """
 
 from __future__ import annotations
 
 import json
-import keyword
+from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .actuation import ActuationAction, MotionState
@@ -53,7 +57,7 @@ class RecordKind(NamedTuple):
 
     @property
     def name(self) -> str:
-        """Its writer's name: ev, then the shape's words, joined by "_"."""
+        """Its template's name: ev, then the shape's words, joined by "_"."""
         return "_".join((self.ev, *self.shape.split()))
 
 
@@ -110,13 +114,6 @@ RECORD_KINDS = (
 )
 
 
-def _plain_name(key: str) -> str:
-    """key, refused unless it can be written into generated source as a name."""
-    if not (key.isidentifier() and key.isascii()) or keyword.iskeyword(key):
-        raise ValueError(f"trace field {key!r} is not a plain name")
-    return key
-
-
 def claim_payload(claim: Claim) -> dict:
     """A claim as a trace-embeddable mapping, in CLAIM_FIELDS order."""
     profile = claim.profile
@@ -137,60 +134,45 @@ def claim_payload(claim: Claim) -> dict:
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _plain(text: str) -> str:
-    """text, refused unless the encoder writes it as itself in quotes."""
-    if _encode(text) != f'"{text}"':
-        raise ValueError(f"trace string {text!r} needs escaping")
-    return text
+# An open field's value in the record a template is cut from, each a text the encoder escapes and no
+# other field holds: HOLE for an int field, _ENUM_HOLE for an Enum field.
+HOLE = "\0"
+_ENUM_HOLE = "\1"
 
 
-def _text(fields: tuple, names: list[str | None], prelude: list[str]) -> str:
-    """The f-string text of one object whose field values are the variables
-    `names`, None for a str field written as that constant (ev); a nested
-    object's values are unpacked into variables of their own by a line
-    added to `prelude`."""
-    parts = []
-    for (key, kind), name in zip(fields, names):
-        if kind is int:
-            text = f"{{{name} if type({name}) is int else _encode({name})}}"
-        elif kind is float:
-            text = f"{{_encode({name})}}"
-        elif kind is bool:
-            text = f"{{_BOOL[{name}]}}"
-        elif isinstance(kind, tuple):
-            inner = [f"{name}_{i}" for i in range(len(kind))]
-            prelude.append(f"{', '.join(inner)}, = {name}.values()")
-            text = _text(kind, inner, prelude)
-        else:
-            for string in (kind,) if isinstance(kind, str) else (member.value for member in kind):
-                _plain(string)  # written unescaped
-            text = f'"{kind}"' if name is None else f'"{{{name}}}"'
-        parts.append(f'"{_plain_name(key)}":{text}')
-    return "{{" + ",".join(parts) + "}}"
+def template(name: str, **fixed: object) -> str:
+    """The line of the record kind called `name` as a %-template, newline included.
 
-
-def _writer(kind: RecordKind):
-    """Generate one kind's line writer.
-
-    It takes "t" and the kind's field values and returns, unchecked, the JSON encoder's text for
-    the record with the kind's keys and a newline. An int field's value is written as itself only
-    when it is exactly an int, so an int subclass goes to the encoder, as every float field's value
-    does; an Enum field's strings are written unescaped, so each is checked here once.
+    A field named in `fixed` is written with that value; a str field is its
+    own text. Every other field, "t" first, is open: an int field takes a
+    %d, an Enum field a quoted %s. A fixed value may hold HOLE wherever an
+    int goes, as a claim payload's does. Any other field must be fixed.
     """
-    names = [_plain_name(key) for key, _ in kind.fields]
-    prelude: list[str] = []
-    text = _text((("t", int), ("ev", _plain_name(kind.ev)), *kind.fields), ["t", None, *names], prelude)
-    body = [*prelude, f"return f'{text}\\n'"]
-    env = {"_BOOL": ("false", "true"), "_encode": _encode}
-    exec(f"def {kind.name}(t, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body), env)
-    return env[kind.name]
+    kind = next(kind for kind in RECORD_KINDS if kind.name == name)
+    record = {"t": HOLE, "ev": kind.ev}
+    for key, field_type in kind.fields:
+        if key in fixed:
+            record[key] = fixed[key]
+        elif field_type is int:
+            record[key] = HOLE
+        elif isinstance(field_type, str):
+            record[key] = field_type
+        elif isinstance(field_type, type) and issubclass(field_type, Enum):
+            if any(_encode(member._value_) != f'"{member._value_}"' for member in field_type):
+                raise ValueError(f"a {key} string needs escaping")  # a %s writes it unescaped
+            record[key] = _ENUM_HOLE
+        else:
+            raise TypeError(f"{name}'s field {key!r} must be fixed")
+    text = _encode(record).replace("%", "%%")
+    return text.replace(_encode(HOLE), "%d").replace(_encode(_ENUM_HOLE), '"%s"') + "\n"
 
 
-# One line writer per kind with no array field, as class attributes: those read faster than a namespace
-# object's. decision has none.
-write = type(
-    "write", (), {kind.name: _writer(kind) for kind in RECORD_KINDS if all(t is not list for _, t in kind.fields)}
-)
+# One template per kind, as class attributes: those read faster than a namespace object's. session_open has
+# a pair, indexed by its pedestrian_present value; decision and a claim send have none, as each needs its
+# arrays or payload fixed.
+_OWN_FORM = ("session_open", "send_claim", "decision")
+write = type("write", (), {kind.name: template(kind.name) for kind in RECORD_KINDS if kind.name not in _OWN_FORM})
+write.session_open = tuple(template("session_open", pedestrian_present=present) for present in (False, True))
 
 
 def dumps_record(record: dict) -> str:

@@ -1,30 +1,34 @@
-"""Trace serialization: canonical bytes, the declared schema, the line writers and claim payload round-trips."""
+"""Trace serialization: canonical bytes, the declared schema, the line templates and claim payload round-trips."""
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import io
 import json
 import re
 import sys
 from collections import Counter
+from enum import Enum
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossguard import trace
 from crossguard.aggregation import AggregationSemantics
 from crossguard.model import Detection, SensorKind
-from crossguard.runner import run_once
+from crossguard.runner import _claim_lines, run_once
 from crossguard.trace import (
     CLAIM_FIELDS,
+    HOLE,
     RECORD_KINDS,
+    RecordKind,
     claim_payload,
     dumps_record,
     dumps_records,
     loads_records,
+    template,
     write,
 )
 
@@ -62,36 +66,47 @@ def record_kind(record: dict):
 
 
 RUNS = {mode: lossy_runs(mode) for mode in TRUTH_MODES}
-# The kinds with a line writer: every kind but those with an array field.
-WRITTEN = [kind for kind in RECORD_KINDS if all(field_type is not list for _, field_type in kind.fields)]
-SEND_CLAIM = next(kind for kind in RECORD_KINDS if kind.name == "send_claim")
+# The kinds with a write template: every kind but decision, with its arrays, and a claim send, with its payload.
+WRITTEN = [kind for kind in RECORD_KINDS if kind.name not in ("decision", "send_claim")]
 
 
-def written_line(kind, values) -> str:
-    """The line kind's writer writes for `values`: "t", then the kind's field values."""
-    return getattr(write, kind.name)(*values)
+def filled(kind, values) -> str:
+    """kind's write template filled with `values`: "t", then the kind's field values in table order. A
+    bool field picks one of a pair of templates, and a str field is the template's own text."""
+    t, *fields = values
+    line, holes = getattr(write, kind.name), [t]
+    for (_, field_type), value in zip(kind.fields, fields):
+        if field_type is bool:
+            line = line[value]
+        elif not isinstance(field_type, str):
+            holes.append(value)
+    return line % tuple(holes)
 
 
 def encoded_line(kind, values) -> str:
-    """The encoder's text for the record of kind with `values`, as written_line takes them, and its newline."""
+    """The encoder's text for the record of kind with `values`, as filled takes them, and its newline."""
     t, *fields = values
     return ENCODE(dict(zip(record_keys(kind), (t, kind.ev, *fields)))) + "\n"
 
 
 def sample_values(kind, number) -> list:
-    """Writer arguments for kind: `number` in "t" and in every int and float
-    field, nested ones too, and the first allowed value in every other field."""
+    """Template values for kind: `number` in "t" and in every int field, and the first allowed value in
+    every other field."""
 
     def value(field_type):
-        if field_type in (int, float):
+        if field_type is int:
             return number
         if field_type is bool:
             return True
-        if isinstance(field_type, tuple):
-            return {key: value(nested) for key, nested in field_type}
         return field_type if isinstance(field_type, str) else next(iter(field_type)).value
 
     return [value(field_type) for _, field_type in (("t", int), *kind.fields)]
+
+
+def claim_template(payload: dict, src=2, dst=1) -> str:
+    """A claim send's template with `payload` as its claim, its session and emitted_at left open."""
+    claim = {**payload, "session": HOLE, "emitted_at": HOLE}
+    return template("send_claim", kind="claim", src=src, dst=dst, claim=claim)
 
 
 def test_claim_payload_round_trip():
@@ -167,10 +182,10 @@ def test_float_values_round_trip_exactly():
 
 class TestSchema:
     @pytest.mark.parametrize("truth_mode", TRUTH_MODES)
-    def test_every_record_of_a_lossy_run_is_its_kind_s_writer_line(self, truth_mode):
-        """Each record has a declared kind, and the kind's writer, given the
-        record's values, writes the encoder's text for it and a newline; only
-        a kind with an array field has no writer."""
+    def test_every_record_of_a_lossy_run_is_its_kind_s_template_line(self, truth_mode):
+        """Each record has a declared kind, and the kind's template, filled
+        with the record's values, is the encoder's text for it and a newline.
+        A claim send's template is cut with its payload; decision has none."""
         seen = Counter()
         for records in RUNS[truth_mode]:
             for record in records:
@@ -178,9 +193,13 @@ class TestSchema:
                 assert kind is not None, f"no declared kind matches {record}"
                 t, _, *values = record.values()
                 if kind in WRITTEN:
-                    assert written_line(kind, [t, *values]) == ENCODE(record) + "\n"
+                    assert filled(kind, [t, *values]) == ENCODE(record) + "\n"
+                elif kind.name == "send_claim":
+                    claim = record["claim"]
+                    line = claim_template(claim, record["src"], record["dst"])
+                    assert line % (t, record["seq"], claim["session"], claim["emitted_at"]) == ENCODE(record) + "\n"
                 else:
-                    assert not hasattr(write, kind.name)
+                    assert kind.name == "decision" and not hasattr(write, kind.name)
                 seen[record["ev"], record.get("reason", record.get("verdict", kind.shape))] += 1
         for ev, detail in [
             ("drop", ""),
@@ -238,22 +257,20 @@ EDGE_FLOATS = (
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 # What validation admits in a float field: a finite float, an int, or a float subclass.
 ADMITTED_FLOATS = FINITE_FLOATS | st.integers(-(2**64), 2**64) | FINITE_FLOATS.map(Rate)
-ADMITTED_INTS = st.integers(0, 2**64 - 1) | st.integers(0, 2**63 - 1).map(NodeNumber)
+# What validation admits in an int field, and the times a run grows from them.
+ADMITTED_INTS = (
+    st.integers(0, 2**64 - 1) | st.integers(0, 2**63 - 1).map(NodeNumber) | st.integers(0, 2**63 - 1).map(Tick)
+)
 
 
-def field_values(draw, fields, floats):
-    """One admitted value per field; each float field draws from `floats`."""
+def field_values(draw, fields) -> list:
+    """One admitted value per field of a kind with a template."""
     values = []
     for _, field_type in fields:
         if field_type is int:
             values.append(draw(ADMITTED_INTS))
-        elif field_type is float:
-            values.append(draw(floats))
         elif field_type is bool:
             values.append(draw(st.booleans()))
-        elif isinstance(field_type, tuple):
-            nested = field_values(draw, field_type, floats)
-            values.append(dict(zip((key for key, _ in field_type), nested)))
         elif isinstance(field_type, str):
             values.append(field_type)
         else:
@@ -262,80 +279,106 @@ def field_values(draw, fields, floats):
 
 
 @st.composite
-def writer_calls(draw):
-    """Calls of one kind's writer, each float drawn from a small pool, so
-    that values recur within a call and across calls."""
+def template_fills(draw):
+    """One kind with a template and admitted values for it, "t" first."""
     kind = draw(st.sampled_from(WRITTEN))
-    pool = st.sampled_from(draw(st.lists(ADMITTED_FLOATS, min_size=1, max_size=4)))
-    calls = draw(st.integers(1, 4))
-    return kind, [[draw(ADMITTED_INTS), *field_values(draw, kind.fields, pool)] for _ in range(calls)]
+    return kind, [draw(ADMITTED_INTS), *field_values(draw, kind.fields)]
 
 
-class TestWriters:
-    """Each kind's writer writes exactly the encoder's text for its kind's record, then a newline."""
+class TestTemplates:
+    """Each kind's template, filled, is exactly the encoder's text for its kind's record, then a newline."""
 
-    def test_every_kind_without_an_array_field_has_a_writer_taking_t_and_its_fields(self):
+    def test_every_scalar_kind_has_a_template_and_session_open_a_pair(self):
         names = [kind.name for kind in RECORD_KINDS]
         assert len(set(names)) == len(names)
         assert sorted(name for name in vars(write) if not name.startswith("_")) == sorted(kind.name for kind in WRITTEN)
-        assert [kind.name for kind in RECORD_KINDS if kind not in WRITTEN] == ["decision"]
         for kind in WRITTEN:
-            parameters = list(inspect.signature(getattr(write, kind.name)).parameters)
-            assert parameters == ["t", *(name for name, _ in kind.fields)], kind.name
+            line = getattr(write, kind.name)
+            lines = line if kind.name == "session_open" else (line,)
+            assert len(lines) == (2 if kind.name == "session_open" else 1)
+            assert all(type(text) is str and text.endswith("}\n") for text in lines), kind.name
+        assert '"pedestrian_present":false}' in write.session_open[False]
+        assert '"pedestrian_present":true}' in write.session_open[True]
+
+    def test_a_kind_with_an_array_or_a_nested_object_needs_it_fixed(self):
+        for name in ("decision", "send_claim"):
+            with pytest.raises(TypeError, match="must be fixed"):
+                template(name)
 
     @pytest.mark.parametrize("kind", WRITTEN, ids=lambda kind: kind.name)
-    def test_a_writer_s_line_reads_back_as_exactly_its_kind_s_keys(self, kind):
+    def test_a_template_s_line_reads_back_as_exactly_its_kind_s_keys(self, kind):
         values = sample_values(kind, 12)
-        record = json.loads(written_line(kind, values))
+        record = json.loads(filled(kind, values))
         assert tuple(record) == record_keys(kind)
         assert list(record.values()) == [values[0], kind.ev, *values[1:]]
 
-    def test_a_writer_needs_every_field_and_no_more(self):
+    def test_a_template_needs_every_value_and_no_more(self):
         with pytest.raises(TypeError):
-            write.claim_orphan(5, 7)
+            write.claim_orphan % (5, 7)
         with pytest.raises(TypeError):
-            write.claim_orphan(5, 7, 2, "extra")
+            write.claim_orphan % (5, 7, 2, "extra")
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(writer_calls())
-    def test_a_writer_matches_the_encoder_on_admitted_values(self, calls):
-        kind, arguments = calls
-        for values in arguments:
-            assert written_line(kind, values) == encoded_line(kind, values)
+    @given(template_fills())
+    def test_a_template_matches_the_encoder_on_admitted_values(self, fill):
+        kind, values = fill
+        assert filled(kind, values) == encoded_line(kind, values)
 
     @pytest.mark.parametrize("kind", WRITTEN, ids=lambda kind: kind.name)
     @pytest.mark.parametrize(
-        "number",
-        [50, 50.0, Rate(50.0), NodeNumber(50), -0.0, 5e-324],
-        ids=["int", "float", "Rate", "NodeNumber", "-0.0", "subnormal"],
+        "number", [0, 50, 2**64 - 1, NodeNumber(50), Tick(50)], ids=["0", "int", "2^64-1", "NodeNumber", "Tick"]
     )
-    def test_every_number_field_takes_an_int_a_float_or_a_subclass(self, kind, number):
-        """One number in every int and float field, nested ones too."""
+    def test_every_int_field_takes_an_int_or_a_subclass(self, kind, number):
+        """One number in every int field."""
         values = sample_values(kind, number)
-        assert written_line(kind, values) == encoded_line(kind, values)
+        assert filled(kind, values) == encoded_line(kind, values)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ADMITTED_INTS)
+    def test_an_int_s_d_text_is_the_encoder_s(self, number):
+        """%d writes int's own digits, as the encoder does, whatever a subclass's str, repr or format."""
+        assert "%d" % number == dumps_record(number)
+
+    def test_a_constant_text_holding_a_percent_sign_survives_template(self, monkeypatch):
+        probe = RecordKind("50%", "", (("dst", "%d%s%%"), ("seq", int)))
+        monkeypatch.setattr(trace, "RECORD_KINDS", (*RECORD_KINDS, probe))
+        assert template("50%") % (1, 2) == encoded_line(probe, [1, "%d%s%%", 2])
+        line = template("send_session_start", kind="100%")
+        assert line % (1, 2, 3) == ENCODE({"t": 1, "ev": "send", "kind": "100%", "src": 2, "dst": "*", "seq": 3}) + "\n"
+
+    @pytest.mark.parametrize("text", ['say "go"', "back\\slash", "new\nline", "café"], ids=repr)
+    def test_an_enum_whose_value_the_encoder_escapes_is_refused(self, monkeypatch, text):
+        """A %s writes an Enum value as it is, so a value whose JSON text is not itself in quotes has no template."""
+        probe = RecordKind("probe", "", (("state", Enum("Escaped", {"PLAIN": "plain", "ODD": text})),))
+        monkeypatch.setattr(trace, "RECORD_KINDS", (*RECORD_KINDS, probe))
+        with pytest.raises(ValueError, match="^a state string needs escaping$"):
+            template("probe")
+
+    def test_an_enum_value_holding_a_percent_sign_fills_as_it_is(self, monkeypatch):
+        probe = RecordKind("probe", "", (("state", Enum("Percent", {"ODD": "50%d"})), ("seq", int)))
+        monkeypatch.setattr(trace, "RECORD_KINDS", (*RECORD_KINDS, probe))
+        assert template("probe") % (1, "50%d", 2) == encoded_line(probe, [1, "50%d", 2])
+
+    def test_no_template_and_no_line_of_a_lossy_run_holds_a_hole(self):
+        lines = [claim_template(claim_payload(make_claim()))]
+        for name, line in vars(write).items():
+            if not name.startswith("_"):
+                lines += line if isinstance(line, tuple) else [line]
+        lines += [dumps_records(records) for runs in RUNS.values() for records in runs]
+        for text in lines:
+            assert not any(hole in text for hole in ("\0", "\1", "\\u0000", "\\u0001")), text
 
 
-def claim_send(*floats: float) -> list:
-    """A claim send's writer arguments, its four floats `floats`, one value repeated if only one is given."""
-    fn, fp, reach, distance = floats * 4 if len(floats) == 1 else floats
-    return [0, "claim", 2, 1, 3, claim_payload(make_claim(fn=fn, fp=fp, reach=reach, distance=distance))]
+class TestClaimTemplate:
+    """A claim send's template, cut once with its payload, fills to the encoder's text, floats and all."""
 
-
-@st.composite
-def claim_sends_with_repeats(draw):
-    """Claim sends whose floats come from a small pool, so values recur within and across records."""
-    pool = draw(st.lists(FINITE_FLOATS, min_size=1, max_size=5))
-    value = st.sampled_from(pool)
-    return [draw(st.tuples(value, value, value, value)) for _ in range(draw(st.integers(1, 6)))]
-
-
-class TestFloatText:
-    """A claim send writer's floats are the encoder's text, whatever was written before."""
-
-    def line(self, *floats: float) -> tuple[str, str]:
-        """A claim send's line from its writer, and from the encoder."""
-        values = claim_send(*floats)
-        return written_line(SEND_CLAIM, values), encoded_line(SEND_CLAIM, values)
+    def line(self, *floats: float, t=0, seq=3, session=1, emitted_at=0) -> tuple[str, str]:
+        """A claim send's line from its template, and from the encoder; one float is used for all four."""
+        fn, fp, reach, distance = floats * 4 if len(floats) == 1 else floats
+        claim = make_claim(fn=fn, fp=fp, reach=reach, distance=distance, session=session, emitted_at=emitted_at)
+        payload = claim_payload(claim)
+        record = {"t": t, "ev": "send", "kind": "claim", "src": 2, "dst": 1, "seq": seq, "claim": payload}
+        return claim_template(payload) % (t, seq, session, emitted_at), ENCODE(record) + "\n"
 
     def test_zeros_of_either_sign_keep_their_own_text(self):
         lines = [self.line(zero) for zero in (0.0, -0.0, 0.0)]
@@ -346,12 +389,27 @@ class TestFloatText:
     def test_a_float_seen_twice_prints_the_same(self):
         assert self.line(0.2, 0.02, 30.0, 14.142135623730951) == self.line(0.2, 0.02, 30.0, 14.142135623730951)
 
+    @pytest.mark.parametrize("number", [*EDGE_FLOATS, Rate(0.1171875), Rate(-0.0), 50], ids=repr)
+    def test_an_edge_float_a_rate_or_an_int_matches_the_encoder(self, number):
+        written, encoded = self.line(number)
+        assert written == encoded
+
+    def test_a_run_s_node_templates_are_its_clear_then_its_detected_claim(self):
+        """runner._claim_lines fills in a node's fixed fields; t, seq, session and emitted_at stay open."""
+        profile = make_claim().profile
+        lines = _claim_lines(4, 0, profile, 12.5)
+        assert len(lines) == 2
+        for line, detection in zip(lines, (Detection.CLEAR, Detection.PEDESTRIAN_DETECTED)):
+            payload = claim_payload(make_claim(node=4, detection=detection, distance=12.5, session=7, emitted_at=90))
+            record = {"t": 90, "ev": "send", "kind": "claim", "src": 4, "dst": 0, "seq": 3, "claim": payload}
+            assert line % (90, 3, 7, 90) == ENCODE(record) + "\n"
+
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(claim_sends_with_repeats())
-    def test_claim_sends_match_the_encoder(self, sends):
-        for floats in sends:
-            written, encoded = self.line(*floats)
-            assert written == encoded
+    @given(st.tuples(*[ADMITTED_FLOATS] * 4), st.tuples(*[ADMITTED_INTS] * 4))
+    def test_claim_sends_match_the_encoder(self, floats, ints):
+        t, seq, session, emitted_at = ints
+        written, encoded = self.line(*floats, t=t, seq=seq, session=session, emitted_at=emitted_at)
+        assert written == encoded
 
 
 def test_a_run_streams_an_int_or_a_subclass_in_a_number_field():

@@ -1,19 +1,22 @@
 """Core domain types shared by every other module.
 
 Times are integer microseconds, distances are meters in a flat 2D plane.
-Each scenario section has one table here, the one place its fields are
-declared: kind, default and range rule. scenario.parse_scenario reads a
-file by the tables, and validate_scenario checks a Scenario by them.
+Each field of a scenario section is declared once, on the section's
+dataclass: its type gives its kind, its default its default, and _row its
+range rules. _TABLES reads them into one table per section;
+scenario.parse_scenario reads a file by the tables, and validate_scenario
+checks a Scenario by them.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from .determinism import LATENCY_BOUND, NODE_ID_BOUND, SEED_BOUND
 
@@ -63,6 +66,22 @@ class ExclusionReason(Enum):
     LATE = "late"
 
 
+# A range rule: a Python expression in v that a value of the field's kind
+# must make true, and the message, filled with the value, where it does not.
+_RATE = ("0.0 <= v < 0.5", "must be in [0.0, 0.5), got {}")
+_POSITIVE = ("v > 0.0", "must be > 0, got {}")
+_NON_NEGATIVE = ("v >= 0", "must be an integer >= 0, got {}")
+# One keyed draw is a 64-bit word, so a wider latency band cannot be sampled;
+# times are bounded alike, so that a trace can print every one.
+_BELOW_2_64 = ("v < LATENCY_BOUND", "must be < 2^64, got {}")
+
+
+def _row(*rules: tuple[str, str], root_key: str = ""):
+    """A section field with range rules, tested in turn, or kept at a file's
+    top under root_key: the field's row in _TABLES reads both from here."""
+    return field(metadata={"rules": rules, "root_key": root_key})
+
+
 @dataclass(frozen=True)
 class Pose:
     """Planar position."""
@@ -79,9 +98,9 @@ class SensorProfile:
     """Static quality attributes a node attaches to its claims as evidence."""
 
     kind: SensorKind
-    base_false_negative: float
-    base_false_positive: float
-    effective_range: float
+    base_false_negative: float = _row(_RATE)
+    base_false_positive: float = _row(_RATE)
+    effective_range: float = _row(_POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -116,25 +135,25 @@ class PerceptionModel:
     query_center anchors claim evidence and sensing when no pedestrian exists.
     """
 
-    distance_reference: float
-    query_center: Pose
+    distance_reference: float = _row(_POSITIVE)
+    query_center: Pose = _row(root_key="query_region_center")
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
     """Lossy-link model: per-recipient uniform latency and independent drops."""
 
-    latency_min: SimTime
-    latency_max: SimTime
-    drop_probability: float
-    seed: int
+    latency_min: SimTime = _row(_NON_NEGATIVE)
+    latency_max: SimTime = _row(_NON_NEGATIVE, _BELOW_2_64)
+    drop_probability: float = _row(("0.0 <= v <= 1.0", "must be in [0.0, 1.0], got {}"))
+    seed: int = _row(("0 <= v < SEED_BOUND", "must be an integer in [0, 2^64), got {}"))
 
 
 @dataclass(frozen=True)
 class NodeSpec:
     """One participant: pose, sensor, and its roles."""
 
-    id: NodeId
+    id: NodeId = _row(("0 <= v < NODE_ID_BOUND", "must be an integer >= 0 and < 2^63, got {}"))
     pose: Pose
     sensor: SensorProfile
     master: bool = False
@@ -145,13 +164,13 @@ class NodeSpec:
 class Scenario:
     """A complete, runnable world description."""
 
-    nodes: tuple[NodeSpec, ...]
+    nodes: tuple[NodeSpec, ...] = _row(("len(v) > 0", "at least one node is required"))
     ground_truth: GroundTruth
     perception: PerceptionModel
     network: NetworkConfig
-    session_window: SimTime
-    settle_interval: SimTime
-    sessions: int
+    session_window: SimTime = _row(("v > 0", "must be an integer > 0, got {}"), _BELOW_2_64)
+    settle_interval: SimTime = _row(_NON_NEGATIVE, _BELOW_2_64)
+    sessions: int = _row(("v >= 1", "must be an integer >= 1, got {}"))
 
     def node_ids(self) -> tuple[NodeId, ...]:
         return tuple(n.id for n in self.nodes)
@@ -170,28 +189,33 @@ _REAL = (int, float)
 # and any int too large for a float, where math.isfinite would raise.
 _FLOAT_MAX = sys.float_info.max
 _SHOWN_BITS = 256  # a longer integer shows its size, not its digits, in messages
+# A value is shown abbreviated, never built whole: each level of aliases in a
+# file may make a list ten times longer.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel, _SHOWN.maxstring, _SHOWN.maxlong, _SHOWN.maxother = 3, 80, 80, 80
 
 
 def shown_value(value: object) -> str:
-    """repr(value) for an error message. An integer too long to print shows
-    its size instead, and so does a container holding one: repr of an int
-    past the interpreter's digit limit raises."""
+    """repr(value) for an error message, abbreviated by reprlib and cut at 200
+    characters. An integer too long to print shows its size instead, and so
+    does a container holding one: repr of an int past the interpreter's digit
+    limit raises."""
     if isinstance(value, int) and value.bit_length() > _SHOWN_BITS:
         return f"an integer of {value.bit_length()} bits"
     try:
-        return repr(value)
+        text = _SHOWN.repr(value)
     except ValueError:
         return f"a {type(value).__name__} holding an integer too long to print"
+    return text if len(text) <= 200 else text[:197] + "..."
 
 
 class _Field(NamedTuple):
     """One row of a section's table: a field and what it may hold.
 
     kind is int, float, bool, SensorKind or a section's class; many marks a
-    list of sections. rules are (test, message) pairs: test is a Python
-    expression in v that a value of the kind must make true, in turn. A file
-    may leave out a field with a default, and a default of None admits None.
-    A file keeps a root_key field at its top, just before the field's
+    list of sections. A value of the kind must pass the range rules, in turn.
+    A file may leave out a field with a default, and a default of None admits
+    None. A file keeps a root_key field at its top, just before the field's
     section, and messages name it by that key.
     """
 
@@ -221,49 +245,22 @@ _KINDS = {
     ),
 }
 
-_RATE = (("0.0 <= v < 0.5", "must be in [0.0, 0.5), got {}"),)
-_POSITIVE = (("v > 0.0", "must be > 0, got {}"),)
-_NON_NEGATIVE = ("v >= 0", "must be an integer >= 0, got {}")
-# One keyed draw is a 64-bit word, so a wider latency band cannot be sampled;
-# times are bounded alike, so that a trace can print every one.
-_BELOW_2_64 = ("v < LATENCY_BOUND", "must be < 2^64, got {}")
+
+def _table(cls: type) -> tuple[_Field, ...]:
+    """A section's rows, read off its dataclass's fields in order: tuple[X, ...]
+    is a list of X, X | None is an X, and an alias such as SimTime is its type."""
+    hints = get_type_hints(cls)
+    rows = []
+    for spec in fields(cls):
+        hint = hints[spec.name]
+        kind = get_args(hint)[0] if get_args(hint) else hint
+        rows.append(_Field(spec.name, kind, default=spec.default, many=get_origin(hint) is tuple, **spec.metadata))
+    return tuple(rows)
+
 
 # One table per section, its fields in the order a file lays them out.
 _TABLES: dict[type, tuple[_Field, ...]] = {
-    Pose: (_Field("x", float), _Field("y", float)),
-    SensorProfile: (
-        _Field("kind", SensorKind),
-        _Field("base_false_negative", float, _RATE),
-        _Field("base_false_positive", float, _RATE),
-        _Field("effective_range", float, _POSITIVE),
-    ),
-    NodeSpec: (
-        _Field("id", int, (("0 <= v < NODE_ID_BOUND", "must be an integer >= 0 and < 2^63, got {}"),)),
-        _Field("pose", Pose),
-        _Field("sensor", SensorProfile),
-        _Field("master", bool, default=False),
-        _Field("actuated", bool, default=False),
-    ),
-    GroundTruth: (_Field("pedestrian_present", bool), _Field("pedestrian_pose", Pose, default=None)),
-    PerceptionModel: (
-        _Field("distance_reference", float, _POSITIVE),
-        _Field("query_center", Pose, root_key="query_region_center"),
-    ),
-    NetworkConfig: (
-        _Field("latency_min", int, (_NON_NEGATIVE,)),
-        _Field("latency_max", int, (_NON_NEGATIVE, _BELOW_2_64)),
-        _Field("drop_probability", float, (("0.0 <= v <= 1.0", "must be in [0.0, 1.0], got {}"),)),
-        _Field("seed", int, (("0 <= v < SEED_BOUND", "must be an integer in [0, 2^64), got {}"),)),
-    ),
-    Scenario: (
-        _Field("nodes", NodeSpec, (("len(v) > 0", "at least one node is required"),), many=True),
-        _Field("ground_truth", GroundTruth),
-        _Field("perception", PerceptionModel),
-        _Field("network", NetworkConfig),
-        _Field("session_window", int, (("v > 0", "must be an integer > 0, got {}"), _BELOW_2_64)),
-        _Field("settle_interval", int, (_NON_NEGATIVE, _BELOW_2_64)),
-        _Field("sessions", int, (("v >= 1", "must be an integer >= 1, got {}"),)),
-    ),
+    cls: _table(cls) for cls in (Pose, SensorProfile, NodeSpec, GroundTruth, PerceptionModel, NetworkConfig, Scenario)
 }
 
 

@@ -192,11 +192,13 @@ _decode = json.JSONDecoder().raw_decode
 def loads_records(text: str) -> list[dict]:
     """Parse a newline-delimited trace back into record dicts, line by line.
 
-    Empty lines are skipped. Any other line that is not exactly one JSON
-    object raises ValueError naming its 1-based line number.
+    Lines end at "\\n" or "\\r\\n" only: a JSON string may hold the other line
+    breaks str.splitlines knows. Empty lines are skipped. Any other line that
+    is not exactly one JSON object raises ValueError naming its 1-based line
+    number.
     """
     records = []
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(text.replace("\r\n", "\n").split("\n"), 1):
         if not line:
             continue
         try:

@@ -18,7 +18,11 @@ from crossguard.model import (
     Pose,
     Scenario,
     SensorKind,
+    SimTime,
     _TABLES,
+    _Field,
+    _row,
+    _table,
     shown_value,
     validate_scenario,
 )
@@ -445,6 +449,37 @@ def test_every_table_field_is_in_the_reference_scenario():
         for key in doc:
             assert isinstance(target, (dict, list)) and (key in target if isinstance(target, dict) else key < len(target)), path
             target = target[key]
+
+
+@dataclasses.dataclass(frozen=True)
+class Leaf:
+    """A throwaway section for the row reader."""
+
+    x: float
+
+
+@dataclasses.dataclass(frozen=True)
+class Section:
+    """A throwaway section with one field of each shape a table row takes."""
+
+    plain: int
+    leaves: tuple[Leaf, ...]
+    ruled: SimTime = _row(("v > 0", "must be > 0, got {}"), root_key="ruled_at_top")
+    optional: Leaf | None = None
+    flag: bool = False
+
+
+def test_the_row_reader_reads_each_field_off_its_dataclass():
+    """A field without _row has no rules; tuple[X, ...] is a list of X, an
+    alias is its type and X | None = None is an X that admits None."""
+    assert _table(Leaf) == (_Field("x", float),)
+    assert _table(Section) == (
+        _Field("plain", int),
+        _Field("leaves", Leaf, many=True),
+        _Field("ruled", int, (("v > 0", "must be > 0, got {}"),), root_key="ruled_at_top"),
+        _Field("optional", Leaf, default=None),
+        _Field("flag", bool, default=False),
+    )
 
 
 def test_scenario_is_frozen():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -73,6 +74,15 @@ def mutated(changes) -> str:
         else:
             target[last] = value
     return yaml.safe_dump(document, sort_keys=False)
+
+
+def aliased(levels: int) -> str:
+    """A YAML list of levels lists, the first of ten zeros and each next of
+    ten aliases to the one before: a few bytes more a level, and a repr ten
+    times longer."""
+    lists = ["&a0 [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"]
+    lists += [f"&a{level} [" + ", ".join([f"*a{level - 1}"] * 10) + "]" for level in range(1, levels)]
+    return "[" + ", ".join(lists) + "]"
 
 
 N0, N1 = ("nodes", 0), ("nodes", 1)
@@ -411,6 +421,21 @@ class TestParseScenario:
         digits = sys.get_int_max_str_digits() + 700
         with pytest.raises(ScenarioParseError, match="^not valid YAML: .*digits"):
             parse_scenario(GOOD.replace("sessions: 2", "sessions: " + "1" * digits))
+
+    def test_a_value_nested_by_aliases_is_shown_abbreviated(self):
+        """Whole, this value would show in some 3.6 million characters, and
+        three levels more would not fit in memory; the file or a library
+        caller's Scenario is refused with a message that shows its start."""
+        text = aliased(6)
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario(GOOD.replace("sessions: 2", "sessions: " + text))
+        message = str(excinfo.value)
+        assert message.startswith("sessions: expected an integer, got [[0, 0, 0, 0, 0, 0, ...], [[0, 0, ")
+        assert len(message) <= 300
+        broken = dataclasses.replace(parse_scenario(GOOD), sessions=yaml.safe_load(text))
+        [error] = validate_scenario(broken)
+        assert error.startswith("sessions: must be an integer >= 1, got [[0, 0, 0, 0, 0, 0, ...], [[0, 0, ")
+        assert len(error) <= 300
 
     def test_well_formed_text_parses(self):
         scenario = parse_scenario(GOOD)

@@ -172,6 +172,15 @@ def test_loads_records_skips_empty_lines_and_counts_them_in_a_bad_line_s_number(
         loads_records('{"a":1}\n{"b":')
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["line_sep", "paragraph_sep", "next_line"])
+def test_loads_records_breaks_lines_at_a_line_feed_only(separator):
+    """str.splitlines also breaks at these, which a JSON string may hold as they are."""
+    text = f'{{"a":"x{separator}y"}}\n{{"b":1}}\n'
+    assert loads_records(text) == [{"a": f"x{separator}y"}, {"b": 1}]
+    with pytest.raises(ValueError, match="^trace line 2 is not one JSON object: Expecting value, column 6$"):
+        loads_records(f'{{"a":"x{separator}y"}}\n{{"b":')
+
+
 def test_float_values_round_trip_exactly():
     claim = make_claim(distance=14.142135623730951, fn=0.2, fp=0.02)
     text = dumps_record(claim_payload(claim))

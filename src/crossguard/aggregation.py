@@ -29,7 +29,7 @@ class AggregationSemantics(Enum):
     EXPERT_OVERRIDE = "expert_override"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Decision:
     """Verdict plus full provenance for one session."""
 
@@ -39,6 +39,10 @@ class Decision:
     ranking: tuple[NodeId, ...]
     used_claims: tuple[Claim, ...]
     excluded_claims: tuple[tuple[Claim, ExclusionReason], ...]
+
+    def __init__(self, session, verdict, semantics, ranking, used_claims, excluded_claims) -> None:
+        object.__setattr__(self, "__dict__", {"session": session, "verdict": verdict, "semantics": semantics,
+            "ranking": ranking, "used_claims": used_claims, "excluded_claims": excluded_claims})
 
 
 def decide(
@@ -59,7 +63,8 @@ def decide(
         raise ProtocolError("decide() received duplicate claims for one node")
     if sorted(by_node) != sorted(ranking) or len(ranking) != len(claims):
         raise ProtocolError("ranking is not a permutation of the claim nodes")
-    return verdict_of([by_node[node].detection is Detection.CLEAR for node in ranking], semantics)
+    clear = Detection.CLEAR  # looked up once: an Enum class lookup costs a Python call
+    return verdict_of([by_node[node].detection is clear for node in ranking], semantics)
 
 
 def verdict_of(clear: Sequence[bool], semantics: AggregationSemantics) -> Verdict:

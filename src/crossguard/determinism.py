@@ -19,6 +19,7 @@ TWO_53 = float(1 << 53)  # a float draw is the top 53 bits of a word over 2^53
 _WORD_SPAN = 1 << 64
 _BLOCK_WORDS = struct.Struct("<4Q")  # one SHA-256 block as four little-endian words
 _BLOCK_INDEX = struct.Struct("<Q")
+_BLOCK_0 = _BLOCK_INDEX.pack(0)  # the suffix of every stream's first block
 
 
 def word_limit(span: int) -> int:
@@ -44,7 +45,7 @@ class KeyedStream:
 
     def __init__(self, key: bytes) -> None:
         self._key = key
-        self._words: tuple[int, ...] = _BLOCK_WORDS.unpack(hashlib.sha256(key + _BLOCK_INDEX.pack(0)).digest())
+        self._words: tuple[int, ...] = _BLOCK_WORDS.unpack(hashlib.sha256(key + _BLOCK_0).digest())
         self._index = 0
         self._counter = 1
 

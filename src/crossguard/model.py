@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import reprlib
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from enum import Enum
 from typing import NamedTuple, get_args, get_origin, get_type_hints
@@ -103,12 +103,13 @@ class SensorProfile:
     effective_range: float = _row(_POSITIVE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Claim:
     """One node's answer to one session's query, plus its trust evidence.
 
     distance_to_target is the emitting node's distance to the query-region
     center at emission time; the node cannot know the true pedestrian pose.
+    Its __init__ sets all fields in one store, not one call each: it runs per message.
     """
 
     node: NodeId
@@ -117,6 +118,10 @@ class Claim:
     profile: SensorProfile
     distance_to_target: float
     emitted_at: SimTime
+
+    def __init__(self, node, session, detection, profile, distance_to_target, emitted_at) -> None:
+        object.__setattr__(self, "__dict__", {"node": node, "session": session, "detection": detection,
+            "profile": profile, "distance_to_target": distance_to_target, "emitted_at": emitted_at})
 
 
 @dataclass(frozen=True)
@@ -189,9 +194,21 @@ _REAL = (int, float)
 # and any int too large for a float, where math.isfinite would raise.
 _FLOAT_MAX = sys.float_info.max
 _SHOWN_BITS = 256  # a longer integer shows its size, not its digits, in messages
+
+
+class _Shown(reprlib.Repr):
+    """reprlib.Repr that shows a dataclass's fields one level down, never its whole repr."""
+
+    def repr_instance(self, x: object, level: int) -> str:
+        if not is_dataclass(type(x)):
+            return super().repr_instance(x, level)
+        shown = (f"{spec.name}={self.repr1(getattr(x, spec.name), level - 1)}" for spec in fields(x) if spec.repr)
+        return f"{type(x).__qualname__}({', '.join(shown) if level > 0 else '...'})"
+
+
 # A value is shown abbreviated, never built whole: each level of aliases in a
 # file may make a list ten times longer.
-_SHOWN = reprlib.Repr()
+_SHOWN = _Shown()
 _SHOWN.maxlevel, _SHOWN.maxstring, _SHOWN.maxlong, _SHOWN.maxother = 3, 80, 80, 80
 
 

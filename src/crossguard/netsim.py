@@ -97,21 +97,27 @@ class Network:
         dropped, in ascending id order, after scheduling every other copy."""
         seq = self._next_seq[src]
         self._next_seq[src] = seq + 1
-
+        if dst is not None:
+            if (latency := self._latency(src, seq, dst)) is None:
+                return seq, [dst]
+            self.queue.schedule((now + latency, src, seq, dst, kind, now, payload))
+            return seq, []
         dropped = []
-        drop_below, low, span, limit = self._drop_below, self._low, self._span, self._limit
-        seed = self.seed
         schedule = self.queue.schedule
-        for recipient in self.node_ids if dst is None else (dst,):
-            drop_word, latency_word, _, _ = transport_words(seed, src, seq, recipient)
-            if drop_word >> 11 < drop_below:
-                dropped.append(recipient)
-                continue
-            if latency_word < limit:
-                latency = low + latency_word % span
+        for node in self.node_ids:
+            if (latency := self._latency(src, seq, node)) is None:
+                dropped.append(node)
             else:
-                stream = transport_stream(seed, src, seq, recipient)
-                stream.random()
-                latency = stream.randint(low, self.config.latency_max)
-            schedule((now + latency, src, seq, recipient, kind, now, payload))
+                schedule((now + latency, src, seq, node, kind, now, payload))
         return seq, dropped
+
+    def _latency(self, src: NodeId, seq: int, dst: NodeId) -> SimTime | None:
+        """The latency the copy of (src, seq) to dst draws, or None if it is dropped."""
+        drop_word, latency_word, _, _ = transport_words(self.seed, src, seq, dst)
+        if drop_word >> 11 < self._drop_below:
+            return None
+        if latency_word < self._limit:
+            return self._low + latency_word % self._span
+        stream = transport_stream(self.seed, src, seq, dst)
+        stream.random()
+        return stream.randint(self._low, self.config.latency_max)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from .model import Detection, GroundTruth, PerceptionModel, Pose, SensorProfile
 
+_CLEAR, _DETECTED = Detection.CLEAR, Detection.PEDESTRIAN_DETECTED  # a global costs no Enum class lookup
+
 
 def effective_error_rates(
     profile: SensorProfile, distance: float, model: PerceptionModel
@@ -50,5 +52,5 @@ def sense(present: bool, miss: float, ghost: float, draw: float) -> Detection:
     ghost iff draw < ghost.
     """
     if present:
-        return Detection.CLEAR if draw < miss else Detection.PEDESTRIAN_DETECTED
-    return Detection.PEDESTRIAN_DETECTED if draw < ghost else Detection.CLEAR
+        return _CLEAR if draw < miss else _DETECTED
+    return _DETECTED if draw < ghost else _CLEAR

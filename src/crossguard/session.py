@@ -30,6 +30,9 @@ class SessionPhase(Enum):
     CLOSED = "closed"
 
 
+_CLOSED = SessionPhase.CLOSED  # read per claim: a global costs no Enum class lookup
+
+
 @dataclass
 class SessionState:
     """Mutable bookkeeping for one session; owned by the master's session loop."""
@@ -85,7 +88,7 @@ def accept_claim(state: SessionState, claim: Claim, arrival: SimTime) -> Exclusi
     Exclusions keep accruing after the decision so the closed session still
     accounts for every claim delivered during its lifetime.
     """
-    if state.phase is SessionPhase.CLOSED:
+    if state.phase is _CLOSED:
         raise ProtocolError(f"claim delivered to closed session {state.id}")
     reason = classify_claim(state, claim, arrival)
     if reason is None:

@@ -45,6 +45,15 @@ class TestSequenceActuation:
         with pytest.raises(ProtocolError):
             sequence_actuation(decision_with(Verdict.STOP), ())
 
+    def test_anything_but_go_halts(self):
+        """Fail-safe: a verdict that is not Verdict.GO, even one that is no
+        Verdict at all, halts, and so does a command whose action is not PROCEED."""
+        [command] = sequence_actuation(decision_with("go"), (3,))
+        assert command.action is ActuationAction.HALT
+        motion = NodeMotion()
+        assert apply_command(motion, ActuationCommand(session=1, target=3, action="proceed", issue_order=0))
+        assert motion.state is MotionState.HALTED
+
 
 class TestApplyCommand:
     def test_halt_stops_a_moving_node(self):

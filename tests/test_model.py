@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import io
 
 import pytest
 import yaml
 
 from crossguard import cli
-from crossguard.aggregation import AggregationSemantics
+from crossguard.actuation import ActuationAction, ActuationCommand
+from crossguard.aggregation import AggregationSemantics, Decision, Verdict
 from crossguard.model import (
+    Claim,
     Detection,
     GroundTruth,
     NetworkConfig,
@@ -144,6 +147,30 @@ def test_claim_is_immutable():
     claim = make_claim()
     with pytest.raises(dataclasses.FrozenInstanceError):
         claim.node = 9
+
+
+# Each record a run builds per message, with one value per field, in field order.
+RECORDS = [
+    (Claim, (3, 7, Detection.CLEAR, make_profile(), 12.5, 900)),
+    (ActuationCommand, (7, 3, ActuationAction.HALT, 2)),
+    (Decision, (7, Verdict.GO, AggregationSemantics.MAJORITY, (3,), (make_claim(node=3),), ())),
+]
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_a_record_init_sets_every_field(cls, values):
+    """A hand-written record __init__ takes each field, in field order, and
+    the record still behaves as a frozen dataclass: a field added without its
+    __init__ line fails here."""
+    names = [spec.name for spec in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    positional, keyword = cls(*values), cls(**dict(zip(names, values)))
+    assert vars(positional) == dict(zip(names, values))
+    assert positional == keyword and hash(positional) == hash(keyword)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(positional, names[0], values[0])
+    replaced = dataclasses.replace(positional, **{names[0]: values[0] + 1})
+    assert vars(replaced) == {**vars(positional), names[0]: values[0] + 1}
 
 
 def test_scenario_helpers():

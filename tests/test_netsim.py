@@ -6,7 +6,7 @@ import math
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossguard import netsim
@@ -352,6 +352,16 @@ def sent_draws(queue, sent):
     return {seq: (dropped, latencies[seq]) for seq, dropped in sent.items()}
 
 
+def copy_of(node_ids, config, seed, src, to, seq, dst):
+    """Send seq + 1 times from src to `to` (every node if None) on a fresh
+    network, and return transmission seq's draws for its copy to dst: [dst]
+    and {} if dropped, else [] and {dst: latency}."""
+    queue, network = build_net(node_ids, config, seed=seed)
+    sent = dict(network.send(MessageKind.CLAIM, src=src, dst=to, payload=None, now=0) for _ in range(seq + 1))
+    dropped, latencies = sent_draws(queue, sent)[seq]
+    return [node for node in dropped if node == dst], {node: t for node, t in latencies.items() if node == dst}
+
+
 # latency_max = 2^63 over latency_min = 0 is a span of 2^63 + 1: about half of
 # all latency words are rejected and replayed.
 SPANS = st.one_of(
@@ -378,6 +388,48 @@ class TestKeyedTransportDraws:
         queue, network = build_net(sorted(nodes | {src}), config, seed=seed)
         sent = dict(network.send(MessageKind.SESSION_START, src=src, dst=None, payload=None, now=0) for _ in range(sends))
         assert sent_draws(queue, sent) == {seq: stream_replay(network, src, seq, network.node_ids) for seq in sent}
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        src=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        nodes=st.sets(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=1, max_size=6),
+        pick=st.integers(min_value=0, max_value=6),
+        drop=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        latency_min=st.integers(min_value=0, max_value=10**9),
+        span=SPANS,
+        seq=st.integers(min_value=0, max_value=2),
+    )
+    @example(seed=0, src=1, nodes={2, 3}, pick=1, drop=0.0, latency_min=10, span=5, seq=0)
+    @example(seed=0, src=1, nodes={2, 3}, pick=1, drop=1.0, latency_min=10, span=5, seq=1)
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    def test_a_unicast_draws_the_broadcast_copy_to_its_node(self, seed, src, nodes, pick, drop, latency_min, span, seq):
+        """A unicast to d and a broadcast's copy to d, sent as the same
+        (src, seq) on two networks with one seed, are dropped alike or due
+        alike."""
+        config = lossless(latency_min=latency_min, latency_max=latency_min + span - 1, drop=drop)
+        node_ids = sorted(nodes | {src})
+        dst = node_ids[pick % len(node_ids)]
+        broadcast, unicast = (copy_of(node_ids, config, seed, src, to, seq, dst) for to in (None, dst))
+        assert unicast == broadcast
+
+    def test_a_unicast_replays_a_rejected_latency_word_as_the_broadcast_does(self, monkeypatch):
+        """With every latency word rejected, both paths replay the stream,
+        once per kept copy, and still agree."""
+        replays = []
+
+        def counted(*key):
+            replays.append(key)
+            return transport_stream(*key)
+
+        span = 3  # 2^64 - 1 is the limit, so the largest word is rejected
+        monkeypatch.setattr(netsim, "transport_words", lambda *key: (0, 2**64 - 1, 0, 0))
+        monkeypatch.setattr(netsim, "transport_stream", counted)
+        config = lossless(latency_min=10, latency_max=10 + span - 1)
+        broadcast = copy_of([1, 2, 3], config, 9, 1, None, 0, 2)
+        assert replays == [(9, 1, 0, 1), (9, 1, 0, 2), (9, 1, 0, 3)]
+        unicast = copy_of([1, 2, 3], config, 9, 1, 2, 0, 2)
+        assert replays[3:] == [(9, 1, 0, 2)]
+        assert unicast == broadcast
 
     def test_half_the_latency_words_are_replayed_at_a_span_of_2_to_the_63(self, monkeypatch):
         """At latency (0, 2^63) about half of 40 copies reject their latency

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import pytest
 import yaml
@@ -436,6 +437,22 @@ class TestParseScenario:
         [error] = validate_scenario(broken)
         assert error.startswith("sessions: must be an integer >= 1, got [[0, 0, 0, 0, 0, 0, ...], [[0, 0, ")
         assert len(error) <= 300
+
+    def test_a_dataclass_holding_aliases_is_shown_abbreviated(self):
+        """A section of the wrong class shows its fields through the same
+        abbreviation, never its whole repr: a library caller's Pose holding
+        the six-level list is refused in a short message and little memory."""
+        broken = dataclasses.replace(parse_scenario(GOOD), ground_truth=Pose(yaml.safe_load(aliased(6)), 0.0))
+        tracemalloc.start()
+        try:
+            errors = validate_scenario(broken)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [error] = errors
+        assert error.startswith("ground_truth: must be a GroundTruth, got Pose(x=[[0, 0, 0, 0, 0, 0, ...], [[")
+        assert len(error) <= 300
+        assert peak < 1 << 20
 
     def test_well_formed_text_parses(self):
         scenario = parse_scenario(GOOD)

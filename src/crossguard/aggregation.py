@@ -29,6 +29,13 @@ class AggregationSemantics(Enum):
     EXPERT_OVERRIDE = "expert_override"
 
 
+# Members read per session: a global costs no Enum class lookup.
+_GO, _STOP, _CLEAR = Verdict.GO, Verdict.STOP, Detection.CLEAR
+_UNANIMITY_SAFE, _MAJORITY = AggregationSemantics.UNANIMITY_SAFE, AggregationSemantics.MAJORITY
+_TRUST_WEIGHTED_MAJORITY = AggregationSemantics.TRUST_WEIGHTED_MAJORITY
+_EXPERT_OVERRIDE = AggregationSemantics.EXPERT_OVERRIDE
+
+
 @dataclass(frozen=True, init=False)
 class Decision:
     """Verdict plus full provenance for one session."""
@@ -63,8 +70,7 @@ def decide(
         raise ProtocolError("decide() received duplicate claims for one node")
     if sorted(by_node) != sorted(ranking) or len(ranking) != len(claims):
         raise ProtocolError("ranking is not a permutation of the claim nodes")
-    clear = Detection.CLEAR  # looked up once: an Enum class lookup costs a Python call
-    return verdict_of([by_node[node].detection is clear for node in ranking], semantics)
+    return verdict_of([by_node[node].detection is _CLEAR for node in ranking], semantics)
 
 
 def verdict_of(clear: Sequence[bool], semantics: AggregationSemantics) -> Verdict:
@@ -75,25 +81,25 @@ def verdict_of(clear: Sequence[bool], semantics: AggregationSemantics) -> Verdic
     """
     total = len(clear)
     if not total:
-        return Verdict.STOP
+        return _STOP
 
-    if semantics is AggregationSemantics.UNANIMITY_SAFE:
-        return Verdict.GO if all(clear) else Verdict.STOP
+    if semantics is _UNANIMITY_SAFE:
+        return _GO if all(clear) else _STOP
 
-    if semantics is AggregationSemantics.MAJORITY:
+    if semantics is _MAJORITY:
         # Ties go to Stop.
         clear_count = sum(clear)
-        return Verdict.GO if clear_count > total - clear_count else Verdict.STOP
+        return _GO if clear_count > total - clear_count else _STOP
 
-    if semantics is AggregationSemantics.TRUST_WEIGHTED_MAJORITY:
+    if semantics is _TRUST_WEIGHTED_MAJORITY:
         # Rank-linear weights: position i of n carries weight n - i. Steeper
         # laws such as doubling collapse onto the top claim alone, because the
         # leader then outweighs everyone below combined.
         clear_weight = sum(total - position for position, flag in enumerate(clear) if flag)
         detected_weight = total * (total + 1) // 2 - clear_weight
-        return Verdict.GO if clear_weight > detected_weight else Verdict.STOP
+        return _GO if clear_weight > detected_weight else _STOP
 
-    if semantics is AggregationSemantics.EXPERT_OVERRIDE:
-        return Verdict.GO if clear[0] else Verdict.STOP
+    if semantics is _EXPERT_OVERRIDE:
+        return _GO if clear[0] else _STOP
 
     raise ProtocolError(f"unhandled semantics {semantics!r}")

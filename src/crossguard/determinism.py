@@ -2,8 +2,10 @@
 
 Every random draw in a run comes from a substream derived from the run seed
 plus a structural key (who is drawing, for what). Two runs with the same seed
-replay identically, and adding a participant never shifts anyone else's draws
-because no draw site shares a stream with another.
+replay identically, and no draw site shares a stream with another, so a draw
+changes only when its key does. Adding a node that is not actuated changes
+no existing key; an actuated one shifts the master's message numbers, and so
+the keys of its later messages.
 """
 
 from __future__ import annotations

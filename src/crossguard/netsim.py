@@ -60,10 +60,11 @@ class Network:
     """Applies per-recipient drop and latency draws and schedules the kept copies.
 
     Draws come from substreams keyed by (seed, src, seq, recipient): resending
-    with the same seed replays identically, and adding a node never perturbs
-    the draws any existing pair sees. A copy reads its drop and latency words
-    straight from block 0 of its stream (determinism.transport_words) and
-    replays the stream only when the latency word is rejected.
+    with the same seed replays identically, and adding a node leaves every
+    existing key's draws untouched, though one more actuated node shifts the
+    master's seqs, hence its later copies' keys. A copy reads its drop and
+    latency words from block 0 of its stream (determinism.transport_words)
+    and replays the stream only when the latency word is rejected.
     """
 
     def __init__(

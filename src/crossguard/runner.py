@@ -10,10 +10,10 @@ RunMetrics as it happens and makes trace lines only when it is given a
 sink, a callable that takes each line, newline included: every kind's line
 is its trace.write template % its values but decision's, which is its
 record through dumps_record, and a claim send's, whose template, one per
-node and detection, is cut once per run by trace.template with the node's
-fields filled in through claim_payload. run_once's sink is its stream's
-write, or lines.append to collect records, parsed once.
-MetricsCollector replays a stored trace.
+node, is cut once per run by trace.template with the node's fields filled
+in through claim_payload. run_once's sink is its stream's write, or
+lines.append to collect records, parsed once. MetricsCollector replays a
+stored trace.
 
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set,
@@ -29,6 +29,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -58,7 +59,7 @@ from .session import (
     open_session,
     trust_positions,
 )
-from .trace import HOLE, claim_payload, dumps_record, dumps_records, template, write
+from .trace import ENUM_HOLE, HOLE, claim_payload, dumps_record, dumps_records, template, write
 from .trust import Evidence
 
 TRUTH_MODES = ("fixed", "alternating")
@@ -161,11 +162,12 @@ _CLOSED = SessionPhase.CLOSED
 _LATE = ExclusionReason.LATE.value
 
 
-def _claim_lines(node: NodeId, master: NodeId, profile, distance: float) -> tuple[str, str]:
-    """node's claim send template for a clear claim, then for a detected one. Its holes are t, seq,
-    session and emitted_at, the only fields that change between its claims."""
-    claims = (claim_payload(Claim(node, HOLE, detection, profile, distance, HOLE)) for detection in (_CLEAR, _DETECTED))
-    return tuple(template("send_claim", kind=_CLAIM._value_, src=node, dst=master, claim=claim) for claim in claims)
+def _claim_line(node: NodeId, master: NodeId, profile, distance: float) -> str:
+    """node's claim send template. Its holes are t, seq, session, detection and emitted_at, the only
+    fields that change between its claims."""
+    claim = claim_payload(Claim(node, HOLE, _CLEAR, profile, distance, HOLE))
+    claim["detection"] = ENUM_HOLE
+    return template("send_claim", kind=_CLAIM._value_, src=node, dst=master, claim=claim)
 
 
 class MetricsCollector:
@@ -207,6 +209,7 @@ class _Setup:
             raise ScenarioValidationError(errors)
         self.scenario = scenario
         self.master_id = scenario.master_node().id
+        self.node_ids = sorted(scenario.node_ids())
         self.actuated = scenario.actuated_ids()
         # (profile, evidence distance, miss, ghost) per node, evidence distance measured to the query-region center.
         perception = scenario.perception
@@ -283,15 +286,15 @@ class Simulation:
         self.master_id = setup.master_id
         self.actuated = setup.actuated
         self.queue = EventQueue()
-        self.network = Network(list(scenario.node_ids()), scenario.network, seed, self.queue)
+        self.network = Network(setup.node_ids, scenario.network, seed, self.queue)
         self.sensors = setup.sensors
         self.trust_positions = setup.trust_positions
-        # Each node's claim send templates, made for this run alone: a claim send fills in only t, seq and session.
+        # Each node's claim send template, made for this run alone: a claim send fills in only its five holes.
         self._claim_lines = None if sink is None else {
-            node: _claim_lines(node, self.master_id, profile, distance)
+            node: _claim_line(node, self.master_id, profile, distance)
             for node, (profile, distance, _, _) in self.sensors.items()
         }
-        self.motions = {spec.id: NodeMotion() for spec in scenario.nodes}
+        self.motions = {node: NodeMotion() for node in self.actuated}  # only an actuated node is sent a command
         self.state: SessionState | None = None
 
     def _send(self, kind: MessageKind, src: NodeId, dst: NodeId | None, payload: object, now: SimTime) -> None:
@@ -302,7 +305,7 @@ class Simulation:
             return
         name = kind._value_
         if kind is _CLAIM:
-            sink(self._claim_lines[src][payload.detection is _DETECTED] % (now, seq, payload.session, now))
+            sink(self._claim_lines[src] % (now, seq, payload.session, payload.detection._value_, now))
         elif kind is _ACTUATION:
             session, action, order = payload.session, payload.action._value_, payload.issue_order
             sink(write.send_actuation % (now, name, src, dst, seq, session, action, order))
@@ -566,7 +569,10 @@ def run_sweep(
 
     setup = _Setup(scenario)
     out_path = None if out_dir is None else Path(out_dir)
-    arms = sorted(set(semantics_list), key=lambda s: s.value)
+    # Keyed by value: Enum.__hash__ is Python code on 3.11.
+    by_name = {semantics._value_: semantics for semantics in semantics_list}
+    names = sorted(by_name)
+    arms = [by_name[name] for name in names]
     totals = [RunMetrics() for _ in arms]
     arm_files: list[list[Path]] = [[] for _ in arms]
     for seed in range(seeds):
@@ -580,27 +586,20 @@ def run_sweep(
         )
         if seed == 0 and out_path is not None:
             out_path.mkdir(parents=True, exist_ok=True)
-        for semantics, metrics, total, written in zip(arms, (first, *extra), totals, arm_files):
+        for name, metrics, total, written in zip(names, (first, *extra), totals, arm_files):
             if total is totals[0]:
                 total.add(metrics)  # every arm shares the run's ledger: add it once
             else:
                 total.add_verdicts(metrics)
             if out_path is not None:
-                target = out_path / f"{scenario_name}__{semantics.value}__seed{seed}.metrics.ndjson"
+                target = out_path / f"{scenario_name}__{name}__seed{seed}.metrics.ndjson"
                 with target.open("w", encoding="utf-8") as handle:
-                    handle.write(dumps_records(_metrics_records(scenario_name, semantics.value, seed, metrics)))
+                    handle.write(dumps_records(_metrics_records(scenario_name, name, seed, metrics)))
                 written.append(target)
 
-    total_for = dict(zip(arms, totals))
-    rows = [
-        SweepRow(
-            semantics=semantics.value,
-            seeds=seeds,
-            **{name: getattr(total_for[semantics], name) for name in VERDICT_COUNTS},
-            error_rate=total_for[semantics].error_rate,
-        )
-        for semantics in sorted(semantics_list, key=lambda s: s.value)
-    ]
+    total_for = dict(zip(names, totals))
+    row_values = attrgetter(*VERDICT_COUNTS, "error_rate")  # SweepRow's fields after seeds, in order
+    rows = [SweepRow(name, seeds, *row_values(total_for[name])) for name in sorted([s._value_ for s in semantics_list])]
     solo = totals[0].solo  # every arm books the same claims
     solo_rates = {node: solo[node].error_rate for node in sorted(solo)}
     files = [path for written in arm_files for path in written]

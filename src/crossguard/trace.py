@@ -14,7 +14,7 @@ array or nested object, and for session_open a pair indexed by its
 pedestrian_present value: `write.deliver % (t, kind, src, dst, seq,
 sent_at)` is, unchecked, the line dumps_record writes for that record and
 its newline, for any int or int subclass in an int field. A run cuts each
-node's two claim send templates once, its fixed fields filled in, and
+node's claim send template once, its fixed fields filled in, and
 writes decision, with its arrays, through dumps_record. A run passes each
 line to its sink; loads_records reads the lines back.
 """
@@ -135,9 +135,9 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 # An open field's value in the record a template is cut from, each a text the encoder escapes and no
-# other field holds: HOLE for an int field, _ENUM_HOLE for an Enum field.
+# other field holds: HOLE for an int field, ENUM_HOLE for an Enum field.
 HOLE = "\0"
-_ENUM_HOLE = "\1"
+ENUM_HOLE = "\1"
 
 
 def template(name: str, **fixed: object) -> str:
@@ -145,8 +145,9 @@ def template(name: str, **fixed: object) -> str:
 
     A field named in `fixed` is written with that value; a str field is its
     own text. Every other field, "t" first, is open: an int field takes a
-    %d, an Enum field a quoted %s. A fixed value may hold HOLE wherever an
-    int goes, as a claim payload's does. Any other field must be fixed.
+    %d, an Enum field a quoted %s. A fixed value may hold HOLE for an int
+    and ENUM_HOLE for an Enum's value, as a claim payload does, but what
+    fills an ENUM_HOLE must need no escaping. Any other field must be fixed.
     """
     kind = next(kind for kind in RECORD_KINDS if kind.name == name)
     record = {"t": HOLE, "ev": kind.ev}
@@ -160,11 +161,11 @@ def template(name: str, **fixed: object) -> str:
         elif isinstance(field_type, type) and issubclass(field_type, Enum):
             if any(_encode(member._value_) != f'"{member._value_}"' for member in field_type):
                 raise ValueError(f"a {key} string needs escaping")  # a %s writes it unescaped
-            record[key] = _ENUM_HOLE
+            record[key] = ENUM_HOLE
         else:
             raise TypeError(f"{name}'s field {key!r} must be fixed")
     text = _encode(record).replace("%", "%%")
-    return text.replace(_encode(HOLE), "%d").replace(_encode(_ENUM_HOLE), '"%s"') + "\n"
+    return text.replace(_encode(HOLE), "%d").replace(_encode(ENUM_HOLE), '"%s"') + "\n"
 
 
 # One template per kind, as class attributes: those read faster than a namespace object's. session_open has

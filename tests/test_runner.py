@@ -12,7 +12,6 @@ import re
 import tracemalloc
 import types
 import weakref
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -1120,9 +1119,9 @@ class TestLazyTrace:
             with pytest.raises(AssertionError, match="no sink"):
                 run_once(scenario, AggregationSemantics.MAJORITY, 3, "fixed", collect_trace, stream)
 
-    def test_a_traced_run_encodes_each_node_s_claim_fields_at_most_twice(self, monkeypatch):
-        """A claim send's fixed fields are encoded once per node and
-        detection, so a traced run calls claim_payload at most twice per
+    def test_a_traced_run_encodes_each_node_s_claim_fields_once(self, monkeypatch):
+        """A claim send's fixed fields are encoded once per node, its
+        detection left open, so a traced run calls claim_payload once per
         node however many claims it sends, and a run with no sink never."""
         calls = []
 
@@ -1141,7 +1140,7 @@ class TestLazyTrace:
             records, _ = run_once(scenario, AggregationSemantics.MAJORITY, 3, "alternating", collect_trace, stream)
             text = dumps_records(records) if stream is None else stream.getvalue()
             assert text.count('"kind":"claim","src"') > 4 * 5
-            assert set(calls) == {1, 2, 3, 4, 5} and max(Counter(calls).values()) <= 2
+            assert sorted(calls) == [1, 2, 3, 4, 5]
 
     def test_a_lean_run_keeps_memory_flat(self):
         """Nothing is kept per session: a lean run's peak traced memory over

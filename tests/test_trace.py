@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from crossguard import trace
 from crossguard.aggregation import AggregationSemantics
 from crossguard.model import Detection, SensorKind
-from crossguard.runner import _claim_lines, run_once
+from crossguard.runner import _claim_line, run_once
 from crossguard.trace import (
     CLAIM_FIELDS,
     HOLE,
@@ -369,7 +369,7 @@ class TestTemplates:
         assert template("probe") % (1, "50%d", 2) == encoded_line(probe, [1, "50%d", 2])
 
     def test_no_template_and_no_line_of_a_lossy_run_holds_a_hole(self):
-        lines = [claim_template(claim_payload(make_claim()))]
+        lines = [claim_template(claim_payload(make_claim())), _claim_line(4, 0, make_claim().profile, 12.5)]
         for name, line in vars(write).items():
             if not name.startswith("_"):
                 lines += line if isinstance(line, tuple) else [line]
@@ -403,15 +403,16 @@ class TestClaimTemplate:
         written, encoded = self.line(number)
         assert written == encoded
 
-    def test_a_run_s_node_templates_are_its_clear_then_its_detected_claim(self):
-        """runner._claim_lines fills in a node's fixed fields; t, seq, session and emitted_at stay open."""
-        profile = make_claim().profile
-        lines = _claim_lines(4, 0, profile, 12.5)
-        assert len(lines) == 2
-        for line, detection in zip(lines, (Detection.CLEAR, Detection.PEDESTRIAN_DETECTED)):
+    def test_a_run_s_node_template_fills_to_its_claim_of_either_detection(self):
+        """runner._claim_line fills in a node's fixed fields; t, seq, session, detection and emitted_at stay
+        open. Its "%s" writes a detection value unescaped, so each value must be its own JSON text, as
+        template checks for the Enum fields it opens itself."""
+        line = _claim_line(4, 0, make_claim().profile, 12.5)
+        for detection in Detection:
+            assert ENCODE(detection.value) == f'"{detection.value}"'
             payload = claim_payload(make_claim(node=4, detection=detection, distance=12.5, session=7, emitted_at=90))
             record = {"t": 90, "ev": "send", "kind": "claim", "src": 4, "dst": 0, "seq": 3, "claim": payload}
-            assert line % (90, 3, 7, 90) == ENCODE(record) + "\n"
+            assert line % (90, 3, 7, detection.value, 90) == ENCODE(record) + "\n"
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.tuples(*[ADMITTED_FLOATS] * 4), st.tuples(*[ADMITTED_INTS] * 4))

@@ -1,14 +1,17 @@
 """Deterministic lossy-network and event-queue layer: transport only.
 
-The network draws each copy's drop and latency, schedules each copy it
-keeps as one plain tuple (see EventQueue) and tells its caller which copies
-it dropped. A transmission has no record of its own: its copies share its
-kind, src, seq, sent_at and payload. The network knows nothing of the
-protocol carried in the payloads or of the trace format.
+The network numbers each sender's messages (Network.number) and draws each
+copy's drop and latency (Network.latency). Network.send does both, schedules
+each copy it keeps as one plain tuple (see EventQueue) and tells its caller
+which copies it dropped; a caller that answers a copy as it is drawn calls
+number and latency itself. A transmission has no record of its own: its
+copies share its kind, src, seq, sent_at and payload. The network knows
+nothing of the protocol carried in the payloads or of the trace format.
 
-The queue holds only copies. It pops them in (due, src, seq, recipient)
-order, and only up to a bound its caller gives, so the caller can run its
-own steps at an instant after every copy due at or before it.
+The queue holds only the copies it is given. It pops them in (due, src,
+seq, recipient) order, and only up to a bound its caller gives, so the
+caller can run its own steps at an instant after every copy due at or
+before it.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class EventQueue:
 
 
 class Network:
-    """Applies per-recipient drop and latency draws and schedules the kept copies.
+    """Numbers each sender's messages, draws each copy's drop and latency and, in send, schedules the kept copies.
 
     Draws come from substreams keyed by (seed, src, seq, recipient): resending
     with the same seed replays identically, and adding a node leaves every
@@ -96,23 +99,28 @@ class Network:
         """Transmit to dst, or to every node, sender included, if dst is None;
         returns the transmission's seq and the recipients whose copy was
         dropped, in ascending id order, after scheduling every other copy."""
-        seq = self._next_seq[src]
-        self._next_seq[src] = seq + 1
+        seq = self.number(src)
         if dst is not None:
-            if (latency := self._latency(src, seq, dst)) is None:
+            if (latency := self.latency(src, seq, dst)) is None:
                 return seq, [dst]
             self.queue.schedule((now + latency, src, seq, dst, kind, now, payload))
             return seq, []
         dropped = []
         schedule = self.queue.schedule
         for node in self.node_ids:
-            if (latency := self._latency(src, seq, node)) is None:
+            if (latency := self.latency(src, seq, node)) is None:
                 dropped.append(node)
             else:
                 schedule((now + latency, src, seq, node, kind, now, payload))
         return seq, dropped
 
-    def _latency(self, src: NodeId, seq: int, dst: NodeId) -> SimTime | None:
+    def number(self, src: NodeId) -> int:
+        """Take src's next seq: each message src sends is numbered once, in send order."""
+        seq = self._next_seq[src]
+        self._next_seq[src] = seq + 1
+        return seq
+
+    def latency(self, src: NodeId, seq: int, dst: NodeId) -> SimTime | None:
         """The latency the copy of (src, seq) to dst draws, or None if it is dropped."""
         drop_word, latency_word, _, _ = transport_words(self.seed, src, seq, dst)
         if drop_word >> 11 < self._drop_below:

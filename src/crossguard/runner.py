@@ -3,17 +3,20 @@
 This module holds the protocol, the trace and the metrics. A Simulation
 plays both sides of the protocol, the master's sessions and every node's
 sensing and actuation, over the deterministic network, which is only a
-transport: its queue holds only the message copies in flight, each a plain
-tuple that Simulation._deliver_until unpacks and dispatches as it pops it,
-and the sessions are a loop in Simulation.run. It books each outcome in its
-RunMetrics as it happens and makes trace lines only when it is given a
-sink, a callable that takes each line, newline included: every kind's line
-is its trace.write template % its values but decision's, which is its
-record through dumps_record, and a claim send's, whose template, one per
-node, is cut once per run by trace.template with the node's fields filled
-in through claim_payload. run_once's sink is its stream's write, or
-lines.append to collect records, parsed once. MetricsCollector replays a
-stored trace.
+transport. Its queue holds message copies in flight, each a plain tuple
+that Simulation._deliver_until unpacks and dispatches as it pops it, and
+the sessions are a loop in Simulation.run. A traced run queues every kept
+copy, to write its lines in due order; a lean run, one with no sink,
+answers start copies and applies commands as the network draws them, so
+it queues only claims and the master's own start copies due after the
+deadline. A run books each outcome in its RunMetrics as it happens and
+makes trace lines only when it is given a sink, a callable that takes each
+line, newline included: every kind's line is its trace.write template %
+its values but decision's, which is its record through dumps_record, and
+a claim send's, whose template, one per node, is cut once per run by
+trace.template with the node's fields filled in through claim_payload.
+run_once's sink is its stream's write, or lines.append to collect records,
+parsed once. MetricsCollector replays a stored trace.
 
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set,
@@ -233,10 +236,12 @@ class Simulation:
     line is made only when `sink` is given: each trace site makes its
     record's line, newline included, and passes it to sink once, in trace
     order, so with sink=lines.append, "".join(lines) is the run's trace text.
-    `semantics` drives the run: its verdicts are actuated and traced. Each
-    of `extra_semantics` is decided on the same frozen claim sets and only
-    counted, in the matching entry of `extra_metrics`, which holds the
-    run's own exclusions and solo objects. The node table, trust_positions,
+    With no sink the run is lean (see _open_next and _decide): the same
+    seqs, draws and metrics, solo's key order aside. `semantics` drives the
+    run: its verdicts are actuated and traced. Each of `extra_semantics` is
+    decided on the same frozen claim sets and only counted, in the matching
+    entry of `extra_metrics`, which holds the run's own exclusions and solo
+    objects. The node table, trust_positions,
     is fixed once from the validated scenario's evidence, unchecked again:
     every session ranks a claim by its node's position. `scenario` may be a
     _Setup, which run_sweep makes once for all its seeds. An invalid
@@ -319,7 +324,7 @@ class Simulation:
         return self._present_by_parity[session % 2]
 
     def run(self) -> None:
-        """Play the sessions in turn, then deliver what is still in flight.
+        """Play the sessions in turn, then deliver what is still in flight; a second call is a ProtocolError.
 
         Each session opens, takes every delivery due at or before its
         deadline, decides, takes every delivery due at or before the end of
@@ -327,6 +332,8 @@ class Simulation:
         Deliveries due at a boundary are handled before it; what the
         boundary itself sends is handled after it.
         """
+        if self.state is not None:
+            raise ProtocolError("a Simulation runs once")
         settle = self.scenario.settle_interval
         now = 0
         for _ in range(self.scenario.sessions):
@@ -365,7 +372,19 @@ class Simulation:
         self.state = state = open_session(self.state, now, self.scenario.session_window, self.trust_positions)
         if self.sink is not None:
             self.sink(write.session_open[self.truth_for(state.id)] % (now, state.id, state.deadline))
-        self._send(_SESSION_START, self.master_id, None, state.id, now)
+            self._send(_SESSION_START, self.master_id, None, state.id, now)
+            return state
+        # Lean: each kept copy, due before the next session opens, is answered as it is drawn. Only the master's
+        # own copy due after the deadline waits, so that its claim is numbered after the deadline's commands.
+        network, master, session = self.network, self.master_id, state.id
+        seq = network.number(master)
+        for node in network.node_ids:
+            if (latency := network.latency(master, seq, node)) is None:
+                continue
+            if node == master and now + latency > state.deadline:
+                self.queue.schedule((now + latency, master, seq, master, _SESSION_START, now, session))
+            else:
+                self._on_session_start(now + latency, node, session)
         return state
 
     def _on_claim(self, now: SimTime, claim: Claim) -> None:
@@ -411,8 +430,12 @@ class Simulation:
                 ],
             }
             self.sink(dumps_record(record) + "\n")
+        network, master = self.network, self.master_id
         for command in sequence_actuation(decision, self.actuated):
-            self._send(_ACTUATION, self.master_id, command.target, command, now)
+            if self.sink is not None:
+                self._send(_ACTUATION, master, command.target, command, now)
+            elif network.latency(master, network.number(master), command.target) is not None:
+                self._apply(command)  # lean: a kept command lands before the next session decides
 
     # -- node-side protocol steps: every node senses and obeys -------------
 
@@ -426,11 +449,15 @@ class Simulation:
         self._send(_CLAIM, node, self.master_id, claim, now)
 
     def _on_actuation(self, now: SimTime, node: NodeId, command: ActuationCommand) -> None:
-        motion = self.motions[node]
+        state = self._apply(command).state  # only a traced run queues a command
+        self.sink(write.actuated % (now, node, command.session, command.action._value_, state._value_))
+
+    def _apply(self, command: ActuationCommand) -> NodeMotion:
+        """Apply one kept command to its target's motion, which it returns; a refused one is a ProtocolError."""
+        motion = self.motions[command.target]
         if not apply_command(motion, command):
-            raise ProtocolError(f"node {node} refused session {command.session}'s command as stale")
-        if self.sink is not None:
-            self.sink(write.actuated % (now, node, command.session, command.action._value_, motion.state._value_))
+            raise ProtocolError(f"node {command.target} refused session {command.session}'s command as stale")
+        return motion
 
 
 def _check_semantics(name: str, entries: Sequence) -> None:

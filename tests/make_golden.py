@@ -70,25 +70,35 @@ def cases() -> list[tuple[str, Path, AggregationSemantics, int, str]]:
     return sorted(out, key=lambda case: case[0])
 
 
+def metrics_digest(metrics: RunMetrics) -> str:
+    """The sha256 digest of a RunMetrics as sorted JSON: no dict's key order counts."""
+    return hashlib.sha256(json.dumps(dataclasses.asdict(metrics), sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def digest_entry(records: list[dict], metrics: RunMetrics) -> dict:
     """A run's entry in digests.json."""
     lines = [(dumps_record(record) + "\n").encode("utf-8") for record in records]
-    shown = json.dumps(dataclasses.asdict(metrics), sort_keys=True).encode("utf-8")
     return {
         "trace": hashlib.sha256(b"".join(lines)).hexdigest(),
-        "metrics": hashlib.sha256(shown).hexdigest(),
+        "metrics": metrics_digest(metrics),
         "lines": base64.b64encode(bytes(zlib.crc32(line) & 0xFF for line in lines)).decode("ascii"),
     }
 
 
-def run_corpus():
-    """Yield (id, trace records, digest entry, streamed trace) for every case, loading each scenario once."""
+def loaded_cases():
+    """Yield (id, scenario, semantics, seed, truth) for every case, loading each scenario file once."""
     loaded: dict[Path, Scenario] = {}
     for key, path, semantics, seed, truth in cases():
         if path not in loaded:
             loaded[path] = load_scenario(path)
+        yield key, loaded[path], semantics, seed, truth
+
+
+def run_corpus():
+    """Yield (id, trace records, digest entry, streamed trace) for every case."""
+    for key, scenario, semantics, seed, truth in loaded_cases():
         stream = io.StringIO()
-        records, metrics = run_once(loaded[path], semantics, seed=seed, truth_mode=truth, trace_stream=stream)
+        records, metrics = run_once(scenario, semantics, seed=seed, truth_mode=truth, trace_stream=stream)
         yield key, records, digest_entry(records, metrics), stream.getvalue()
 
 

@@ -1,7 +1,9 @@
 """The golden-digest corpus as the byte-identity gate.
 
 Every case stored in tests/golden/digests.json runs again, and its trace
-bytes and RunMetrics must hash to the stored digests. tests/make_golden.py
+bytes and RunMetrics must hash to the stored digests. Each case also runs
+lean, with no trace, and its RunMetrics must hash to the same digest: a
+lean run takes its own path through the protocol. tests/make_golden.py
 describes the corpus and regenerates the digests; a regeneration is a trace
 format change.
 """
@@ -22,10 +24,14 @@ from helpers import make_scenario
 
 
 @pytest.fixture(scope="module")
-def recomputed():
+def stored():
+    return json.loads(make_golden.DIGESTS.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def recomputed(stored):
     """The stored table, and (id, mismatch or None, (ev, reason) pairs reached)
     for every case of the corpus, in id order."""
-    stored = json.loads(make_golden.DIGESTS.read_text(encoding="utf-8"))
     results = []
     for key, records, entry, streamed in make_golden.run_corpus():
         reached = {(record["ev"], record.get("reason")) for record in records}
@@ -38,6 +44,18 @@ def test_every_case_reproduces_its_stored_digests(recomputed):
     problems = [problem for _, problem, _ in results if problem]
     if problems:
         pytest.fail(f"{len(problems)} of {len(results)} golden cases differ; the first: {problems[0]}")
+
+
+def test_a_lean_run_of_every_case_books_the_stored_metrics(stored):
+    """Lean runs take their own path: they answer start copies and commands as
+    they are drawn, and queue only claims and the master's late start copies."""
+    differ = [
+        key
+        for key, scenario, semantics, seed, truth in make_golden.loaded_cases()
+        if make_golden.metrics_digest(run_once(scenario, semantics, seed, truth, collect_trace=False)[1])
+        != stored[key]["metrics"]
+    ]
+    assert differ == [], f"{len(differ)} golden cases book other metrics when run lean; the first: {differ[:1]}"
 
 
 def test_every_stored_case_is_still_in_the_corpus(recomputed):

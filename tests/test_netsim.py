@@ -321,11 +321,14 @@ class TestNetworkTransport:
         assert 0.293 <= fraction <= 0.307
 
     def test_sequence_numbers_count_per_sender(self):
+        """send and number take from one counter per sender."""
         queue, network = build_net([1, 2], lossless())
         a, _ = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
-        b, _ = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=1)
-        c, _ = network.send(MessageKind.CLAIM, src=2, dst=1, payload=None, now=2)
-        assert (a, b, c) == (0, 1, 0)
+        b = network.number(1)
+        c, _ = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=1)
+        d, _ = network.send(MessageKind.CLAIM, src=2, dst=1, payload=None, now=2)
+        assert (a, b, c, d) == (0, 1, 2, 0)
+        assert len(queue) == 3
 
 
 def stream_replay(network, src, seq, recipients):
@@ -383,11 +386,17 @@ class TestKeyedTransportDraws:
     )
     @settings(derandomize=True, max_examples=150, deadline=None)
     def test_send_draws_what_the_stream_replay_draws(self, seed, src, nodes, drop, latency_min, span, sends):
-        """Reading block 0's words inline keeps every copy's drop and latency."""
+        """Reading block 0's words inline keeps every copy's drop and latency,
+        and Network.latency draws each copy alone as send does."""
         config = lossless(latency_min=latency_min, latency_max=latency_min + span - 1, drop=drop)
         queue, network = build_net(sorted(nodes | {src}), config, seed=seed)
         sent = dict(network.send(MessageKind.SESSION_START, src=src, dst=None, payload=None, now=0) for _ in range(sends))
-        assert sent_draws(queue, sent) == {seq: stream_replay(network, src, seq, network.node_ids) for seq in sent}
+        replayed = {seq: stream_replay(network, src, seq, network.node_ids) for seq in sent}
+        assert sent_draws(queue, sent) == replayed
+        for seq, (_, latencies) in replayed.items():
+            assert [network.latency(src, seq, node) for node in network.node_ids] == [
+                latencies.get(node) for node in network.node_ids
+            ]
 
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),

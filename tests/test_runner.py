@@ -236,6 +236,59 @@ class TestPinnedLossyRun:
                 assert last_send["dst"] in ("*", record["dst"])
 
 
+class TestLeanPath:
+    """A run with no sink answers each start copy and applies each command as
+    the network draws it: only claims, and the master's own start copy when it
+    lands after the deadline, wait in the queue. A traced run queues every
+    kept copy, as it writes each one's lines in due order."""
+
+    @staticmethod
+    def scheduled(monkeypatch, scenario, seed, collect_trace):
+        """(copies run_once scheduled, its records, its metrics)."""
+        copies = []
+        schedule = runner.EventQueue.schedule
+
+        def recorded(queue, copy):
+            copies.append(copy)
+            schedule(queue, copy)
+
+        monkeypatch.setattr(runner.EventQueue, "schedule", recorded)
+        records, metrics = run_once(
+            scenario, AggregationSemantics.TRUST_WEIGHTED_MAJORITY, seed, "alternating", collect_trace
+        )
+        return copies, records, metrics
+
+    def test_a_lean_run_queues_only_claims_and_the_master_s_late_start_copies(self, monkeypatch):
+        scenario = make_scenario(
+            node_count=5, drop=0.2, latency=(2000, 30000), window=20000, settle=30000, sessions=12, actuate_all=True
+        )
+        lean, _, lean_metrics = self.scheduled(monkeypatch, scenario, 26, False)
+        late_starts = [copy for copy in lean if copy[4] is not runner.MessageKind.CLAIM]
+        assert late_starts and len(lean) > len(late_starts)
+        for due, src, _, recipient, kind, sent_at, _ in late_starts:
+            assert kind is runner.MessageKind.SESSION_START
+            assert src == recipient == 1 and due > sent_at + scenario.session_window
+        traced, records, traced_metrics = self.scheduled(monkeypatch, scenario, 26, True)
+        assert len(traced) == len(by_ev(records, "deliver"))
+        assert {copy[4].value for copy in traced} == {"session_start", "claim", "actuation"}
+        assert lean_metrics == traced_metrics
+
+    def test_the_master_s_claim_follows_its_commands_when_its_start_copy_lands_after_the_deadline(self):
+        """Every start copy lands after its deadline: the master numbers its
+        commands before its own claim in both paths."""
+        scenario = make_scenario(drop=0.1, latency=(1000, 5000), window=500, sessions=8)
+        nodes = [dataclasses.replace(node, actuated=node.id in (1, 3)) for node in scenario.nodes]
+        scenario = dataclasses.replace(scenario, nodes=tuple(nodes))
+        records, traced = run_once(scenario, AggregationSemantics.MAJORITY, 4)
+        _, lean = run_once(scenario, AggregationSemantics.MAJORITY, 4, collect_trace=False)
+        assert lean == traced
+        master_claims = by_ev(records, "send", kind="claim", src=1)
+        assert len(master_claims) > 4
+        for claim in master_claims:
+            commands = [send["seq"] for send in by_ev(records, "send", kind="actuation", session=claim["claim"]["session"])]
+            assert len(commands) == 2 and max(commands) < claim["seq"]
+
+
 class TestNodeTable:
     """A Simulation ranks each node's evidence once, at set-up, from its
     validated scenario, and every session ranks that node's claims by it."""
@@ -392,6 +445,19 @@ class TestRunContract:
         lines = []
         runner.Simulation(make_scenario(sessions=2), AggregationSemantics.MAJORITY, 1, sink=lambda line: lines.append(line)).run()
         assert [record["ev"] for record in loads_records("".join(lines))].count("decision") == 2
+
+    @pytest.mark.parametrize("traced", [True, False], ids=["traced", "lean"])
+    def test_a_simulation_runs_once(self, traced):
+        """A second run would replace the final session, trace its open and, in a lean run, book its first claims."""
+        lines = []
+        scenario = make_scenario(drop=0.2, latency=(1000, 30000), settle=30000, sessions=3)
+        sim = runner.Simulation(scenario, AggregationSemantics.MAJORITY, 3, sink=lines.append if traced else None)
+        sim.run()
+        state, metrics, emitted = sim.state, dataclasses.asdict(sim.metrics), list(lines)
+        with pytest.raises(ProtocolError, match="^a Simulation runs once$"):
+            sim.run()
+        assert sim.state is state and (dataclasses.asdict(sim.metrics), lines) == (metrics, emitted)
+        assert len(lines) > 10 if traced else lines == []
 
     def test_each_simulation_and_each_sweep_validates_its_scenario_once(self, monkeypatch):
         """A sweep validates once per call, not once per seed: its seeds share one set-up."""

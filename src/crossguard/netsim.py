@@ -1,12 +1,13 @@
 """Deterministic lossy-network and event-queue layer: transport only.
 
 The network numbers each sender's messages (Network.number) and draws each
-copy's drop and latency (Network.latency). Network.send does both, schedules
-each copy it keeps as one plain tuple (see EventQueue) and tells its caller
-which copies it dropped; a caller that answers a copy as it is drawn calls
-number and latency itself. A transmission has no record of its own: its
-copies share its kind, src, seq, sent_at and payload. The network knows
-nothing of the protocol carried in the payloads or of the trace format.
+copy's drop and latency (Network.latency). Network.send does both for one
+copy, schedules it as one plain tuple (see EventQueue) if it is kept and
+tells its caller whether it was dropped. A broadcast, or any copy its
+caller answers as it is drawn, is numbered once and drawn copy by copy by
+the caller. A transmission has no record of its own: its copies share its
+kind, src, seq, sent_at and payload. The network knows nothing of the
+protocol carried in the payloads or of the trace format.
 
 The queue holds only the copies it is given. It pops them in (due, src,
 seq, recipient) order, and only up to a bound its caller gives, so the
@@ -60,7 +61,7 @@ class EventQueue:
 
 
 class Network:
-    """Numbers each sender's messages, draws each copy's drop and latency and, in send, schedules the kept copies.
+    """Numbers each sender's messages, draws each copy's drop and latency and, in send, schedules one kept copy.
 
     Draws come from substreams keyed by (seed, src, seq, recipient): resending
     with the same seed replays identically, and adding a node leaves every
@@ -88,31 +89,13 @@ class Network:
         # (word >> 11) / 2^53 < p exactly when word >> 11 < p * 2^53: both scalings by 2^53 are exact.
         self._drop_below = config.drop_probability * TWO_53
 
-    def send(
-        self,
-        kind: MessageKind,
-        src: NodeId,
-        dst: NodeId | None,
-        payload: object,
-        now: SimTime,
-    ) -> tuple[int, list[NodeId]]:
-        """Transmit to dst, or to every node, sender included, if dst is None;
-        returns the transmission's seq and the recipients whose copy was
-        dropped, in ascending id order, after scheduling every other copy."""
+    def send(self, kind: MessageKind, src: NodeId, dst: NodeId, payload: object, now: SimTime) -> tuple[int, bool]:
+        """Transmit one copy to dst; returns its seq and whether it was dropped, after scheduling it if kept."""
         seq = self.number(src)
-        if dst is not None:
-            if (latency := self.latency(src, seq, dst)) is None:
-                return seq, [dst]
-            self.queue.schedule((now + latency, src, seq, dst, kind, now, payload))
-            return seq, []
-        dropped = []
-        schedule = self.queue.schedule
-        for node in self.node_ids:
-            if (latency := self.latency(src, seq, node)) is None:
-                dropped.append(node)
-            else:
-                schedule((now + latency, src, seq, node, kind, now, payload))
-        return seq, dropped
+        if (latency := self.latency(src, seq, dst)) is None:
+            return seq, True
+        self.queue.schedule((now + latency, src, seq, dst, kind, now, payload))
+        return seq, False
 
     def number(self, src: NodeId) -> int:
         """Take src's next seq: each message src sends is numbered once, in send order."""

@@ -5,18 +5,20 @@ plays both sides of the protocol, the master's sessions and every node's
 sensing and actuation, over the deterministic network, which is only a
 transport. Its queue holds message copies in flight, each a plain tuple
 that Simulation._deliver_until unpacks and dispatches as it pops it, and
-the sessions are a loop in Simulation.run. A traced run queues every kept
-copy, to write its lines in due order; a lean run, one with no sink,
-answers start copies and applies commands as the network draws them, so
-it queues only claims and the master's own start copies due after the
-deadline. A run books each outcome in its RunMetrics as it happens and
-makes trace lines only when it is given a sink, a callable that takes each
-line, newline included: every kind's line is its trace.write template %
-its values but decision's, which is its record through dumps_record, and
-a claim send's, whose template, one per node, is cut once per run by
-trace.template with the node's fields filled in through claim_payload.
-run_once's sink is its stream's write, or lines.append to collect records,
-parsed once. MetricsCollector replays a stored trace.
+the sessions are a loop in Simulation.run. The run numbers and draws each
+session start and command itself and sends each claim by Network.send. A
+traced run queues every kept copy, to write its lines in due order; a lean
+run, one with no sink, answers start copies and applies commands as it
+draws them, so it queues only claims and the master's own start copies due
+after the deadline. A run books each outcome in its RunMetrics as it
+happens and makes trace lines only when it is given a sink, a callable
+that takes each line, newline included: every kind's line is its
+trace.write template % its values but decision's, which is its record
+through dumps_record, and a claim send's, whose template, one per node, is
+cut once per run by trace.template with the node's fields filled in
+through claim_payload. run_once's sink is its stream's write, or
+lines.append to collect records, parsed once. MetricsCollector replays a
+stored trace.
 
 No draw, sequence number or claim set depends on a verdict, so one
 run can also decide further semantics on each session's frozen claim set,
@@ -236,12 +238,13 @@ class Simulation:
     line is made only when `sink` is given: each trace site makes its
     record's line, newline included, and passes it to sink once, in trace
     order, so with sink=lines.append, "".join(lines) is the run's trace text.
-    With no sink the run is lean (see _open_next and _decide): the same
-    seqs, draws and metrics, solo's key order aside. `semantics` drives the
-    run: its verdicts are actuated and traced. Each of `extra_semantics` is
-    decided on the same frozen claim sets and only counted, in the matching
-    entry of `extra_metrics`, which holds the run's own exclusions and solo
-    objects. The node table, trust_positions,
+    With no sink the run is lean: the same seqs, draws and metrics, solo's
+    key order aside. Lean and traced runs draw start copies in _open_next and
+    commands in _decide alike; only what they do with a kept copy differs.
+    `semantics` drives the run: its verdicts are actuated and traced. Each
+    of `extra_semantics` is decided on the same frozen claim sets and only
+    counted, in the matching entry of `extra_metrics`, which holds the run's
+    own exclusions and solo objects. The node table, trust_positions,
     is fixed once from the validated scenario's evidence, unchecked again:
     every session ranks a claim by its node's position. `scenario` may be a
     _Setup, which run_sweep makes once for all its seeds. An invalid
@@ -302,23 +305,6 @@ class Simulation:
         self.motions = {node: NodeMotion() for node in self.actuated}  # only an actuated node is sent a command
         self.state: SessionState | None = None
 
-    def _send(self, kind: MessageKind, src: NodeId, dst: NodeId | None, payload: object, now: SimTime) -> None:
-        """Send one message; traced with its payload's fields, then each dropped copy."""
-        seq, dropped = self.network.send(kind, src, dst, payload, now)
-        sink = self.sink
-        if sink is None:
-            return
-        name = kind._value_
-        if kind is _CLAIM:
-            sink(self._claim_lines[src] % (now, seq, payload.session, payload.detection._value_, now))
-        elif kind is _ACTUATION:
-            session, action, order = payload.session, payload.action._value_, payload.issue_order
-            sink(write.send_actuation % (now, name, src, dst, seq, session, action, order))
-        else:
-            sink(write.send_session_start % (now, name, src, seq))
-        for recipient in dropped:
-            sink(write.drop % (now, name, src, recipient, seq))
-
     def truth_for(self, session: SessionId) -> bool:
         """Whether a pedestrian is present in this session."""
         return self._present_by_parity[session % 2]
@@ -369,20 +355,21 @@ class Simulation:
     # -- master-side protocol steps -------------------------------------
 
     def _open_next(self, now: SimTime) -> SessionState:
+        # The start is numbered once and drawn for every node, the master included. A traced run writes its send line
+        # and each dropped copy's and queues every kept copy. A lean run answers each kept copy as it is drawn; only the
+        # master's own copy due after the deadline waits, so that its claim is numbered after the deadline's commands.
         self.state = state = open_session(self.state, now, self.scenario.session_window, self.trust_positions)
-        if self.sink is not None:
-            self.sink(write.session_open[self.truth_for(state.id)] % (now, state.id, state.deadline))
-            self._send(_SESSION_START, self.master_id, None, state.id, now)
-            return state
-        # Lean: each kept copy, due before the next session opens, is answered as it is drawn. Only the master's
-        # own copy due after the deadline waits, so that its claim is numbered after the deadline's commands.
-        network, master, session = self.network, self.master_id, state.id
+        sink, network, master, session = self.sink, self.network, self.master_id, state.id
         seq = network.number(master)
+        if sink is not None:
+            sink(write.session_open[self.truth_for(session)] % (now, session, state.deadline))
+            sink(write.send_session_start % (now, _SESSION_START._value_, master, seq))
         for node in network.node_ids:
             if (latency := network.latency(master, seq, node)) is None:
-                continue
-            if node == master and now + latency > state.deadline:
-                self.queue.schedule((now + latency, master, seq, master, _SESSION_START, now, session))
+                if sink is not None:
+                    sink(write.drop % (now, _SESSION_START._value_, master, node, seq))
+            elif sink is not None or node == master and now + latency > state.deadline:
+                self.queue.schedule((now + latency, master, seq, node, _SESSION_START, now, session))
             else:
                 self._on_session_start(now + latency, node, session)
         return state
@@ -430,12 +417,21 @@ class Simulation:
                 ],
             }
             self.sink(dumps_record(record) + "\n")
-        network, master = self.network, self.master_id
+        # Each command is drawn at the deadline: a traced run writes its lines and queues it if kept, a lean run
+        # applies a kept one at once, as it lands before the next session decides.
+        sink, network, master, name = self.sink, self.network, self.master_id, _ACTUATION._value_
         for command in sequence_actuation(decision, self.actuated):
-            if self.sink is not None:
-                self._send(_ACTUATION, master, command.target, command, now)
-            elif network.latency(master, network.number(master), command.target) is not None:
-                self._apply(command)  # lean: a kept command lands before the next session decides
+            target, seq = command.target, network.number(master)
+            latency = network.latency(master, seq, target)
+            if sink is not None:
+                session, action, order = command.session, command.action._value_, command.issue_order
+                sink(write.send_actuation % (now, name, master, target, seq, session, action, order))
+                if latency is None:
+                    sink(write.drop % (now, name, master, target, seq))
+                else:
+                    self.queue.schedule((now + latency, master, seq, target, _ACTUATION, now, command))
+            elif latency is not None:
+                self._apply(command)
 
     # -- node-side protocol steps: every node senses and obeys -------------
 
@@ -446,7 +442,12 @@ class Simulation:
         detection = sense(present, miss, ghost, draw)
         claim = Claim(node, session, detection, profile, distance, now)  # positional: keywords cost 40% more
         self.metrics.score_claim(node, detection is _DETECTED, present)
-        self._send(_CLAIM, node, self.master_id, claim, now)
+        master = self.master_id
+        seq, dropped = self.network.send(_CLAIM, node, master, claim, now)
+        if self.sink is not None:
+            self.sink(self._claim_lines[node] % (now, seq, session, detection._value_, now))
+            if dropped:
+                self.sink(write.drop % (now, _CLAIM._value_, node, master, seq))
 
     def _on_actuation(self, now: SimTime, node: NodeId, command: ActuationCommand) -> None:
         state = self._apply(command).state  # only a traced run queues a command

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -109,3 +110,47 @@ def test_adding_an_actuated_node_moves_the_start_copies_from_session_2_on():
         added = start_copy_fates(run(with_node(scenario, 99, random.Random(99), actuated), "fixed")[0], nodes)
         assert added[0] == fates[0]
         assert (added[1:] == fates[1:]) is not actuated
+
+
+def swapped_rates(node: NodeSpec) -> NodeSpec:
+    """node with its sensor's base false-negative and false-positive rates swapped."""
+    sensor = node.sensor
+    fn, fp = sensor.base_false_negative, sensor.base_false_positive
+    return dataclasses.replace(node, sensor=dataclasses.replace(sensor, base_false_negative=fp, base_false_positive=fn))
+
+
+CLAIM_FIELDS = itemgetter("session", "emitted_at", "detection")
+
+
+def claim_fields(records: list[dict]) -> list[tuple]:
+    """Each claim send's t, src, seq, session and emitted_at, and its detection."""
+    sends = (record for record in records if record["ev"] == "send" and record["kind"] == "claim")
+    return [(send["t"], send["src"], send["seq"], *CLAIM_FIELDS(send["claim"])) for send in sends]
+
+
+FLIPPED = {"pedestrian_detected": "clear", "clear": "pedestrian_detected"}
+
+
+@pytest.mark.parametrize("truth_mode", TRUTH_MODES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_swapping_every_node_s_error_rates_and_the_truth_flips_every_detection(truth_mode, draw):
+    """README: "`sense(present, miss, ghost, draw)` turns one uniform draw in
+    [0, 1) into a detection: clear iff `draw < miss` when a pedestrian is
+    present, detected iff `draw < ghost` when none is." With the pedestrian at
+    the query center, a node's miss and ghost are its base false-negative and
+    false-positive rates scaled alike by one distance. Swapping the two base
+    rates of every node and flipping the truth swaps miss and ghost along
+    with the branch taken, so each claim, on the same draw, reports the other
+    detection. No time, seq or session depends on a detection, so every claim
+    send keeps its t, seq, session and emitted_at."""
+    scenario = random_scenario(random.Random(draw))
+    truth = dataclasses.replace(scenario.ground_truth, pedestrian_pose=scenario.perception.query_center)
+    scenario = dataclasses.replace(scenario, ground_truth=truth)
+    dual = dataclasses.replace(
+        scenario,
+        nodes=tuple(swapped_rates(node) for node in scenario.nodes),
+        ground_truth=dataclasses.replace(truth, pedestrian_present=not truth.pedestrian_present),
+    )
+    claims = claim_fields(run(scenario, truth_mode)[0])
+    assert claim_fields(run(dual, truth_mode)[0]) == [(*fields, FLIPPED[detection]) for *fields, detection in claims]

@@ -59,6 +59,14 @@ def drain(queue):
         out.append(view(popped))
 
 
+def broadcast(network, src):
+    """Number one message from src and draw its copy to every node, sender
+    included, as a run's broadcast does: returns (seq, {node: latency, or
+    None if dropped})."""
+    seq = network.number(src)
+    return seq, {node: network.latency(src, seq, node) for node in network.node_ids}
+
+
 def delivery_at(due, src=1, seq=0, recipient=2, kind=MessageKind.CLAIM):
     return (due, src, seq, recipient, kind, 0, None)
 
@@ -126,10 +134,13 @@ class TestEventQueue:
 
 class TestNetworkTransport:
     def test_broadcast_reaches_every_node_including_the_sender(self):
-        queue, network = build_net([1, 2, 3], lossless())
-        network.send(MessageKind.SESSION_START, src=1, dst=None, payload="q", now=0)
-        recipients = sorted(event.recipient for _, event in drain(queue))
-        assert recipients == [1, 2, 3]
+        """A broadcast draws one copy per node, in ascending id order, the
+        sender's own among them; at drop 0 every copy is kept."""
+        queue, network = build_net([3, 1, 2], lossless())
+        seq, draws = broadcast(network, 1)
+        assert list(draws) == network.node_ids == [1, 2, 3]
+        assert None not in draws.values()
+        assert len(queue) == 0  # drawing schedules nothing: its caller queues or answers each copy
 
     def test_unicast_reaches_only_the_target(self):
         queue, network = build_net([1, 2, 3], lossless())
@@ -138,59 +149,55 @@ class TestNetworkTransport:
 
     def test_drop_probability_zero_delivers_everything(self):
         queue, network = build_net([1, 2, 3], lossless(drop=0.0))
-        dropped = []
-        for now in range(0, 500, 10):
-            _, lost = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)
-            dropped.extend(lost)
-        assert dropped == []
+        dropped = [network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)[1] for now in range(0, 500, 10)]
+        assert dropped == [False] * 50
         assert len(drain(queue)) == 50
 
     def test_drop_probability_one_drops_everything(self):
         queue, network = build_net([1, 2, 3], lossless(drop=1.0))
-        _, dropped = network.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=0)
+        assert broadcast(network, 1) == (0, {1: None, 2: None, 3: None})
+        sent = [network.send(MessageKind.CLAIM, src=1, dst=node, payload=None, now=0) for node in (1, 2, 3)]
+        assert sent == [(1, True), (2, True), (3, True)]
         assert drain(queue) == []
-        assert dropped == [1, 2, 3]
 
     def test_send_reports_exactly_the_copies_it_dropped(self):
         """Every copy is either scheduled or returned as dropped, never both."""
         queue, network = build_net([1, 2, 3, 4, 5], lossless(drop=0.5))
         dropped = set()
-        reported = 0
         for now in range(40):
-            seq, lost = network.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=now)
-            assert lost == sorted(lost)
-            dropped.update((seq, recipient) for recipient in lost)
-            reported += len(lost)
+            for node in range(1, 6):
+                seq, lost = network.send(MessageKind.CLAIM, src=1, dst=node, payload=None, now=now)
+                if lost:
+                    dropped.add((seq, node))
         delivered = {(event.seq, event.recipient) for _, event in drain(queue)}
-        assert 0 < len(dropped) == reported < 200
+        assert 0 < len(dropped) < 200
         assert dropped.isdisjoint(delivered)
-        assert dropped | delivered == {(seq, node) for seq in range(40) for node in range(1, 6)}
+        assert dropped | delivered == {(5 * now + node - 1, node) for now in range(40) for node in range(1, 6)}
 
     @pytest.mark.parametrize(
-        "kind, dst", [(MessageKind.SESSION_START, None), (MessageKind.CLAIM, 1)], ids=["broadcast", "unicast"]
+        "kind, addressed",
+        [(MessageKind.SESSION_START, [1, 2, 3, 4, 5]), (MessageKind.CLAIM, [1])],
+        ids=["every_node", "one_node"],
     )
-    def test_each_copy_carries_what_send_was_given(self, kind, dst):
-        """A popped copy holds send's kind, src, sent_at and payload and the seq
-        it returned; its recipients are exactly those not reported dropped."""
+    def test_each_copy_carries_what_send_was_given(self, kind, addressed):
+        """A popped copy holds send's kind, src, dst, sent_at and payload and
+        the seq it returned; exactly the copies not reported dropped are
+        queued."""
         queue, network = build_net([1, 2, 3, 4, 5], lossless(drop=0.4))
-        addressed = [1, 2, 3, 4, 5] if dst is None else [dst]
         sent = {}
-        reported = 0
         for now in range(0, 20000, 1000):
-            payload = object()
-            seq, dropped = network.send(kind, src=2, dst=dst, payload=payload, now=now)
-            sent[seq] = (now, payload, [node for node in addressed if node not in dropped])
-            reported += len(dropped)
-        received = {seq: [] for seq in sent}
+            for dst in addressed:
+                payload = object()
+                seq, dropped = network.send(kind, src=2, dst=dst, payload=payload, now=now)
+                sent[seq] = (now, payload, dst, dropped)
+        received = set()
         for _, delivery in drain(queue):
-            now, payload, _ = sent[delivery.seq]
-            assert (delivery.kind, delivery.src, delivery.sent_at) == (kind, 2, now)
+            now, payload, dst, _ = sent[delivery.seq]
+            assert (delivery.kind, delivery.src, delivery.recipient, delivery.sent_at) == (kind, 2, dst, now)
             assert delivery.payload is payload
-            received[delivery.seq].append(delivery.recipient)
-        assert {seq: sorted(recipients) for seq, recipients in received.items()} == {
-            seq: kept for seq, (_, _, kept) in sent.items()
-        }
-        assert 0 < reported < len(sent) * len(addressed)
+            received.add(delivery.seq)
+        assert received == {seq for seq, (_, _, _, dropped) in sent.items() if not dropped}
+        assert 0 < len(sent) - len(received) < len(sent)
 
     def test_degenerate_latency_is_exact(self):
         """latency_min == latency_max == 10 000 puts every arrival at send+10 000."""
@@ -227,7 +234,7 @@ class TestNetworkTransport:
         monkeypatch.setattr(netsim, "transport_words", lambda *key: (drop_word, 0, 0, 0))
         queue, network = build_net([1, 2], lossless(drop=0.25))
         _, dropped = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
-        assert dropped == ([] if delivered else [2])
+        assert dropped is not delivered
         assert [due for due, _ in drain(queue)] == ([1000] if delivered else [])
 
     @given(
@@ -255,7 +262,7 @@ class TestNetworkTransport:
             _, network = build_net([1, 2], lossless(drop=drop))
             for word in words:
                 _, dropped = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
-                assert dropped == ([2] if (word >> 11) / 2**53 < drop else []), (drop, word)
+                assert dropped is ((word >> 11) / 2**53 < drop), (drop, word)
 
     @pytest.mark.parametrize("offset, replayed", [(0, True), (-1, False)], ids=["limit_is_replayed", "below_it_is_read"])
     def test_a_latency_word_equal_to_its_limit_replays_the_stream(self, monkeypatch, offset, replayed):
@@ -301,8 +308,8 @@ class TestNetworkTransport:
         without error while every copy is dropped."""
         config = lossless(latency_min=latency_min, latency_max=latency_max, drop=1.0)
         queue, network = build_net([1, 2, 3], config)
-        assert network.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=0) == (0, [1, 2, 3])
-        assert network.send(MessageKind.CLAIM, src=2, dst=1, payload=None, now=0) == (0, [1])
+        assert broadcast(network, 1) == (0, {1: None, 2: None, 3: None})
+        assert network.send(MessageKind.CLAIM, src=2, dst=1, payload=None, now=0) == (0, True)
         queue, network = build_net([1, 2, 3], lossless(latency_min=latency_min, latency_max=latency_max))
         with pytest.raises(ValueError, match="empty range|2\\^64"):
             network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
@@ -314,7 +321,7 @@ class TestNetworkTransport:
         queue, network = build_net([1, 2], lossless(drop=0.3), seed=7)
         dropped = 0
         for now in range(100000):
-            dropped += len(network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)[1])
+            dropped += network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)[1]
         fraction = dropped / 100000
         assert fraction == pytest.approx(0.30079)
         assert 0.2952 <= fraction <= 0.3048
@@ -334,35 +341,28 @@ class TestNetworkTransport:
 def stream_replay(network, src, seq, recipients):
     """What transport_stream(seed, src, seq, recipient) draws for each copy,
     read as a stream: random() for the drop, then randint() for the latency.
-    Returns the dropped recipients and the kept ones' latencies."""
+    Returns {recipient: latency, or None if dropped}, as broadcast does."""
     config = network.config
-    dropped, latencies = [], {}
+    draws = {}
     for recipient in recipients:
         stream = transport_stream(network.seed, src, seq, recipient)
         if stream.random() < config.drop_probability:
-            dropped.append(recipient)
+            draws[recipient] = None
         else:
-            latencies[recipient] = stream.randint(config.latency_min, config.latency_max)
-    return dropped, latencies
-
-
-def sent_draws(queue, sent):
-    """The dropped recipients send returned for each seq in sent, a
-    {seq: dropped} map, with the latencies of that seq's queued copies."""
-    latencies = {seq: {} for seq in sent}
-    for due, delivery in drain(queue):
-        latencies[delivery.seq][delivery.recipient] = due - delivery.sent_at
-    return {seq: (dropped, latencies[seq]) for seq, dropped in sent.items()}
+            draws[recipient] = stream.randint(config.latency_min, config.latency_max)
+    return draws
 
 
 def copy_of(node_ids, config, seed, src, to, seq, dst):
-    """Send seq + 1 times from src to `to` (every node if None) on a fresh
-    network, and return transmission seq's draws for its copy to dst: [dst]
-    and {} if dropped, else [] and {dst: latency}."""
+    """Send seq + 1 messages from src on a fresh network, each a unicast
+    through send to `to` or, if `to` is None, a broadcast; return
+    transmission seq's copy to dst: its latency, or None if dropped."""
     queue, network = build_net(node_ids, config, seed=seed)
-    sent = dict(network.send(MessageKind.CLAIM, src=src, dst=to, payload=None, now=0) for _ in range(seq + 1))
-    dropped, latencies = sent_draws(queue, sent)[seq]
-    return [node for node in dropped if node == dst], {node: t for node, t in latencies.items() if node == dst}
+    if to is None:
+        return [broadcast(network, src) for _ in range(seq + 1)][seq][1][dst]
+    for _ in range(seq + 1):
+        _, dropped = network.send(MessageKind.CLAIM, src=src, dst=to, payload=None, now=0)
+    return None if dropped else {delivery.seq: due for due, delivery in drain(queue)}[seq]
 
 
 # latency_max = 2^63 over latency_min = 0 is a span of 2^63 + 1: about half of
@@ -387,16 +387,21 @@ class TestKeyedTransportDraws:
     @settings(derandomize=True, max_examples=150, deadline=None)
     def test_send_draws_what_the_stream_replay_draws(self, seed, src, nodes, drop, latency_min, span, sends):
         """Reading block 0's words inline keeps every copy's drop and latency,
-        and Network.latency draws each copy alone as send does."""
+        both for a broadcast's copies, drawn alone by Network.latency, and
+        for a unicast's one copy, drawn and queued by send: each round
+        broadcasts, then sends one unicast to each node."""
         config = lossless(latency_min=latency_min, latency_max=latency_min + span - 1, drop=drop)
         queue, network = build_net(sorted(nodes | {src}), config, seed=seed)
-        sent = dict(network.send(MessageKind.SESSION_START, src=src, dst=None, payload=None, now=0) for _ in range(sends))
-        replayed = {seq: stream_replay(network, src, seq, network.node_ids) for seq in sent}
-        assert sent_draws(queue, sent) == replayed
-        for seq, (_, latencies) in replayed.items():
-            assert [network.latency(src, seq, node) for node in network.node_ids] == [
-                latencies.get(node) for node in network.node_ids
-            ]
+        sent = {}
+        for _ in range(sends):
+            seq, draws = broadcast(network, src)
+            sent[seq] = draws
+            for node in network.node_ids:
+                seq, dropped = network.send(MessageKind.CLAIM, src=src, dst=node, payload=None, now=0)
+                sent[seq] = {node: None} if dropped else {}
+        for due, delivery in drain(queue):
+            sent[delivery.seq][delivery.recipient] = due - delivery.sent_at
+        assert sent == {seq: stream_replay(network, src, seq, draws) for seq, draws in sent.items()}
 
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -452,31 +457,27 @@ class TestKeyedTransportDraws:
 
         monkeypatch.setattr(netsim, "transport_stream", counted)
         queue, network = build_net(list(range(40)), lossless(latency_min=0, latency_max=2**63), seed=3)
-        sent = dict([network.send(MessageKind.SESSION_START, src=0, dst=None, payload=None, now=0)])
+        sent = broadcast(network, 0)
         monkeypatch.undo()
-        assert sent_draws(queue, sent) == {0: stream_replay(network, 0, 0, range(40))}
+        assert sent == (0, stream_replay(network, 0, 0, range(40)))
         assert 10 <= len(replays) <= 30
 
 
     def test_same_seed_replays_the_same_schedule(self):
-        queue_a, net_a = build_net([1, 2, 3], lossless(drop=0.2))
-        net_a.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=0)
-        first = [(due, event.recipient) for due, event in drain(queue_a)]
-        queue_b, net_b = build_net([1, 2, 3], lossless(drop=0.2))
-        net_b.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=0)
-        assert [(due, event.recipient) for due, event in drain(queue_b)] == first
+        _, net_a = build_net([1, 2, 3], lossless(drop=0.2))
+        first = [broadcast(net_a, 1) for _ in range(4)]
+        _, net_b = build_net([1, 2, 3], lossless(drop=0.2))
+        assert [broadcast(net_b, 1) for _ in range(4)] == first
 
     def test_adding_a_node_never_perturbs_existing_pairs(self):
         """Draws are keyed by (seed, src, seq, recipient): a fourth node adds
         its own draws without shifting the three the trio already saw."""
-        queue_a, net_a = build_net([1, 2, 3], lossless(drop=0.2))
-        net_a.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=0)
-        trio = {event.recipient: due for due, event in drain(queue_a)}
-        queue_b, net_b = build_net([1, 2, 3, 4], lossless(drop=0.2))
-        net_b.send(MessageKind.SESSION_START, src=1, dst=None, payload=None, now=0)
-        quartet = {event.recipient: due for due, event in drain(queue_b)}
-        for recipient, due in trio.items():
-            assert quartet[recipient] == due
+        _, net_a = build_net([1, 2, 3], lossless(drop=0.2))
+        _, trio = broadcast(net_a, 1)
+        _, net_b = build_net([1, 2, 3, 4], lossless(drop=0.2))
+        _, quartet = broadcast(net_b, 1)
+        for recipient, latency in trio.items():
+            assert quartet[recipient] == latency
 
     def test_different_seeds_change_the_schedule(self):
         queue_a, net_a = build_net([1, 2], lossless(latency_min=0, latency_max=10**6), seed=1)

@@ -25,6 +25,7 @@ from crossguard.model import (
     ProtocolError,
     validate_scenario,
 )
+from crossguard.netsim import EventQueue, Network
 from crossguard.runner import TRUTH_MODES, MetricsCollector, SweepResult, SweepRow, run_once, run_sweep
 from crossguard.scenario import ScenarioValidationError, load_scenario
 from crossguard.trace import (
@@ -287,6 +288,36 @@ class TestLeanPath:
         for claim in master_claims:
             commands = [send["seq"] for send in by_ev(records, "send", kind="actuation", session=claim["claim"]["session"])]
             assert len(commands) == 2 and max(commands) < claim["seq"]
+
+
+@pytest.mark.parametrize("truth_mode", TRUTH_MODES)
+def test_each_addressed_copy_is_traced_as_its_draw_says(truth_mode):
+    """A run numbers each message and draws every copy itself, a broadcast's
+    to every node, the master included. For each send record and each
+    recipient it addresses, a fresh Network's latency(src, seq, recipient)
+    says what the trace holds: exactly one drop record when it is None,
+    else exactly one deliver record at t + latency, sent at t."""
+    scenario = make_scenario(
+        node_count=4, drop=0.2, latency=(1000, 30000), window=500, settle=30000, sessions=12, actuate_all=True
+    )
+    records, _ = run_once(scenario, AggregationSemantics.MAJORITY, seed=5, truth_mode=truth_mode)
+    network = Network(sorted(scenario.node_ids()), scenario.network, 5, EventQueue())
+    fates = {}  # (kind, src, seq, dst): [("drop", t, None) or ("deliver", t, sent_at)]
+    for record in records:
+        if record["ev"] in ("drop", "deliver"):
+            key = (record["kind"], record["src"], record["seq"], record["dst"])
+            fates.setdefault(key, []).append((record["ev"], record["t"], record.get("sent_at")))
+    checked = drops = 0
+    for send in by_ev(records, "send"):
+        t, kind, src, seq = send["t"], send["kind"], send["src"], send["seq"]
+        for recipient in network.node_ids if send["dst"] == "*" else [send["dst"]]:
+            latency = network.latency(src, seq, recipient)
+            expected = ("drop", t, None) if latency is None else ("deliver", t + latency, t)
+            assert fates.pop((kind, src, seq, recipient)) == [expected], (send, recipient)
+            checked += 1
+            drops += latency is None
+    assert fates == {}
+    assert (checked, drops) == (132, 38)
 
 
 class TestNodeTable:

@@ -2,12 +2,12 @@
 
 The network numbers each sender's messages (Network.number) and draws each
 copy's drop and latency (Network.latency). Network.send does both for one
-copy, schedules it as one plain tuple (see EventQueue) if it is kept and
-tells its caller whether it was dropped. A broadcast, or any copy its
-caller answers as it is drawn, is numbered once and drawn copy by copy by
-the caller. A transmission has no record of its own: its copies share its
-kind, src, seq, sent_at and payload. The network knows nothing of the
-protocol carried in the payloads or of the trace format.
+copy and returns its seq and latency; it schedules nothing. A broadcast is
+numbered once and drawn copy by copy by its caller. The caller builds and
+queues every copy it keeps, as one plain tuple (see EventQueue): a
+transmission has no record of its own, and its copies share its kind, src,
+seq, sent_at and payload. The network knows nothing of the protocol carried
+in the payloads, of the queue or of the trace format.
 
 The queue holds only the copies it is given. It pops them in (due, src,
 seq, recipient) order, and only up to a bound its caller gives, so the
@@ -61,7 +61,7 @@ class EventQueue:
 
 
 class Network:
-    """Numbers each sender's messages, draws each copy's drop and latency and, in send, schedules one kept copy.
+    """Numbers each sender's messages and draws each copy's drop and latency; it queues nothing.
 
     Draws come from substreams keyed by (seed, src, seq, recipient): resending
     with the same seed replays identically, and adding a node leaves every
@@ -71,17 +71,10 @@ class Network:
     and replays the stream only when the latency word is rejected.
     """
 
-    def __init__(
-        self,
-        node_ids: list[NodeId],
-        config: NetworkConfig,
-        seed: int,
-        queue: EventQueue,
-    ) -> None:
+    def __init__(self, node_ids: list[NodeId], config: NetworkConfig, seed: int) -> None:
         self.node_ids = sorted(node_ids)
         self.config = config
         self.seed = seed
-        self.queue = queue
         self._next_seq: dict[NodeId, int] = {node: 0 for node in self.node_ids}
         self._low = config.latency_min
         self._span = config.latency_max - config.latency_min + 1
@@ -89,13 +82,10 @@ class Network:
         # (word >> 11) / 2^53 < p exactly when word >> 11 < p * 2^53: both scalings by 2^53 are exact.
         self._drop_below = config.drop_probability * TWO_53
 
-    def send(self, kind: MessageKind, src: NodeId, dst: NodeId, payload: object, now: SimTime) -> tuple[int, bool]:
-        """Transmit one copy to dst; returns its seq and whether it was dropped, after scheduling it if kept."""
+    def send(self, src: NodeId, dst: NodeId) -> tuple[int, SimTime | None]:
+        """Number one message from src and draw its one copy to dst: returns (seq, latency), latency None if dropped."""
         seq = self.number(src)
-        if (latency := self.latency(src, seq, dst)) is None:
-            return seq, True
-        self.queue.schedule((now + latency, src, seq, dst, kind, now, payload))
-        return seq, False
+        return seq, self.latency(src, seq, dst)
 
     def number(self, src: NodeId) -> int:
         """Take src's next seq: each message src sends is numbered once, in send order."""

@@ -2,21 +2,22 @@
 
 This module holds the protocol, the trace and the metrics. A Simulation
 plays both sides of the protocol, the master's sessions and every node's
-sensing and actuation, over the deterministic network, which is only a
-transport. Its queue holds message copies in flight, each a plain tuple
-that Simulation._deliver_until unpacks and dispatches as it pops it, and
-the sessions are a loop in Simulation.run. The run numbers and draws each
-session start and command itself and sends each claim by Network.send. A
-traced run queues every kept copy, to write its lines in due order; a lean
-run, one with no sink, answers start copies and applies commands as it
-draws them, so it queues only claims and the master's own start copies due
-after the deadline. A run books each outcome in its RunMetrics as it
-happens and makes trace lines only when it is given a sink, a callable
-that takes each line, newline included: every kind's line is its
-trace.write template % its values but decision's, which is its record
-through dumps_record, and a claim send's, whose template, one per node, is
-cut once per run by trace.template with the node's fields filled in
-through claim_payload. run_once's sink is its stream's write, or
+sensing and actuation, over the deterministic network, which only numbers
+messages and draws copies. The run owns its queue of message copies in
+flight: it builds each kept copy as a plain tuple, queues it, and
+Simulation._deliver_until unpacks and dispatches it as it pops it. The
+sessions are a loop in Simulation.run. A session start is numbered once
+and drawn copy by copy; each claim and command, one copy each, is numbered
+and drawn by Network.send. A traced run queues every kept copy, to write
+its lines in due order; a lean run, one with no sink, answers start copies
+and applies commands as it draws them, so it queues only claims and the
+master's own start copies due after the deadline. A run books each outcome
+in its RunMetrics as it happens and makes trace lines only when it is
+given a sink, a callable that takes each line, newline included: every
+kind's line is its trace.write template % its values but decision's, which
+is its record through dumps_record, and a claim send's, whose template,
+one per node, is cut once per run by trace.template with the node's fields
+filled in through claim_payload. run_once's sink is its stream's write, or
 lines.append to collect records, parsed once. MetricsCollector replays a
 stored trace.
 
@@ -239,8 +240,10 @@ class Simulation:
     record's line, newline included, and passes it to sink once, in trace
     order, so with sink=lines.append, "".join(lines) is the run's trace text.
     With no sink the run is lean: the same seqs, draws and metrics, solo's
-    key order aside. Lean and traced runs draw start copies in _open_next and
-    commands in _decide alike; only what they do with a kept copy differs.
+    key order aside. Lean and traced runs draw start copies in _open_next,
+    claims in _on_session_start and commands in _decide alike; only what
+    they do with a kept copy differs. Every copy in the queue is one the run
+    built and scheduled, so each kind reaches only the handler for it.
     `semantics` drives the run: its verdicts are actuated and traced. Each
     of `extra_semantics` is decided on the same frozen claim sets and only
     counted, in the matching entry of `extra_metrics`, which holds the run's
@@ -294,7 +297,7 @@ class Simulation:
         self.master_id = setup.master_id
         self.actuated = setup.actuated
         self.queue = EventQueue()
-        self.network = Network(setup.node_ids, scenario.network, seed, self.queue)
+        self.network = Network(setup.node_ids, scenario.network, seed)
         self.sensors = setup.sensors
         self.trust_positions = setup.trust_positions
         # Each node's claim send template, made for this run alone: a claim send fills in only its five holes.
@@ -344,13 +347,9 @@ class Simulation:
             if kind is _SESSION_START:
                 self._on_session_start(now, recipient, payload)
             elif kind is _CLAIM:
-                if recipient != self.master_id:
-                    raise ProtocolError("claim delivered to a non-master node")
                 self._on_claim(now, payload)
-            elif kind is _ACTUATION:
-                self._on_actuation(now, recipient, payload)
             else:
-                raise ProtocolError(f"unhandled message kind {kind!r}")
+                self._on_actuation(now, recipient, payload)
 
     # -- master-side protocol steps -------------------------------------
 
@@ -421,8 +420,8 @@ class Simulation:
         # applies a kept one at once, as it lands before the next session decides.
         sink, network, master, name = self.sink, self.network, self.master_id, _ACTUATION._value_
         for command in sequence_actuation(decision, self.actuated):
-            target, seq = command.target, network.number(master)
-            latency = network.latency(master, seq, target)
+            target = command.target
+            seq, latency = network.send(master, target)
             if sink is not None:
                 session, action, order = command.session, command.action._value_, command.issue_order
                 sink(write.send_actuation % (now, name, master, target, seq, session, action, order))
@@ -443,10 +442,12 @@ class Simulation:
         claim = Claim(node, session, detection, profile, distance, now)  # positional: keywords cost 40% more
         self.metrics.score_claim(node, detection is _DETECTED, present)
         master = self.master_id
-        seq, dropped = self.network.send(_CLAIM, node, master, claim, now)
+        seq, latency = self.network.send(node, master)
+        if latency is not None:
+            self.queue.schedule((now + latency, node, seq, master, _CLAIM, now, claim))
         if self.sink is not None:
             self.sink(self._claim_lines[node] % (now, seq, session, detection._value_, now))
-            if dropped:
+            if latency is None:
                 self.sink(write.drop % (now, _CLAIM._value_, node, master, seq))
 
     def _on_actuation(self, now: SimTime, node: NodeId, command: ActuationCommand) -> None:

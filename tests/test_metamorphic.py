@@ -9,7 +9,7 @@ import random
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossguard.aggregation import AggregationSemantics
@@ -154,3 +154,104 @@ def test_swapping_every_node_s_error_rates_and_the_truth_flips_every_detection(t
     )
     claims = claim_fields(run(scenario, truth_mode)[0])
     assert claim_fields(run(dual, truth_mode)[0]) == [(*fields, FLIPPED[detection]) for *fields, detection in claims]
+
+
+def claim_keys(records: list[dict]) -> list[tuple]:
+    """Each claim send's src and seq and its claim's session and detection, in trace order."""
+    sends = (record for record in records if record["ev"] == "send" and record["kind"] == "claim")
+    return [(send["src"], send["seq"], send["claim"]["session"], send["claim"]["detection"]) for send in sends]
+
+
+def used_sets(records: list[dict]) -> list[set[int]]:
+    return [set(record["used"]) for record in records if record["ev"] == "decision"]
+
+
+def widened(scenario, rng: random.Random):
+    """scenario with its session window raised by 1 to 40 000 ticks, its settle interval unchanged."""
+    return dataclasses.replace(scenario, session_window=scenario.session_window + rng.randint(1, 40000))
+
+
+@pytest.mark.parametrize("truth_mode", TRUTH_MODES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_raising_the_window_keeps_every_claim_and_only_adds_used_claims(truth_mode, draw):
+    """README: "On a scenario whose `latency_max` is at most its
+    `session_window`, raising the window, settle unchanged, leaves every
+    claim's `src`, `seq`, session and detection as they were, and each
+    session's used claims can only grow." Every start copy still lands by
+    the deadline, so the master still numbers its own claim before its
+    commands, and a claim accepted by the old deadline is accepted by the
+    later one."""
+    rng = random.Random(draw)
+    scenario = random_scenario(rng)
+    assume(scenario.network.latency_max <= scenario.session_window)
+    records, wider = (run(case, truth_mode)[0] for case in (scenario, widened(scenario, rng)))
+    assert claim_keys(wider) == claim_keys(records)
+    for used, wider_used in zip(used_sets(records), used_sets(wider), strict=True):
+        assert used <= wider_used
+
+
+def master_claims_after_commands(records: list[dict], master: int) -> list[bool]:
+    """Per master claim, in trace order: whether its seq follows its session's commands'."""
+    commands = {}
+    for record in records:
+        if record["ev"] == "send" and record["kind"] == "actuation":
+            commands.setdefault(record["session"], []).append(record["seq"])
+    return [claim["seq"] > max(commands[claim["claim"]["session"]]) for claim in claim_sends(records, master)]
+
+
+def test_the_window_relation_needs_latency_max_within_the_window():
+    """A window below latency_max breaks the window relation: the master's
+    own start copy can land after the deadline, and its claim is then
+    numbered after its commands. random_scenario(random.Random(578)) has a
+    window of 12 943 under a latency_max of 13 794; raised to 52 893, its
+    claim seqs differ under both truth modes."""
+    rng = random.Random(578)
+    scenario = random_scenario(rng)
+    assert (scenario.session_window, scenario.network.latency_max) == (12943, 13794)
+    wider = widened(scenario, rng)
+    assert wider.session_window == 52893
+    master = scenario.master_node().id
+    for truth_mode in TRUTH_MODES:
+        records, wider_records = (run(case, truth_mode)[0] for case in (scenario, wider))
+        assert claim_keys(wider_records) != claim_keys(records)
+        assert any(master_claims_after_commands(records, master))
+        assert not any(master_claims_after_commands(wider_records, master))
+
+
+def rankings(records: list[dict]) -> list[list[int]]:
+    return [record["ranking"] for record in records if record["ev"] == "decision"]
+
+
+def right_verdicts(records: list[dict]) -> list[bool]:
+    """Per decision, in session order: whether its verdict is right for its session's truth."""
+    present = {record["session"]: record["pedestrian_present"] for record in records if record["ev"] == "session_open"}
+    decisions = (record for record in records if record["ev"] == "decision")
+    return [(decision["verdict"] == "stop") == present[decision["session"]] for decision in decisions]
+
+
+@pytest.mark.parametrize("truth_mode", TRUTH_MODES)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_raising_the_distance_reference_keeps_every_ranking_and_every_right_verdict(truth_mode, draw):
+    """README: "Raising `perception.distance_reference` can only lower each
+    node's miss and ghost rates and leaves every ranking as it was, so on the
+    same draws no node's solo errors rise and, under every semantics, a
+    session whose verdict was right stays right." A detection is right iff
+    its draw is at or above its rate, and every semantics' verdict is right
+    whenever it was and no claim turned wrong."""
+    rng = random.Random(draw)
+    scenario = random_scenario(rng)
+    perception = scenario.perception
+    reference = perception.distance_reference * rng.uniform(1.0, 20.0)
+    sharper = dataclasses.replace(scenario, perception=dataclasses.replace(perception, distance_reference=reference))
+    for semantics in SEMANTICS:
+        (records, metrics), (sharp_records, sharp_metrics) = (
+            run_once(case, semantics, None, truth_mode) for case in (scenario, sharper)
+        )
+        assert rankings(sharp_records) == rankings(records)
+        for right, sharp_right in zip(right_verdicts(records), right_verdicts(sharp_records), strict=True):
+            assert sharp_right or not right
+    assert sharp_metrics.solo.keys() == metrics.solo.keys()
+    for node, stats in metrics.solo.items():
+        assert sharp_metrics.solo[node].errors <= stats.errors

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import NamedTuple
 
@@ -22,14 +23,7 @@ def lossless(latency_min=1000, latency_max=5000, drop=0.0, seed=7):
 
 
 def build_net(node_ids, config, seed=None):
-    queue = EventQueue()
-    network = Network(
-        node_ids=node_ids,
-        config=config,
-        seed=config.seed if seed is None else seed,
-        queue=queue,
-    )
-    return queue, network
+    return Network(node_ids=node_ids, config=config, seed=config.seed if seed is None else seed)
 
 
 class Copy(NamedTuple):
@@ -133,92 +127,73 @@ class TestEventQueue:
 
 
 class TestNetworkTransport:
+    def test_the_network_numbers_and_draws_and_queues_nothing(self, monkeypatch):
+        """Network takes no queue and keeps none: send numbers one message and
+        draws its one copy, and schedules nothing, so a run can draw a copy
+        without building an EventQueue."""
+        assert list(inspect.signature(Network).parameters) == ["node_ids", "config", "seed"]
+        assert list(inspect.signature(Network.send).parameters) == ["self", "src", "dst"]
+        monkeypatch.setattr(EventQueue, "schedule", lambda *args: pytest.fail("the network scheduled a copy"))
+        network = build_net([1, 2, 3], lossless(drop=0.5))
+        sent = [network.send(1, node) for node in (1, 2, 3) * 10]
+        assert not any(isinstance(value, EventQueue) for value in vars(network).values())
+        assert not hasattr(network, "queue")
+        assert [seq for seq, _ in sent] == list(range(30))
+        assert {latency is None for _, latency in sent} == {True, False}
+
     def test_broadcast_reaches_every_node_including_the_sender(self):
         """A broadcast draws one copy per node, in ascending id order, the
         sender's own among them; at drop 0 every copy is kept."""
-        queue, network = build_net([3, 1, 2], lossless())
+        network = build_net([3, 1, 2], lossless())
         seq, draws = broadcast(network, 1)
         assert list(draws) == network.node_ids == [1, 2, 3]
         assert None not in draws.values()
-        assert len(queue) == 0  # drawing schedules nothing: its caller queues or answers each copy
 
     def test_unicast_reaches_only_the_target(self):
-        queue, network = build_net([1, 2, 3], lossless())
-        network.send(MessageKind.CLAIM, src=2, dst=1, payload="c", now=0)
-        assert [event.recipient for _, event in drain(queue)] == [1]
+        """send numbers one message from src and draws the copy to dst alone:
+        its latency is latency(src, seq, dst), and no other sender's seq moves."""
+        network = build_net([1, 2, 3], lossless())
+        seq, latency = network.send(src=2, dst=1)
+        assert seq == 0 and latency is not None
+        assert latency == build_net([1, 2, 3], lossless()).latency(2, 0, 1)
+        assert [network.number(node) for node in (1, 2, 3)] == [0, 1, 0]
 
     def test_drop_probability_zero_delivers_everything(self):
-        queue, network = build_net([1, 2, 3], lossless(drop=0.0))
-        dropped = [network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)[1] for now in range(0, 500, 10)]
-        assert dropped == [False] * 50
-        assert len(drain(queue)) == 50
+        network = build_net([1, 2, 3], lossless(drop=0.0))
+        assert None not in [network.send(src=1, dst=2)[1] for _ in range(50)]
 
     def test_drop_probability_one_drops_everything(self):
-        queue, network = build_net([1, 2, 3], lossless(drop=1.0))
+        network = build_net([1, 2, 3], lossless(drop=1.0))
         assert broadcast(network, 1) == (0, {1: None, 2: None, 3: None})
-        sent = [network.send(MessageKind.CLAIM, src=1, dst=node, payload=None, now=0) for node in (1, 2, 3)]
-        assert sent == [(1, True), (2, True), (3, True)]
-        assert drain(queue) == []
+        sent = [network.send(src=1, dst=node) for node in (1, 2, 3)]
+        assert sent == [(1, None), (2, None), (3, None)]
 
     def test_send_reports_exactly_the_copies_it_dropped(self):
-        """Every copy is either scheduled or returned as dropped, never both."""
-        queue, network = build_net([1, 2, 3, 4, 5], lossless(drop=0.5))
-        dropped = set()
-        for now in range(40):
-            for node in range(1, 6):
-                seq, lost = network.send(MessageKind.CLAIM, src=1, dst=node, payload=None, now=now)
-                if lost:
-                    dropped.add((seq, node))
-        delivered = {(event.seq, event.recipient) for _, event in drain(queue)}
-        assert 0 < len(dropped) < 200
-        assert dropped.isdisjoint(delivered)
-        assert dropped | delivered == {(5 * now + node - 1, node) for now in range(40) for node in range(1, 6)}
-
-    @pytest.mark.parametrize(
-        "kind, addressed",
-        [(MessageKind.SESSION_START, [1, 2, 3, 4, 5]), (MessageKind.CLAIM, [1])],
-        ids=["every_node", "one_node"],
-    )
-    def test_each_copy_carries_what_send_was_given(self, kind, addressed):
-        """A popped copy holds send's kind, src, dst, sent_at and payload and
-        the seq it returned; exactly the copies not reported dropped are
-        queued."""
-        queue, network = build_net([1, 2, 3, 4, 5], lossless(drop=0.4))
-        sent = {}
-        for now in range(0, 20000, 1000):
-            for dst in addressed:
-                payload = object()
-                seq, dropped = network.send(kind, src=2, dst=dst, payload=payload, now=now)
-                sent[seq] = (now, payload, dst, dropped)
-        received = set()
-        for _, delivery in drain(queue):
-            now, payload, dst, _ = sent[delivery.seq]
-            assert (delivery.kind, delivery.src, delivery.recipient, delivery.sent_at) == (kind, 2, dst, now)
-            assert delivery.payload is payload
-            received.add(delivery.seq)
-        assert received == {seq for seq, (_, _, _, dropped) in sent.items() if not dropped}
-        assert 0 < len(sent) - len(received) < len(sent)
+        """Every copy send returns is the copy latency(src, seq, dst) draws for
+        the seq send returned, dropped (None) or kept; seqs run in send order."""
+        network = build_net([1, 2, 3, 4, 5], lossless(drop=0.5))
+        fresh = build_net([1, 2, 3, 4, 5], lossless(drop=0.5))
+        sent = {(network.send(src=1, dst=node), node) for _ in range(40) for node in range(1, 6)}
+        assert sorted(seq for (seq, _), _ in sent) == list(range(200))
+        for (seq, latency), node in sent:
+            assert latency == fresh.latency(1, seq, node)
+        dropped = sum(latency is None for (_, latency), _ in sent)
+        assert 0 < dropped < 200
 
     def test_degenerate_latency_is_exact(self):
         """latency_min == latency_max == 10 000 puts every arrival at send+10 000."""
-        queue, network = build_net([1, 2], lossless(latency_min=10000, latency_max=10000))
-        network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=2500)
-        network.send(MessageKind.CLAIM, src=2, dst=1, payload=None, now=4000)
-        assert [due for due, _ in drain(queue)] == [12500, 14000]
+        network = build_net([1, 2], lossless(latency_min=10000, latency_max=10000))
+        assert [network.send(src=1, dst=2), network.send(src=2, dst=1)] == [(0, 10000), (0, 10000)]
 
     def test_latency_draws_stay_inside_the_configured_band(self):
-        queue, network = build_net([1, 2], lossless(latency_min=2000, latency_max=8000))
-        for now in range(0, 20000, 10):
-            network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)
-        latencies = sorted(due - event.sent_at for due, event in drain(queue))
+        network = build_net([1, 2], lossless(latency_min=2000, latency_max=8000))
+        latencies = sorted(network.send(src=1, dst=2)[1] for _ in range(2000))
         assert latencies[0] >= 2000
         assert latencies[-1] <= 8000
 
     def test_latency_band_endpoints_are_inclusive(self):
-        queue, network = build_net([1, 2], lossless(latency_min=0, latency_max=3))
-        for now in range(2000):
-            network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)
-        latencies = {due - event.sent_at for due, event in drain(queue)}
+        network = build_net([1, 2], lossless(latency_min=0, latency_max=3))
+        latencies = {network.send(src=1, dst=2)[1] for _ in range(2000)}
         assert latencies == {0, 1, 2, 3}
 
     @pytest.mark.parametrize(
@@ -232,10 +207,8 @@ class TestNetworkTransport:
         2^51 << 11 draws exactly 0.25 and (2^51 - 1) << 11 one 2^-53 step
         below it; both are injected as that word."""
         monkeypatch.setattr(netsim, "transport_words", lambda *key: (drop_word, 0, 0, 0))
-        queue, network = build_net([1, 2], lossless(drop=0.25))
-        _, dropped = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
-        assert dropped is not delivered
-        assert [due for due, _ in drain(queue)] == ([1000] if delivered else [])
+        network = build_net([1, 2], lossless(drop=0.25))
+        assert network.send(src=1, dst=2) == (0, 1000 if delivered else None)
 
     @given(
         drop=st.sampled_from([0.0, 5e-324, 2**-53, 0.25, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
@@ -259,10 +232,10 @@ class TestNetworkTransport:
         words = [draw << 11 | low_bits for draw in sorted(draws)] + random_words
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(netsim, "transport_words", lambda *key: (words[key[2]], 0, 0, 0))
-            _, network = build_net([1, 2], lossless(drop=drop))
+            network = build_net([1, 2], lossless(drop=drop))
             for word in words:
-                _, dropped = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
-                assert dropped is ((word >> 11) / 2**53 < drop), (drop, word)
+                _, latency = network.send(src=1, dst=2)
+                assert (latency is None) is ((word >> 11) / 2**53 < drop), (drop, word)
 
     @pytest.mark.parametrize("offset, replayed", [(0, True), (-1, False)], ids=["limit_is_replayed", "below_it_is_read"])
     def test_a_latency_word_equal_to_its_limit_replays_the_stream(self, monkeypatch, offset, replayed):
@@ -289,13 +262,12 @@ class TestNetworkTransport:
 
         monkeypatch.setattr(netsim, "transport_words", lambda *key: (0, limit + offset, 0, 0))
         monkeypatch.setattr(netsim, "transport_stream", transport_stream)
-        queue, network = build_net([1, 2], lossless(latency_min=10, latency_max=12), seed=5)
-        network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=100)
-        [(due, _)] = drain(queue)
+        network = build_net([1, 2], lossless(latency_min=10, latency_max=12), seed=5)
+        _, latency = network.send(src=1, dst=2)
         if replayed:
-            assert replays == [(5, 1, 0, 2), "random", ("randint", 10, 12)] and due == 111
+            assert replays == [(5, 1, 0, 2), "random", ("randint", 10, 12)] and latency == 11
         else:
-            assert replays == [] and due == 100 + 10 + (limit - 1) % span == 112
+            assert replays == [] and latency == 10 + (limit - 1) % span == 12
 
     @pytest.mark.parametrize(
         "latency_min, latency_max",
@@ -307,21 +279,18 @@ class TestNetworkTransport:
         refuse raises randint's ValueError when a copy is kept, and sends
         without error while every copy is dropped."""
         config = lossless(latency_min=latency_min, latency_max=latency_max, drop=1.0)
-        queue, network = build_net([1, 2, 3], config)
+        network = build_net([1, 2, 3], config)
         assert broadcast(network, 1) == (0, {1: None, 2: None, 3: None})
-        assert network.send(MessageKind.CLAIM, src=2, dst=1, payload=None, now=0) == (0, True)
-        queue, network = build_net([1, 2, 3], lossless(latency_min=latency_min, latency_max=latency_max))
+        assert network.send(src=2, dst=1) == (0, None)
+        network = build_net([1, 2, 3], lossless(latency_min=latency_min, latency_max=latency_max))
         with pytest.raises(ValueError, match="empty range|2\\^64"):
-            network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
-        assert len(queue) == 0
+            network.send(src=1, dst=2)
 
     def test_drop_rate_matches_the_configured_probability(self):
         """100 000 unicast sends at drop 0.3: frozen observation 0.30079,
         inside the 99.9% binomial interval around 0.3."""
-        queue, network = build_net([1, 2], lossless(drop=0.3), seed=7)
-        dropped = 0
-        for now in range(100000):
-            dropped += network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)[1]
+        network = build_net([1, 2], lossless(drop=0.3), seed=7)
+        dropped = sum(network.send(src=1, dst=2)[1] is None for _ in range(100000))
         fraction = dropped / 100000
         assert fraction == pytest.approx(0.30079)
         assert 0.2952 <= fraction <= 0.3048
@@ -329,13 +298,12 @@ class TestNetworkTransport:
 
     def test_sequence_numbers_count_per_sender(self):
         """send and number take from one counter per sender."""
-        queue, network = build_net([1, 2], lossless())
-        a, _ = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=0)
+        network = build_net([1, 2], lossless())
+        a, _ = network.send(src=1, dst=2)
         b = network.number(1)
-        c, _ = network.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=1)
-        d, _ = network.send(MessageKind.CLAIM, src=2, dst=1, payload=None, now=2)
+        c, _ = network.send(src=1, dst=2)
+        d, _ = network.send(src=2, dst=1)
         assert (a, b, c, d) == (0, 1, 2, 0)
-        assert len(queue) == 3
 
 
 def stream_replay(network, src, seq, recipients):
@@ -357,12 +325,10 @@ def copy_of(node_ids, config, seed, src, to, seq, dst):
     """Send seq + 1 messages from src on a fresh network, each a unicast
     through send to `to` or, if `to` is None, a broadcast; return
     transmission seq's copy to dst: its latency, or None if dropped."""
-    queue, network = build_net(node_ids, config, seed=seed)
+    network = build_net(node_ids, config, seed=seed)
     if to is None:
         return [broadcast(network, src) for _ in range(seq + 1)][seq][1][dst]
-    for _ in range(seq + 1):
-        _, dropped = network.send(MessageKind.CLAIM, src=src, dst=to, payload=None, now=0)
-    return None if dropped else {delivery.seq: due for due, delivery in drain(queue)}[seq]
+    return [network.send(src=src, dst=to) for _ in range(seq + 1)][seq][1]
 
 
 # latency_max = 2^63 over latency_min = 0 is a span of 2^63 + 1: about half of
@@ -388,19 +354,17 @@ class TestKeyedTransportDraws:
     def test_send_draws_what_the_stream_replay_draws(self, seed, src, nodes, drop, latency_min, span, sends):
         """Reading block 0's words inline keeps every copy's drop and latency,
         both for a broadcast's copies, drawn alone by Network.latency, and
-        for a unicast's one copy, drawn and queued by send: each round
+        for a unicast's one copy, numbered and drawn by send: each round
         broadcasts, then sends one unicast to each node."""
         config = lossless(latency_min=latency_min, latency_max=latency_min + span - 1, drop=drop)
-        queue, network = build_net(sorted(nodes | {src}), config, seed=seed)
+        network = build_net(sorted(nodes | {src}), config, seed=seed)
         sent = {}
         for _ in range(sends):
             seq, draws = broadcast(network, src)
             sent[seq] = draws
             for node in network.node_ids:
-                seq, dropped = network.send(MessageKind.CLAIM, src=src, dst=node, payload=None, now=0)
-                sent[seq] = {node: None} if dropped else {}
-        for due, delivery in drain(queue):
-            sent[delivery.seq][delivery.recipient] = due - delivery.sent_at
+                seq, latency = network.send(src=src, dst=node)
+                sent[seq] = {node: latency}
         assert sent == {seq: stream_replay(network, src, seq, draws) for seq, draws in sent.items()}
 
     @given(
@@ -456,7 +420,7 @@ class TestKeyedTransportDraws:
             return transport_stream(*key)
 
         monkeypatch.setattr(netsim, "transport_stream", counted)
-        queue, network = build_net(list(range(40)), lossless(latency_min=0, latency_max=2**63), seed=3)
+        network = build_net(list(range(40)), lossless(latency_min=0, latency_max=2**63), seed=3)
         sent = broadcast(network, 0)
         monkeypatch.undo()
         assert sent == (0, stream_replay(network, 0, 0, range(40)))
@@ -464,28 +428,23 @@ class TestKeyedTransportDraws:
 
 
     def test_same_seed_replays_the_same_schedule(self):
-        _, net_a = build_net([1, 2, 3], lossless(drop=0.2))
+        net_a = build_net([1, 2, 3], lossless(drop=0.2))
         first = [broadcast(net_a, 1) for _ in range(4)]
-        _, net_b = build_net([1, 2, 3], lossless(drop=0.2))
+        net_b = build_net([1, 2, 3], lossless(drop=0.2))
         assert [broadcast(net_b, 1) for _ in range(4)] == first
 
     def test_adding_a_node_never_perturbs_existing_pairs(self):
         """Draws are keyed by (seed, src, seq, recipient): a fourth node adds
         its own draws without shifting the three the trio already saw."""
-        _, net_a = build_net([1, 2, 3], lossless(drop=0.2))
+        net_a = build_net([1, 2, 3], lossless(drop=0.2))
         _, trio = broadcast(net_a, 1)
-        _, net_b = build_net([1, 2, 3, 4], lossless(drop=0.2))
+        net_b = build_net([1, 2, 3, 4], lossless(drop=0.2))
         _, quartet = broadcast(net_b, 1)
         for recipient, latency in trio.items():
             assert quartet[recipient] == latency
 
     def test_different_seeds_change_the_schedule(self):
-        queue_a, net_a = build_net([1, 2], lossless(latency_min=0, latency_max=10**6), seed=1)
-        queue_b, net_b = build_net([1, 2], lossless(latency_min=0, latency_max=10**6), seed=2)
-        for now in range(5):
-            net_a.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)
-            net_b.send(MessageKind.CLAIM, src=1, dst=2, payload=None, now=now)
-        times_a = [due for due, _ in drain(queue_a)]
-        times_b = [due for due, _ in drain(queue_b)]
-        assert times_a != times_b
+        net_a = build_net([1, 2], lossless(latency_min=0, latency_max=10**6), seed=1)
+        net_b = build_net([1, 2], lossless(latency_min=0, latency_max=10**6), seed=2)
+        assert [net_a.send(src=1, dst=2) for _ in range(5)] != [net_b.send(src=1, dst=2) for _ in range(5)]
 

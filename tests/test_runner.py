@@ -25,7 +25,7 @@ from crossguard.model import (
     ProtocolError,
     validate_scenario,
 )
-from crossguard.netsim import EventQueue, Network
+from crossguard.netsim import Network
 from crossguard.runner import TRUTH_MODES, MetricsCollector, SweepResult, SweepRow, run_once, run_sweep
 from crossguard.scenario import ScenarioValidationError, load_scenario
 from crossguard.trace import (
@@ -237,6 +237,19 @@ class TestPinnedLossyRun:
                 assert last_send["dst"] in ("*", record["dst"])
 
 
+def spy_on_schedule(monkeypatch) -> list[tuple]:
+    """Spy on EventQueue.schedule: the returned list gets every copy scheduled from now on, in call order."""
+    copies = []
+    schedule = runner.EventQueue.schedule
+
+    def recorded(queue, copy):
+        copies.append(copy)
+        schedule(queue, copy)
+
+    monkeypatch.setattr(runner.EventQueue, "schedule", recorded)
+    return copies
+
+
 class TestLeanPath:
     """A run with no sink answers each start copy and applies each command as
     the network draws it: only claims, and the master's own start copy when it
@@ -246,14 +259,7 @@ class TestLeanPath:
     @staticmethod
     def scheduled(monkeypatch, scenario, seed, collect_trace):
         """(copies run_once scheduled, its records, its metrics)."""
-        copies = []
-        schedule = runner.EventQueue.schedule
-
-        def recorded(queue, copy):
-            copies.append(copy)
-            schedule(queue, copy)
-
-        monkeypatch.setattr(runner.EventQueue, "schedule", recorded)
+        copies = spy_on_schedule(monkeypatch)
         records, metrics = run_once(
             scenario, AggregationSemantics.TRUST_WEIGHTED_MAJORITY, seed, "alternating", collect_trace
         )
@@ -301,7 +307,7 @@ def test_each_addressed_copy_is_traced_as_its_draw_says(truth_mode):
         node_count=4, drop=0.2, latency=(1000, 30000), window=500, settle=30000, sessions=12, actuate_all=True
     )
     records, _ = run_once(scenario, AggregationSemantics.MAJORITY, seed=5, truth_mode=truth_mode)
-    network = Network(sorted(scenario.node_ids()), scenario.network, 5, EventQueue())
+    network = Network(sorted(scenario.node_ids()), scenario.network, 5)
     fates = {}  # (kind, src, seq, dst): [("drop", t, None) or ("deliver", t, sent_at)]
     for record in records:
         if record["ev"] in ("drop", "deliver"):
@@ -318,6 +324,26 @@ def test_each_addressed_copy_is_traced_as_its_draw_says(truth_mode):
             drops += latency is None
     assert fates == {}
     assert (checked, drops) == (132, 38)
+
+
+@pytest.mark.parametrize("truth_mode", TRUTH_MODES)
+@pytest.mark.parametrize("collect_trace", [False, True], ids=["lean", "traced"])
+def test_each_queued_claim_carries_what_its_sender_drew(monkeypatch, truth_mode, collect_trace):
+    """The network only numbers and draws; the run builds every copy it
+    queues. Each queued claim copy goes from the claim's node to the master,
+    was sent when the claim was emitted, and is due after exactly the latency
+    a fresh Network's latency(src, seq, master) draws."""
+    scenario = make_scenario(
+        node_count=4, drop=0.2, latency=(1000, 30000), window=500, settle=30000, sessions=12, actuate_all=True
+    )
+    copies = spy_on_schedule(monkeypatch)
+    run_once(scenario, AggregationSemantics.MAJORITY, seed=5, truth_mode=truth_mode, collect_trace=collect_trace)
+    network = Network(sorted(scenario.node_ids()), scenario.network, 5)
+    claims = [copy for copy in copies if copy[4] is runner.MessageKind.CLAIM]
+    for due, src, seq, recipient, _, sent_at, claim in claims:
+        assert (src, recipient, sent_at) == (claim.node, 1, claim.emitted_at)
+        assert due - sent_at == network.latency(src, seq, recipient)
+    assert len(claims) == 28
 
 
 class TestNodeTable:

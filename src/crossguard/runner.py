@@ -8,9 +8,10 @@ flight: it builds each kept copy as a plain tuple, queues it, and
 Simulation._deliver_until unpacks and dispatches it as it pops it. The
 sessions are a loop in Simulation.run. A session start is numbered once
 and drawn copy by copy; each claim and command, one copy each, is numbered
-and drawn by Network.send. A traced run queues every kept copy, to write
-its lines in due order; a lean run, one with no sink, answers start copies
-and applies commands as it draws them, so it queues only claims and the
+and drawn by Network.send; every run applies a kept command as it draws
+it. A traced run queues every kept copy, to write its lines in due order, a
+command's holding only its actuated line; a lean run, one with no sink,
+answers start copies as it draws them, so it queues only claims and the
 master's own start copies due after the deadline. A run books each outcome
 in its RunMetrics as it happens and makes trace lines only when it is
 given a sink, a callable that takes each line, newline included: every
@@ -39,7 +40,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
-from .actuation import ActuationCommand, NodeMotion, apply_command, sequence_actuation
+from .actuation import NodeMotion, apply_command, sequence_actuation
 from .aggregation import AggregationSemantics, Verdict, verdict_of
 from .determinism import SEED_BOUND, sense_stream
 from .model import (
@@ -241,9 +242,10 @@ class Simulation:
     order, so with sink=lines.append, "".join(lines) is the run's trace text.
     With no sink the run is lean: the same seqs, draws and metrics, solo's
     key order aside. Lean and traced runs draw start copies in _open_next,
-    claims in _on_session_start and commands in _decide alike; only what
-    they do with a kept copy differs. Every copy in the queue is one the run
-    built and scheduled, so each kind reaches only the handler for it.
+    claims in _on_session_start and commands in _decide alike, and apply a
+    kept command as they draw it; only what they queue differs. Every copy
+    in the queue is one the run built and scheduled, so each kind reaches
+    only the handler for it.
     `semantics` drives the run: its verdicts are actuated and traced. Each
     of `extra_semantics` is decided on the same frozen claim sets and only
     counted, in the matching entry of `extra_metrics`, which holds the run's
@@ -349,7 +351,7 @@ class Simulation:
             elif kind is _CLAIM:
                 self._on_claim(now, payload)
             else:
-                self._on_actuation(now, recipient, payload)
+                sink(payload)  # a command's actuated line: only a traced run queues a command
 
     # -- master-side protocol steps -------------------------------------
 
@@ -416,21 +418,25 @@ class Simulation:
                 ],
             }
             self.sink(dumps_record(record) + "\n")
-        # Each command is drawn at the deadline: a traced run writes its lines and queues it if kept, a lean run
-        # applies a kept one at once, as it lands before the next session decides.
+        # Each command is drawn and, if kept, applied at the deadline, as it lands before the next session decides. A
+        # traced run writes its send and drop lines, and queues a kept copy's actuated line for its delivery to write.
         sink, network, master, name = self.sink, self.network, self.master_id, _ACTUATION._value_
         for command in sequence_actuation(decision, self.actuated):
-            target = command.target
+            target, session = command.target, command.session
             seq, latency = network.send(master, target)
             if sink is not None:
-                session, action, order = command.session, command.action._value_, command.issue_order
-                sink(write.send_actuation % (now, name, master, target, seq, session, action, order))
+                action = command.action._value_
+                sink(write.send_actuation % (now, name, master, target, seq, session, action, command.issue_order))
                 if latency is None:
                     sink(write.drop % (now, name, master, target, seq))
-                else:
-                    self.queue.schedule((now + latency, master, seq, target, _ACTUATION, now, command))
-            elif latency is not None:
-                self._apply(command)
+            if latency is not None:
+                motion = self.motions[target]
+                if not apply_command(motion, command):
+                    raise ProtocolError(f"node {target} refused session {session}'s command as stale")
+                if sink is not None:
+                    due = now + latency
+                    line = write.actuated % (due, target, session, action, motion.state._value_)
+                    self.queue.schedule((due, master, seq, target, _ACTUATION, now, line))
 
     # -- node-side protocol steps: every node senses and obeys -------------
 
@@ -449,17 +455,6 @@ class Simulation:
             self.sink(self._claim_lines[node] % (now, seq, session, detection._value_, now))
             if latency is None:
                 self.sink(write.drop % (now, _CLAIM._value_, node, master, seq))
-
-    def _on_actuation(self, now: SimTime, node: NodeId, command: ActuationCommand) -> None:
-        state = self._apply(command).state  # only a traced run queues a command
-        self.sink(write.actuated % (now, node, command.session, command.action._value_, state._value_))
-
-    def _apply(self, command: ActuationCommand) -> NodeMotion:
-        """Apply one kept command to its target's motion, which it returns; a refused one is a ProtocolError."""
-        motion = self.motions[command.target]
-        if not apply_command(motion, command):
-            raise ProtocolError(f"node {command.target} refused session {command.session}'s command as stale")
-        return motion
 
 
 def _check_semantics(name: str, entries: Sequence) -> None:

@@ -251,10 +251,11 @@ def spy_on_schedule(monkeypatch) -> list[tuple]:
 
 
 class TestLeanPath:
-    """A run with no sink answers each start copy and applies each command as
-    the network draws it: only claims, and the master's own start copy when it
-    lands after the deadline, wait in the queue. A traced run queues every
-    kept copy, as it writes each one's lines in due order."""
+    """A run with no sink answers each start copy as the network draws it:
+    only claims, and the master's own start copy when it lands after the
+    deadline, wait in the queue. Every run applies each kept command as it
+    draws it. A traced run queues every kept copy, as it writes each one's
+    lines in due order; a command's copy holds only its actuated line."""
 
     @staticmethod
     def scheduled(monkeypatch, scenario, seed, collect_trace):
@@ -756,10 +757,11 @@ class TestTraceStream:
         message = r"^node 1 refused session \d+'s command as stale$"  # a dropped command refuses none
         lines = []
         sim = runner.Simulation(scenario, AggregationSemantics.MAJORITY, 3, sink=lines.append)
-        with pytest.raises(ProtocolError, match=message):
+        with pytest.raises(ProtocolError, match=message) as refused:
             sim.run()
-        last = loads_records(lines[-1])[0]
-        assert last["ev"] == "deliver" and last["kind"] == "actuation"
+        session = int(re.search(r"session (\d+)", str(refused.value))[1])
+        last = loads_records(lines[-1])[0]  # a run stops at the refused command's send, where it applies it
+        assert (last["ev"], last["kind"], last["dst"], last["session"]) == ("send", "actuation", 1, session)
         for collect_trace in (False, True):
             buffer = io.StringIO()
             with pytest.raises(ProtocolError, match=message):
@@ -796,6 +798,54 @@ class TestTraceStream:
             sim.run()
         assert len(lines) > 3 * 1024  # thousands of lines, each written to the file as it is made
         assert trace.read_text(encoding="utf-8") == "".join(lines)
+
+
+class TestActuationAtTheDeadline:
+    """Every run applies a kept command at its deadline, right after drawing
+    it; a traced run then queues only the actuated line its delivery writes."""
+
+    SCENARIO = make_scenario(
+        node_count=4, drop=0.2, latency=(1000, 30000), window=20000, settle=30000, sessions=12, actuate_all=True
+    )
+
+    @pytest.mark.parametrize("first", [1, 2, 7])
+    def test_a_refused_command_stops_lean_and_traced_runs_alike(self, monkeypatch, first):
+        monkeypatch.setattr(runner, "apply_command", refuse_from_session(first))
+        messages = []
+        for collect_trace in (False, True):
+            with pytest.raises(ProtocolError, match=r"^node \d+ refused session \d+'s command as stale$") as refused:
+                run_once(self.SCENARIO, AggregationSemantics.MAJORITY, 3, collect_trace=collect_trace)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+
+    def test_a_traced_run_applies_each_kept_command_at_its_deadline_and_queues_only_its_line(self, monkeypatch):
+        lines = []
+        applied = []  # (how many lines were written before the call, the command)
+        apply = runner.apply_command
+
+        def recorded(motion, command):
+            applied.append((len(lines), command))
+            return apply(motion, command)
+
+        monkeypatch.setattr(runner, "apply_command", recorded)
+        copies = spy_on_schedule(monkeypatch)
+        runner.Simulation(self.SCENARIO, AggregationSemantics.MAJORITY, 3, "alternating", lines.append).run()
+        records = [loads_records(line)[0] for line in lines]
+        deadlines = {record["session"]: record["deadline"] for record in by_ev(records, "session_open")}
+        for written, command in applied:
+            send = records[written - 1]
+            expected = {"ev": "send", "kind": "actuation", "dst": command.target, "session": command.session}
+            assert send == {**send, **expected}
+            assert max(record["t"] for record in records[:written]) == deadlines[command.session]
+        after_deliver = {
+            (record["src"], record["seq"], record["dst"]): lines[index + 1]
+            for index, record in enumerate(records)
+            if record["ev"] == "deliver" and record["kind"] == "actuation"
+        }
+        queued = [copy for copy in copies if copy[4] is runner.MessageKind.ACTUATION]
+        assert len(queued) == len(after_deliver) == len(applied) > len(by_ev(records, "drop", kind="actuation")) > 0
+        for _, src, seq, recipient, _, _, payload in queued:
+            assert isinstance(payload, str) and payload == after_deliver[src, seq, recipient]
 
 
 class TestSweep:

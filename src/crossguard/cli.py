@@ -156,6 +156,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.out == "":  # Path("") is the current directory
+        print("bad argument: --out must name a directory, got ''", file=sys.stderr)
+        return EXIT_PARSE
     scenario = load_scenario(args.scenario)
     result = run_sweep(
         scenario,

@@ -257,9 +257,10 @@ class Simulation:
     network.seed, and a semantics that is not an AggregationSemantics, an
     extra_semantics that is not a list or tuple of them, a seed not an int
     in [0, 2^64), an unknown truth_mode or a sink that is neither None nor
-    callable raises ValueError, all before anything is built. A valid
-    scenario's commands land before the next session decides, so one
-    refused as stale is a ProtocolError.
+    callable raises ValueError, all before anything is built. Every run
+    applies each session's commands at its deadline, in session order, so
+    none is refused; a refusal, which only a patched apply_command brings
+    about, is a ProtocolError.
     """
 
     def __init__(

@@ -365,14 +365,19 @@ class TestSweepCommand:
         summary = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
         assert len(summary) == 3 and summary[1] == summary[2]
 
-    def test_out_naming_an_existing_file_exits_two(self, tmp_path, capsys):
-        target = tmp_path / "taken.txt"
-        target.write_text("keep me", encoding="utf-8")
-        assert cli.main(["sweep", str(INTERSECTION), "--seeds", "1", "--out", str(target)]) == 2
+    @pytest.mark.parametrize("name", ["taken.txt", ""], ids=["existing_file", "empty"])
+    def test_out_naming_no_directory_exits_two(self, tmp_path, monkeypatch, capsys, name):
+        """An empty name would be the current directory: it is refused, and nothing is written there."""
+        monkeypatch.chdir(tmp_path)
+        if name:
+            (tmp_path / name).write_text("keep me", encoding="utf-8")
+        assert cli.main(["sweep", str(INTERSECTION), "--seeds", "1", "--out", name]) == 2
         err = capsys.readouterr().err
-        assert str(target) in err
+        assert f"{name}'" in err
         assert len(err.strip().splitlines()) == 1
-        assert target.read_text(encoding="utf-8") == "keep me"
+        assert [(path.name, path.read_text(encoding="utf-8")) for path in tmp_path.iterdir()] == (
+            [(name, "keep me")] if name else []
+        )
 
     @pytest.mark.parametrize(
         "seeds, message",

@@ -5,12 +5,14 @@ bytes and RunMetrics must hash to the stored digests. Each case also runs
 lean, with no trace, and its RunMetrics must hash to the same digest: a
 lean run takes its own path through the protocol. tests/make_golden.py
 describes the corpus and regenerates the digests; a regeneration is a trace
-format change.
+format change. The corpus must also reach every record kind and each of a
+few timing edges, so that the gate holds them.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -28,20 +30,50 @@ def stored():
     return json.loads(make_golden.DIGESTS.read_text(encoding="utf-8"))
 
 
+def edges(records: list[dict]) -> set[str]:
+    """The timing and ordering edges a case's trace reaches, each by name."""
+    opens = [record for record in records if record["ev"] == "session_open"]
+    deadlines = {record["session"]: record["deadline"] for record in opens}
+    opened = {record["t"]: record["deadline"] for record in opens}  # a session's deadline by when it opened
+    due_times = Counter(record["t"] for record in records if record["ev"] == "deliver")
+    found = set()
+    for record in records:
+        ev, kind = record["ev"], record.get("kind")
+        if ev == "send" and kind == "actuation" and record["issue_order"] == 2:
+            found.add("a session's third command")
+        elif ev == "claim_accepted" and record["t"] == deadlines[record["session"]]:
+            found.add("a claim accepted exactly at its deadline")
+        elif ev == "deliver" and kind == "actuation" and due_times[record["t"]] > 1:
+            found.add("a command delivered at a due time another copy shares")
+        elif ev == "deliver" and kind == "session_start" and record["src"] == record["dst"]:
+            if record["t"] > opened[record["sent_at"]]:
+                found.add("the master's start copy delivered after its deadline")
+    return found
+
+
+EDGES = {
+    "a session's third command",
+    "a claim accepted exactly at its deadline",
+    "a command delivered at a due time another copy shares",
+    "the master's start copy delivered after its deadline",
+}
+
+
 @pytest.fixture(scope="module")
 def recomputed(stored):
-    """The stored table, and (id, mismatch or None, (ev, reason) pairs reached)
-    for every case of the corpus, in id order."""
+    """The stored table, and (id, mismatch or None, (ev, reason) pairs reached,
+    edges reached) for every case of the corpus, in id order."""
     results = []
     for key, records, entry, streamed in make_golden.run_corpus():
         reached = {(record["ev"], record.get("reason")) for record in records}
-        results.append((key, make_golden.mismatch(key, records, stored.get(key), entry, streamed), reached))
+        problem = make_golden.mismatch(key, records, stored.get(key), entry, streamed)
+        results.append((key, problem, reached, edges(records)))
     return stored, results
 
 
 def test_every_case_reproduces_its_stored_digests(recomputed):
     _, results = recomputed
-    problems = [problem for _, problem, _ in results if problem]
+    problems = [problem for _, problem, _, _ in results if problem]
     if problems:
         pytest.fail(f"{len(problems)} of {len(results)} golden cases differ; the first: {problems[0]}")
 
@@ -60,7 +92,7 @@ def test_a_lean_run_of_every_case_books_the_stored_metrics(stored):
 
 def test_every_stored_case_is_still_in_the_corpus(recomputed):
     stored, results = recomputed
-    assert sorted(stored) == [key for key, _, _ in results]
+    assert sorted(stored) == [key for key, *_ in results]
     assert len(stored) > 1000
 
 
@@ -68,10 +100,17 @@ def test_the_corpus_reaches_every_record_kind_and_live_exclusion(recomputed):
     """A live run can exclude a claim only as late or as a duplicate: its node
     table and evidence come from the validated scenario."""
     _, results = recomputed
-    reached = set().union(*(pairs for _, _, pairs in results))
+    reached = set().union(*(pairs for _, _, pairs, _ in results))
     assert {kind.ev for kind in RECORD_KINDS} <= {ev for ev, _ in reached}
     excluded = {reason for ev, reason in reached if ev == "claim_excluded"}
     assert excluded == {ExclusionReason.LATE.value, ExclusionReason.DUPLICATE.value}
+
+
+def test_the_corpus_reaches_every_timing_edge(recomputed):
+    """The gate holds what these edges do to trace bytes and lean metrics
+    only while some case reaches each of them."""
+    _, results = recomputed
+    assert set().union(*(found for *_, found in results)) == EDGES
 
 
 def test_a_mismatch_names_the_case_and_the_first_changed_record():

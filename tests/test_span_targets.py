@@ -52,8 +52,9 @@ def test_tracer_finds_every_target_and_uninstalls_cleanly():
 
 
 def test_a_sweep_and_a_traced_run_reach_every_required_layer():
-    """What the traced bench requires of sweep_crossing (run_sweep alone) and
-    of fleet_traced (run_once with a trace stream), on a small lossy run."""
+    """What the traced bench requires of sweep_crossing (run_sweep alone), of
+    fleet_collector (a lean run_once with no extra_semantics) and of
+    fleet_traced (run_once with a trace stream), on a small lossy run."""
     bench = load_bench("run")
     tracer = load_bench("spans").Tracer()
     scenario = make_scenario(drop=0.2, latency=(1000, 30000), window=20000, settle=30000, sessions=4)
@@ -62,6 +63,10 @@ def test_a_sweep_and_a_traced_run_reach_every_required_layer():
         "run_sweep": (
             bench.REQUIRED_LAYERS,
             lambda: runner.run_sweep(scenario, list(AggregationSemantics), seeds=2),
+        ),
+        "lean run_once": (
+            bench.REQUIRED_LAYERS,
+            lambda: runner.run_once(scenario, AggregationSemantics.MAJORITY, 3, "alternating", collect_trace=False),
         ),
         "traced run_once": (
             bench.REQUIRED_LAYERS + bench.REQUIRED_TRACE_LAYERS,

@@ -452,7 +452,7 @@ def test_a_run_streams_each_node_s_own_zero_sign_rate_type_and_id():
     """A traced run encodes each node's claim fields once. Nodes holding a
     0.0 and a -0.0 base rate, a Rate rate and NodeNumber ids, in one run,
     must still stream exactly the JSON of the run's records, each node's
-    claims with its own text."""
+    claims with its own text, which loads_records reads back sign and all."""
     scenario = make_scenario(
         node_count=4, fn=0.3, fp=0.3, drop=0.2, latency=(1000, 30000), settle=30000, sessions=6
     )
@@ -472,6 +472,8 @@ def test_a_run_streams_each_node_s_own_zero_sign_rate_type_and_id():
         run_once(odd, AggregationSemantics.MAJORITY, 4, truth_mode, collect_trace=False, trace_stream=stream)
         records, _ = run_once(odd, AggregationSemantics.MAJORITY, 4, truth_mode)
         assert stream.getvalue() == dumps_records(records)
+        # -0.0 == 0.0, so only the text read back and written again shows that the reader keeps the sign.
+        assert dumps_records(loads_records(stream.getvalue())) == stream.getvalue()
         claims = [record["claim"] for record in records if record["ev"] == "send" and record["kind"] == "claim"]
         detections = {(claim["node"], claim["detection"]) for claim in claims}
         assert len(detections) > len(nodes), "some node must claim both detections"

@@ -562,6 +562,11 @@ def _metrics_records(scenario_name: str, semantics: str, seed: int, metrics: Run
     return records
 
 
+def _metrics_path(out_path: Path, scenario_name: str, semantics: str, seed: int) -> Path:
+    """Where run_sweep writes one semantics' metrics for one seed."""
+    return out_path / f"{scenario_name}__{semantics}__seed{seed}.metrics.ndjson"
+
+
 def run_sweep(
     scenario: Scenario,
     semantics_list: list[AggregationSemantics],
@@ -581,10 +586,11 @@ def run_sweep(
     once and its rows are equal. When out_dir is given, each distinct
     semantics' per-run metrics go to one newline-delimited record file per
     seed and the comparison table to summary.csv; `files` lists each file
-    once. A `seeds` that is not an int >= 1, or a semantics_list that is not
-    a non-empty list or tuple of AggregationSemantics members, raises
-    ValueError, before the scenario is validated. out_dir is made only after
-    the first run_once returns, so a rejected call makes no dir.
+    once, semantics by name and seeds in order, then summary.csv. A `seeds`
+    that is not an int >= 1, or a semantics_list that is not a non-empty
+    list or tuple of AggregationSemantics members, raises ValueError, before
+    the scenario is validated. out_dir is made only after the first
+    run_once returns, so a rejected call makes no dir.
     """
     if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
         raise ValueError(f"seeds must be an integer >= 1, got {seeds!r}")
@@ -595,49 +601,37 @@ def run_sweep(
     setup = _Setup(scenario)
     out_path = None if out_dir is None else Path(out_dir)
     # Keyed by value: Enum.__hash__ is Python code on 3.11.
-    by_name = {semantics._value_: semantics for semantics in semantics_list}
-    names = sorted(by_name)
-    arms = [by_name[name] for name in names]
-    totals = [RunMetrics() for _ in arms]
-    arm_files: list[list[Path]] = [[] for _ in arms]
+    totals = {name: RunMetrics() for name in sorted({semantics._value_ for semantics in semantics_list})}
+    driver, *others = map(AggregationSemantics, totals)
+    driver_total, *other_totals = totals.values()
     for seed in range(seeds):
         _, first, extra = run_once(
-            setup,
-            arms[0],
-            seed=seed,
-            truth_mode=truth_mode,
-            collect_trace=False,
-            extra_semantics=arms[1:],
+            setup, driver, seed=seed, truth_mode=truth_mode, collect_trace=False, extra_semantics=others
         )
-        if seed == 0 and out_path is not None:
-            out_path.mkdir(parents=True, exist_ok=True)
-        for name, metrics, total, written in zip(names, (first, *extra), totals, arm_files):
-            if total is totals[0]:
-                total.add(metrics)  # every arm shares the run's ledger: add it once
-            else:
-                total.add_verdicts(metrics)
-            if out_path is not None:
-                target = out_path / f"{scenario_name}__{name}__seed{seed}.metrics.ndjson"
-                with target.open("w", encoding="utf-8") as handle:
+        driver_total.add(first)  # every arm shares the run's ledger: add it once
+        for total, metrics in zip(other_totals, extra):
+            total.add_verdicts(metrics)
+        if out_path is not None:
+            if seed == 0:
+                out_path.mkdir(parents=True, exist_ok=True)
+            for name, metrics in zip(totals, (first, *extra)):
+                with _metrics_path(out_path, scenario_name, name, seed).open("w", encoding="utf-8") as handle:
                     handle.write(dumps_records(_metrics_records(scenario_name, name, seed, metrics)))
-                written.append(target)
 
-    total_for = dict(zip(names, totals))
     row_values = attrgetter(*VERDICT_COUNTS, "error_rate")  # SweepRow's fields after seeds, in order
-    rows = [SweepRow(name, seeds, *row_values(total_for[name])) for name in sorted([s._value_ for s in semantics_list])]
-    solo = totals[0].solo  # every arm books the same claims
+    rows = [SweepRow(name, seeds, *row_values(totals[name])) for name in sorted([s._value_ for s in semantics_list])]
+    solo = driver_total.solo  # every arm books the same claims
     solo_rates = {node: solo[node].error_rate for node in sorted(solo)}
-    files = [path for written in arm_files for path in written]
+    if out_path is None:
+        return SweepResult(rows=rows, solo_error_rates=solo_rates, files=[])
 
-    if out_path is not None:
-        summary = out_path / "summary.csv"
-        columns = [column.name for column in fields(SweepRow)]
-        with summary.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            for row in rows:
-                cells = [getattr(row, name) for name in columns]
-                writer.writerow([f"{cell:.6f}" if isinstance(cell, float) else cell for cell in cells])
-        files.append(summary)
-
-    return SweepResult(rows=rows, solo_error_rates=solo_rates, files=files)
+    summary = out_path / "summary.csv"
+    columns = [column.name for column in fields(SweepRow)]
+    with summary.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        for row in rows:
+            cells = [getattr(row, name) for name in columns]
+            writer.writerow([f"{cell:.6f}" if isinstance(cell, float) else cell for cell in cells])
+    files = [_metrics_path(out_path, scenario_name, name, seed) for name in totals for seed in range(seeds)]
+    return SweepResult(rows=rows, solo_error_rates=solo_rates, files=[*files, summary])

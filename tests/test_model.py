@@ -9,7 +9,7 @@ import io
 import pytest
 import yaml
 
-from crossguard import cli
+from crossguard import cli, model
 from crossguard.actuation import ActuationAction, ActuationCommand
 from crossguard.aggregation import AggregationSemantics, Decision, Verdict
 from crossguard.model import (
@@ -507,6 +507,12 @@ def test_the_row_reader_reads_each_field_off_its_dataclass():
         _Field("optional", Leaf, default=None),
         _Field("flag", bool, default=False),
     )
+
+
+def test_compiled_validation_code_carries_the_model_module_s_filename():
+    """So a profile charges the compiled checks to crossguard.model."""
+    assert model._SOUND[Scenario].__code__.co_filename == model.__file__
+    assert model._predicate("v > 0").__code__.co_filename == model.__file__
 
 
 def test_scenario_is_frozen():

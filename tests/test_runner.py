@@ -281,13 +281,15 @@ class TestLeanPath:
         assert {copy[4].value for copy in traced} == {"session_start", "claim", "actuation"}
         assert lean_metrics == traced_metrics
 
-    def test_the_master_s_claim_follows_its_commands_when_its_start_copy_lands_after_the_deadline(self):
+    def test_the_master_s_claim_follows_its_commands_when_its_start_copy_lands_after_the_deadline(self, monkeypatch):
         """Every start copy lands after its deadline: the master numbers its
-        commands before its own claim in both paths."""
+        commands before its own claim in both paths. The lean run's queued
+        master claims carry the seqs of the traced run's kept ones."""
         scenario = make_scenario(drop=0.1, latency=(1000, 5000), window=500, sessions=8)
         nodes = [dataclasses.replace(node, actuated=node.id in (1, 3)) for node in scenario.nodes]
         scenario = dataclasses.replace(scenario, nodes=tuple(nodes))
         records, traced = run_once(scenario, AggregationSemantics.MAJORITY, 4)
+        copies = spy_on_schedule(monkeypatch)
         _, lean = run_once(scenario, AggregationSemantics.MAJORITY, 4, collect_trace=False)
         assert lean == traced
         master_claims = by_ev(records, "send", kind="claim", src=1)
@@ -295,6 +297,10 @@ class TestLeanPath:
         for claim in master_claims:
             commands = [send["seq"] for send in by_ev(records, "send", kind="actuation", session=claim["claim"]["session"])]
             assert len(commands) == 2 and max(commands) < claim["seq"]
+        dropped = {drop["seq"] for drop in by_ev(records, "drop", kind="claim", src=1)}
+        kept = [claim["seq"] for claim in master_claims if claim["seq"] not in dropped]
+        lean_claims = [seq for _, src, seq, _, kind, _, _ in copies if kind is runner.MessageKind.CLAIM and src == 1]
+        assert kept and lean_claims == kept
 
 
 @pytest.mark.parametrize("truth_mode", TRUTH_MODES)
@@ -910,28 +916,31 @@ class TestSweep:
         }
         assert [row.decisions for row in result.rows] == [3 * seeds] * len(ALL_SEMANTICS)
 
-    def test_sweep_writes_per_run_files_and_a_summary(self, tmp_path):
-        scenario = make_scenario(sessions=2)
-        result = run_sweep(
-            scenario,
+    @pytest.mark.parametrize(
+        "semantics_list",
+        [
             [AggregationSemantics.MAJORITY, AggregationSemantics.UNANIMITY_SAFE],
-            seeds=2,
-            out_dir=tmp_path,
-            scenario_name="tiny",
-        )
-        names = sorted(path.name for path in result.files)
-        assert names == [
-            "summary.csv",
+            [AggregationSemantics.MAJORITY, AggregationSemantics.UNANIMITY_SAFE, AggregationSemantics.MAJORITY],
+        ],
+        ids=["distinct", "repeated"],
+    )
+    def test_sweep_writes_per_run_files_and_a_summary(self, tmp_path, semantics_list):
+        """The out dir holds exactly the listed files: each semantics' seeds
+        in order, semantics by name, then summary.csv."""
+        scenario = make_scenario(sessions=2)
+        result = run_sweep(scenario, semantics_list, seeds=2, out_dir=tmp_path, scenario_name="tiny")
+        names = [
             "tiny__majority__seed0.metrics.ndjson",
             "tiny__majority__seed1.metrics.ndjson",
             "tiny__unanimity_safe__seed0.metrics.ndjson",
             "tiny__unanimity_safe__seed1.metrics.ndjson",
+            "summary.csv",
         ]
+        assert result.files == [tmp_path / name for name in names]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
         summary = (tmp_path / "summary.csv").read_text(encoding="utf-8").splitlines()
         assert summary[0] == "semantics,seeds,decisions,stops,gos,false_go_count,false_stop_count,error_rate"
-        assert len(summary) == 3
-        assert summary[1].startswith("majority,")
-        assert summary[2].startswith("unanimity_safe,")
+        assert [line.split(",")[0] for line in summary[1:]] == sorted(semantics.value for semantics in semantics_list)
 
     def test_per_run_files_carry_structured_metrics(self, tmp_path):
         scenario = make_scenario(sessions=4)

@@ -320,8 +320,6 @@ def _sound(cls: type):
 
 _SOUND = {cls: _sound(cls) for cls in _TABLES}
 _ROWS = {(cls, field.name): field for cls, rows in _TABLES.items() for field in rows}
-_finite = _predicate(_KINDS[float][0])
-_integer = _predicate(_KINDS[int][0])
 
 
 def _field_errors(section: object, cls: type, path: str, errors: list[str], after: dict[str, str]) -> None:
@@ -336,7 +334,7 @@ def _field_errors(section: object, cls: type, path: str, errors: list[str], afte
         value = getattr(section, field.name)
         here = field.root_key or (f"{path}.{field.name}" if path else field.name)
         if field.kind not in _TABLES:
-            if (problem := _problem(value, cls, field.name)) is not None:
+            if (problem := _problem(value, field)) is not None:
                 errors.append(f"{here}: {problem.format(shown_value(value))}")
                 if cls is NodeSpec and field.name == "id":
                     return  # a node without a sound id is listed by that alone
@@ -355,64 +353,65 @@ def _field_errors(section: object, cls: type, path: str, errors: list[str], afte
             errors.append(after[here])
 
 
-def _problem(value: object, cls: type, name: str) -> str | None:
-    """The message for a value that the leaf row name of cls's table does not
-    pass, or None if it passes: that of the first rule it fails, or, if it is
-    not of the row's kind, that of the first rule or of the kind."""
-    field = _ROWS[cls, name]
+def _problem(value: object, field: _Field) -> str | None:
+    """The message of the first rule of a leaf row that value fails, or None;
+    if value is not of the row's kind, the kind's message, or else the first rule's."""
     test, _, message = _KINDS[field.kind]
     if not _predicate(test)(value):
-        return field.rules[0][1] if field.rules else message
+        return message or field.rules[0][1]
     return next((message for rule, message in field.rules if not _predicate(rule)(value)), None)
 
 
 def _cross_field_errors(scenario: Scenario, sound: bool) -> list[tuple[str, str]]:
     """The problems the rules across fields find, in the order they are
     listed, each with the path of the field it follows; no two share one.
-    A rule reads only fields that pass their rows; sound says that every
-    field does."""
+    A rule reads a field only once it passes its row, so that a wrong field
+    is listed once, by its own problem; sound says that every field does."""
+
+    def fits(section: object, cls: type, name: str) -> bool:
+        """Whether section is a cls, or the top level whatever its class, whose field name passes its row."""
+        if sound:
+            return True
+        passes = _predicate(_row_test(_ROWS[cls, name]))
+        return (cls is Scenario or isinstance(section, cls)) and passes(getattr(section, name))
+
     found = []
     perception = scenario.perception
-    center = None
-    if sound or isinstance(perception, PerceptionModel) and _SOUND[Pose](perception.query_center):
-        center = perception.query_center
     nodes = scenario.nodes
     if isinstance(nodes, (tuple, list)):
         seen: set[NodeId] = set()
         for index, node in enumerate(nodes):
-            if not (sound or isinstance(node, NodeSpec) and _problem(node.id, NodeSpec, "id") is None):
+            if not fits(node, NodeSpec, "id"):
                 continue
             if node.id in seen:
                 found.append((f"nodes[{index}].id", f"duplicate node id: {node.id}"))
             seen.add(node.id)
             # Claims carry this distance as evidence; finite poses can still overflow it.
-            if center is not None and (sound or _SOUND[Pose](node.pose)):
+            if fits(perception, PerceptionModel, "query_center") and fits(node, NodeSpec, "pose"):
                 try:
-                    distance = node.pose.distance_to(center)
+                    distance = node.pose.distance_to(perception.query_center)
                 except OverflowError:  # integer coordinates whose difference no float holds
                     distance = math.inf
-                if not _finite(distance):
+                if math.isinf(distance):
                     path = f"nodes[{index}].pose"
                     found.append((path, f"{path}: distance to query_region_center must be finite, got {distance!r}"))
-        masters = [n for n in nodes if isinstance(n, NodeSpec) and n.master is True]
+        masters = [n for n in nodes if fits(n, NodeSpec, "master") and n.master]
         if len(masters) != 1:
             found.append(("nodes", f"nodes: exactly one master is required, got {len(masters)}"))
-        elif not masters[0].actuated:
+        elif fits(masters[0], NodeSpec, "actuated") and not masters[0].actuated:
             found.append(("nodes", "nodes: the master node must be actuated"))
     truth = scenario.ground_truth
-    if isinstance(truth, GroundTruth) and truth.pedestrian_pose is None and truth.pedestrian_present:
+    if fits(truth, GroundTruth, "pedestrian_present") and truth.pedestrian_present and truth.pedestrian_pose is None:
         found.append(("ground_truth.pedestrian_pose", "ground_truth.pedestrian_pose: required when pedestrian_present"))
     net = scenario.network
-    if isinstance(net, NetworkConfig):
-        if sound or _problem(net.latency_max, NetworkConfig, "latency_max") is None and _integer(net.latency_min):
-            if net.latency_max < net.latency_min:
-                shown = f"{shown_value(net.latency_max)} < {shown_value(net.latency_min)}"
-                found.append(("network.latency_max", f"network.latency_max: must be >= latency_min, got {shown}"))
-        # Actuation must land before the next session opens in a lossless run.
-        if sound or _integer(net.latency_max) and _problem(scenario.settle_interval, Scenario, "settle_interval") is None:
-            if scenario.settle_interval < net.latency_max:
-                shown = f"{shown_value(scenario.settle_interval)} < {shown_value(net.latency_max)}"
-                found.append(("settle_interval", f"settle_interval: must be >= network.latency_max, got {shown}"))
+    max_fits = fits(net, NetworkConfig, "latency_max")
+    if max_fits and fits(net, NetworkConfig, "latency_min") and net.latency_max < net.latency_min:
+        shown = f"{shown_value(net.latency_max)} < {shown_value(net.latency_min)}"
+        found.append(("network.latency_max", f"network.latency_max: must be >= latency_min, got {shown}"))
+    # Actuation must land before the next session opens in a lossless run.
+    if max_fits and fits(scenario, Scenario, "settle_interval") and scenario.settle_interval < net.latency_max:
+        shown = f"{shown_value(scenario.settle_interval)} < {shown_value(net.latency_max)}"
+        found.append(("settle_interval", f"settle_interval: must be >= network.latency_max, got {shown}"))
     return found
 
 

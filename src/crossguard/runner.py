@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
@@ -587,13 +588,19 @@ def run_sweep(
     semantics' per-run metrics go to one newline-delimited record file per
     seed and the comparison table to summary.csv; `files` lists each file
     once, semantics by name and seeds in order, then summary.csv. A `seeds`
-    that is not an int >= 1, or a semantics_list that is not a non-empty
-    list or tuple of AggregationSemantics members, raises ValueError, before
-    the scenario is validated. out_dir is made only after the first
-    run_once returns, so a rejected call makes no dir.
+    that is not an int >= 1, a semantics_list that is not a non-empty list
+    or tuple of AggregationSemantics members, an out_dir of "" or a
+    scenario_name holding a path separator raises ValueError, before the
+    scenario is validated: the last two would write outside out_dir. out_dir
+    is made only after the first run_once returns, so a rejected call makes
+    no dir.
     """
     if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
         raise ValueError(f"seeds must be an integer >= 1, got {seeds!r}")
+    if out_dir == "":  # Path("") is the current directory
+        raise ValueError("out_dir must name a directory, got ''")
+    if "/" in scenario_name or os.sep in scenario_name:
+        raise ValueError(f"scenario_name must hold no path separator, got {scenario_name!r}")
     _check_semantics("semantics_list", semantics_list)
     if not semantics_list:
         raise ValueError("at least one semantics is required")

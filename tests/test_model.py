@@ -5,9 +5,13 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import io
+import math
+import random
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crossguard import cli, model
 from crossguard.actuation import ActuationAction, ActuationCommand
@@ -32,7 +36,7 @@ from crossguard.model import (
 from crossguard.runner import Simulation, run_once
 from crossguard.scenario import ScenarioValidationError
 
-from helpers import REFERENCE, make_claim, make_profile, make_scenario
+from helpers import REFERENCE, make_claim, make_profile, make_scenario, random_scenario
 from oracles import claim_evidence_errors
 
 
@@ -437,8 +441,12 @@ class TestValidateScenario:
             "sessions: must be an integer >= 1, got 0",
         ]
 
-    @pytest.mark.parametrize("huge", [2**1024, -(2**1024), 10**400], ids=["2^1024", "-2^1024", "10^400"])
+    @pytest.mark.parametrize(
+        "huge", [2**1024, -(2**1024), 10**400, float("inf")], ids=["2^1024", "-2^1024", "10^400", "inf"]
+    )
     def test_numbers_no_float_can_hold_are_listed(self, huge):
+        """Each is listed by the float kind's message, in rows with range
+        rules too: a range rule's message would misstate the value."""
         scenario = make_scenario()
         node = dataclasses.replace(
             scenario.nodes[1], pose=Pose(huge, 0.0), sensor=make_profile(fn=huge, reach=huge)
@@ -460,7 +468,72 @@ class TestValidateScenario:
             "query_region_center.x",
             "network.drop_probability",
         ):
-            assert any(e.startswith(f"{path}: ") for e in errors), path
+            assert f"{path}: must be a finite number, got {shown_value(huge)}" in errors, path
+
+
+# Each field that a rule across fields reads, with values that fail its row.
+CROSS_FIELD_WRONG = {
+    "id": [-1, 2**63, 1.5, True, "x", None],
+    "pose": [None, (0.0, 0.0), Pose(math.inf, 0.0), Pose("x", 0.0)],
+    "master": [1, 0, "yes", None],
+    "actuated": [1, 0, "no", None],
+    "query_center": [None, (0.0, 0.0), Pose(0.0, math.nan)],
+    "pedestrian_present": [1, 0, "yes", None],
+    "pedestrian_pose": ["x", (0.0, 0.0), Pose(0.0, "y")],
+    "latency_min": [-1, 1.5, True, "x", None],
+    "latency_max": [-1, 2**64, 1.5, True, "x", None],
+    "settle_interval": [-1, 2**64, 1.5, True, "x", None],
+}
+# Each rule across fields, by its message, and the fields it reads; a node's
+# field is that of any node. The master count is left out: it counts a flag
+# that fails its row as no master, so a master whose own flag is wrong is
+# also listed as a count of 0.
+CROSS_FIELD_READS = {
+    "duplicate node id": {"id"},
+    "distance to query_region_center": {"id", "pose", "query_center"},
+    "the master node must be actuated": {"master", "actuated"},
+    "required when pedestrian_present": {"pedestrian_present", "pedestrian_pose"},
+    "must be >= latency_min": {"latency_min", "latency_max"},
+    "must be >= network.latency_max": {"latency_max", "settle_interval"},
+}
+
+
+def with_wrong_field(scenario: Scenario, name: str, value, node: int) -> tuple[Scenario, str]:
+    """scenario with the field name set to value, on nodes[node] for a
+    node's field, and the path that messages name the field by."""
+    if name in ("id", "pose", "master", "actuated"):
+        return replaced(scenario, ("nodes", node, name), value), f"nodes[{node}].{name}"
+    if name == "query_center":
+        return replaced(scenario, ("perception", name), value), "query_region_center"
+    if name.startswith("pedestrian_"):
+        return replaced(scenario, ("ground_truth", name), value), f"ground_truth.{name}"
+    if name.startswith("latency_"):
+        return replaced(scenario, ("network", name), value), f"network.{name}"
+    return replaced(scenario, (name,), value), name
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    wrong=st.sampled_from([(name, value) for name, values in CROSS_FIELD_WRONG.items() for value in values]),
+    node=st.integers(0, 5),
+)
+@example(seed=0, wrong=("latency_max", 2**64), node=0)
+@example(seed=0, wrong=("pedestrian_present", 1), node=0)
+@example(seed=0, wrong=("actuated", 0), node=0)
+def test_a_rule_across_fields_reads_no_field_that_fails_its_row(seed, wrong, node):
+    """One wrong field in a valid scenario is listed by its own problem, and
+    no rule that reads it lists another: its value would be a guess. Node 0
+    is the master; a scenario without a pedestrian has no pose to read."""
+    scenario = random_scenario(random.Random(seed))
+    if not scenario.ground_truth.pedestrian_present:
+        scenario = dataclasses.replace(scenario, ground_truth=GroundTruth(False, None))
+    name, value = wrong
+    broken, path = with_wrong_field(scenario, name, value, node % len(scenario.nodes))
+    errors = validate_scenario(broken)
+    assert any(error.startswith((f"{path}: ", f"{path}.")) for error in errors), errors
+    for error in errors:
+        assert not any(fragment in error and name in reads for fragment, reads in CROSS_FIELD_READS.items()), errors
 
 
 def test_every_earlier_case_names_a_table_row():

@@ -967,12 +967,19 @@ class TestSweep:
         assert result.files == []
         assert result.rows[0].decisions == 4
 
-    def test_sweep_rejects_bad_arguments(self):
+    def test_sweep_rejects_bad_arguments(self, tmp_path, monkeypatch):
         scenario = make_scenario()
         with pytest.raises(ValueError):
             run_sweep(scenario, [AggregationSemantics.MAJORITY], seeds=0)
         with pytest.raises(ValueError):
             run_sweep(scenario, [], seeds=1)
+        # Either would write outside out_dir: into the current dir, or next to out_dir.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="^out_dir "):
+            run_sweep(scenario, [AggregationSemantics.MAJORITY], seeds=1, out_dir="")
+        with pytest.raises(ValueError, match="^scenario_name "):
+            run_sweep(scenario, [AggregationSemantics.MAJORITY], seeds=1, out_dir="out", scenario_name="../escaped")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("seeds", [True, 2.5, "2"])
     def test_seeds_must_be_an_int_of_at_least_one(self, seeds):
@@ -990,13 +997,15 @@ class TestSweep:
             run_sweep(make_scenario(), semantics_list, seeds=1)
 
     @pytest.mark.parametrize(
-        "scenario, truth_mode, seeds, semantics_list, error, match",
+        "scenario, truth_mode, seeds, semantics_list, out_dir, scenario_name, error, match",
         [
-            (NO_SESSIONS, "fixed", 2, [AggregationSemantics.MAJORITY], ScenarioValidationError, "sessions"),
-            (make_scenario(), "x", 2, [AggregationSemantics.MAJORITY], ValueError, "^truth_mode "),
-            (NO_SESSIONS, "x", 2, [AggregationSemantics.MAJORITY], ScenarioValidationError, "sessions"),
-            (NO_SESSIONS, "x", 0, [AggregationSemantics.MAJORITY], ValueError, "^seeds "),
-            (NO_SESSIONS, "x", 2, [], ValueError, "^at least one semantics"),
+            (NO_SESSIONS, "fixed", 2, [AggregationSemantics.MAJORITY], "out", "s", ScenarioValidationError, "sessions"),
+            (make_scenario(), "x", 2, [AggregationSemantics.MAJORITY], "out", "s", ValueError, "^truth_mode "),
+            (NO_SESSIONS, "x", 2, [AggregationSemantics.MAJORITY], "out", "s", ScenarioValidationError, "sessions"),
+            (NO_SESSIONS, "x", 0, [AggregationSemantics.MAJORITY], "out", "s", ValueError, "^seeds "),
+            (NO_SESSIONS, "x", 2, [], "out", "s", ValueError, "^at least one semantics"),
+            (NO_SESSIONS, "x", 2, [AggregationSemantics.MAJORITY], "", "s", ValueError, "^out_dir "),
+            (NO_SESSIONS, "x", 2, [AggregationSemantics.MAJORITY], "out", "../s", ValueError, "^scenario_name "),
         ],
         ids=[
             "no_sessions",
@@ -1004,19 +1013,24 @@ class TestSweep:
             "no_sessions_and_unknown_truth_mode",
             "no_sessions_and_no_seeds",
             "no_sessions_and_no_semantics",
+            "no_sessions_and_empty_out_dir",
+            "no_sessions_and_escaping_scenario_name",
         ],
     )
     def test_a_rejected_sweep_leaves_no_out_dir(
-        self, tmp_path, scenario, truth_mode, seeds, semantics_list, error, match
+        self, tmp_path, monkeypatch, scenario, truth_mode, seeds, semantics_list, out_dir, scenario_name, error, match
     ):
-        """A sweep checks seeds and semantics_list first, then validates its
-        scenario once, and then its first run checks the other arguments as a
-        Simulation does: an invalid scenario is refused before truth_mode, as
-        by a Simulation. Each refusal comes before out_dir is made."""
-        out_dir = tmp_path / "out"
+        """A sweep checks seeds, semantics_list, out_dir and scenario_name
+        first, then validates its scenario once, and then its first run
+        checks the other arguments as a Simulation does: an invalid scenario
+        is refused before truth_mode, as by a Simulation. Each refusal comes
+        before out_dir is made, and writes nothing in the current dir."""
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(error, match=match) as refused:
-            run_sweep(scenario, semantics_list, seeds=seeds, truth_mode=truth_mode, out_dir=out_dir)
-        assert not out_dir.exists()
+            run_sweep(
+                scenario, semantics_list, seeds=seeds, truth_mode=truth_mode, out_dir=out_dir, scenario_name=scenario_name
+            )
+        assert not any(tmp_path.iterdir())
         if error is ScenarioValidationError:
             with pytest.raises(ScenarioValidationError) as built:
                 runner.Simulation(scenario, AggregationSemantics.MAJORITY, 0, truth_mode)

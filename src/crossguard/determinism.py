@@ -5,13 +5,22 @@ plus a structural key (who is drawing, for what). Two runs with the same seed
 replay identically, and no draw site shares a stream with another, so a draw
 changes only when its key does. Adding a node that is not actuated changes
 no existing key; an actuated one shifts the master's message numbers, and so
-the keys of its later messages.
+the keys of its later messages. The words are SHA-256 from CPython's built-in
+`_sha2` (3.12+) or `_sha256` (3.10, 3.11), else `hashlib.sha256`: the same
+function, so the choice changes no byte, only what a short key costs to hash.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
+
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 # Domain tags keep sense draws and transport draws in disjoint key spaces.
 DOMAIN_SENSE = b"sense"
@@ -47,13 +56,13 @@ class KeyedStream:
 
     def __init__(self, key: bytes) -> None:
         self._key = key
-        self._words: tuple[int, ...] = _BLOCK_WORDS.unpack(hashlib.sha256(key + _BLOCK_0).digest())
+        self._words: tuple[int, ...] = _BLOCK_WORDS.unpack(_sha256(key + _BLOCK_0).digest())
         self._index = 0
         self._counter = 1
 
     def _word(self) -> int:
         """The first word of the next block, read once the current one is used up."""
-        block = hashlib.sha256(self._key + _BLOCK_INDEX.pack(self._counter)).digest()
+        block = _sha256(self._key + _BLOCK_INDEX.pack(self._counter)).digest()
         self._words = _BLOCK_WORDS.unpack(block)
         self._counter += 1
         self._index = 1
@@ -128,4 +137,4 @@ def transport_words(seed: int, src: int, seq: int, dst: int) -> tuple[int, int, 
     + 1. Only a rejected words[1] needs the stream itself, replayed from its
     first draw, to read on.
     """
-    return _BLOCK_WORDS.unpack(hashlib.sha256(_pack_net_block_0(DOMAIN_NET, seed, src, seq, dst, 0)).digest())
+    return _BLOCK_WORDS.unpack(_sha256(_pack_net_block_0(DOMAIN_NET, seed, src, seq, dst, 0)).digest())

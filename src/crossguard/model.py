@@ -395,11 +395,12 @@ def _cross_field_errors(scenario: Scenario, sound: bool) -> list[tuple[str, str]
                 if math.isinf(distance):
                     path = f"nodes[{index}].pose"
                     found.append((path, f"{path}: distance to query_region_center must be finite, got {distance!r}"))
-        masters = [n for n in nodes if fits(n, NodeSpec, "master") and n.master]
-        if len(masters) != 1:
-            found.append(("nodes", f"nodes: exactly one master is required, got {len(masters)}"))
-        elif fits(masters[0], NodeSpec, "actuated") and not masters[0].actuated:
-            found.append(("nodes", "nodes: the master node must be actuated"))
+        if all(fits(n, NodeSpec, "master") for n in nodes):
+            masters = [n for n in nodes if n.master]
+            if len(masters) != 1:
+                found.append(("nodes", f"nodes: exactly one master is required, got {len(masters)}"))
+            elif fits(masters[0], NodeSpec, "actuated") and not masters[0].actuated:
+                found.append(("nodes", "nodes: the master node must be actuated"))
     truth = scenario.ground_truth
     if fits(truth, GroundTruth, "pedestrian_present") and truth.pedestrian_present and truth.pedestrian_pose is None:
         found.append(("ground_truth.pedestrian_pose", "ground_truth.pedestrian_pose: required when pedestrian_present"))

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
+import json
+import os
+import platform
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossguard import determinism
 from crossguard.determinism import (
     DOMAIN_NET,
     DOMAIN_SENSE,
@@ -19,6 +27,7 @@ from crossguard.determinism import (
     transport_stream,
 )
 
+import make_golden
 from oracles import substream
 
 
@@ -84,6 +93,48 @@ def test_frozen_reference_draws():
     wire = transport_stream(0, 1, 0, 2)
     assert wire.random() == 0.2753723320841639
     assert wire.randint(2000, 8000) == 3164
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython", reason="the built-in SHA-256 modules are CPython's")
+def test_draws_hash_through_the_built_in_sha256():
+    """CPython's own SHA-256 is bound, not OpenSSL's through hashlib: a later
+    edit cannot fall back to the slower constructor unseen."""
+    builtin = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    assert determinism._sha256 is builtin.sha256
+
+
+# Imports crossguard with no built-in SHA-256 module, then prints whether
+# hashlib.sha256 was bound and the digests of every g22 golden case.
+FALLBACK = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from crossguard import determinism
+from crossguard.runner import run_once
+from crossguard.scenario import load_scenario
+import make_golden
+entries = {}
+for key, path, semantics, seed, truth in make_golden.cases():
+    if path.stem == "g22":
+        records, metrics = run_once(load_scenario(path), semantics, seed=seed, truth_mode=truth)
+        entries[key] = make_golden.digest_entry(records, metrics)
+print(json.dumps({"hashlib": determinism._sha256 is hashlib.sha256, "entries": entries}))
+"""
+
+
+def test_the_hashlib_fallback_draws_the_same_bytes():
+    """Where neither built-in module exists, hashlib.sha256 is bound and the
+    golden cases of g22 still hash to their stored trace and metrics digests."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-c", FALLBACK], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    stored = json.loads(make_golden.DIGESTS.read_text(encoding="utf-8"))
+    assert out["hashlib"]
+    assert len(out["entries"]) == 16
+    assert out["entries"] == {key: stored[key] for key in out["entries"]}
 
 
 def test_randint_mean_is_roughly_central():

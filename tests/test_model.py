@@ -214,10 +214,10 @@ class TestValidateScenario:
         assert any("master" in e for e in validate_scenario(dataclasses.replace(scenario, nodes=demoted)))
         promoted = tuple(dataclasses.replace(n, master=True) for n in scenario.nodes)
         assert any("master" in e for e in validate_scenario(dataclasses.replace(scenario, nodes=promoted)))
-        # Only a master that is True counts: a truthy flag is listed, not counted.
+        # A flag that is not a bool is listed, and no master is counted while one is.
         truthy = tuple(dataclasses.replace(n, master="no") for n in scenario.nodes)
         errors = validate_scenario(dataclasses.replace(scenario, nodes=truthy))
-        assert errors[-1] == "nodes: exactly one master is required, got 0"
+        assert errors == [f"nodes[{i}].master: must be true or false, got 'no'" for i in range(len(scenario.nodes))]
 
     def test_master_must_be_actuated(self):
         scenario = make_scenario()
@@ -371,15 +371,15 @@ class TestValidateScenario:
         every section, node, pose, profile and flag itself. A fixed-truth run
         would have traced pedestrian_present=1 as a number, and actuated="no"
         would have sent that node commands. A section or node of the wrong
-        type is listed, not read. Each gives one error, at its path; putting
-        a non-node in the master's place also leaves no master. run_once and
-        a hand-built Simulation refuse the scenario with the validator's
-        errors."""
+        type is listed, not read. Each gives one error, at its path, and no
+        other: while a node or its master flag is wrong, no master is
+        counted. run_once and a hand-built Simulation refuse the scenario
+        with the validator's errors."""
         broken = replaced(make_scenario(present=True), attrs, value)
         errors = validate_scenario(broken)
         at_path = [e for e in errors if e.startswith(f"{path}: ")]
         assert len(at_path) == 1, errors
-        assert errors == at_path or errors == [*at_path, "nodes: exactly one master is required, got 0"], errors
+        assert errors == at_path, errors
         with pytest.raises(ScenarioValidationError) as ran:
             run_once(broken, AggregationSemantics.MAJORITY, seed=1)
         with pytest.raises(ScenarioValidationError) as built:
@@ -485,11 +485,10 @@ CROSS_FIELD_WRONG = {
     "settle_interval": [-1, 2**64, 1.5, True, "x", None],
 }
 # Each rule across fields, by its message, and the fields it reads; a node's
-# field is that of any node. The master count is left out: it counts a flag
-# that fails its row as no master, so a master whose own flag is wrong is
-# also listed as a count of 0.
+# field is that of any node.
 CROSS_FIELD_READS = {
     "duplicate node id": {"id"},
+    "exactly one master is required": {"master"},
     "distance to query_region_center": {"id", "pose", "query_center"},
     "the master node must be actuated": {"master", "actuated"},
     "required when pedestrian_present": {"pedestrian_present", "pedestrian_pose"},
@@ -521,6 +520,7 @@ def with_wrong_field(scenario: Scenario, name: str, value, node: int) -> tuple[S
 @example(seed=0, wrong=("latency_max", 2**64), node=0)
 @example(seed=0, wrong=("pedestrian_present", 1), node=0)
 @example(seed=0, wrong=("actuated", 0), node=0)
+@example(seed=0, wrong=("master", "yes"), node=0)
 def test_a_rule_across_fields_reads_no_field_that_fails_its_row(seed, wrong, node):
     """One wrong field in a valid scenario is listed by its own problem, and
     no rule that reads it lists another: its value would be a guess. Node 0
